@@ -154,6 +154,20 @@ class BTStrategy:
 
 # -- synthesis ----------------------------------------------------------------
 
+def _beam_pairs(backward: ChannelModel, mono: MonoCorpus, ids,
+                beam_size: int) -> list[SyntheticPair]:
+    targets = [mono.sentences[i] for i in ids]
+    sources = beam_decode(backward, targets, beam_size)
+    return [SyntheticPair(x, y, "beam") for x, y in zip(sources, targets)]
+
+
+def _sampling_pairs(backward: ChannelModel, mono: MonoCorpus, ids,
+                    seed: int) -> list[SyntheticPair]:
+    targets = [mono.sentences[i] for i in ids]
+    sources = sample_decode(backward, targets, [sentence_stream(seed, i) for i in ids])
+    return [SyntheticPair(x, y, "sampling") for x, y in zip(sources, targets)]
+
+
 def synthesize_corpus(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM | None,
                       strategy: BTStrategy, seed: int,
                       beam_size: int = DEFAULT_BEAM_SIZE) -> list[SyntheticPair]:
@@ -166,28 +180,16 @@ def synthesize_corpus(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM | No
     if kind == "none":
         return []
     if kind in ("beam", "beam-weak"):
-        return [
-            SyntheticPair(beam_decode(backward, y, beam_size), y, "beam")
-            for y in mono.sentences
-        ]
+        return _beam_pairs(backward, mono, range(len(mono.sentences)), beam_size)
     if kind == "sampling":
-        return [
-            SyntheticPair(sample_decode(backward, y, sentence_stream(seed, i)), y, "sampling")
-            for i, y in enumerate(mono.sentences)
-        ]
+        return _sampling_pairs(backward, mono, range(len(mono.sentences)), seed)
     if kind == "data-manipulation":
         split_seed = strategy.split_seed if strategy.split_seed is not None else seed
         plan = split_monolingual(mono, strategy.gamma, split_seed)
-        beam_pairs = {
-            i: SyntheticPair(beam_decode(backward, mono.sentences[i], beam_size),
-                             mono.sentences[i], "beam")
-            for i in plan.beam_ids
-        }
-        sampling_pairs = {
-            i: SyntheticPair(sample_decode(backward, mono.sentences[i], sentence_stream(seed, i)),
-                             mono.sentences[i], "sampling")
-            for i in plan.sampling_ids
-        }
+        beam_pairs = dict(zip(plan.beam_ids,
+                              _beam_pairs(backward, mono, plan.beam_ids, beam_size)))
+        sampling_pairs = dict(zip(plan.sampling_ids,
+                                  _sampling_pairs(backward, mono, plan.sampling_ids, seed)))
         return list(assemble_mixed_corpus(plan, beam_pairs, sampling_pairs).pairs)
     if kind in ("gamma-select", "gamma-sample"):
         if lm is None:
@@ -308,8 +310,7 @@ class ExperimentReport:
 
 
 def _evaluate_test_bleu(forward: ChannelModel, test: ParallelCorpus, beam_size: int) -> float:
-    hypotheses = [beam_decode(forward, src, beam_size) for src in test.sources()]
-    return corpus_bleu(hypotheses, test.targets())
+    return corpus_bleu(beam_decode(forward, test.sources(), beam_size), test.targets())
 
 
 def _weak_backward(task: ToyTask, alpha: float) -> ChannelModel:

@@ -49,6 +49,7 @@ from .records import (
     read_mono,
     read_parallel,
     read_synthetic,
+    read_text,
     write_candidate_records,
     write_mono,
     write_parallel,
@@ -68,15 +69,15 @@ TINY_TASK = ToyTaskSpec(
 
 
 def _write_text(path, text: str) -> None:
-    Path(path).write_text(text)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _load_channel(path) -> ChannelModel:
-    return ChannelModel.from_text(Path(path).read_text())
+    return ChannelModel.from_text(read_text(path))
 
 
 def _load_lm(path) -> NGramLM:
-    return NGramLM.from_text(Path(path).read_text())
+    return NGramLM.from_text(read_text(path))
 
 
 def _emit_manifest(out_dir_or_file, command, params, seed, inputs, outputs, argv):
@@ -321,7 +322,7 @@ def _parse_config_text(text: str) -> ExperimentConfig:
 
 
 def _cmd_bt_experiment(args, argv) -> int:
-    config = _parse_config_text(Path(args.config).read_text())
+    config = _parse_config_text(read_text(args.config))
     report = run_bt_experiment(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -517,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv) -> int:
     """Run one command; returns the process exit status.
 
-    Usage errors exit 2 (argparse convention); domain errors print a
-    single-line diagnostic and exit 1.
+    Usage errors exit 2 (argparse convention); domain errors and files that
+    cannot be read or written print a single-line diagnostic and exit 1.
     """
     argv = [str(a) for a in argv]
     parser = build_parser()
@@ -530,6 +531,10 @@ def dispatch(argv) -> int:
         return args.func(args, argv)
     except BtfactorsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .. import __version__
 from ..errors import ParseError
+from .records import read_text
 
 MANIFEST_NAME = "manifest.json"
 
@@ -59,7 +60,7 @@ def write_manifest(path, manifest: RunManifest) -> None:
 
 def read_manifest(path) -> RunManifest:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(read_text(path))
         return RunManifest(
             command=data["command"],
             params=data["params"],

@@ -27,16 +27,26 @@ def _float_to_str(value: float) -> str:
     return repr(float(value))
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; undecodable bytes are a ParseError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+
+
 # -- mono ---------------------------------------------------------------------
 
 def write_mono(path, corpus: MonoCorpus) -> None:
     lines = [sequence_to_str(s) for s in corpus.sentences]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_mono(path) -> MonoCorpus:
     sentences = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             raise ParseError("blank sentence line", lineno)
         sentences.append(sequence_from_str(line))
@@ -49,12 +59,12 @@ def read_mono(path) -> MonoCorpus:
 
 def write_parallel(path, corpus: ParallelCorpus) -> None:
     lines = [f"{sequence_to_str(src)}\t{sequence_to_str(tgt)}" for src, tgt in corpus.pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_parallel(path) -> ParallelCorpus:
     pairs = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 2 tab-separated fields, found {len(fields)}", lineno)
@@ -74,12 +84,12 @@ def write_synthetic(path, pairs: Sequence[SyntheticPair]) -> None:
         f"{sequence_to_str(p.source)}\t{sequence_to_str(p.target)}\t{p.provenance}"
         for p in pairs
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_synthetic(path) -> list[SyntheticPair]:
     pairs = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(f"expected 3 tab-separated fields, found {len(fields)}", lineno)
@@ -111,7 +121,7 @@ def format_candidate_record(cset: CandidateSet) -> str:
 
 def write_candidate_records(path, sets: Sequence[CandidateSet]) -> None:
     text = "".join(format_candidate_record(s) + "\n" for s in sets)
-    Path(path).write_text(text)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def parse_candidate_records(lines: Iterable[str]) -> list[CandidateSet]:
@@ -164,4 +174,4 @@ def parse_candidate_records(lines: Iterable[str]) -> list[CandidateSet]:
 
 
 def read_candidate_records(path) -> list[CandidateSet]:
-    return parse_candidate_records(Path(path).read_text().splitlines())
+    return parse_candidate_records(read_text(path).splitlines())

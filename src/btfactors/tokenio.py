@@ -17,7 +17,9 @@ EOS = "</s>"
 UNK = "<unk>"
 
 RESERVED = (BOS, EOS, UNK)
-_INT_RE = re.compile(r"-?\d+$")
+# only canonical ASCII decimals read back as ints, so "007", "-0" and
+# non-ASCII digits stay distinct string tokens and round-trip unchanged
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def token_to_str(token) -> str:
@@ -34,7 +36,7 @@ def token_from_str(text: str):
         return EOS
     if text == UNK:
         return UNK
-    if _INT_RE.match(text):
+    if _INT_RE.fullmatch(text):
         return int(text)
     return text
 

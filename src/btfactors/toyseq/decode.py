@@ -1,11 +1,15 @@
 """Decoding for channel models: beam search, ancestral sampling, and
 annotated candidate-set generation.
 
-The batch helpers keep candidate generation fast enough for N-per-sentence
-sampling over whole corpora: one vectorized draw per position instead of
-one per token.  All sampling inverts the cumulative row with
-``side="right"`` semantics so scalar and batched paths share one
-convention.
+``beam_decode`` and ``sample_decode`` take a whole corpus.  They group its
+sentences by length and step through each group position by position over
+(sentences x beam x |V|) arrays gathered from a stacked tensor of the
+per-conditioning-token matrices.  Beam ties break lexicographically by
+token sequence, in Python's token order when the output vocabulary is
+mutually comparable and in ``token_sort_key`` order when it mixes types.
+Every sampler inverts the cumulative row with ``side="right"`` semantics
+through one kernel, so a sentence decoded in a corpus gets the same tokens
+as it would alone from the same stream.
 """
 
 from __future__ import annotations
@@ -14,74 +18,166 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from ..scoring import Candidate, CandidateSet
-from .models import BOS, ChannelModel, EOS, NGramLM
+from .models import ChannelModel, EOS, NGramLM
 
 
-def beam_decode(model: ChannelModel, input_seq, beam_size: int = 5) -> tuple:
-    """Highest-scoring hypothesis among those explored at width ``beam_size``.
+def _stacked_conditionals(model: ChannelModel, inputs):
+    """(prob, log) matrices of every conditioning token in ``inputs``, stacked
+    into two (conds, |V|+1, |V|) tensors, and each token's index into them."""
+    index: dict = {}
+    for seq in inputs:
+        for cond in seq:
+            index.setdefault(cond, len(index))
+    pairs = [model.matrices_for_cond(cond) for cond in index]
+    size = len(model.out_vocab)
+    empty = np.empty((0, size + 1, size))
+    probs = np.stack([p for p, _ in pairs]) if pairs else empty
+    logs = np.stack([lg for _, lg in pairs]) if pairs else empty
+    return probs, logs, index
 
-    Deterministic: score ties break lexicographically by token sequence.
-    An exhaustive width (|V| ** len) reduces to brute-force argmax.
+
+def _decode_by_length(model: ChannelModel, inputs, index: dict, decode_group) -> list[tuple]:
+    """Output tokens for every input, in input order.
+
+    ``decode_group(ids, cond_idx)`` decodes one group of equal-length,
+    non-empty inputs: their positions and (n, L) conditioning indices in, an
+    (n, L) matrix of output indices out.  Empty inputs decode to ``()``.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, seq in enumerate(inputs):
+        if seq:
+            groups.setdefault(len(seq), []).append(i)
+    vocab = np.array(model.out_vocab, dtype=object)
+    outputs: list = [()] * len(inputs)
+    for ids in groups.values():
+        cond_idx = np.array([[index[c] for c in inputs[i]] for i in ids], dtype=np.intp)
+        for i, row in zip(ids, vocab[decode_group(ids, cond_idx)]):
+            outputs[i] = tuple(row)
+    return outputs
+
+
+def _beam_tie_rank(vocab) -> np.ndarray:
+    """Tie rank of each output index: Python's own token order when the
+    vocabulary is comparable, else ``token_sort_key`` order, which is the
+    order of ``out_vocab`` itself."""
+    try:
+        order = sorted(range(len(vocab)), key=vocab.__getitem__)
+    except TypeError:
+        return np.arange(len(vocab))
+    rank = np.empty(len(vocab), dtype=np.intp)
+    rank[order] = np.arange(len(vocab))
+    return rank
+
+
+def _beam_group(logs: np.ndarray, cond_idx: np.ndarray, tie_rank: np.ndarray,
+                beam_size: int) -> np.ndarray:
+    """Best output indices, (n, L), for n equal-length index-encoded inputs."""
+    n, length = cond_idx.shape
+    size = logs.shape[-1]
+    scores = np.zeros((n, 1))
+    prev = np.zeros((n, 1), dtype=np.intp)   # row 0 of every cond matrix is BOS
+    prefix_rank = np.zeros((n, 1), dtype=np.intp)
+    parents, tokens = [], []
+    for t in range(length):
+        expanded = (scores[:, :, None] + logs[cond_idx[:, t, None], prev]).reshape(n, -1)
+        tie = (prefix_rank[:, :, None] * size + tie_rank).reshape(n, -1)
+        order = np.lexsort((tie, -expanded), axis=-1)[:, :beam_size]
+        scores = np.take_along_axis(expanded, order, axis=1)
+        parent, tok = np.divmod(order, size)
+        # lexicographic rank of the kept prefixes, the next step's tie key
+        prefix_rank = np.take_along_axis(tie, order, axis=1).argsort(axis=1).argsort(axis=1)
+        prev = tok + 1
+        parents.append(parent)
+        tokens.append(tok)
+    out = np.empty((n, length), dtype=np.intp)
+    rows = np.arange(n)
+    beam = np.zeros(n, dtype=np.intp)         # column 0 holds the best hypothesis
+    for t in reversed(range(length)):
+        out[:, t] = tokens[t][rows, beam]
+        beam = parents[t][rows, beam]
+    return out
+
+
+def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> list[tuple]:
+    """Highest-scoring hypothesis for each input sequence among those
+    explored at width ``beam_size``, in input order.
+
+    Sentences of equal length are searched together, one step over
+    (sentences x beam x |V|) arrays per position.  Deterministic: score
+    ties break lexicographically by token sequence, comparing tokens in
+    Python's own order when the output vocabulary is mutually comparable
+    (all ints or all strings) and by ``token_sort_key`` when it mixes
+    types.  An exhaustive width (|V| ** len) reduces to brute-force argmax.
     """
     if beam_size < 1:
         raise InvalidInputError("beam_size must be >= 1")
-    input_seq = tuple(input_seq)
-    beams: list[tuple[tuple, float]] = [((), 0.0)]
-    for cond in input_seq:
-        expansions = []
-        for tokens, score in beams:
-            prev = tokens[-1] if tokens else BOS
-            row = model.log_row(prev, cond)
-            for tok, tok_lp in zip(model.out_vocab, row):
-                expansions.append((tokens + (tok,), score + float(tok_lp)))
-        expansions.sort(key=lambda e: (-e[1], e[0]))
-        beams = expansions[:beam_size]
-    return beams[0][0]
+    inputs = [tuple(seq) for seq in inputs]
+    _, logs, index = _stacked_conditionals(model, inputs)
+    tie_rank = _beam_tie_rank(model.out_vocab)
+    return _decode_by_length(
+        model, inputs, index,
+        lambda ids, cond_idx: _beam_group(logs, cond_idx, tie_rank, beam_size),
+    )
 
 
-def sample_decode(model: ChannelModel, input_seq, rng: np.random.Generator) -> tuple:
-    """Ancestral sample: one token per position from the conditional."""
-    out: list = []
-    prev = BOS
-    last = len(model.out_vocab) - 1
-    for cond in input_seq:
-        cumulative = np.cumsum(model.prob_row(prev, cond))
-        idx = min(int(np.searchsorted(cumulative, float(rng.random()), side="right")), last)
-        prev = model.out_vocab[idx]
-        out.append(prev)
-    return tuple(out)
+def _ancestral(steps, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF ancestral sampling of n outputs, one position per step.
+
+    Each step is ``(probs, logs, base, draws)``: (states, |V|) prob and log
+    tables in which row ``base + prev`` is an output row's conditional given
+    its previous output (prev 0 is BOS, 1 + i is out_vocab[i]), and that
+    position's (n,) uniforms.  Returns the (n, L) sampled output indices and
+    their (n,) channel log-probs.
+    """
+    token_idx = np.empty((n, length), dtype=np.intp)
+    log_probs = np.zeros(n)
+    state = np.zeros(n, dtype=np.intp)      # previous output; base is added in place
+    for t, (probs, logs, base, draws) in enumerate(steps):
+        state += base
+        rows = probs[state]
+        idx = np.minimum((np.cumsum(rows, axis=1) <= draws[:, None]).sum(axis=1),
+                         rows.shape[1] - 1)
+        log_probs += logs[state, idx]
+        token_idx[:, t] = idx
+        state = idx + 1
+    return token_idx, log_probs
+
+
+def sample_decode(model: ChannelModel, inputs, streams) -> list[tuple]:
+    """One ancestral sample per input sequence, in input order.
+
+    Sentence i draws ``len(inputs[i])`` uniforms from ``streams[i]``, one per
+    position, before any sampling, so a corpus pass gives the same output as
+    decoding the sentences one by one.  Sentences of equal length are then
+    sampled together.
+    """
+    inputs = [tuple(seq) for seq in inputs]
+    streams = list(streams)
+    if len(streams) != len(inputs):
+        raise InvalidInputError(
+            f"{len(inputs)} input sequences need as many streams, got {len(streams)}"
+        )
+    draws = [stream.random(len(seq)) for seq, stream in zip(inputs, streams)]
+    probs, logs, index = _stacked_conditionals(model, inputs)
+    size = len(model.out_vocab)
+    flat_probs, flat_logs = probs.reshape(-1, size), logs.reshape(-1, size)
+
+    def sample_group(ids, cond_idx):
+        uniforms = np.array([draws[i] for i in ids])
+        base = cond_idx * (size + 1)
+        length = cond_idx.shape[1]
+        steps = ((flat_probs, flat_logs, base[:, t], uniforms[:, t]) for t in range(length))
+        return _ancestral(steps, len(ids), length)[0]
+
+    return _decode_by_length(model, inputs, index, sample_group)
 
 
 def batch_sample(model: ChannelModel, cond_seq, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n ancestral samples as an (n, len) index matrix plus log-probs."""
     cond_seq = tuple(cond_seq)
-    size = len(model.out_vocab)
-    prev_idx = np.zeros(n, dtype=np.intp)  # row 0 of the cond matrices is BOS
-    token_idx = np.empty((n, len(cond_seq)), dtype=np.intp)
-    log_probs = np.zeros(n)
-    for t, cond in enumerate(cond_seq):
-        probs, logs = model.matrices_for_cond(cond)
-        rows = probs[prev_idx]
-        draws = rng.random(n)
-        idx = np.minimum((np.cumsum(rows, axis=1) <= draws[:, None]).sum(axis=1), size - 1)
-        log_probs += logs[prev_idx, idx]
-        token_idx[:, t] = idx
-        prev_idx = idx + 1
-    return token_idx, log_probs
-
-
-def batch_channel_scores(model: ChannelModel, token_idx: np.ndarray, cond_seq) -> np.ndarray:
-    """Log-probs of index-encoded outputs under the channel, vectorized."""
-    n, length = token_idx.shape
-    scores = np.zeros(n)
-    prev_idx = np.zeros(n, dtype=np.intp)
-    for t, cond in enumerate(cond_seq):
-        _, logs = model.matrices_for_cond(cond)
-        idx = token_idx[:, t]
-        scores += logs[prev_idx, idx]
-        prev_idx = idx + 1
-    return scores
+    steps = ((*model.matrices_for_cond(cond), 0, rng.random(n)) for cond in cond_seq)
+    return _ancestral(steps, n, len(cond_seq))
 
 
 def batch_lm_scores(lm: NGramLM, token_idx: np.ndarray, out_vocab) -> np.ndarray:

@@ -39,6 +39,16 @@ def test_mono_round_trip(tmp_path):
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
+def test_non_canonical_numerals_stay_distinct_string_tokens(tmp_path):
+    text = "007 7 -0 0 -7 \u0661 +7 07\n"
+    path = tmp_path / "mono.txt"
+    path.write_text(text, encoding="utf-8")
+    corpus = read_mono(path)
+    assert corpus.sentences == (("007", 7, "-0", 0, -7, "\u0661", "+7", "07"),)
+    write_mono(tmp_path / "again.txt", corpus)
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
 def test_parallel_round_trip(tmp_path):
     corpus = ParallelCorpus.from_pairs([((1, 2), (3, 4)), ((5,), (6,))])
     path = tmp_path / "pairs.tsv"
@@ -299,6 +309,39 @@ def test_bt_experiment_command(tmp_path):
     records = [json.loads(line) for line in lines]
     assert {r["strategy"] for r in records} == {"none", "beam", "sampling"}
     assert (out / "report.txt").read_text().startswith("strategy")
+
+
+def test_beam_backtranslation_over_a_mixed_vocabulary(tmp_path):
+    (tmp_path / "bitext.tsv").write_text("a 1\t2 b\n")
+    (tmp_path / "mono.txt").write_text("2 b\nb 2\n")
+    backward = str(tmp_path / "backward.txt")
+    assert dispatch(["train", "--kind", "backward", "--bitext", str(tmp_path / "bitext.tsv"),
+                     "--out", backward]) == 0
+    out = tmp_path / "synth.tsv"
+    assert dispatch(["backtranslate", "--mono", str(tmp_path / "mono.txt"),
+                     "--backward", backward, "--strategy", "beam", "--out", str(out)]) == 0
+    assert [p.source for p in read_synthetic(out)] == [("a", 1), (1, 1)]
+
+
+def test_missing_input_file_is_a_one_line_error(models_dir, tmp_path, capsys):
+    missing = tmp_path / "nope.txt"
+    code = dispatch(["backtranslate", "--mono", str(missing),
+                     "--backward", str(models_dir / "backward.txt"),
+                     "--strategy", "beam", "--out", str(tmp_path / "x.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {missing}: No such file or directory\n"
+
+
+def test_undecodable_input_file_is_a_one_line_error(models_dir, tmp_path, capsys):
+    mono = tmp_path / "mono.txt"
+    mono.write_bytes(b"1 2\n\xff\xfe 3\n")
+    code = dispatch(["backtranslate", "--mono", str(mono),
+                     "--backward", str(models_dir / "backward.txt"),
+                     "--strategy", "beam", "--out", str(tmp_path / "x.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mono}: not UTF-8 text") and err.count("\n") == 1
 
 
 def test_unknown_command_exits_2():

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btfactors.errors import InvalidInputError
 from btfactors.streams import sentence_stream
+from btfactors.tokenio import token_sort_key
 from btfactors.toyseq.decode import (
-    batch_channel_scores,
     batch_lm_scores,
     batch_sample,
     beam_decode,
@@ -47,6 +49,58 @@ def random_channel(rng, vocab_size=4, alpha=0.2, n_pairs=40, length=5):
     )
 
 
+# -- reference oracles: the per-sentence specification of the corpus decoders --
+
+def reference_beam_decode(model, input_seq, beam_size):
+    """Per-sentence beam search; ties compare whole token sequences in
+    Python's token order, or by ``token_sort_key`` for a mixed vocabulary."""
+    try:
+        sorted(model.out_vocab)
+        tie_key = None
+    except TypeError:
+        tie_key = token_sort_key
+    beams = [((), 0.0)]
+    for cond in input_seq:
+        expansions = []
+        for tokens, score in beams:
+            prev = tokens[-1] if tokens else BOS
+            row = model.log_row(prev, cond)
+            for tok, tok_lp in zip(model.out_vocab, row):
+                expansions.append((tokens + (tok,), score + float(tok_lp)))
+        if tie_key is None:
+            expansions.sort(key=lambda e: (-e[1], e[0]))
+        else:
+            expansions.sort(key=lambda e: (-e[1], tuple(map(tie_key, e[0]))))
+        beams = expansions[:beam_size]
+    return beams[0][0]
+
+
+def reference_sample_decode(model, input_seq, rng):
+    """Per-sentence ancestral sample, one scalar draw per position."""
+    out: list = []
+    prev = BOS
+    last = len(model.out_vocab) - 1
+    for cond in input_seq:
+        cumulative = np.cumsum(model.prob_row(prev, cond))
+        idx = min(int(np.searchsorted(cumulative, float(rng.random()), side="right")), last)
+        prev = model.out_vocab[idx]
+        out.append(prev)
+    return tuple(out)
+
+
+def reference_channel_scores(model, token_idx, cond_seq):
+    """Log-probs of index-encoded outputs under the channel, vectorized."""
+    n, length = token_idx.shape
+    scores = np.zeros(n)
+    prev_idx = np.zeros(n, dtype=np.intp)
+    for t, cond in enumerate(cond_seq):
+        _, logs = model.matrices_for_cond(cond)
+        idx = token_idx[:, t]
+        scores += logs[prev_idx, idx]
+        prev_idx = idx + 1
+    return scores
+
+
 def brute_force_argmax(model, input_seq):
     best = None
     for output in itertools.product(model.out_vocab, repeat=len(input_seq)):
@@ -61,14 +115,14 @@ def brute_force_argmax(model, input_seq):
 
 def test_beam_on_deterministic_channel_returns_the_image():
     model = deterministic_channel()
-    assert beam_decode(model, (0, 1, 1, 0), 5) == (10, 11, 11, 10)
+    assert beam_decode(model, [(0, 1, 1, 0)], 5) == [(10, 11, 11, 10)]
 
 
 def test_exhaustive_beam_equals_brute_force(rng):
     model = random_channel(rng, vocab_size=4)
     for _ in range(10):
         src = tuple(int(t) for t in rng.integers(0, 4, size=3))
-        exhaustive = beam_decode(model, src, beam_size=4**3)
+        [exhaustive] = beam_decode(model, [src], beam_size=4**3)
         expected, best_score = brute_force_argmax(model, src)
         assert exhaustive == expected
         assert channel_score(model, exhaustive, src) == pytest.approx(best_score, abs=1e-12)
@@ -84,21 +138,93 @@ def test_beam_one_equals_greedy(rng):
             row = model.log_row(prev, cond)
             prev = model.out_vocab[int(np.argmax(row))]
             greedy.append(prev)
-        assert beam_decode(model, src, beam_size=1) == tuple(greedy)
+        assert beam_decode(model, [src], beam_size=1) == [tuple(greedy)]
 
 
 def test_wider_beam_never_scores_worse(rng):
     model = random_channel(rng)
     for _ in range(10):
         src = tuple(int(t) for t in rng.integers(0, 4, size=5))
-        narrow = channel_score(model, beam_decode(model, src, 1), src)
-        wide = channel_score(model, beam_decode(model, src, 8), src)
+        narrow = channel_score(model, beam_decode(model, [src], 1)[0], src)
+        wide = channel_score(model, beam_decode(model, [src], 8)[0], src)
         assert wide >= narrow - 1e-12
 
 
 def test_beam_rejects_bad_width():
     with pytest.raises(InvalidInputError):
-        beam_decode(deterministic_channel(), (0,), 0)
+        beam_decode(deterministic_channel(), [(0,)], 0)
+
+
+# -- corpus decoders against the reference oracles ------------------------------
+
+CONDITIONING = (0, 1, 2)        # trained conditioning tokens; 3 is never seen
+INT_TOKENS = st.integers(-3, 25)
+STR_TOKENS = st.text(alphabet="abAB_z", min_size=1, max_size=3)
+
+
+@st.composite
+def channels(draw):
+    """A random add-alpha channel over an int, str or mixed output vocabulary."""
+    kind = draw(st.sampled_from(("int", "str", "mixed")))
+    if kind == "int":
+        vocab = draw(st.lists(INT_TOKENS, min_size=1, max_size=5, unique=True))
+    elif kind == "str":
+        vocab = draw(st.lists(STR_TOKENS, min_size=1, max_size=5, unique=True))
+    else:
+        ints = draw(st.lists(INT_TOKENS, min_size=1, max_size=3, unique=True))
+        strs = draw(st.lists(STR_TOKENS, min_size=1, max_size=2, unique=True))
+        vocab = ints + strs
+    alpha = draw(st.sampled_from((0.0, 0.1)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        length = draw(st.integers(1, 4))
+        cond = draw(st.lists(st.sampled_from(CONDITIONING), min_size=length, max_size=length))
+        out = draw(st.lists(st.sampled_from(vocab), min_size=length, max_size=length))
+        pairs.append((cond, out))
+    return train_channel(ParallelCorpus.from_pairs(pairs), "source_to_target", alpha,
+                         out_vocab=vocab)
+
+
+CORPORA = st.lists(
+    st.lists(st.sampled_from(CONDITIONING + (3,)), max_size=4).map(tuple), max_size=6
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=channels(), inputs=CORPORA, data=st.data())
+def test_corpus_beam_matches_reference(model, inputs, data):
+    exhaustive = len(model.out_vocab) ** 4
+    beam_size = data.draw(st.one_of(st.integers(1, 3), st.just(exhaustive),
+                                    st.integers(1, exhaustive)))
+    expected = [reference_beam_decode(model, seq, beam_size) for seq in inputs]
+    assert beam_decode(model, inputs, beam_size) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=channels(), inputs=CORPORA, seed=st.integers(0, 2**16))
+def test_corpus_sampling_matches_reference(model, inputs, seed):
+    streams = [sentence_stream(seed, i) for i in range(len(inputs))]
+    expected = [reference_sample_decode(model, seq, sentence_stream(seed, i))
+                for i, seq in enumerate(inputs)]
+    assert sample_decode(model, inputs, streams) == expected
+
+
+def test_empty_corpus_decodes_to_nothing():
+    model = deterministic_channel()
+    assert beam_decode(model, [], 3) == []
+    assert sample_decode(model, [], []) == []
+    with pytest.raises(InvalidInputError):
+        beam_decode(model, [], 0)
+
+
+def test_mixed_vocabulary_ties_follow_token_sort_key():
+    # the bitext "a 1" / "2 b", decoded in the backward direction
+    pairs = ParallelCorpus.from_pairs([(("a", 1), (2, "b"))])
+    backward = train_channel(pairs, "target_to_source", 0.1)
+    # ("1", "a") and ("1", 1) tie behind the best hypothesis
+    assert beam_decode(backward, [(2, "b")], 4) == [("a", 1)]
+    # unseen conditioning tokens make every output tie; str(1) < "a"
+    assert beam_decode(backward, [(7, 7)], 4) == [(1, 1)]
 
 
 # -- sampling -------------------------------------------------------------------
@@ -106,7 +232,7 @@ def test_beam_rejects_bad_width():
 def test_sampling_on_deterministic_channel_is_seed_free():
     model = deterministic_channel()
     for seed in (0, 7, 123):
-        out = sample_decode(model, (1, 0, 1), np.random.default_rng(seed))
+        [out] = sample_decode(model, [(1, 0, 1)], [np.random.default_rng(seed)])
         assert out == (11, 10, 11)
 
 
@@ -114,8 +240,8 @@ def test_sample_never_beats_exhaustive_beam(rng):
     model = random_channel(rng)
     for trial in range(20):
         src = tuple(int(t) for t in rng.integers(0, 4, size=4))
-        best = channel_score(model, beam_decode(model, src, 4**4), src)
-        sampled = sample_decode(model, src, np.random.default_rng(trial))
+        best = channel_score(model, beam_decode(model, [src], 4**4)[0], src)
+        [sampled] = sample_decode(model, [src], [np.random.default_rng(trial)])
         assert channel_score(model, sampled, src) <= best + 1e-12
 
 
@@ -130,8 +256,7 @@ def test_sampling_frequencies_match_enumerated_probabilities(rng):
     draws = 10**5
     stream = np.random.default_rng(42)
     observed: dict = {}
-    for _ in range(draws):
-        out = sample_decode(model, src, stream)
+    for out in sample_decode(model, [src] * draws, [stream] * draws):
         observed[out] = observed.get(out, 0) + 1
     tv = 0.5 * sum(
         abs(observed.get(seq, 0) / draws - p) for seq, p in enumerated.items()
@@ -151,7 +276,7 @@ def test_batch_scores_match_scalar_paths(rng):
     )
     src = (1, 3, 0, 2)
     token_idx, log_probs = batch_sample(model, src, 32, np.random.default_rng(5))
-    rescored = batch_channel_scores(model, token_idx, src)
+    rescored = reference_channel_scores(model, token_idx, src)
     lm_scores = batch_lm_scores(lm, token_idx, model.out_vocab)
     for i in range(32):
         seq = tuple(model.out_vocab[j] for j in token_idx[i])
