@@ -40,17 +40,18 @@ from .errors import (
 )
 from .manipulate import (
     MonoCorpus,
+    SplitPlan,
     SyntheticPair,
     assemble_mixed_corpus,
     split_monolingual,
 )
-from .scoring import GammaParams, gamma_sample, gamma_select
+from .scoring import GammaParams, gamma_rows, invert_cdf
 from .streams import sentence_stream
 from .toyseq.decode import (
     batch_lm_scores,
     batch_sample,
     beam_decode,
-    sample_candidate_set,
+    candidate_chunks,
     sample_decode,
 )
 from .toyseq.models import (
@@ -168,6 +169,40 @@ def _sampling_pairs(backward: ChannelModel, mono: MonoCorpus, ids,
     return [SyntheticPair(x, y, "sampling") for x, y in zip(sources, targets)]
 
 
+def synthesize_split(mono: MonoCorpus, backward: ChannelModel, plan: SplitPlan, seed: int,
+                     beam_size: int = DEFAULT_BEAM_SIZE) -> list[SyntheticPair]:
+    """Data manipulation: beam sources for ``plan.beam_ids``, sampled sources
+    (one stream per sentence from ``seed``) for the rest, in corpus order."""
+    beam_pairs = dict(zip(plan.beam_ids, _beam_pairs(backward, mono, plan.beam_ids, beam_size)))
+    sampling_pairs = dict(zip(plan.sampling_ids,
+                              _sampling_pairs(backward, mono, plan.sampling_ids, seed)))
+    return list(assemble_mixed_corpus(plan, beam_pairs, sampling_pairs).pairs)
+
+
+def _gamma_sources(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM,
+                   strategy: BTStrategy, seed: int) -> list[tuple]:
+    """The Gamma-chosen candidate of each sentence's n-candidate pool.
+
+    Selection takes each row's argmax (lowest index on ties); sampling draws
+    one more uniform from the sentence's stream after its candidates.
+    """
+    params = GammaParams(gamma=strategy.gamma)
+    vocab = np.array(backward.out_vocab, dtype=object)
+    sources: list = [None] * len(mono.sentences)
+    chunks = candidate_chunks(backward, lm, mono.sentences, strategy.num_candidates,
+                              lambda i: sentence_stream(seed, i))
+    for ids, streams, token_idx, log_q, log_lm in chunks:
+        probs = gamma_rows(log_q, log_lm, token_idx.shape[2], params)
+        if strategy.kind == "gamma-select":
+            picks = probs.argmax(axis=1)
+        else:
+            picks = invert_cdf(np.cumsum(probs, axis=1),
+                               np.array([stream.random() for stream in streams]))
+        for i, row in zip(ids, vocab[token_idx[np.arange(len(ids)), picks]]):
+            sources[i] = tuple(row)
+    return sources
+
+
 def synthesize_corpus(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM | None,
                       strategy: BTStrategy, seed: int,
                       beam_size: int = DEFAULT_BEAM_SIZE) -> list[SyntheticPair]:
@@ -186,27 +221,12 @@ def synthesize_corpus(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM | No
     if kind == "data-manipulation":
         split_seed = strategy.split_seed if strategy.split_seed is not None else seed
         plan = split_monolingual(mono, strategy.gamma, split_seed)
-        beam_pairs = dict(zip(plan.beam_ids,
-                              _beam_pairs(backward, mono, plan.beam_ids, beam_size)))
-        sampling_pairs = dict(zip(plan.sampling_ids,
-                                  _sampling_pairs(backward, mono, plan.sampling_ids, seed)))
-        return list(assemble_mixed_corpus(plan, beam_pairs, sampling_pairs).pairs)
+        return synthesize_split(mono, backward, plan, seed, beam_size)
     if kind in ("gamma-select", "gamma-sample"):
         if lm is None:
             raise ConfigError(f"strategy {kind!r} needs a source language model")
-        params = GammaParams(gamma=strategy.gamma)
-        pairs = []
-        for i, y in enumerate(mono.sentences):
-            stream = sentence_stream(seed, i)
-            cset = sample_candidate_set(
-                backward, lm, y, strategy.num_candidates, stream, target_id=i
-            )
-            if kind == "gamma-select":
-                idx = gamma_select(cset, params)
-            else:
-                idx = gamma_sample(cset, params, stream)
-            pairs.append(SyntheticPair(cset.candidates[idx].tokens, y, kind))
-        return pairs
+        sources = _gamma_sources(mono, backward, lm, strategy, seed)
+        return [SyntheticPair(x, y, kind) for x, y in zip(sources, mono.sentences)]
     raise ConfigError(f"unknown strategy kind {kind!r}")
 
 

@@ -27,6 +27,7 @@ from ..btloop import (
     evaluate_marginal_oracles,
     run_bt_experiment,
     synthesize_corpus,
+    synthesize_split,
     train_forward,
 )
 from ..analysis import (
@@ -38,9 +39,9 @@ from ..analysis import (
 )
 from ..errors import BtfactorsError, ConfigError
 from ..manipulate import SyntheticPair, split_monolingual
-from ..scoring import GammaParams, gamma_distribution, gamma_sample, gamma_select
+from ..scoring import GammaParams, gamma_distribution, gamma_rows, gamma_sample, gamma_select
 from ..streams import sentence_stream
-from ..toyseq.decode import sample_candidate_set
+from ..toyseq.decode import candidate_chunks, candidate_set
 from ..toyseq.models import ChannelModel, NGramLM, train_channel, train_ngram_lm
 from ..toyseq.taskgen import ToyTaskSpec, generate_toy_task
 from .manifest import build_manifest, read_manifest, write_manifest
@@ -176,9 +177,8 @@ def _cmd_backtranslate(args, argv) -> int:
 def _cmd_manipulate(args, argv) -> int:
     mono = read_mono(args.mono)
     backward = _load_channel(args.backward)
-    strategy = BTStrategy.data_manipulation(gamma=args.gamma, split_seed=args.seed)
-    pairs = synthesize_corpus(mono, backward, None, strategy, args.seed, args.beam_size)
     plan = split_monolingual(mono, args.gamma, args.seed)
+    pairs = synthesize_split(mono, backward, plan, args.seed, args.beam_size)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_synthetic(out / "synthetic.tsv", pairs)
@@ -198,33 +198,39 @@ def _cmd_manipulate(args, argv) -> int:
     return 0
 
 
-def _generate_candidate_sets(args, inputs):
+def _generate_candidate_sets(args, inputs, params: GammaParams):
+    """Every mono sentence's candidate set and Gamma distribution, in corpus order."""
     mono = read_mono(args.mono)
     backward = _load_channel(args.backward)
     lm = _load_lm(args.lm)
     inputs.update({"mono": args.mono, "backward": args.backward, "lm": args.lm})
-    sets = []
-    for i, y in enumerate(mono.sentences):
-        stream = sentence_stream(args.seed, i)
-        sets.append(sample_candidate_set(backward, lm, y, args.num_candidates, stream, target_id=i))
-    return sets
+    sets: list = [None] * len(mono)
+    dists: list = [None] * len(mono)
+    chunks = candidate_chunks(backward, lm, mono.sentences, args.num_candidates,
+                              lambda i: sentence_stream(args.seed, i))
+    for ids, _, token_idx, log_q, log_lm in chunks:
+        probs = gamma_rows(log_q, log_lm, token_idx.shape[2], params)
+        for k, i in enumerate(ids):
+            sets[i] = candidate_set(backward.out_vocab, i, mono.sentences[i],
+                                    token_idx[k], log_q[k], log_lm[k])
+            dists[i] = probs[k].tolist()
+    return sets, dists
 
 
 def _cmd_score(args, argv) -> int:
     inputs: dict = {}
+    params_obj = GammaParams(gamma=args.gamma)
     if args.candidates:
         sets = read_candidate_records(args.candidates)
         inputs["candidates"] = args.candidates
+        dists = [gamma_distribution(cset, params_obj).probs for cset in sets]
     else:
         if not (args.mono and args.backward and args.lm):
             raise ConfigError("score needs --candidates, or --mono with --backward and --lm")
         _require_seed(args)
-        sets = _generate_candidate_sets(args, inputs)
-    params_obj = GammaParams(gamma=args.gamma)
-    lines = []
-    for cset in sets:
-        dist = gamma_distribution(cset, params_obj)
-        lines.append(f"{cset.target_id}\t" + " ".join(repr(p) for p in dist.probs))
+        sets, dists = _generate_candidate_sets(args, inputs, params_obj)
+    lines = [f"{cset.target_id}\t" + " ".join(repr(p) for p in probs)
+             for cset, probs in zip(sets, dists)]
     _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
     outputs = [str(args.out)]
     if args.dump_candidates:

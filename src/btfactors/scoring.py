@@ -7,6 +7,11 @@ the candidate's token count, standardized across the candidate set, mixed
 with weight ``gamma``, and pushed through a softmax to give the Gamma score
 distribution.  Selection takes the argmax; sampling draws from it.
 
+``gamma_rows`` is the one implementation: it scores many candidate sets at
+once, one set per row of (S, n) score arrays.  ``standardize``,
+``gamma_distribution``, ``gamma_select`` and ``gamma_sample`` are one-row
+calls of it, for a single ``CandidateSet``.
+
 The token count includes one terminal end-of-sequence marker when the token
 sequence carries one.  For equal-length candidate sets (the toy task's
 channel preserves length) the convention cancels: z-scores are invariant to
@@ -94,16 +99,21 @@ class StandardizedScores:
     sigma: float
 
 
+def _check_gamma_rows(probs: np.ndarray) -> None:
+    """Every row must be a distribution over >= 2 candidates, each strictly
+    inside (0, 1)."""
+    if probs.shape[-1] < 2 or not ((probs > 0.0) & (probs < 1.0)).all():
+        raise InvalidInputError("Gamma probabilities must lie strictly inside (0, 1)")
+    if (np.abs(probs.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise InvalidInputError("Gamma probabilities must sum to 1")
+
+
 @dataclass(frozen=True)
 class GammaDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
-        if arr.size < 2 or not np.all((arr > 0.0) & (arr < 1.0)):
-            raise InvalidInputError("Gamma probabilities must lie strictly inside (0, 1)")
-        if abs(float(arr.sum()) - 1.0) > 1e-9:
-            raise InvalidInputError("Gamma probabilities must sum to 1")
+        _check_gamma_rows(np.asarray(self.probs, dtype=float))
 
 
 def log_importance(candidate: Candidate) -> float:
@@ -111,6 +121,31 @@ def log_importance(candidate: Candidate) -> float:
     if not (math.isfinite(candidate.log_lm) and math.isfinite(candidate.log_q)):
         raise InvalidInputError("candidate log-probabilities must be finite")
     return candidate.log_lm - candidate.log_q
+
+
+def _zscore_rows(values, lengths, sigma_floor: float):
+    """Length-normalized z-scores of each row of (R, n) values, with each
+    row's mean and sample std (N-1 divisor, the arithmetic of ``np.std``);
+    a row whose std is at most ``sigma_floor`` scores all 0."""
+    if not sigma_floor > 0.0:
+        raise InvalidInputError("sigma_floor must be positive")
+    values = np.asarray(values, dtype=float)
+    lengths = np.broadcast_to(np.asarray(lengths, dtype=float), values.shape)
+    if values.ndim != 2 or values.shape[1] < 2:
+        raise InvalidInputError("standardization needs at least 2 values")
+    if not np.isfinite(values).all():
+        raise InvalidInputError("log values must be finite")
+    if (lengths < 1).any():
+        raise InvalidInputError("lengths must be positive")
+    n = values.shape[1]
+    normalized = values / lengths
+    mu = normalized.sum(axis=1, keepdims=True) / n
+    deviation = normalized - mu
+    sigma = np.sqrt((deviation * deviation).sum(axis=1, keepdims=True) / (n - 1))
+    flat = sigma <= sigma_floor
+    out = deviation / np.where(flat, 1.0, sigma)
+    out[flat[:, 0]] = 0.0
+    return out, mu[:, 0], sigma[:, 0]
 
 
 def standardize(log_values, lengths, sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> StandardizedScores:
@@ -121,51 +156,58 @@ def standardize(log_values, lengths, sigma_floor: float = DEFAULT_SIGMA_FLOOR) -
     degenerate all-duplicate candidate sets away from a division by ~0 and
     turns the downstream Gamma distribution uniform.
     """
-    if not sigma_floor > 0.0:
-        raise InvalidInputError("sigma_floor must be positive")
     values = np.asarray(log_values, dtype=float)
     lens = np.asarray(lengths, dtype=float)
     if values.ndim != 1 or values.shape != lens.shape:
         raise InvalidInputError("log_values and lengths must be equal-length 1-D sequences")
-    if values.size < 2:
-        raise InvalidInputError("standardization needs at least 2 values")
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("log values must be finite")
-    if np.any(lens < 1):
-        raise InvalidInputError("lengths must be positive")
-
-    normalized = values / lens
-    mu = float(np.mean(normalized))
-    sigma = float(np.std(normalized, ddof=1))
-    if sigma <= sigma_floor:
-        out = np.zeros_like(normalized)
-    else:
-        out = (normalized - mu) / sigma
-    return StandardizedScores(values=tuple(float(v) for v in out), mu=mu, sigma=sigma)
+    out, mu, sigma = _zscore_rows(values[None], lens[None], sigma_floor)
+    return StandardizedScores(values=tuple(out[0].tolist()), mu=float(mu[0]),
+                              sigma=float(sigma[0]))
 
 
-def _combined_scores(cset: CandidateSet, params: GammaParams) -> np.ndarray:
-    lengths = [c.length for c in cset.candidates]
-    imp = standardize([log_importance(c) for c in cset.candidates], lengths, params.sigma_floor)
-    qual = standardize([c.log_q for c in cset.candidates], lengths, params.sigma_floor)
-    return params.gamma * np.asarray(imp.values) + (1.0 - params.gamma) * np.asarray(qual.values)
+def gamma_rows(log_q, log_lm, lengths, params: GammaParams = GammaParams()) -> np.ndarray:
+    """Gamma distributions of S candidate sets at once, as an (S, n) array.
 
-
-def gamma_distribution(cset: CandidateSet, params: GammaParams = GammaParams()) -> GammaDistribution:
-    """Softmax over gamma-weighted standardized importance and quality.
-
+    Row s holds one set's candidate log-probs ``log_q[s]`` and ``log_lm[s]``;
+    ``lengths`` broadcasts against them (one length per row, as (S, 1), or
+    one per candidate).  Importance and quality are standardized per row and
+    mixed as ``gamma * imp + (1 - gamma) * quality``, then softmaxed per row.
     Sample-std z-scores are bounded by (N-1)/sqrt(N), so the softmax never
     over/underflows and every probability is strictly inside (0, 1).
     """
-    scores = _combined_scores(cset, params)
-    weights = np.exp(scores - scores.max())
-    probs = weights / weights.sum()
-    return GammaDistribution(probs=tuple(float(p) for p in probs))
+    log_q = np.asarray(log_q, dtype=float)
+    lengths = np.broadcast_to(np.asarray(lengths, dtype=float), log_q.shape)
+    # importance rows stacked over quality rows: one z-scoring pass for both
+    z, _, _ = _zscore_rows(np.concatenate((np.asarray(log_lm, dtype=float) - log_q, log_q)),
+                           np.concatenate((lengths, lengths)), params.sigma_floor)
+    imp, qual = z[: len(log_q)], z[len(log_q) :]
+    scores = params.gamma * imp + (1.0 - params.gamma) * qual
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    _check_gamma_rows(probs)
+    return probs
+
+
+def invert_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row of (S, n) cumulative probabilities: the
+    number of entries at or below the row's uniform, clamped to n-1."""
+    return np.minimum((cdf <= uniforms[:, None]).sum(axis=1), cdf.shape[1] - 1)
+
+
+def _set_rows(cset: CandidateSet, params: GammaParams) -> np.ndarray:
+    cands = cset.candidates
+    return gamma_rows([[c.log_q for c in cands]], [[c.log_lm for c in cands]],
+                      [[c.length for c in cands]], params)
+
+
+def gamma_distribution(cset: CandidateSet, params: GammaParams = GammaParams()) -> GammaDistribution:
+    """Softmax over gamma-weighted standardized importance and quality."""
+    return GammaDistribution(probs=tuple(_set_rows(cset, params)[0].tolist()))
 
 
 def gamma_select(cset: CandidateSet, params: GammaParams = GammaParams()) -> int:
     """Index of the maximal Gamma score; ties break to the lowest index."""
-    return int(np.argmax(gamma_distribution(cset, params).probs))
+    return int(_set_rows(cset, params)[0].argmax())
 
 
 def gamma_sample(cset: CandidateSet, params: GammaParams, rng: np.random.Generator) -> int:
@@ -174,7 +216,5 @@ def gamma_sample(cset: CandidateSet, params: GammaParams, rng: np.random.Generat
     Pass a generator derived from (seed, target_id) — see ``streams`` — so a
     corpus pass is reproducible sentence by sentence.
     """
-    probs = np.asarray(gamma_distribution(cset, params).probs)
-    cumulative = np.cumsum(probs)
-    idx = int(np.searchsorted(cumulative, float(rng.random()), side="right"))
-    return min(idx, len(probs) - 1)
+    cdf = np.cumsum(_set_rows(cset, params), axis=1)
+    return int(invert_cdf(cdf, np.array([rng.random()]))[0])

@@ -4,6 +4,9 @@ Tokens are hashable scalars: the toy task uses small ints, but plain strings
 work anywhere.  Three reserved string markers never collide with content
 tokens: BOS (context padding), EOS (end-of-sequence event), UNK (stand-in
 for out-of-vocabulary tokens at score time).
+
+Text reads canonical decimals back as ints, so a string token spelled as
+one (``"7"``) cannot be written: it would come back as a different token.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ def token_to_str(token) -> str:
     text = str(token)
     if not text or any(ch.isspace() for ch in text) or "|" in text:
         raise ParseError(f"token {token!r} cannot be serialized (whitespace or '|')")
+    if isinstance(token, str) and _INT_RE.fullmatch(text):
+        raise ParseError(f"string token {token!r} would read back as the int {text}")
     return text
 
 

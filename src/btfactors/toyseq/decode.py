@@ -7,9 +7,15 @@ sentences by length and step through each group position by position over
 per-conditioning-token matrices.  Beam ties break lexicographically by
 token sequence, in Python's token order when the output vocabulary is
 mutually comparable and in ``token_sort_key`` order when it mixes types.
+
 Every sampler inverts the cumulative row with ``side="right"`` semantics
-through one kernel, so a sentence decoded in a corpus gets the same tokens
-as it would alone from the same stream.
+through one kernel, ``_ancestral``: corpus sampling, the oracle's
+``batch_sample``, candidate sets and the toy-task generator.  Each sentence
+draws all of its uniforms from its own stream before any sampling, so a
+sentence decoded in a corpus gets the same tokens as it would alone.
+``candidate_chunks`` samples the n-candidate pools of a whole corpus in
+chunks of at most ``_CHUNK`` equal-length targets, as (targets x n x L)
+index arrays with their channel and LM log-probs.
 """
 
 from __future__ import annotations
@@ -17,13 +23,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..scoring import Candidate, CandidateSet
+from ..scoring import Candidate, CandidateSet, invert_cdf
 from .models import ChannelModel, EOS, NGramLM
+
+# targets per candidate chunk; bounds the (targets x n x L) working set
+_CHUNK = 64
 
 
 def _stacked_conditionals(model: ChannelModel, inputs):
-    """(prob, log) matrices of every conditioning token in ``inputs``, stacked
-    into two (conds, |V|+1, |V|) tensors, and each token's index into them."""
+    """(cumulative prob, log) matrices of every conditioning token in
+    ``inputs``, stacked into two (conds, |V|+1, |V|) tensors, and each
+    token's index into them."""
     index: dict = {}
     for seq in inputs:
         for cond in seq:
@@ -31,9 +41,9 @@ def _stacked_conditionals(model: ChannelModel, inputs):
     pairs = [model.matrices_for_cond(cond) for cond in index]
     size = len(model.out_vocab)
     empty = np.empty((0, size + 1, size))
-    probs = np.stack([p for p, _ in pairs]) if pairs else empty
+    cdfs = np.cumsum(np.stack([p for p, _ in pairs]), axis=-1) if pairs else empty
     logs = np.stack([lg for _, lg in pairs]) if pairs else empty
-    return probs, logs, index
+    return cdfs, logs, index
 
 
 def _decode_by_length(model: ChannelModel, inputs, index: dict, decode_group) -> list[tuple]:
@@ -123,24 +133,47 @@ def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> list[tuple]:
 def _ancestral(steps, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF ancestral sampling of n outputs, one position per step.
 
-    Each step is ``(probs, logs, base, draws)``: (states, |V|) prob and log
-    tables in which row ``base + prev`` is an output row's conditional given
-    its previous output (prev 0 is BOS, 1 + i is out_vocab[i]), and that
-    position's (n,) uniforms.  Returns the (n, L) sampled output indices and
-    their (n,) channel log-probs.
+    Each step is ``(cdf, logs, base, draws)``: (states, |V|) cumulative
+    prob and log tables in which row ``base + prev`` is an output row's
+    conditional given its previous output (prev 0 is BOS, 1 + i is
+    out_vocab[i]), and that position's (n,) uniforms.  Returns the (n, L)
+    sampled output indices and their (n,) log-probs, which stay 0 where
+    ``logs`` is None.  A table's rows are accumulated once, not per sample.
     """
     token_idx = np.empty((n, length), dtype=np.intp)
     log_probs = np.zeros(n)
     state = np.zeros(n, dtype=np.intp)      # previous output; base is added in place
-    for t, (probs, logs, base, draws) in enumerate(steps):
+    for t, (cdf, logs, base, draws) in enumerate(steps):
         state += base
-        rows = probs[state]
-        idx = np.minimum((np.cumsum(rows, axis=1) <= draws[:, None]).sum(axis=1),
-                         rows.shape[1] - 1)
-        log_probs += logs[state, idx]
+        idx = invert_cdf(cdf[state], draws)
+        if logs is not None:
+            log_probs += logs[state, idx]
         token_idx[:, t] = idx
         state = idx + 1
     return token_idx, log_probs
+
+
+def _channel_steps(cdfs: np.ndarray, logs: np.ndarray, cond_idx: np.ndarray,
+                   uniforms: np.ndarray):
+    """``_ancestral`` steps for rows conditioned on (rows, L) indices into
+    stacked (conds, |V|+1, |V|) tensors, with (rows, L) uniforms."""
+    size = cdfs.shape[-1]
+    flat_cdfs, flat_logs = cdfs.reshape(-1, size), logs.reshape(-1, size)
+    base = cond_idx * (size + 1)
+    return ((flat_cdfs, flat_logs, base[:, t], uniforms[:, t])
+            for t in range(cond_idx.shape[1]))
+
+
+def _sample_outputs(model: ChannelModel, inputs, draws) -> list[tuple]:
+    """One ancestral sample per input, from its pre-drawn (len,) uniforms."""
+    cdfs, logs, index = _stacked_conditionals(model, inputs)
+
+    def sample_group(ids, cond_idx):
+        uniforms = np.array([draws[i] for i in ids])
+        return _ancestral(_channel_steps(cdfs, logs, cond_idx, uniforms),
+                          len(ids), cond_idx.shape[1])[0]
+
+    return _decode_by_length(model, inputs, index, sample_group)
 
 
 def sample_decode(model: ChannelModel, inputs, streams) -> list[tuple]:
@@ -158,25 +191,15 @@ def sample_decode(model: ChannelModel, inputs, streams) -> list[tuple]:
             f"{len(inputs)} input sequences need as many streams, got {len(streams)}"
         )
     draws = [stream.random(len(seq)) for seq, stream in zip(inputs, streams)]
-    probs, logs, index = _stacked_conditionals(model, inputs)
-    size = len(model.out_vocab)
-    flat_probs, flat_logs = probs.reshape(-1, size), logs.reshape(-1, size)
-
-    def sample_group(ids, cond_idx):
-        uniforms = np.array([draws[i] for i in ids])
-        base = cond_idx * (size + 1)
-        length = cond_idx.shape[1]
-        steps = ((flat_probs, flat_logs, base[:, t], uniforms[:, t]) for t in range(length))
-        return _ancestral(steps, len(ids), length)[0]
-
-    return _decode_by_length(model, inputs, index, sample_group)
+    return _sample_outputs(model, inputs, draws)
 
 
 def batch_sample(model: ChannelModel, cond_seq, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n ancestral samples as an (n, len) index matrix plus log-probs."""
     cond_seq = tuple(cond_seq)
-    steps = ((*model.matrices_for_cond(cond), 0, rng.random(n)) for cond in cond_seq)
+    steps = ((np.cumsum(probs, axis=1), logs, 0, rng.random(n))
+             for probs, logs in map(model.matrices_for_cond, cond_seq))
     return _ancestral(steps, n, len(cond_seq))
 
 
@@ -199,26 +222,72 @@ def batch_lm_scores(lm: NGramLM, token_idx: np.ndarray, out_vocab) -> np.ndarray
     return scores
 
 
+def candidate_chunks(backward: ChannelModel, lm: NGramLM, targets, n: int, stream_for):
+    """n ancestral candidates per target, annotated with their backward
+    log-prob (quality) and source-LM log-prob, a chunk of targets at a time.
+
+    Targets are grouped by length and each group is cut into chunks of at
+    most ``_CHUNK`` targets, in corpus order.  Each chunk yields ``(ids,
+    streams, token_idx, log_q, log_lm)``: the targets' corpus positions, the
+    stream ``stream_for(i)`` of each, the (S, n, L) candidate indices into
+    ``backward.out_vocab`` and the (S, n) log-probs.  Streams are derived
+    one chunk at a time; each target draws its L * n uniforms (position by
+    position, n at a time) before sampling, and its stream is handed back
+    for any further draw.  Candidates keep generation order and duplicates.
+    """
+    if n < 2:
+        raise InvalidInputError("candidate sets need n >= 2")
+    targets = [tuple(y) for y in targets]
+    if not all(targets):
+        raise InvalidInputError("target_tokens must be non-empty")
+    cdfs, logs, index = _stacked_conditionals(backward, targets)
+    groups: dict[int, list[int]] = {}
+    for i, y in enumerate(targets):
+        groups.setdefault(len(y), []).append(i)
+    for length, group in groups.items():
+        for start in range(0, len(group), _CHUNK):
+            ids = group[start : start + _CHUNK]
+            streams = [stream_for(i) for i in ids]
+            uniforms = np.array([s.random(length * n) for s in streams])
+            # row (target, candidate) takes draw t * n + candidate at position t
+            uniforms = uniforms.reshape(len(ids), length, n).transpose(0, 2, 1)
+            cond_idx = np.array([[index[c] for c in targets[i]] for i in ids], dtype=np.intp)
+            rows = len(ids) * n
+            token_idx, log_q = _ancestral(
+                _channel_steps(cdfs, logs, np.repeat(cond_idx, n, axis=0),
+                               uniforms.reshape(rows, length)),
+                rows, length)
+            log_lm = batch_lm_scores(lm, token_idx, backward.out_vocab)
+            if not (np.all(np.isfinite(log_q)) and np.all(np.isfinite(log_lm))):
+                raise InvalidInputError("candidate log-probabilities must be finite")
+            yield (ids, streams, token_idx.reshape(len(ids), n, length),
+                   log_q.reshape(len(ids), n), log_lm.reshape(len(ids), n))
+
+
 def sample_candidate_set(backward: ChannelModel, lm: NGramLM, target, n: int = 50,
                          rng: np.random.Generator = None, target_id: int = 0) -> CandidateSet:
     """n independent ancestral samples from the backward channel given
     ``target``, each annotated with its backward log-prob (quality) and
     source-LM log-prob, in generation order.  Duplicates are kept."""
-    if n < 2:
-        raise InvalidInputError("candidate sets need n >= 2")
     if rng is None:
         raise InvalidInputError("sample_candidate_set requires a seeded generator")
     target = tuple(target)
-    token_idx, log_q = batch_sample(backward, target, n, rng)
-    log_lm = batch_lm_scores(lm, token_idx, backward.out_vocab)
-    vocab = backward.out_vocab
+    [(_, _, token_idx, log_q, log_lm)] = candidate_chunks(backward, lm, [target], n,
+                                                          lambda _: rng)
+    return candidate_set(backward.out_vocab, target_id, target,
+                         token_idx[0], log_q[0], log_lm[0])
+
+
+def candidate_set(vocab, target_id: int, target, token_idx, log_q, log_lm) -> CandidateSet:
+    """The ``CandidateSet`` of one target from its (n, L) candidate indices
+    into ``vocab`` and their (n,) log-probs."""
     candidates = tuple(
         Candidate(
-            tokens=tuple(vocab[j] for j in token_idx[i]),
-            length=len(target),
-            log_q=float(log_q[i]),
-            log_lm=float(log_lm[i]),
+            tokens=tuple(vocab[j] for j in row),
+            length=len(row),
+            log_q=float(q),
+            log_lm=float(lm_lp),
         )
-        for i in range(n)
+        for row, q, lm_lp in zip(token_idx, log_q, log_lm)
     )
-    return CandidateSet(target_id=target_id, target_tokens=target, candidates=candidates)
+    return CandidateSet(target_id=target_id, target_tokens=tuple(target), candidates=candidates)

@@ -10,9 +10,13 @@ out, so the truth LM used for scoring is a slightly mis-specified model of
 the actual corpus law in its length marginal — as a real LM would be.
 
 Bitext, monolingual, and test splits are disjoint slices of one sampled
-stream and are fully determined by the spec's seed.  The monolingual
-split's true sources are kept aside (``mono_refs``) for reference-based
-diagnostics that only a synthetic task can provide.
+stream and are fully determined by the spec's seed.  Each sentence takes
+its length and then 2 * length uniforms from that stream, the first half
+for the source walk and the second for the channel outputs; sentences of
+equal length are then sampled together through the decoders' ancestral
+kernel.  The monolingual split's true sources are kept aside
+(``mono_refs``) for reference-based diagnostics that only a synthetic task
+can provide.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from ..errors import InvalidInputError
 from ..manipulate import MonoCorpus
 from ..streams import TAG_CORPUS, TAG_TRUTH_CHANNEL, TAG_TRUTH_LM, task_stream
+from .decode import _ancestral, _sample_outputs
 from .models import BOS, ChannelModel, EOS, NGramLM, ParallelCorpus
 
 __all__ = ["ToyTaskSpec", "ToyTask", "generate_toy_task"]
@@ -106,29 +111,35 @@ def _truth_channel(spec: ToyTaskSpec) -> ChannelModel:
     return ChannelModel(direction="source_to_target", alpha=0.0, out_vocab=tgt_vocab, counts=counts)
 
 
-def _sample_sentence_pair(truth_lm: NGramLM, truth_channel: ChannelModel,
-                          length: int, rng: np.random.Generator) -> tuple[tuple, tuple]:
+def _walk_cdf(truth_lm: NGramLM) -> np.ndarray:
+    """(|V|+1, |V|) cumulative source-walk rows with the end marker masked
+    out: row 0 follows BOS, row 1 + i follows content_vocab[i]."""
     eos_idx = len(truth_lm.event_vocab) - 1
-    source = []
-    prev: tuple = (BOS,)
-    for _ in range(length):
-        row = truth_lm.prob_row(prev).copy()
+    rows = []
+    for context in [(BOS,)] + [(tok,) for tok in truth_lm.content_vocab]:
+        row = truth_lm.prob_row(context).copy()
         row[eos_idx] = 0.0  # walk stays inside the length budget
-        row /= row.sum()
-        idx = min(int(np.searchsorted(np.cumsum(row), float(rng.random()), side="right")),
-                  eos_idx - 1)
-        tok = truth_lm.event_vocab[idx]
-        source.append(tok)
-        prev = (tok,)
-    target = []
-    prev_out = BOS
-    last = len(truth_channel.out_vocab) - 1
-    for tok in source:
-        cumulative = np.cumsum(truth_channel.prob_row(prev_out, tok))
-        idx = min(int(np.searchsorted(cumulative, float(rng.random()), side="right")), last)
-        prev_out = truth_channel.out_vocab[idx]
-        target.append(prev_out)
-    return tuple(source), tuple(target)
+        row /= row.sum()    # at full width: a sum over fewer terms can round differently
+        rows.append(row[:eos_idx])
+    return np.cumsum(rows, axis=1)
+
+
+def _sample_sentence_pairs(truth_lm: NGramLM, truth_channel: ChannelModel,
+                           draws) -> list[tuple[tuple, tuple]]:
+    """(source, target) per sentence from its 2 * length pre-drawn uniforms."""
+    walk = _walk_cdf(truth_lm)
+    vocab = np.array(truth_lm.content_vocab, dtype=object)
+    groups: dict[int, list[int]] = {}
+    for i, uniforms in enumerate(draws):
+        groups.setdefault(len(uniforms) // 2, []).append(i)
+    sources: list = [None] * len(draws)
+    for length, ids in groups.items():
+        uniforms = np.array([draws[i][:length] for i in ids])
+        steps = ((walk, None, 0, uniforms[:, t]) for t in range(length))
+        for i, row in zip(ids, vocab[_ancestral(steps, len(ids), length)[0]]):
+            sources[i] = tuple(row)
+    targets = _sample_outputs(truth_channel, sources, [d[len(d) // 2 :] for d in draws])
+    return list(zip(sources, targets))
 
 
 def generate_toy_task(spec: ToyTaskSpec) -> ToyTask:
@@ -138,10 +149,8 @@ def generate_toy_task(spec: ToyTaskSpec) -> ToyTask:
     rng = task_stream(spec.seed, TAG_CORPUS)
     lo, hi = spec.length_range
     total = spec.bitext_size + spec.mono_size + spec.test_size
-    pairs = []
-    for _ in range(total):
-        length = int(rng.integers(lo, hi + 1))
-        pairs.append(_sample_sentence_pair(truth_lm, truth_channel, length, rng))
+    draws = [rng.random(2 * int(rng.integers(lo, hi + 1))) for _ in range(total)]
+    pairs = _sample_sentence_pairs(truth_lm, truth_channel, draws)
     bitext = ParallelCorpus(pairs=tuple(pairs[: spec.bitext_size]))
     mono_pairs = pairs[spec.bitext_size : spec.bitext_size + spec.mono_size]
     mono_refs = ParallelCorpus(pairs=tuple(mono_pairs))

@@ -24,8 +24,9 @@ from btfactors.manipulate import MonoCorpus, SyntheticPair
 from btfactors.scoring import Candidate, CandidateSet
 from btfactors.streams import sentence_stream
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task
+from btfactors.tokenio import sequence_from_str, sequence_to_str
 from btfactors.toyseq.decode import sample_candidate_set
-from btfactors.toyseq.models import ParallelCorpus, train_channel, train_ngram_lm
+from btfactors.toyseq.models import ChannelModel, ParallelCorpus, train_channel, train_ngram_lm
 
 
 # -- record round trips ------------------------------------------------------------
@@ -47,6 +48,16 @@ def test_non_canonical_numerals_stay_distinct_string_tokens(tmp_path):
     assert corpus.sentences == (("007", 7, "-0", 0, -7, "\u0661", "+7", "07"),)
     write_mono(tmp_path / "again.txt", corpus)
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_string_tokens_spelled_as_ints_are_not_written():
+    # "7" would read back as the int 7, merging it with a different token
+    assert sequence_from_str(sequence_to_str((7, "x", "007"))) == (7, "x", "007")
+    with pytest.raises(ParseError):
+        sequence_to_str(("7", "x"))
+    model = ChannelModel("source_to_target", 0.1, out_vocab=(10, "10", "a"))
+    with pytest.raises(ParseError):
+        model.to_text()
 
 
 def test_parallel_round_trip(tmp_path):
@@ -250,6 +261,27 @@ def test_score_and_select_pipeline(toy_dir, models_dir, tmp_path):
     assert dispatch(["select", "--candidates", str(cands), "--gamma", "0.2",
                      "--mode", "sample", "--seed", "2", "--out", str(sampled)]) == 0
     assert all(p.provenance == "gamma-sample" for p in read_synthetic(sampled))
+
+
+def test_two_step_select_equals_one_step_gamma_select(toy_dir, models_dir, tmp_path):
+    common = ["--mono", str(toy_dir / "mono.txt"), "--backward", str(models_dir / "backward.txt"),
+              "--lm", str(models_dir / "lm.txt"), "--gamma", "0.3", "--num-candidates", "9",
+              "--seed", "4"]
+    one_step = tmp_path / "one.tsv"
+    assert dispatch(["backtranslate", "--strategy", "gamma-select", *common,
+                     "--out", str(one_step)]) == 0
+    scores, cands = tmp_path / "scores.txt", tmp_path / "cands.txt"
+    assert dispatch(["score", *common, "--out", str(scores),
+                     "--dump-candidates", str(cands)]) == 0
+    two_step = tmp_path / "two.tsv"
+    assert dispatch(["select", "--candidates", str(cands), "--gamma", "0.3", "--mode", "select",
+                     "--out", str(two_step)]) == 0
+    assert two_step.read_bytes() == one_step.read_bytes()
+    # scoring the dumped records one set at a time gives the batched scores
+    rescored = tmp_path / "rescored.txt"
+    assert dispatch(["score", "--candidates", str(cands), "--gamma", "0.3",
+                     "--out", str(rescored)]) == 0
+    assert rescored.read_bytes() == scores.read_bytes()
 
 
 def test_select_sampling_requires_seed(tmp_path, toy_dir, models_dir, capsys):

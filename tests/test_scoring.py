@@ -11,8 +11,10 @@ from btfactors.scoring import (
     CandidateSet,
     GammaParams,
     gamma_distribution,
+    gamma_rows,
     gamma_sample,
     gamma_select,
+    invert_cdf,
     log_importance,
     standardize,
 )
@@ -290,3 +292,68 @@ def test_gamma_sample_total_variation_on_larger_set(rng):
         hits[gamma_sample(cset, params, stream)] += 1
     tv = 0.5 * float(np.abs(hits / draws - probs).sum())
     assert tv < 0.01
+
+
+# -- the row-wise kernel against the per-set reference -----------------------------------
+
+def reference_standardize(values, lengths, sigma_floor):
+    """Per-set z-scores of length-normalized values (sample std, floored)."""
+    normalized = np.asarray(values, dtype=float) / np.asarray(lengths, dtype=float)
+    mu = float(np.mean(normalized))
+    sigma = float(np.std(normalized, ddof=1))
+    if sigma <= sigma_floor:
+        return np.zeros_like(normalized)
+    return (normalized - mu) / sigma
+
+
+def reference_gamma_distribution(cset, params):
+    lengths = [c.length for c in cset.candidates]
+    imp = reference_standardize([c.log_lm - c.log_q for c in cset.candidates], lengths,
+                                params.sigma_floor)
+    qual = reference_standardize([c.log_q for c in cset.candidates], lengths, params.sigma_floor)
+    scores = params.gamma * imp + (1.0 - params.gamma) * qual
+    weights = np.exp(scores - scores.max())
+    return weights / weights.sum()
+
+
+def reference_gamma_sample(cset, params, u):
+    cumulative = np.cumsum(reference_gamma_distribution(cset, params))
+    return min(int(np.searchsorted(cumulative, u, side="right")), len(cset) - 1)
+
+
+@st.composite
+def candidate_rows(draw, n):
+    """One set's (log_q, log_lm, lengths); some sets are all duplicates, or
+    duplicates but for one value an ulp away, inside the sigma floor."""
+    kind = draw(st.sampled_from(("random", "duplicates", "one-ulp")))
+    if kind != "random":
+        q, lm = draw(st.floats(-50, -0.01)), draw(st.floats(-50, -0.01))
+        log_qs = [q] * n
+        if kind == "one-ulp":
+            log_qs[draw(st.integers(0, n - 1))] = float(np.nextafter(q, 0.0))
+        return log_qs, [lm] * n, [draw(st.integers(1, 8))] * n
+    scores = st.floats(-50, -0.01)
+    return (draw(st.lists(scores, min_size=n, max_size=n)),
+            draw(st.lists(scores, min_size=n, max_size=n)),
+            draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.sampled_from((2, 3, 50)), sets=st.integers(1, 5),
+       gamma=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+def test_gamma_rows_match_per_set_reference(data, n, sets, gamma):
+    rows = [data.draw(candidate_rows(n)) for _ in range(sets)]
+    log_q, log_lm, lengths = (np.array([row[k] for row in rows]) for k in range(3))
+    params = GammaParams(gamma=gamma)
+    probs = gamma_rows(log_q, log_lm, lengths, params)
+    uniforms = np.array([data.draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in rows])
+    picks = invert_cdf(np.cumsum(probs, axis=1), uniforms)
+    for s, (q, lm, lens) in enumerate(rows):
+        cset = make_set(q, lm, lens)
+        expected = reference_gamma_distribution(cset, params)
+        np.testing.assert_array_equal(probs[s], expected)
+        assert gamma_distribution(cset, params).probs == tuple(expected.tolist())
+        assert gamma_select(cset, params) == int(np.argmax(expected)) == probs[s].argmax()
+        assert picks[s] == reference_gamma_sample(cset, params, uniforms[s])
+        if np.ptp(q) < 1e-12 and len(set(lm)) == 1 and len(set(lens)) == 1:
+            assert probs[s].tolist() == [1.0 / n] * n

@@ -1,9 +1,70 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btfactors.errors import InvalidInputError
+from btfactors.streams import TAG_CORPUS, task_stream
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task
 from btfactors.toyseq.models import BOS
+
+
+# -- reference oracle: the per-sentence specification of the corpus sampler --
+
+def reference_sentence_pair(truth_lm, truth_channel, length, rng):
+    """One (source, target) pair, one scalar draw per sampled token: the
+    source walk masks the end marker, then the channel maps each token."""
+    eos_idx = len(truth_lm.event_vocab) - 1
+    source = []
+    prev: tuple = (BOS,)
+    for _ in range(length):
+        row = truth_lm.prob_row(prev).copy()
+        row[eos_idx] = 0.0
+        row /= row.sum()
+        idx = min(int(np.searchsorted(np.cumsum(row), float(rng.random()), side="right")),
+                  eos_idx - 1)
+        tok = truth_lm.event_vocab[idx]
+        source.append(tok)
+        prev = (tok,)
+    target = []
+    prev_out = BOS
+    last = len(truth_channel.out_vocab) - 1
+    for tok in source:
+        cumulative = np.cumsum(truth_channel.prob_row(prev_out, tok))
+        idx = min(int(np.searchsorted(cumulative, float(rng.random()), side="right")), last)
+        prev_out = truth_channel.out_vocab[idx]
+        target.append(prev_out)
+    return tuple(source), tuple(target)
+
+
+def reference_pairs(task):
+    spec = task.spec
+    rng = task_stream(spec.seed, TAG_CORPUS)
+    lo, hi = spec.length_range
+    total = spec.bitext_size + spec.mono_size + spec.test_size
+    return [reference_sentence_pair(task.truth_lm, task.truth_channel,
+                                    int(rng.integers(lo, hi + 1)), rng)
+            for _ in range(total)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source_vocab=st.sampled_from((2, 5, 20)),
+    target_vocab=st.sampled_from((2, 5, 20)),
+    length_range=st.one_of(st.just((1, 1)), st.tuples(st.integers(1, 4), st.integers(0, 5))
+                           .map(lambda t: (t[0], t[0] + t[1]))),
+    noise=st.sampled_from((1e-12, 1e-6, 0.15, 0.5, 1 - 1e-6, 1 - 1e-12)),
+    sizes=st.tuples(st.integers(1, 40), st.integers(1, 20), st.integers(1, 10)),
+    seed=st.integers(0, 2**16),
+)
+def test_corpus_matches_per_sentence_reference(source_vocab, target_vocab, length_range,
+                                               noise, sizes, seed):
+    spec = ToyTaskSpec(source_vocab_size=source_vocab, target_vocab_size=target_vocab,
+                       length_range=length_range, channel_noise=noise, bitext_size=sizes[0],
+                       mono_size=sizes[1], test_size=sizes[2], seed=seed)
+    task = generate_toy_task(spec)
+    pairs = list(task.bitext.pairs + task.mono_refs.pairs + task.test.pairs)
+    assert pairs == reference_pairs(task)
 
 
 def test_same_seed_is_byte_identical():

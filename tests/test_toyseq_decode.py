@@ -13,6 +13,7 @@ from btfactors.toyseq.decode import (
     batch_lm_scores,
     batch_sample,
     beam_decode,
+    candidate_chunks,
     sample_candidate_set,
     sample_decode,
 )
@@ -86,6 +87,13 @@ def reference_sample_decode(model, input_seq, rng):
         prev = model.out_vocab[idx]
         out.append(prev)
     return tuple(out)
+
+
+def reference_candidate_arrays(backward, lm, target, n, rng):
+    """Per-sentence candidate pool: n samples drawn position by position from
+    ``rng``, annotated with channel and LM log-probs."""
+    token_idx, log_q = batch_sample(backward, target, n, rng)
+    return token_idx, log_q, batch_lm_scores(lm, token_idx, backward.out_vocab)
 
 
 def reference_channel_scores(model, token_idx, cond_seq):
@@ -346,3 +354,50 @@ def test_candidate_set_rejects_small_n(backward_and_lm):
     backward, lm = backward_and_lm
     with pytest.raises(InvalidInputError):
         sample_candidate_set(backward, lm, (0, 1), 1, sentence_stream(0, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.sampled_from((0.0, 0.1)), n=st.sampled_from((2, 50)),
+       order=st.sampled_from((2, 3)), big=st.sampled_from((1, 63, 64, 65, 129)),
+       seed=st.integers(0, 2**16))
+def test_candidate_chunks_match_per_sentence_reference(alpha, n, order, big, seed):
+    rng = np.random.default_rng(seed)
+    backward = random_channel(rng, vocab_size=3, alpha=alpha, n_pairs=12, length=4)
+    lm = train_ngram_lm([[int(t) for t in rng.integers(0, 3, size=4)] for _ in range(12)],
+                        order=order, alpha=0.1, vocab=range(3))
+    # one group of ``big`` equal-length targets, mixed with a few other lengths
+    big_len = int(rng.integers(1, 5))
+    targets = [tuple(int(t) for t in rng.integers(0, 4, size=big_len)) for _ in range(big)]
+    targets += [tuple(int(t) for t in rng.integers(0, 4, size=rng.integers(1, 5)))
+                for _ in range(int(rng.integers(0, 6)))]
+    targets = [targets[i] for i in rng.permutation(len(targets))]
+
+    got, streams = {}, {}
+    for ids, chunk_streams, token_idx, log_q, log_lm in candidate_chunks(
+            backward, lm, targets, n, lambda i: sentence_stream(seed, i)):
+        assert 1 <= len(ids) <= 64
+        assert len({len(targets[i]) for i in ids}) == 1
+        assert token_idx.shape == (len(ids), n, len(targets[ids[0]]))
+        for k, i in enumerate(ids):
+            got[i] = (token_idx[k], log_q[k], log_lm[k])
+            streams[i] = chunk_streams[k]
+    assert sorted(got) == list(range(len(targets)))
+    for i, y in enumerate(targets):
+        reference_stream = sentence_stream(seed, i)
+        expected = reference_candidate_arrays(backward, lm, y, n, reference_stream)
+        for actual, wanted in zip(got[i], expected):
+            np.testing.assert_array_equal(actual, wanted)
+        assert streams[i].random() == reference_stream.random()
+
+
+def test_candidate_chunks_reject_bad_input(backward_and_lm):
+    backward, lm = backward_and_lm
+    stream_for = lambda i: sentence_stream(0, i)
+    with pytest.raises(InvalidInputError):
+        next(candidate_chunks(backward, lm, [(0, 1)], 1, stream_for))
+    with pytest.raises(InvalidInputError):
+        next(candidate_chunks(backward, lm, [(0, 1), ()], 4, stream_for))
+    # an unsmoothed LM that never saw a sampled bigram scores it -inf
+    sparse_lm = train_ngram_lm([[0, 0]], order=2, alpha=0.0, vocab=range(4))
+    with pytest.raises(InvalidInputError, match="finite"):
+        list(candidate_chunks(backward, sparse_lm, [(0, 1, 2, 3)] * 3, 20, stream_for))
