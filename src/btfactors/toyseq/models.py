@@ -1,28 +1,40 @@
-"""Count-based sequence models.
+"""Count-based sequence models on one add-alpha count table.
 
-Two families share the add-alpha machinery:
+``_CountTable`` keeps rows of event counts keyed by token tuples of one
+fixed length and turns each row into a smoothed conditional:
 
-* ``NGramLM``       p(x) = prod_t p(x_t | previous order-1 tokens), with an
-                    optional end-of-sequence transition.
-* ``ChannelModel``  p(out | in) = prod_t p(out_t | out_{t-1}, in_t); output
-                    length equals input length, Markov in its own output.
+    p(v | key) = (count + alpha) / (total + alpha * |events|)
 
-Conventions shared by both:
+Two thin subclasses fix what a key is:
+
+* ``NGramLM``       p(x) = prod_t p(x_t | previous order-1 tokens); keys are
+                    the order-1 token context, with an optional
+                    end-of-sequence event.
+* ``ChannelModel``  p(out | in) = prod_t p(out_t | out_{t-1}, in_t); keys are
+                    (previous output, conditioning token), output length
+                    equals input length.
+
+Conventions of the table:
 
 * The event space is the configured output vocabulary (plus the end marker
-  for an LM with ``use_eos``).  BOS only ever appears in contexts.
-* p(v | context) = (count + alpha) / (total + alpha * |V|).  Unseen contexts
-  therefore score uniformly; with alpha == 0 an unseen context falls back to
-  uniform as well so conditionals always sum to 1.
+  for an LM with ``use_eos``).  BOS only ever appears in keys.
+* Unseen keys score uniformly; with alpha == 0 an unseen key falls back to
+  uniform as well, so conditionals always sum to 1.
 * An out-of-vocabulary token at score time is treated like the reserved UNK
-  event: a never-seen symbol scored at the alpha floor against the same
+  event: a never-seen symbol scored at the alpha floor against its key's
   denominator.  It never joins the event space, so in-vocabulary
-  probabilities stay an exact distribution.
-* Counts may be fractional: the toy task's ground-truth models are stored
-  as probability rows with alpha == 0.
+  probabilities stay an exact distribution.  The LM takes the log of that
+  floor and the channel subtracts logs; the two round differently in the
+  last bit, so each class keeps its own arithmetic.
+* Counts may be fractional (the toy task's ground-truth models are stored
+  as probability rows with alpha == 0), but alpha and every count must be
+  finite and non-negative.
 
-Models are immutable after construction and serialize to a versioned,
-sorted-key text format, so training is diffable and bit-reproducible.
+Rows, log rows and stacked row matrices are cached: models are immutable
+once built, and the trainers fill ``counts`` before the first lookup.
+Both serialize to a versioned text format with sorted keys, so training is
+diffable and bit-reproducible: a magic line, header fields, the ``vocab``
+line, then one ``<tag> <key tokens> | <token> <count> ...`` line per row.
 """
 
 from __future__ import annotations
@@ -38,7 +50,6 @@ from ..tokenio import (
     EOS,
     UNK,
     sequence_from_str,
-    sequence_to_str,
     token_from_str,
     token_sort_key,
     token_to_str,
@@ -97,37 +108,166 @@ def _num_from_str(text: str):
     return int(text) if text.lstrip("-").isdigit() else float(text)
 
 
-class NGramLM:
+class _CountTable:
+    """Add-alpha rows of event counts keyed by token tuples of one length.
+
+    A subclass names its text format (``_MAGIC``) and row tag (``_TAG``),
+    sorts its events, and wraps ``_row``, ``_log_row`` and ``_stack`` in
+    its own key shape.
+    """
+
+    _MAGIC: str
+    _TAG: str
+
+    def __init__(self, alpha, events: tuple, counts, key_len: int):
+        if not (alpha >= 0 and math.isfinite(alpha)):
+            raise InvalidInputError(f"alpha must be finite and non-negative, got {alpha!r}")
+        self.alpha = alpha
+        self._events = events
+        self._index = {tok: i for i, tok in enumerate(events)}
+        self.counts: dict[tuple, dict] = {}
+        for key, row in (counts or {}).items():
+            key = tuple(key)
+            if len(key) != key_len:
+                raise InvalidInputError(f"{self._TAG} {key!r} must have {key_len} tokens")
+            for tok, cnt in row.items():
+                if tok not in self._index:
+                    raise InvalidInputError(f"count row token {tok!r} is outside the event space")
+                if not (cnt >= 0 and math.isfinite(cnt)):
+                    raise InvalidInputError(
+                        f"count {cnt!r} of {tok!r} in {self._TAG} {key!r} "
+                        "must be finite and non-negative"
+                    )
+            self.counts[key] = dict(row)
+        self._row_cache: dict[tuple, np.ndarray] = {}
+        self._log_cache: dict[tuple, np.ndarray] = {}
+        self._stacks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _row(self, key: tuple) -> np.ndarray:
+        """p(. | key) over the events; always sums to 1."""
+        cached = self._row_cache.get(key)
+        if cached is not None:
+            return cached
+        size = len(self._events)
+        counts = np.zeros(size)
+        row = self.counts.get(key)
+        if row:
+            for tok, cnt in row.items():
+                counts[self._index[tok]] = cnt
+        denom = counts.sum() + self.alpha * size
+        if denom <= 0.0:
+            probs = np.full(size, 1.0 / size)
+        else:
+            probs = (counts + self.alpha) / denom
+        probs.setflags(write=False)
+        self._row_cache[key] = probs
+        return probs
+
+    def _log_row(self, key: tuple) -> np.ndarray:
+        cached = self._log_cache.get(key)
+        if cached is not None:
+            return cached
+        with np.errstate(divide="ignore"):
+            logs = np.log(self._row(key))
+        logs.setflags(write=False)
+        self._log_cache[key] = logs
+        return logs
+
+    def _oov_denom(self, key: tuple) -> float:
+        """Denominator of the alpha floor an out-of-vocabulary token gets."""
+        row = self.counts.get(key)
+        total = sum(row.values()) if row else 0.0
+        return total + self.alpha * len(self._events)
+
+    def _stack(self, keys: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """(prob, log) matrices whose row i is the row of ``keys[i]``."""
+        cached = self._stacks.get(keys)
+        if cached is not None:
+            return cached
+        probs = np.stack([self._row(key) for key in keys])
+        with np.errstate(divide="ignore"):
+            logs = np.log(probs)
+        probs.setflags(write=False)
+        logs.setflags(write=False)
+        self._stacks[keys] = (probs, logs)
+        return probs, logs
+
+    # -- serialization ----------------------------------------------------
+    def _text(self, fields: list[str], vocab) -> str:
+        """Magic line, ``fields``, the vocab line, then one line per row."""
+        lines = [self._MAGIC, *fields, "vocab " + " ".join(token_to_str(t) for t in vocab)]
+        for key in sorted(self.counts, key=lambda k: tuple(map(token_sort_key, k))):
+            row = self.counts[key]
+            entries = " ".join(
+                f"{token_to_str(t)} {_num_to_str(row[t])}"
+                for t in sorted(row, key=token_sort_key)
+            )
+            lines.append(" ".join([self._TAG, *(token_to_str(t) for t in key), "|", entries]))
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def _parse(cls, text: str, fields: dict, key_len: int | None = None) -> tuple[dict, dict]:
+        """Header values and count rows of a ``_text`` file.
+
+        ``fields`` maps each required header key to the function that reads
+        its value; ``vocab`` is always read.  A ``key_len`` checks each row
+        key's length here, where the line number is known.
+        """
+        lines = text.splitlines()
+        if not lines or lines[0].strip() != cls._MAGIC:
+            raise ParseError(f"expected header {cls._MAGIC!r}", 1)
+        values = {}
+        counts: dict[tuple, dict] = {}
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            key, _, rest = line.partition(" ")
+            try:
+                if key in fields:
+                    values[key] = fields[key](rest.strip())
+                elif key == "vocab":
+                    values["vocab"] = sequence_from_str(rest)
+                elif key == cls._TAG:
+                    key_text, _, entries = rest.partition("|")
+                    row_key = sequence_from_str(key_text)
+                    if key_len is not None and len(row_key) != key_len:
+                        raise ValueError(f"{cls._TAG} must have {key_len} tokens")
+                    parts = entries.split()
+                    if len(parts) % 2 != 0:
+                        raise ValueError("odd entry list")
+                    counts[row_key] = {
+                        token_from_str(parts[i]): _num_from_str(parts[i + 1])
+                        for i in range(0, len(parts), 2)
+                    }
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+            except (ValueError, InvalidInputError) as exc:
+                raise ParseError(str(exc), lineno) from exc
+        for required in (*fields, "vocab"):
+            if required not in values:
+                raise ParseError(f"missing field {required!r}")
+        return values, counts
+
+
+class NGramLM(_CountTable):
     """Add-alpha smoothed n-gram language model over hashable tokens."""
+
+    _MAGIC = "btfactors-ngramlm v1"
+    _TAG = "context"
 
     def __init__(self, order: int, alpha: float, vocab, counts=None, use_eos: bool = True):
         if order < 1:
             raise InvalidInputError("order must be >= 1")
-        if alpha < 0:
-            raise InvalidInputError("alpha must be non-negative")
         content = tuple(sorted(set(vocab), key=token_sort_key))
         if not content:
             raise InvalidInputError("vocabulary must be non-empty")
         if any(t in (BOS, EOS, UNK) for t in content):
             raise InvalidInputError("reserved markers cannot be content tokens")
         self.order = int(order)
-        self.alpha = alpha
         self.use_eos = bool(use_eos)
         self.content_vocab = content
         self.event_vocab = content + ((EOS,) if use_eos else ())
-        self._index = {tok: i for i, tok in enumerate(self.event_vocab)}
-        self.counts: dict[tuple, dict] = {}
-        for ctx, row in (counts or {}).items():
-            ctx = tuple(ctx)
-            if len(ctx) != order - 1:
-                raise InvalidInputError(f"context {ctx!r} does not match order {order}")
-            for tok in row:
-                if tok not in self._index:
-                    raise InvalidInputError(f"count row token {tok!r} is outside the event space")
-            self.counts[ctx] = dict(row)
-        self._row_cache: dict[tuple, np.ndarray] = {}
-        self._log_cache: dict[tuple, np.ndarray] = {}
-        self._bigram_matrices: np.ndarray | None = None
+        super().__init__(alpha, self.event_vocab, counts, self.order - 1)
 
     # -- vocabulary -----------------------------------------------------
     @property
@@ -151,44 +291,17 @@ class NGramLM:
 
     def prob_row(self, context) -> np.ndarray:
         """p(. | context) over the event vocabulary; always sums to 1."""
-        context = tuple(context)
-        cached = self._row_cache.get(context)
-        if cached is not None:
-            return cached
-        size = len(self.event_vocab)
-        counts = np.zeros(size)
-        row = self.counts.get(context)
-        if row:
-            for tok, cnt in row.items():
-                counts[self._index[tok]] = cnt
-        denom = counts.sum() + self.alpha * size
-        if denom <= 0.0:
-            probs = np.full(size, 1.0 / size)
-        else:
-            probs = (counts + self.alpha) / denom
-        probs.setflags(write=False)
-        self._row_cache[context] = probs
-        return probs
+        return self._row(tuple(context))
 
     def log_row(self, context) -> np.ndarray:
-        context = tuple(context)
-        cached = self._log_cache.get(context)
-        if cached is not None:
-            return cached
-        with np.errstate(divide="ignore"):
-            logs = np.log(self.prob_row(context))
-        logs.setflags(write=False)
-        self._log_cache[context] = logs
-        return logs
+        return self._log_row(tuple(context))
 
     def prob(self, token, context) -> float:
         idx = self._index.get(token)
         if idx is not None:
-            return float(self.prob_row(context)[idx])
+            return float(self._row(tuple(context))[idx])
         # out-of-vocabulary: alpha-floor mass of a never-seen event
-        row = self.counts.get(tuple(context))
-        total = sum(row.values()) if row else 0.0
-        denom = total + self.alpha * len(self.event_vocab)
+        denom = self._oov_denom(tuple(context))
         return self.alpha / denom if denom > 0.0 else 0.0
 
     def log_prob(self, token, context) -> float:
@@ -215,151 +328,62 @@ class NGramLM:
         """
         if self.order != 2:
             raise InvalidInputError("bigram matrix is only defined for order-2 models")
-        if self._bigram_matrices is None:
-            size = len(self.event_vocab)
-            mat = np.empty((size + 1, size))
-            mat[0] = self.log_row((BOS,))
-            for i, tok in enumerate(self.event_vocab):
-                mat[1 + i] = self.log_row((tok,))
-            mat.setflags(write=False)
-            self._bigram_matrices = mat
-        return self._bigram_matrices
+        return self._stack(((BOS,), *((tok,) for tok in self.event_vocab)))[1]
 
     # -- serialization ----------------------------------------------------
     def to_text(self) -> str:
-        lines = [
-            "btfactors-ngramlm v1",
-            f"order {self.order}",
-            f"alpha {_num_to_str(self.alpha)}",
-            f"eos {1 if self.use_eos else 0}",
-            "vocab " + " ".join(token_to_str(t) for t in self.content_vocab),
-        ]
-        for ctx in sorted(self.counts, key=lambda c: tuple(token_sort_key(t) for t in c)):
-            row = self.counts[ctx]
-            entries = " ".join(
-                f"{token_to_str(t)} {_num_to_str(row[t])}"
-                for t in sorted(row, key=token_sort_key)
-            )
-            pieces = ["context", *(token_to_str(t) for t in ctx), "|", entries]
-            lines.append(" ".join(pieces))
-        return "\n".join(lines) + "\n"
+        return self._text(
+            [f"order {self.order}", f"alpha {_num_to_str(self.alpha)}",
+             f"eos {1 if self.use_eos else 0}"],
+            self.content_vocab,
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "NGramLM":
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != "btfactors-ngramlm v1":
-            raise ParseError("expected header 'btfactors-ngramlm v1'", 1)
-        fields = {}
-        counts: dict[tuple, dict] = {}
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            key, _, rest = line.partition(" ")
-            try:
-                if key in ("order", "alpha", "eos"):
-                    fields[key] = rest.strip()
-                elif key == "vocab":
-                    fields["vocab"] = sequence_from_str(rest)
-                elif key == "context":
-                    ctx_text, _, entries = rest.partition("|")
-                    ctx = sequence_from_str(ctx_text)
-                    parts = entries.split()
-                    if len(parts) % 2 != 0:
-                        raise ValueError("odd entry list")
-                    row = {
-                        token_from_str(parts[i]): _num_from_str(parts[i + 1])
-                        for i in range(0, len(parts), 2)
-                    }
-                    counts[ctx] = row
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except (ValueError, InvalidInputError) as exc:
-                raise ParseError(str(exc), lineno) from exc
-        for required in ("order", "alpha", "eos", "vocab"):
-            if required not in fields:
-                raise ParseError(f"missing field {required!r}")
+        fields, counts = cls._parse(text, {"order": int, "alpha": _num_from_str, "eos": str})
         return cls(
-            order=int(fields["order"]),
-            alpha=_num_from_str(fields["alpha"]),
+            order=fields["order"],
+            alpha=fields["alpha"],
             vocab=fields["vocab"],
             counts=counts,
             use_eos=fields["eos"] == "1",
         )
 
 
-class ChannelModel:
+class ChannelModel(_CountTable):
     """Equal-length conditional model, Markov in its own output."""
 
     DIRECTIONS = ("source_to_target", "target_to_source")
+    _MAGIC = "btfactors-channel v1"
+    _TAG = "state"
 
     def __init__(self, direction: str, alpha: float, out_vocab, counts=None):
         if direction not in self.DIRECTIONS:
             raise InvalidInputError(f"direction must be one of {self.DIRECTIONS}")
-        if alpha < 0:
-            raise InvalidInputError("alpha must be non-negative")
         vocab = tuple(sorted(set(out_vocab), key=token_sort_key))
         if not vocab:
             raise InvalidInputError("output vocabulary must be non-empty")
         if any(t in (BOS, EOS, UNK) for t in vocab):
             raise InvalidInputError("reserved markers cannot be output tokens")
         self.direction = direction
-        self.alpha = alpha
         self.out_vocab = vocab
-        self._index = {tok: i for i, tok in enumerate(vocab)}
-        self.counts: dict[tuple, dict] = {}
-        for state, row in (counts or {}).items():
-            if len(state) != 2:
-                raise InvalidInputError(f"state {state!r} must be (prev_output, conditioning)")
-            for tok in row:
-                if tok not in self._index:
-                    raise InvalidInputError(f"count row token {tok!r} is outside the event space")
-            self.counts[tuple(state)] = dict(row)
-        self._row_cache: dict[tuple, np.ndarray] = {}
-        self._log_cache: dict[tuple, np.ndarray] = {}
-        self._cond_matrices: dict = {}
+        super().__init__(alpha, vocab, counts, 2)
 
     def out_index(self, token) -> int | None:
         return self._index.get(token)
 
     def prob_row(self, prev, cond) -> np.ndarray:
         """p(. | prev output, conditioning token) over the output vocabulary."""
-        state = (prev, cond)
-        cached = self._row_cache.get(state)
-        if cached is not None:
-            return cached
-        size = len(self.out_vocab)
-        counts = np.zeros(size)
-        row = self.counts.get(state)
-        if row:
-            for tok, cnt in row.items():
-                counts[self._index[tok]] = cnt
-        denom = counts.sum() + self.alpha * size
-        if denom <= 0.0:
-            probs = np.full(size, 1.0 / size)
-        else:
-            probs = (counts + self.alpha) / denom
-        probs.setflags(write=False)
-        self._row_cache[state] = probs
-        return probs
+        return self._row((prev, cond))
 
     def log_row(self, prev, cond) -> np.ndarray:
-        state = (prev, cond)
-        cached = self._log_cache.get(state)
-        if cached is not None:
-            return cached
-        with np.errstate(divide="ignore"):
-            logs = np.log(self.prob_row(prev, cond))
-        logs.setflags(write=False)
-        self._log_cache[state] = logs
-        return logs
+        return self._log_row((prev, cond))
 
     def log_prob(self, token, prev, cond) -> float:
         idx = self._index.get(token)
         if idx is not None:
-            return float(self.log_row(prev, cond)[idx])
-        row = self.counts.get((prev, cond))
-        total = sum(row.values()) if row else 0.0
-        denom = total + self.alpha * len(self.out_vocab)
+            return float(self._log_row((prev, cond))[idx])
+        denom = self._oov_denom((prev, cond))
         if self.alpha > 0.0 and denom > 0.0:
             return math.log(self.alpha) - math.log(denom)
         return -math.inf
@@ -384,81 +408,21 @@ class ChannelModel:
         Row 0 is prev == BOS; row 1 + i is prev == out_vocab[i].  Backs the
         vectorized sampler and scorer in ``decode``.
         """
-        cached = self._cond_matrices.get(cond)
-        if cached is not None:
-            return cached
-        size = len(self.out_vocab)
-        probs = np.empty((size + 1, size))
-        probs[0] = self.prob_row(BOS, cond)
-        for i, prev in enumerate(self.out_vocab):
-            probs[1 + i] = self.prob_row(prev, cond)
-        with np.errstate(divide="ignore"):
-            logs = np.log(probs)
-        probs.setflags(write=False)
-        logs.setflags(write=False)
-        self._cond_matrices[cond] = (probs, logs)
-        return probs, logs
+        return self._stack(((BOS, cond), *((prev, cond) for prev in self.out_vocab)))
 
     # -- serialization ----------------------------------------------------
     def to_text(self) -> str:
-        lines = [
-            "btfactors-channel v1",
-            f"direction {self.direction}",
-            f"alpha {_num_to_str(self.alpha)}",
-            "vocab " + " ".join(token_to_str(t) for t in self.out_vocab),
-        ]
-        def state_key(state):
-            return (token_sort_key(state[0]), token_sort_key(state[1]))
-        for state in sorted(self.counts, key=state_key):
-            row = self.counts[state]
-            entries = " ".join(
-                f"{token_to_str(t)} {_num_to_str(row[t])}"
-                for t in sorted(row, key=token_sort_key)
-            )
-            lines.append(
-                f"state {token_to_str(state[0])} {token_to_str(state[1])} | {entries}"
-            )
-        return "\n".join(lines) + "\n"
+        return self._text(
+            [f"direction {self.direction}", f"alpha {_num_to_str(self.alpha)}"],
+            self.out_vocab,
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "ChannelModel":
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != "btfactors-channel v1":
-            raise ParseError("expected header 'btfactors-channel v1'", 1)
-        fields = {}
-        counts: dict[tuple, dict] = {}
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            key, _, rest = line.partition(" ")
-            try:
-                if key in ("direction", "alpha"):
-                    fields[key] = rest.strip()
-                elif key == "vocab":
-                    fields["vocab"] = sequence_from_str(rest)
-                elif key == "state":
-                    state_text, _, entries = rest.partition("|")
-                    state = sequence_from_str(state_text)
-                    if len(state) != 2:
-                        raise ValueError("state must have two tokens")
-                    parts = entries.split()
-                    if len(parts) % 2 != 0:
-                        raise ValueError("odd entry list")
-                    row = {
-                        token_from_str(parts[i]): _num_from_str(parts[i + 1])
-                        for i in range(0, len(parts), 2)
-                    }
-                    counts[tuple(state)] = row
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except (ValueError, InvalidInputError) as exc:
-                raise ParseError(str(exc), lineno) from exc
-        for required in ("direction", "alpha", "vocab"):
-            if required not in fields:
-                raise ParseError(f"missing field {required!r}")
+        fields, counts = cls._parse(text, {"direction": str, "alpha": _num_from_str}, key_len=2)
         return cls(
             direction=fields["direction"],
-            alpha=_num_from_str(fields["alpha"]),
+            alpha=fields["alpha"],
             out_vocab=fields["vocab"],
             counts=counts,
         )

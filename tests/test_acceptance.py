@@ -5,7 +5,6 @@ prints a single PASS/FAIL line (run with ``pytest -s`` to see them inline).
 The experiment-level criteria share one 5-seed strategy sweep.
 """
 
-import json
 import math
 import time
 from pathlib import Path
@@ -23,7 +22,6 @@ from btfactors.btloop import (
     run_bt_experiment,
 )
 from btfactors.cli.main import dispatch, rerun_from_manifest
-from btfactors.cli.manifest import read_manifest
 from btfactors.scoring import (
     Candidate,
     CandidateSet,

@@ -1,8 +1,6 @@
 import json
 import math
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from btfactors.cli.main import dispatch, rerun_from_manifest
@@ -22,11 +20,8 @@ from btfactors.cli.records import (
 from btfactors.errors import ParseError, ValidationError
 from btfactors.manipulate import MonoCorpus, SyntheticPair
 from btfactors.scoring import Candidate, CandidateSet
-from btfactors.streams import sentence_stream
-from btfactors.toyseq import ToyTaskSpec, generate_toy_task
 from btfactors.tokenio import sequence_from_str, sequence_to_str
-from btfactors.toyseq.decode import sample_candidate_set
-from btfactors.toyseq.models import ChannelModel, ParallelCorpus, train_channel, train_ngram_lm
+from btfactors.toyseq.models import ChannelModel, ParallelCorpus
 
 
 # -- record round trips ------------------------------------------------------------
@@ -374,6 +369,31 @@ def test_undecodable_input_file_is_a_one_line_error(models_dir, tmp_path, capsys
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {mono}: not UTF-8 text") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["backward", "lm"])
+@pytest.mark.parametrize("change", ["alpha nan", "alpha inf", "count -1", "count nan"])
+def test_model_values_out_of_range_are_a_one_line_error(toy_dir, models_dir, tmp_path, capsys,
+                                                       kind, change):
+    field, value = change.split()
+    lines = (models_dir / f"{kind}.txt").read_text(encoding="utf-8").splitlines()
+    if field == "alpha":
+        lines = [f"alpha {value}" if line.startswith("alpha ") else line for line in lines]
+    else:
+        i = next(i for i, line in enumerate(lines) if line.startswith(("state ", "context ")))
+        lines[i] = f"{lines[i].rsplit(' ', 1)[0]} {value}"
+    models = {"backward": models_dir / "backward.txt", "lm": models_dir / "lm.txt"}
+    models[kind] = tmp_path / f"{kind}.txt"
+    models[kind].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    strategy = ["--strategy", "beam"] if kind == "backward" else [
+        "--strategy", "gamma-select", "--lm", str(models["lm"]), "--seed", "1"]
+    code = dispatch(["backtranslate", "--mono", str(toy_dir / "mono.txt"),
+                     "--backward", str(models["backward"]), *strategy,
+                     "--out", str(tmp_path / "x.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be finite and non-negative" in err
 
 
 def test_unknown_command_exits_2():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btfactors.errors import InvalidInputError, ParseError
 from btfactors.toyseq.models import (
@@ -212,3 +214,123 @@ def test_channel_oov_tokens_score_finite_with_smoothing():
     # unseen conditioning token and unseen output token both stay finite
     assert math.isfinite(channel_score(model, (10, 11), (0, 999)))
     assert math.isfinite(channel_score(model, (10, 999), (0, 1)))
+
+
+def test_unreadable_header_values_cite_line_numbers():
+    with pytest.raises(ParseError) as err:
+        NGramLM.from_text("btfactors-ngramlm v1\norder two\nalpha 0.1\neos 1\nvocab 0 1\n")
+    assert err.value.line_number == 2
+    with pytest.raises(ParseError) as err:
+        ChannelModel.from_text("btfactors-channel v1\ndirection source_to_target\nalpha abc\nvocab 0\n")
+    assert err.value.line_number == 3
+
+
+# -- values that make no sense ---------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
+def test_models_reject_alpha_that_is_not_finite_and_non_negative(alpha):
+    with pytest.raises(InvalidInputError):
+        NGramLM(order=2, alpha=alpha, vocab=[0, 1])
+    with pytest.raises(InvalidInputError):
+        ChannelModel("source_to_target", alpha=alpha, out_vocab=[0, 1])
+
+
+@pytest.mark.parametrize("count", [-1, -0.5, math.nan, math.inf])
+def test_models_reject_counts_that_are_not_finite_and_non_negative(count):
+    with pytest.raises(InvalidInputError):
+        NGramLM(order=2, alpha=0.1, vocab=[0, 1], counts={(BOS,): {0: 2, 1: count}})
+    with pytest.raises(InvalidInputError):
+        ChannelModel("source_to_target", alpha=0.1, out_vocab=[0, 1],
+                     counts={(BOS, 5): {0: 2, 1: count}})
+
+
+# -- the shared count table: properties -------------------------------------------------
+
+INT_TOKENS = st.integers(-3, 25)
+STR_TOKENS = st.text(alphabet="abAB_z", min_size=1, max_size=3)
+COUNTS = st.one_of(st.integers(0, 50), st.floats(0.0, 50.0))
+ALPHAS = st.sampled_from((0, 0.1, 2.5))
+
+
+@st.composite
+def vocabularies(draw):
+    kind = draw(st.sampled_from(("int", "str", "mixed")))
+    if kind == "int":
+        return draw(st.lists(INT_TOKENS, min_size=1, max_size=5, unique=True))
+    if kind == "str":
+        return draw(st.lists(STR_TOKENS, min_size=1, max_size=5, unique=True))
+    ints = draw(st.lists(INT_TOKENS, min_size=1, max_size=3, unique=True))
+    return ints + draw(st.lists(STR_TOKENS, min_size=1, max_size=2, unique=True))
+
+
+def count_rows(keys, events):
+    row = st.dictionaries(st.sampled_from(events), COUNTS, max_size=len(events))
+    return st.dictionaries(keys, row, max_size=6)
+
+
+@st.composite
+def ngram_lms(draw):
+    vocab = draw(vocabularies())
+    order = draw(st.integers(1, 3))
+    use_eos = draw(st.booleans())
+    events = vocab + ([EOS] if use_eos else [])
+    keys = st.tuples(*[st.sampled_from(vocab + [BOS])] * (order - 1))
+    counts = draw(count_rows(keys, events))
+    return NGramLM(order, draw(ALPHAS), vocab, counts=counts, use_eos=use_eos)
+
+
+@st.composite
+def channel_models(draw):
+    vocab = draw(vocabularies())
+    conds = draw(vocabularies())
+    keys = st.tuples(st.sampled_from(vocab + [BOS]), st.sampled_from(conds))
+    counts = draw(count_rows(keys, vocab))
+    return ChannelModel("target_to_source", draw(ALPHAS), vocab, counts=counts)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(lm=ngram_lms())
+def test_lm_text_round_trip_is_byte_stable(lm):
+    text = lm.to_text()
+    restored = NGramLM.from_text(text)
+    assert restored.to_text() == text
+    assert restored.counts == lm.counts
+    unseen = (BOS,) * (lm.order - 1)
+    for ctx in [*lm.counts, unseen]:
+        assert same_bits(restored.prob_row(ctx), lm.prob_row(ctx))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=channel_models())
+def test_channel_text_round_trip_is_byte_stable(model):
+    text = model.to_text()
+    restored = ChannelModel.from_text(text)
+    assert restored.to_text() == text
+    assert restored.counts == model.counts
+    for state in [*model.counts, (BOS, "unseen")]:
+        assert same_bits(restored.prob_row(*state), model.prob_row(*state))
+
+
+@settings(max_examples=100, deadline=None)
+@given(vocab=vocabularies(), alpha=ALPHAS, use_eos=st.booleans(), data=st.data())
+def test_bigram_log_matrix_stacks_the_log_rows(vocab, alpha, use_eos, data):
+    events = vocab + ([EOS] if use_eos else [])
+    counts = data.draw(count_rows(st.tuples(st.sampled_from(vocab + [BOS])), events))
+    lm = NGramLM(2, alpha, vocab, counts=counts, use_eos=use_eos)
+    contexts = [(BOS,)] + [(tok,) for tok in lm.event_vocab]
+    expected = np.stack([lm.log_row(ctx) for ctx in contexts])
+    assert same_bits(lm.bigram_log_matrix(), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=channel_models())
+def test_matrices_for_cond_stack_the_rows(model):
+    prevs = (BOS,) + model.out_vocab
+    for cond in {c for _, c in model.counts} | {"unseen"}:
+        probs, logs = model.matrices_for_cond(cond)
+        assert same_bits(probs, np.stack([model.prob_row(p, cond) for p in prevs]))
+        assert same_bits(logs, np.stack([model.log_row(p, cond) for p in prevs]))
