@@ -1,6 +1,14 @@
 """Corpus diagnostics: BLEU, quality/importance summaries, length and
 token-frequency profiles, and singular-value spectra of bag-of-token
-sentence representations."""
+sentence representations.
+
+BLEU counts n-grams in numpy: integer-coded tokens, one compacted id per
+(sentence pair, n-gram), and ``np.unique``/``bincount`` counts.  The
+quality and importance summaries score the whole corpus with the models'
+``batch_score``, which adds the per-position terms one column at a time
+and so reproduces the scalar ``score`` bits.  Every reported number is the
+one the per-sentence loops gave.
+"""
 
 from __future__ import annotations
 
@@ -13,13 +21,49 @@ import numpy as np
 
 from .errors import InconsistencyError, InvalidInputError, NumericError
 from .manipulate import SyntheticPair
-from .toyseq.models import ChannelModel, NGramLM, channel_score, lm_score
+from .toyseq.models import ChannelModel, NGramLM
 
 
 # -- BLEU -------------------------------------------------------------------
 
-def _ngram_counts(tokens: tuple, n: int) -> Counter:
-    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+# sentence pairs counted together; bounds the temporaries of ``_count_ngrams``
+_BLEU_PAIRS = 512
+
+
+def _count_ngrams(hyps: list, refs: list, matched: list, total: list) -> None:
+    """Add each order's clipped matches and hypothesis n-grams of the
+    aligned pairs to ``matched[n - 1]`` and ``total[n - 1]``.
+
+    Tokens are integer-coded through one dict, so any hashable tokens work
+    and compare as Python compares them.  Each order gives every position
+    an id for (sentence pair, n-gram starting there), compacted with
+    ``np.unique`` from the (n-1)-gram id and the n-th token.  A key stays
+    below (pairs + tokens) x (distinct tokens), so int64 holds it whatever
+    the vocabulary.  The hypothesis and reference counts of an id clip
+    each other.
+    """
+    sentences = hyps + refs
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    size = int(lengths.sum())
+    codes: dict = {}
+    tokens = np.fromiter((codes.setdefault(tok, len(codes)) for s in sentences for tok in s),
+                         dtype=np.int64, count=size)
+    hyp_size = int(lengths[: len(hyps)].sum())
+    # tokens from each position to the end of its sentence: an n-gram starts
+    # wherever at least n are left
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(size)
+    # the order-0 id is the sentence pair, shared by a hypothesis and its reference
+    ids = np.repeat(np.tile(np.arange(len(hyps)), 2), lengths)
+    for n in range(1, min(len(total), int(lengths.max())) + 1):
+        starts = size - n + 1
+        # a start without n tokens left gets an id too; it is never counted
+        distinct, ids = np.unique(ids[:starts] * len(codes) + tokens[n - 1 :],
+                                  return_inverse=True)
+        valid = left[:starts] >= n
+        hyp_counts = np.bincount(ids[:hyp_size][valid[:hyp_size]], minlength=len(distinct))
+        ref_counts = np.bincount(ids[hyp_size:][valid[hyp_size:]], minlength=len(distinct))
+        total[n - 1] += int(hyp_counts.sum())
+        matched[n - 1] += int(np.minimum(hyp_counts, ref_counts).sum())
 
 
 def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
@@ -30,6 +74,10 @@ def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
     an order with zero matches contributes the floor 1 / (2 * total); zero
     unigram matches give exactly 0.  The brevity penalty exp(1 - r/c)
     applies when the hypothesis corpus is shorter than the references.
+
+    N-grams are counted in numpy (``_count_ngrams``).  Every count is an
+    integer, so the float arithmetic is that of the textbook Counter loop
+    and the score is the same bit for bit.
     """
     hyps = [tuple(h) for h in hypotheses]
     refs = [tuple(r) for r in references]
@@ -37,17 +85,10 @@ def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
         raise InvalidInputError("hypotheses and references must be equal-length and non-empty")
     matched = [0] * max_n
     total = [0] * max_n
-    hyp_len = ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_grams = _ngram_counts(hyp, n)
-            if not hyp_grams:
-                continue
-            ref_grams = _ngram_counts(ref, n)
-            total[n - 1] += sum(hyp_grams.values())
-            matched[n - 1] += sum(min(c, ref_grams.get(g, 0)) for g, c in hyp_grams.items())
+    for lo in range(0, len(hyps), _BLEU_PAIRS):
+        _count_ngrams(hyps[lo : lo + _BLEU_PAIRS], refs[lo : lo + _BLEU_PAIRS], matched, total)
+    hyp_len = sum(map(len, hyps))
+    ref_len = sum(map(len, refs))
     orders = [i for i in range(max_n) if total[i] > 0]
     if not orders or matched[0] == 0:
         return 0.0
@@ -79,7 +120,7 @@ def corpus_quality_report(synthetic: Sequence[SyntheticPair], backward: ChannelM
     plus their BLEU against reference sources when those exist."""
     if not synthetic:
         raise InvalidInputError("synthetic corpus must be non-empty")
-    scores = [channel_score(backward, pair.source, pair.target) for pair in synthetic]
+    scores = backward.batch_score([p.source for p in synthetic], [p.target for p in synthetic])
     mean_log_q = float(np.mean(scores))
     if not math.isfinite(mean_log_q):
         raise InvalidInputError("backward scores are not finite; check model smoothing")
@@ -97,10 +138,8 @@ def corpus_importance_report(synthetic: Sequence[SyntheticPair], lm: NGramLM,
     """Mean per-sentence log importance weight of the synthetic sources."""
     if not synthetic:
         raise InvalidInputError("synthetic corpus must be non-empty")
-    values = [
-        lm_score(lm, pair.source) - channel_score(backward, pair.source, pair.target)
-        for pair in synthetic
-    ]
+    sources = [p.source for p in synthetic]
+    values = lm.batch_score(sources) - backward.batch_score(sources, [p.target for p in synthetic])
     mean = float(np.mean(values))
     if not math.isfinite(mean):
         raise InvalidInputError("importance weights are not finite; check model smoothing")
@@ -138,20 +177,28 @@ def corpus_profile(corpus) -> CorpusProfile:
 # -- sentence representations and spectrum -------------------------------------
 
 def sentence_representation_matrix(corpus, vocab) -> np.ndarray:
-    """Rows are L2-normalized bag-of-token count vectors over ``vocab``."""
+    """Rows are L2-normalized bag-of-token count vectors over ``vocab``.
+
+    Counts are small integers, so each row's sum of squares is exact in any
+    order and its norm is the correctly rounded square root.  An empty
+    sentence gives a row of NaN (0 / 0).
+    """
     sentences = [tuple(s) for s in corpus]
     if not sentences:
         raise InvalidInputError("corpus must be non-empty")
     vocab = tuple(vocab)
     index = {tok: i for i, tok in enumerate(vocab)}
+    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+    try:
+        cols = np.fromiter((index[tok] for s in sentences for tok in s),
+                           dtype=np.intp, count=int(lengths.sum()))
+    except KeyError as exc:
+        raise InvalidInputError(
+            f"token {exc.args[0]!r} is outside the representation vocabulary"
+        ) from None
     matrix = np.zeros((len(sentences), len(vocab)))
-    for row, sentence in enumerate(sentences):
-        for tok in sentence:
-            col = index.get(tok)
-            if col is None:
-                raise InvalidInputError(f"token {tok!r} is outside the representation vocabulary")
-            matrix[row, col] += 1.0
-        matrix[row] /= np.linalg.norm(matrix[row])
+    np.add.at(matrix, (np.repeat(np.arange(len(sentences)), lengths), cols), 1.0)
+    matrix /= np.linalg.norm(matrix, axis=1)[:, None]
     return matrix
 
 

@@ -59,7 +59,6 @@ from .toyseq.models import (
     ChannelModel,
     NGramLM,
     ParallelCorpus,
-    channel_score,
     train_channel,
     train_ngram_lm,
 )
@@ -384,10 +383,9 @@ def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
                     # even for corpora generated by the weak variant
                     quality = corpus_quality_report(synthetic, backward, references)
                     importance = corpus_importance_report(synthetic, lm, backward)
-                    truth_scores = [
-                        channel_score(task.truth_channel, p.target, p.source)
-                        for p in synthetic
-                    ]
+                    truth_scores = task.truth_channel.batch_score(
+                        [p.target for p in synthetic], [p.source for p in synthetic]
+                    )
                     matrix = sentence_representation_matrix(
                         [p.source for p in synthetic], task.source_vocab
                     )

@@ -30,6 +30,10 @@ Conventions of the table:
   as probability rows with alpha == 0), but alpha and every count must be
   finite and non-negative.
 
+``batch_score`` scores a whole corpus in one pass over a matrix of the
+distinct keys' rows.  It adds each sequence's terms one position at a time
+from 0.0, as ``score`` does, so the two agree bit for bit.
+
 Rows, log rows and stacked row matrices are cached: models are immutable
 once built, and the trainers fill ``counts`` before the first lookup.
 Both serialize to a versioned text format with sorted keys, so training is
@@ -108,12 +112,19 @@ def _num_from_str(text: str):
     return int(text) if text.lstrip("-").isdigit() else float(text)
 
 
+def _flag_from_str(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
 class _CountTable:
     """Add-alpha rows of event counts keyed by token tuples of one length.
 
     A subclass names its text format (``_MAGIC``) and row tag (``_TAG``),
-    sorts its events, and wraps ``_row``, ``_log_row`` and ``_stack`` in
-    its own key shape.
+    sorts its events, wraps ``_row``, ``_log_row`` and ``_stack`` in its
+    own key shape, and gives ``_sum_terms`` its per-position keys and its
+    own log arithmetic (``_term_row``, ``_oov_term``).
     """
 
     _MAGIC: str
@@ -191,6 +202,65 @@ class _CountTable:
         logs.setflags(write=False)
         self._stacks[keys] = (probs, logs)
         return probs, logs
+
+    # -- batched scoring --------------------------------------------------
+    def _term_row(self, key: tuple) -> np.ndarray:
+        """log p(. | key) over the events, rounded as ``log_prob`` rounds it."""
+        raise NotImplementedError
+
+    def _oov_term(self, key: tuple, token) -> float:
+        """``log_prob`` of an out-of-vocabulary token."""
+        raise NotImplementedError
+
+    def _sum_terms(self, runs: list, back: int, conds: list | None = None) -> np.ndarray:
+        """Log-probability of every run of tokens, bit for bit as ``score``.
+
+        Position t of ``runs[i]`` is scored under the key made of the
+        ``back`` tokens before it in the run (BOS-padded), followed by
+        ``conds[i][t]`` when ``conds`` is given.  Tokens are integer-coded
+        through one dict, and each distinct key gets an id, compacted column
+        by column with ``np.unique`` (a key code stays below positions x
+        distinct tokens).  In-vocabulary terms are gathered from one
+        (distinct keys x events) matrix of ``_term_row`` rows, and
+        out-of-vocabulary ones come from ``_oov_term``.  Each run adds its
+        terms one position at a time starting from 0.0, the order of the
+        scalar loop; a pairwise ``.sum(axis=1)`` would round differently.
+        """
+        lengths = np.fromiter(map(len, runs), dtype=np.intp, count=len(runs))
+        size = int(lengths.sum())
+        codes = {BOS: 0}    # code 0 also pads the keys before a run's start
+
+        def encode(seqs) -> np.ndarray:
+            return np.fromiter((codes.setdefault(tok, len(codes)) for seq in seqs for tok in seq),
+                               dtype=np.int64, count=size)
+
+        flat = encode(runs)
+        starts = np.cumsum(lengths) - lengths
+        at = np.arange(size)
+        run_start = np.repeat(starts, lengths)
+        columns = [np.where(at - b >= run_start, flat[np.maximum(at - b, 0)], 0)
+                   for b in range(back, 0, -1)]
+        if conds is not None:
+            columns.append(encode(conds))
+        key_ids = np.zeros(size, dtype=np.int64)
+        for column in columns:
+            _, key_ids = np.unique(key_ids * len(codes) + column, return_inverse=True)
+        # any position of a key spells it out
+        position = np.zeros(int(key_ids.max(initial=-1)) + 1, dtype=np.intp)
+        position[key_ids] = at
+        tokens = list(codes)
+        keys = [tuple(tokens[column[j]] for column in columns) for j in position.tolist()]
+        events = np.array([self._index.get(tok, -1) for tok in tokens], dtype=np.intp)[flat]
+        rows = (np.stack([self._term_row(key) for key in keys]) if keys
+                else np.empty((0, len(self._events))))
+        terms = rows[key_ids, events]
+        for j in np.flatnonzero(events < 0).tolist():
+            terms[j] = self._oov_term(keys[key_ids[j]], tokens[flat[j]])
+        totals = np.zeros(len(runs))
+        for t in range(int(lengths.max(initial=0))):
+            live = np.flatnonzero(lengths > t)
+            totals[live] += terms[starts[live] + t]
+        return totals
 
     # -- serialization ----------------------------------------------------
     def _text(self, fields: list[str], vocab) -> str:
@@ -320,6 +390,21 @@ class NGramLM(_CountTable):
             total += self.log_prob(EOS, self.context_of(prefix))
         return total
 
+    def batch_score(self, sequences) -> np.ndarray:
+        """``score`` of every sequence, bit for bit, from one batched pass."""
+        end = (EOS,) if self.use_eos else ()
+        # the key of position t is context_of(run[:t])
+        return self._sum_terms([(*seq, *end) for seq in sequences], self.order - 1)
+
+    def _term_row(self, key: tuple) -> np.ndarray:
+        # math.log, as log_prob takes it: np.log differs in the last bit
+        # on a few entries
+        return np.array([math.log(p) if p > 0.0 else -math.inf
+                         for p in self._row(key).tolist()])
+
+    def _oov_term(self, key: tuple, token) -> float:
+        return self.log_prob(token, key)
+
     def bigram_log_matrix(self) -> np.ndarray:
         """(contexts x events) log matrix for order-2 models.
 
@@ -340,13 +425,15 @@ class NGramLM(_CountTable):
 
     @classmethod
     def from_text(cls, text: str) -> "NGramLM":
-        fields, counts = cls._parse(text, {"order": int, "alpha": _num_from_str, "eos": str})
+        fields, counts = cls._parse(
+            text, {"order": int, "alpha": _num_from_str, "eos": _flag_from_str}
+        )
         return cls(
             order=fields["order"],
             alpha=fields["alpha"],
             vocab=fields["vocab"],
             counts=counts,
-            use_eos=fields["eos"] == "1",
+            use_eos=fields["eos"],
         )
 
 
@@ -401,6 +488,29 @@ class ChannelModel(_CountTable):
             total += self.log_prob(out_tok, prev, cond_tok)
             prev = out_tok
         return total
+
+    def batch_score(self, outputs, inputs) -> np.ndarray:
+        """``score`` of every (output, input) pair, bit for bit, from one
+        batched pass."""
+        outputs = [tuple(seq) for seq in outputs]
+        inputs = [tuple(seq) for seq in inputs]
+        if len(outputs) != len(inputs):
+            raise InvalidInputError(
+                f"{len(outputs)} outputs need as many inputs, got {len(inputs)}"
+            )
+        for output, input_seq in zip(outputs, inputs):
+            if len(output) != len(input_seq):
+                raise InvalidInputError(
+                    f"output length {len(output)} != input length {len(input_seq)}"
+                )
+        # the key of position t is (output[t - 1] or BOS, input[t])
+        return self._sum_terms(outputs, 1, inputs)
+
+    def _term_row(self, key: tuple) -> np.ndarray:
+        return self._log_row(key)
+
+    def _oov_term(self, key: tuple, token) -> float:
+        return self.log_prob(token, *key)
 
     def matrices_for_cond(self, cond) -> tuple[np.ndarray, np.ndarray]:
         """(prob, log) matrices over prev states for one conditioning token.

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btfactors.analysis import (
     corpus_bleu,
@@ -110,6 +113,87 @@ def fractions_bleu(hyps, refs, max_n=4):
         log_p += math.log(p)
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     return 100.0 * bp * math.exp(log_p / len(orders))
+
+
+def counter_bleu(hypotheses, references, max_n=4):
+    """Reference oracle: the per-sentence Counter loop ``corpus_bleu`` replaced.
+
+    Its float arithmetic is the same, so the two must agree bit for bit.
+    """
+    def ngram_counts(tokens, n):
+        return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+
+    hyps = [tuple(h) for h in hypotheses]
+    refs = [tuple(r) for r in references]
+    matched = [0] * max_n
+    total = [0] * max_n
+    hyp_len = ref_len = 0
+    for hyp, ref in zip(hyps, refs):
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            hyp_grams = ngram_counts(hyp, n)
+            if not hyp_grams:
+                continue
+            ref_grams = ngram_counts(ref, n)
+            total[n - 1] += sum(hyp_grams.values())
+            matched[n - 1] += sum(min(c, ref_grams.get(g, 0)) for g, c in hyp_grams.items())
+    orders = [i for i in range(max_n) if total[i] > 0]
+    if not orders or matched[0] == 0:
+        return 0.0
+    log_precision = 0.0
+    for i in orders:
+        precision = matched[i] / total[i] if matched[i] > 0 else 1.0 / (2.0 * total[i])
+        log_precision += math.log(precision)
+    geometric = math.exp(log_precision / len(orders))
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * brevity * geometric
+
+
+@st.composite
+def token_pools(draw):
+    size = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("int", "str", "mixed")))
+    ints = draw(st.lists(st.integers(-3, 9), min_size=size, max_size=size, unique=True))
+    strs = draw(st.lists(st.text(alphabet="abz_", min_size=1, max_size=2),
+                         min_size=size, max_size=size, unique=True))
+    if kind == "int":
+        return ints
+    if kind == "str":
+        return strs
+    return ints[: (size + 1) // 2] + strs[: size // 2]
+
+
+@st.composite
+def aligned_corpora(draw):
+    pool = draw(token_pools())
+    sentence = st.lists(st.sampled_from(pool), min_size=0, max_size=6).map(tuple)
+    pairs = draw(st.lists(st.tuples(sentence, sentence), min_size=1, max_size=12))
+    return [h for h, _ in pairs], [r for _, r in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora=aligned_corpora(), max_n=st.integers(1, 4))
+def test_bleu_equals_counter_oracle_bit_for_bit(corpora, max_n):
+    hyps, refs = corpora
+    assert corpus_bleu(hyps, refs, max_n) == counter_bleu(hyps, refs, max_n)
+
+
+def test_bleu_over_a_large_string_vocabulary_equals_counter_oracle():
+    # drawn from 10**5 types: a 4-gram key of raw token codes, (pair, t1..t4)
+    # in base |V| with |V| > 20000, would pass 2**63; compacted ids must not
+    rng = np.random.default_rng(7)
+    vocab = [f"w{i}" for i in range(10**5)]
+    hyps, refs = [], []
+    for _ in range(1500):
+        hyp = [vocab[i] for i in rng.integers(0, len(vocab), size=int(rng.integers(0, 40)))]
+        ref = list(hyp)
+        for j in rng.integers(0, len(ref), size=len(ref) // 4) if ref else ():
+            ref[j] = vocab[int(rng.integers(0, len(vocab)))]
+        hyps.append(tuple(hyp))
+        refs.append(tuple(ref))
+    assert len({tok for s in hyps + refs for tok in s}) > 20000
+    assert corpus_bleu(hyps, refs) == counter_bleu(hyps, refs)
 
 
 def test_bleu_matches_fraction_oracle_on_random_corpora(rng):
@@ -258,6 +342,31 @@ def test_representation_unit_norm_and_duplicates(rng):
 def test_representation_rejects_unknown_tokens():
     with pytest.raises(InvalidInputError):
         sentence_representation_matrix([(0, 9)], [0, 1])
+
+
+def loop_representation_matrix(corpus, vocab):
+    """Reference oracle: one row at a time, normalised by its own norm."""
+    vocab = tuple(vocab)
+    index = {tok: i for i, tok in enumerate(vocab)}
+    matrix = np.zeros((len(corpus), len(vocab)))
+    for row, sentence in enumerate(corpus):
+        for tok in sentence:
+            matrix[row, index[tok]] += 1.0
+        with np.errstate(invalid="ignore"):
+            matrix[row] /= np.linalg.norm(matrix[row])
+    return matrix
+
+
+def test_representation_equals_row_loop_bit_for_bit(rng):
+    vocab = ["a", 3, "b", 7, "c"]
+    corpus = [tuple(vocab[i] for i in rng.integers(0, 5, size=rng.integers(0, 9)))
+              for _ in range(200)]
+    corpus.append(())
+    with np.errstate(invalid="ignore"):
+        matrix = sentence_representation_matrix(corpus, vocab)
+    expected = loop_representation_matrix(corpus, vocab)
+    assert matrix.tobytes() == expected.tobytes()
+    assert np.isnan(matrix[-1]).all()
 
 
 # -- singular spectrum ------------------------------------------------------------------

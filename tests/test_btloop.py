@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from btfactors.analysis import corpus_importance_report, corpus_quality_report
 from btfactors.btloop import (
     BTStrategy,
     ExperimentConfig,
@@ -350,6 +351,30 @@ def test_experiment_requires_strategies_and_seeds():
         ExperimentConfig(task=TINY, strategies=(), seeds=(1,))
     with pytest.raises(ConfigError):
         ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=())
+
+
+@pytest.mark.parametrize("lm_order", [2, 3])
+def test_diagnostics_never_call_the_scalar_scorers(monkeypatch, tiny_setup, lm_order):
+    # the corpus diagnostics score whole corpora in one batched pass
+    def scalar(*args, **kwargs):
+        raise AssertionError("per-sentence score called")
+
+    task, backward, _, lm = tiny_setup
+    synthetic = [SyntheticPair(source=s, target=t, provenance="sampling")
+                 for s, t in task.bitext.pairs[:20]]
+    monkeypatch.setattr(NGramLM, "score", scalar)
+    monkeypatch.setattr(ChannelModel, "score", scalar)
+    corpus_quality_report(synthetic, backward, [p.source for p in synthetic])
+    corpus_importance_report(synthetic, lm, backward)
+    config = ExperimentConfig(
+        task=TINY.with_seed(3),
+        strategies=(BTStrategy.beam(), BTStrategy.sampling(),
+                    BTStrategy.gamma_select(num_candidates=4)),
+        seeds=(3,),
+        lm_order=lm_order,
+    )
+    report = run_bt_experiment(config)
+    assert all(c.mean_log_importance is not None for c in report.cells if c.synthetic_size)
 
 
 def test_experiment_matches_frozen_golden():

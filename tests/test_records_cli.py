@@ -396,6 +396,24 @@ def test_model_values_out_of_range_are_a_one_line_error(toy_dir, models_dir, tmp
     assert "must be finite and non-negative" in err
 
 
+@pytest.mark.parametrize("value", ["yes", "2"])
+def test_lm_eos_flag_other_than_0_or_1_is_a_one_line_error(toy_dir, models_dir, tmp_path,
+                                                          capsys, value):
+    lines = (models_dir / "lm.txt").read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("eos "))
+    lines[lineno - 1] = f"eos {value}"
+    lm = tmp_path / "lm.txt"
+    lm.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = dispatch(["backtranslate", "--mono", str(toy_dir / "mono.txt"),
+                     "--backward", str(models_dir / "backward.txt"),
+                     "--strategy", "gamma-select", "--lm", str(lm), "--seed", "1",
+                     "--out", str(tmp_path / "x.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"line {lineno}" in err
+
+
 def test_unknown_command_exits_2():
     assert dispatch(["warp-drive"]) == 2
 

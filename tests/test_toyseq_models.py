@@ -209,6 +209,20 @@ def test_model_parse_errors_cite_line_numbers():
     assert err.value.line_number == 6
 
 
+@pytest.mark.parametrize("value", ["yes", "2", "true", "01", ""])
+def test_lm_eos_flag_other_than_0_or_1_cites_its_line(value):
+    text = f"btfactors-ngramlm v1\norder 2\nalpha 0.1\neos {value}\nvocab 0 1\n"
+    with pytest.raises(ParseError) as err:
+        NGramLM.from_text(text)
+    assert err.value.line_number == 4
+
+
+@pytest.mark.parametrize("value, use_eos", [("0", False), ("1", True)])
+def test_lm_eos_flag_reads_0_and_1(value, use_eos):
+    text = f"btfactors-ngramlm v1\norder 2\nalpha 0.1\neos {value}\nvocab 0 1\n"
+    assert NGramLM.from_text(text).use_eos is use_eos
+
+
 def test_channel_oov_tokens_score_finite_with_smoothing():
     model = train_channel(FIVE_PAIRS, "source_to_target", alpha=0.1)
     # unseen conditioning token and unseen output token both stay finite
@@ -334,3 +348,61 @@ def test_matrices_for_cond_stack_the_rows(model):
         probs, logs = model.matrices_for_cond(cond)
         assert same_bits(probs, np.stack([model.prob_row(p, cond) for p in prevs]))
         assert same_bits(logs, np.stack([model.log_row(p, cond) for p in prevs]))
+
+
+# -- batched scoring equals the scalar score bit for bit --------------------------------
+
+OOV_TOKENS = (99, "oov", BOS)
+
+
+def sentences_over(pool, min_size=1):
+    return st.lists(st.sampled_from(pool), min_size=min_size, max_size=6).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lm=ngram_lms(), data=st.data())
+def test_lm_batch_score_equals_score_bit_for_bit(lm, data):
+    pool = list(lm.content_vocab) + list(OOV_TOKENS[: data.draw(st.integers(0, 3))])
+    sentences = data.draw(st.lists(sentences_over(pool), min_size=1, max_size=8))
+    expected = np.array([lm.score(s) for s in sentences])
+    assert same_bits(lm.batch_score(sentences), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=channel_models(), data=st.data())
+def test_channel_batch_score_equals_score_bit_for_bit(model, data):
+    outs = list(model.out_vocab) + list(OOV_TOKENS[: data.draw(st.integers(0, 3))])
+    conds = sorted({c for _, c in model.counts}, key=str) + ["unseen", 42]
+    pairs = data.draw(st.lists(
+        st.integers(1, 6).flatmap(lambda n: st.tuples(
+            st.lists(st.sampled_from(outs), min_size=n, max_size=n).map(tuple),
+            st.lists(st.sampled_from(conds), min_size=n, max_size=n).map(tuple))),
+        min_size=1, max_size=8))
+    expected = np.array([model.score(o, i) for o, i in pairs])
+    got = model.batch_score([o for o, _ in pairs], [i for _, i in pairs])
+    assert same_bits(got, expected)
+
+
+def test_lm_batch_score_takes_logs_as_score_does():
+    # np.log and math.log round log(14/37) differently on x86-64 with numpy
+    # 2.4; score takes math.log, so batch_score must too
+    lm = NGramLM(order=1, alpha=0, vocab=["x", "y"], counts={(): {"x": 14, "y": 23}},
+                 use_eos=False)
+    sentences = [("x",), ("x", "y", "x")]
+    assert same_bits(lm.batch_score(sentences), np.array([lm.score(s) for s in sentences]))
+
+
+def test_batch_score_of_no_sequences_is_empty():
+    lm = NGramLM(order=2, alpha=0.1, vocab=[0, 1])
+    model = ChannelModel("target_to_source", alpha=0.1, out_vocab=[0, 1])
+    assert lm.batch_score([]).shape == (0,)
+    assert model.batch_score([], []).shape == (0,)
+    assert same_bits(lm.batch_score([()]), np.array([lm.score(())]))
+
+
+def test_channel_batch_score_rejects_misaligned_pairs():
+    model = ChannelModel("target_to_source", alpha=0.1, out_vocab=[0, 1])
+    with pytest.raises(InvalidInputError, match="output length 2 != input length 1"):
+        model.batch_score([(0,), (0, 1)], [(1,), (1,)])
+    with pytest.raises(InvalidInputError, match="2 outputs need as many inputs, got 1"):
+        model.batch_score([(0,), (1,)], [(1,)])
