@@ -114,13 +114,30 @@ class ImportanceReport:
     mean_log_importance: float
 
 
+def backward_scores(synthetic: Sequence[SyntheticPair], backward: ChannelModel,
+                    scores=None) -> np.ndarray:
+    """Backward log-probs of the synthetic sources given their targets:
+    ``scores`` when the caller already has them, else one batched pass."""
+    if scores is None:
+        return backward.batch_score([p.source for p in synthetic], [p.target for p in synthetic])
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != (len(synthetic),):
+        raise InconsistencyError(
+            f"{len(synthetic)} synthetic pairs need as many backward scores, got {scores.shape}")
+    return scores
+
+
 def corpus_quality_report(synthetic: Sequence[SyntheticPair], backward: ChannelModel,
-                          references=None) -> QualityReport:
+                          references=None, *, log_q=None) -> QualityReport:
     """Mean per-sentence backward log-likelihood of the synthetic sources,
-    plus their BLEU against reference sources when those exist."""
+    plus their BLEU against reference sources when those exist.
+
+    ``log_q`` takes the pairs' ``backward_scores`` when the caller already
+    has them, so the quality and importance reports can share one pass.
+    """
     if not synthetic:
         raise InvalidInputError("synthetic corpus must be non-empty")
-    scores = backward.batch_score([p.source for p in synthetic], [p.target for p in synthetic])
+    scores = backward_scores(synthetic, backward, log_q)
     mean_log_q = float(np.mean(scores))
     if not math.isfinite(mean_log_q):
         raise InvalidInputError("backward scores are not finite; check model smoothing")
@@ -134,12 +151,13 @@ def corpus_quality_report(synthetic: Sequence[SyntheticPair], backward: ChannelM
 
 
 def corpus_importance_report(synthetic: Sequence[SyntheticPair], lm: NGramLM,
-                             backward: ChannelModel) -> ImportanceReport:
-    """Mean per-sentence log importance weight of the synthetic sources."""
+                             backward: ChannelModel, *, log_q=None) -> ImportanceReport:
+    """Mean per-sentence log importance weight of the synthetic sources;
+    ``log_q`` as in ``corpus_quality_report``."""
     if not synthetic:
         raise InvalidInputError("synthetic corpus must be non-empty")
     sources = [p.source for p in synthetic]
-    values = lm.batch_score(sources) - backward.batch_score(sources, [p.target for p in synthetic])
+    values = lm.batch_score(sources) - backward_scores(synthetic, backward, log_q)
     mean = float(np.mean(values))
     if not math.isfinite(mean):
         raise InvalidInputError("importance weights are not finite; check model smoothing")

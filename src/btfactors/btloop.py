@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import (
+    backward_scores,
     corpus_bleu,
     corpus_importance_report,
     corpus_quality_report,
@@ -381,8 +382,10 @@ def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
                 if synthetic:
                     # diagnostics always use the standard backward model,
                     # even for corpora generated by the weak variant
-                    quality = corpus_quality_report(synthetic, backward, references)
-                    importance = corpus_importance_report(synthetic, lm, backward)
+                    log_q = backward_scores(synthetic, backward)
+                    quality = corpus_quality_report(synthetic, backward, references,
+                                                    log_q=log_q)
+                    importance = corpus_importance_report(synthetic, lm, backward, log_q=log_q)
                     truth_scores = task.truth_channel.batch_score(
                         [p.target for p in synthetic], [p.source for p in synthetic]
                     )

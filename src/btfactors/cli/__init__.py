@@ -1,8 +1,7 @@
 """Command-line surface, wire formats, and run manifests."""
 
 from .records import (
-    format_candidate_record,
-    parse_candidate_records,
+    CandidateRecords,
     read_candidate_records,
     read_mono,
     read_parallel,
@@ -15,9 +14,8 @@ from .records import (
 from .manifest import RunManifest, read_manifest, sha256_file, write_manifest
 
 __all__ = [
+    "CandidateRecords",
     "RunManifest",
-    "format_candidate_record",
-    "parse_candidate_records",
     "read_candidate_records",
     "read_manifest",
     "read_mono",

@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .. import __version__
 from ..btloop import (
     BTStrategy,
@@ -31,21 +33,24 @@ from ..btloop import (
     train_forward,
 )
 from ..analysis import (
+    backward_scores,
     corpus_importance_report,
     corpus_profile,
     corpus_quality_report,
     sentence_representation_matrix,
     singular_spectrum,
 )
-from ..errors import BtfactorsError, ConfigError
+from ..errors import BtfactorsError, ConfigError, InvalidInputError
 from ..manipulate import SyntheticPair, split_monolingual
-from ..scoring import GammaParams, gamma_distribution, gamma_rows, gamma_sample, gamma_select
+from ..scoring import GammaParams, gamma_rows, invert_cdf
 from ..streams import sentence_stream
-from ..toyseq.decode import candidate_chunks, candidate_set
+from ..tokenio import sequence_from_str
+from ..toyseq.decode import candidate_chunks
 from ..toyseq.models import ChannelModel, NGramLM, train_channel, train_ngram_lm
 from ..toyseq.taskgen import ToyTaskSpec, generate_toy_task
 from .manifest import build_manifest, read_manifest, write_manifest
 from .records import (
+    CandidateRecords,
     read_candidate_records,
     read_mono,
     read_parallel,
@@ -198,43 +203,66 @@ def _cmd_manipulate(args, argv) -> int:
     return 0
 
 
-def _generate_candidate_sets(args, inputs, params: GammaParams):
-    """Every mono sentence's candidate set and Gamma distribution, in corpus order."""
+def _generate_candidates(args, inputs, params: GammaParams):
+    """Every mono sentence's Gamma distribution, in corpus order, and a
+    function that builds the candidate records they score."""
     mono = read_mono(args.mono)
     backward = _load_channel(args.backward)
     lm = _load_lm(args.lm)
     inputs.update({"mono": args.mono, "backward": args.backward, "lm": args.lm})
-    sets: list = [None] * len(mono)
     dists: list = [None] * len(mono)
+    kept = []
     chunks = candidate_chunks(backward, lm, mono.sentences, args.num_candidates,
                               lambda i: sentence_stream(args.seed, i))
     for ids, _, token_idx, log_q, log_lm in chunks:
         probs = gamma_rows(log_q, log_lm, token_idx.shape[2], params)
-        for k, i in enumerate(ids):
-            sets[i] = candidate_set(backward.out_vocab, i, mono.sentences[i],
-                                    token_idx[k], log_q[k], log_lm[k])
-            dists[i] = probs[k].tolist()
-    return sets, dists
+        for i, row in zip(ids, probs):
+            dists[i] = row
+        kept.append((ids, token_idx, log_q, log_lm))
+    return range(len(mono)), dists, lambda: CandidateRecords.from_chunks(
+        backward.out_vocab, mono.sentences, kept)
+
+
+def _record_gammas(records: CandidateRecords, params: GammaParams):
+    """``(rows, probs)`` per candidate count: the Gamma distributions of the
+    records at ``rows``, one ``gamma_rows`` call per count."""
+    try:
+        return [(rows, gamma_rows(log_q, log_lm, lengths, params))
+                for rows, lengths, log_q, log_lm in records.groups()]
+    except InvalidInputError:
+        # raise the error of the first failing record, as one set at a time would
+        for lengths, log_q, log_lm in zip(records.lengths, records.log_q, records.log_lm):
+            gamma_rows([log_q], [log_lm], [lengths], params)
+        raise
+
+
+def _write_scores(path, ids, dists) -> None:
+    _write_text(path, "".join(f"{target_id}\t" + " ".join(map(repr, probs.tolist())) + "\n"
+                              for target_id, probs in zip(ids, dists)))
 
 
 def _cmd_score(args, argv) -> int:
     inputs: dict = {}
     params_obj = GammaParams(gamma=args.gamma)
     if args.candidates:
-        sets = read_candidate_records(args.candidates)
+        records = read_candidate_records(args.candidates)
         inputs["candidates"] = args.candidates
-        dists = [gamma_distribution(cset, params_obj).probs for cset in sets]
+        ids, dists = records.target_ids, [None] * len(records)
+        for rows, probs in _record_gammas(records, params_obj):
+            for r, row in zip(rows, probs):
+                dists[r] = row
+        build_records = lambda: records
     else:
         if not (args.mono and args.backward and args.lm):
             raise ConfigError("score needs --candidates, or --mono with --backward and --lm")
         _require_seed(args)
-        sets, dists = _generate_candidate_sets(args, inputs, params_obj)
-    lines = [f"{cset.target_id}\t" + " ".join(repr(p) for p in probs)
-             for cset, probs in zip(sets, dists)]
-    _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
+        ids, dists, build_records = _generate_candidates(args, inputs, params_obj)
+    _write_scores(args.out, ids, dists)
     outputs = [str(args.out)]
     if args.dump_candidates:
-        write_candidate_records(args.dump_candidates, sets)
+        # built after the scores are written, where a record-by-record
+        # writer would meet an unwritable token
+        write_candidate_records(args.dump_candidates, build_records())
         outputs.append(str(args.dump_candidates))
     params = {"gamma": args.gamma, "num_candidates": args.num_candidates}
     _emit_manifest(args.out, "score", params, args.seed, inputs, outputs, argv)
@@ -242,21 +270,23 @@ def _cmd_score(args, argv) -> int:
 
 
 def _cmd_select(args, argv) -> int:
-    sets = read_candidate_records(args.candidates)
+    records = read_candidate_records(args.candidates)
     params_obj = GammaParams(gamma=args.gamma)
     if args.mode == "sample":
         _require_seed(args)
-    pairs = []
-    for cset in sets:
+        # one uniform per record, each from its target's stream
+        uniforms = np.array([sentence_stream(args.seed, i).random() for i in records.target_ids])
+    chosen = [0] * len(records)
+    for rows, probs in _record_gammas(records, params_obj):
         if args.mode == "select":
-            idx = gamma_select(cset, params_obj)
-            provenance = "gamma-select"
+            picks = probs.argmax(axis=1)
         else:
-            idx = gamma_sample(cset, params_obj, sentence_stream(args.seed, cset.target_id))
-            provenance = "gamma-sample"
-        pairs.append(
-            SyntheticPair(cset.candidates[idx].tokens, cset.target_tokens, provenance)
-        )
+            picks = invert_cdf(np.cumsum(probs, axis=1), uniforms[rows])
+        for r, c in zip(rows, picks.tolist()):
+            chosen[r] = c
+    provenance = "gamma-select" if args.mode == "select" else "gamma-sample"
+    pairs = [SyntheticPair(sequence_from_str(texts[c]), target, provenance)
+             for texts, target, c in zip(records.texts, records.targets, chosen)]
     write_synthetic(args.out, pairs)
     params = {"gamma": args.gamma, "mode": args.mode}
     _emit_manifest(args.out, "select", params, args.seed,
@@ -349,8 +379,9 @@ def _cmd_analyze(args, argv) -> int:
     if args.references:
         references = read_parallel(args.references).sources()
         inputs["references"] = args.references
-    quality = corpus_quality_report(synthetic, backward, references)
-    importance = corpus_importance_report(synthetic, lm, backward)
+    log_q = backward_scores(synthetic, backward)
+    quality = corpus_quality_report(synthetic, backward, references, log_q=log_q)
+    importance = corpus_importance_report(synthetic, lm, backward, log_q=log_q)
     sources = [p.source for p in synthetic]
     profile = corpus_profile(sources)
     vocab = sorted({tok for s in sources for tok in s}, key=str)

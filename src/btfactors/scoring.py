@@ -31,6 +31,26 @@ DEFAULT_GAMMA = 0.2
 DEFAULT_SIGMA_FLOOR = 1e-12
 
 
+def check_candidate(length: int, num_tokens: int, log_q: float, log_lm: float) -> None:
+    """Raise InvalidInputError unless a candidate of ``num_tokens`` tokens
+    declares that positive length and has finite log-probabilities."""
+    if length != num_tokens or length < 1:
+        raise InvalidInputError(f"candidate length {length} does not match {num_tokens} tokens")
+    if not (math.isfinite(log_q) and math.isfinite(log_lm)):
+        raise InvalidInputError("candidate log-probabilities must be finite")
+
+
+def check_candidate_set(target_id: int, target_tokens, size: int) -> None:
+    """Raise InvalidInputError unless a set of ``size`` candidates has a
+    non-negative target id, a non-empty target and at least 2 candidates."""
+    if target_id < 0:
+        raise InvalidInputError("target_id must be non-negative")
+    if not target_tokens:
+        raise InvalidInputError("target_tokens must be non-empty")
+    if size < 2:
+        raise InvalidInputError("a candidate set needs at least 2 candidates")
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One back-translated hypothesis with its two model log-probabilities."""
@@ -41,12 +61,7 @@ class Candidate:
     log_lm: float
 
     def __post_init__(self):
-        if self.length != len(self.tokens) or self.length < 1:
-            raise InvalidInputError(
-                f"candidate length {self.length} does not match {len(self.tokens)} tokens"
-            )
-        if not (math.isfinite(self.log_q) and math.isfinite(self.log_lm)):
-            raise InvalidInputError("candidate log-probabilities must be finite")
+        check_candidate(self.length, len(self.tokens), self.log_q, self.log_lm)
 
     @classmethod
     def from_scores(cls, tokens, log_q: float, log_lm: float) -> "Candidate":
@@ -67,12 +82,7 @@ class CandidateSet:
     candidates: tuple[Candidate, ...]
 
     def __post_init__(self):
-        if self.target_id < 0:
-            raise InvalidInputError("target_id must be non-negative")
-        if not self.target_tokens:
-            raise InvalidInputError("target_tokens must be non-empty")
-        if len(self.candidates) < 2:
-            raise InvalidInputError("a candidate set needs at least 2 candidates")
+        check_candidate_set(self.target_id, self.target_tokens, len(self.candidates))
 
     def __len__(self) -> int:
         return len(self.candidates)

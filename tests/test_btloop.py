@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from btfactors.analysis import corpus_importance_report, corpus_quality_report
+from btfactors.analysis import (
+    backward_scores,
+    corpus_importance_report,
+    corpus_quality_report,
+)
 from btfactors.btloop import (
     BTStrategy,
     ExperimentConfig,
@@ -20,6 +24,7 @@ from btfactors.btloop import (
 from btfactors.errors import (
     ConfigError,
     EnumerationTooLargeError,
+    InconsistencyError,
     InvalidInputError,
     NumericError,
 )
@@ -375,6 +380,41 @@ def test_diagnostics_never_call_the_scalar_scorers(monkeypatch, tiny_setup, lm_o
     )
     report = run_bt_experiment(config)
     assert all(c.mean_log_importance is not None for c in report.cells if c.synthetic_size)
+
+
+def test_each_cell_scores_its_pairs_with_one_channel_once(monkeypatch):
+    # the quality and importance reports share one backward pass per cell
+    calls = []
+    batch_score = ChannelModel.batch_score
+
+    def counted(self, outputs, inputs):
+        calls.append((id(self), tuple(map(tuple, outputs)), tuple(map(tuple, inputs))))
+        return batch_score(self, outputs, inputs)
+
+    monkeypatch.setattr(ChannelModel, "batch_score", counted)
+    config = ExperimentConfig(
+        task=TINY.with_seed(5),
+        strategies=(BTStrategy.beam(), BTStrategy.sampling(),
+                    BTStrategy.gamma_select(num_candidates=4)),
+        seeds=(5,),
+    )
+    run_bt_experiment(config)
+    # 3 cells with synthetic data: one backward and one truth-channel pass each
+    assert len(calls) == 6 and len(set(calls)) == 6
+
+
+def test_reports_take_precomputed_backward_scores(tiny_setup):
+    task, backward, _, lm = tiny_setup
+    synthetic = [SyntheticPair(source=s, target=t, provenance="beam")
+                 for s, t in task.bitext.pairs[:25]]
+    log_q = backward_scores(synthetic, backward)
+    refs = [p.source for p in synthetic]
+    assert (corpus_quality_report(synthetic, backward, refs, log_q=log_q)
+            == corpus_quality_report(synthetic, backward, refs))
+    assert (corpus_importance_report(synthetic, lm, backward, log_q=log_q)
+            == corpus_importance_report(synthetic, lm, backward))
+    with pytest.raises(InconsistencyError):
+        corpus_quality_report(synthetic, backward, log_q=log_q[:-1])
 
 
 def test_experiment_matches_frozen_golden():

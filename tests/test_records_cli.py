@@ -1,27 +1,134 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btfactors.cli.main import dispatch, rerun_from_manifest
 from btfactors.cli.manifest import read_manifest
 from btfactors.cli.records import (
-    format_candidate_record,
-    parse_candidate_records,
+    CandidateRecords,
     read_candidate_records,
     read_mono,
     read_parallel,
     read_synthetic,
+    read_text,
     write_candidate_records,
     write_mono,
     write_parallel,
     write_synthetic,
 )
-from btfactors.errors import ParseError, ValidationError
+from btfactors.errors import InvalidInputError, ParseError, ValidationError
 from btfactors.manipulate import MonoCorpus, SyntheticPair
-from btfactors.scoring import Candidate, CandidateSet
-from btfactors.tokenio import sequence_from_str, sequence_to_str
+from btfactors.scoring import (
+    Candidate,
+    CandidateSet,
+    GammaParams,
+    gamma_distribution,
+    gamma_sample,
+    gamma_select,
+)
+from btfactors.streams import sentence_stream
+from btfactors.tokenio import sequence_from_str, sequence_to_str, token_to_str
+from btfactors.toyseq.decode import candidate_set
 from btfactors.toyseq.models import ChannelModel, ParallelCorpus
+
+
+# -- reference oracle: the per-set candidate-record writer and reader ----------------
+
+def format_candidate_record(cset: CandidateSet) -> str:
+    fields = [str(cset.target_id), sequence_to_str(cset.target_tokens)]
+    for cand in cset.candidates:
+        fields.append(
+            f"{sequence_to_str(cand.tokens)}|{float(cand.log_q)!r}|{float(cand.log_lm)!r}"
+        )
+    return "\t".join(fields)
+
+
+def write_candidate_sets(path, sets) -> None:
+    text = "".join(format_candidate_record(s) + "\n" for s in sets)
+    path.write_text(text, encoding="utf-8")
+
+
+def parse_candidate_records(lines) -> list[CandidateSet]:
+    """Parse candidate records one ``CandidateSet`` at a time; errors cite
+    the 1-based line number."""
+    sets = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) < 3:
+            raise ParseError(
+                f"expected a target id, target tokens, and candidates, found {len(fields)} fields",
+                lineno,
+            )
+        try:
+            target_id = int(fields[0])
+        except ValueError as exc:
+            raise ParseError(f"bad target id {fields[0]!r}", lineno) from exc
+        target_tokens = sequence_from_str(fields[1])
+        candidates = []
+        for field in fields[2:]:
+            parts = field.split("|")
+            if len(parts) != 3:
+                raise ParseError(f"candidate field needs tokens|log_q|log_lm, got {field!r}", lineno)
+            try:
+                log_q, log_lm = float(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"bad candidate scores in {field!r}", lineno) from exc
+            try:
+                candidates.append(Candidate.from_scores(sequence_from_str(parts[0]), log_q, log_lm))
+            except InvalidInputError as exc:
+                raise ValidationError(str(exc), lineno) from exc
+        try:
+            sets.append(
+                CandidateSet(
+                    target_id=target_id,
+                    target_tokens=target_tokens,
+                    candidates=tuple(candidates),
+                )
+            )
+        except InvalidInputError as exc:
+            raise ValidationError(str(exc), lineno) from exc
+    return sets
+
+
+def read_candidate_sets(path) -> list[CandidateSet]:
+    return parse_candidate_records(read_text(path).splitlines())
+
+
+def as_sets(records: CandidateRecords) -> list[CandidateSet]:
+    """The columnar records as ``CandidateSet``s, every candidate decoded."""
+    return [
+        CandidateSet(target_id, target, tuple(
+            Candidate.from_scores(sequence_from_str(text), q, lm)
+            for text, q, lm in zip(texts, log_q.tolist(), log_lm.tolist())))
+        for target_id, target, texts, log_q, log_lm in zip(
+            records.target_ids, records.targets, records.texts, records.log_q, records.log_lm)
+    ]
+
+
+def as_records(sets) -> CandidateRecords:
+    """``CandidateSet``s as columnar records."""
+    return CandidateRecords(
+        [s.target_id for s in sets], [s.target_tokens for s in sets],
+        [[sequence_to_str(c.tokens) for c in s.candidates] for s in sets],
+        [np.array([c.length for c in s.candidates]) for s in sets],
+        [np.array([c.log_q for c in s.candidates]) for s in sets],
+        [np.array([c.log_lm for c in s.candidates]) for s in sets],
+    )
+
+
+def outcome(call):
+    """What ``call`` returns, or the class, message and line of its error."""
+    try:
+        return "ok", call()
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), exc.line_number
 
 
 # -- record round trips ------------------------------------------------------------
@@ -96,37 +203,49 @@ def make_candidate_set():
     return CandidateSet(target_id=4, target_tokens=(9, 8), candidates=cands)
 
 
+def read_lines(tmp_path, lines) -> CandidateRecords:
+    path = tmp_path / "records.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return read_candidate_records(path)
+
+
 def test_candidate_records_round_trip(tmp_path):
     sets = [make_candidate_set()]
     path = tmp_path / "cands.txt"
-    write_candidate_records(path, sets)
+    write_candidate_sets(path, sets)
     restored = read_candidate_records(path)
-    assert restored == sets
+    assert as_sets(restored) == sets
     write_candidate_records(tmp_path / "again.txt", restored)
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
-def test_candidate_records_empty_stream():
+def test_candidate_records_empty_stream(tmp_path):
     assert parse_candidate_records([]) == []
     assert parse_candidate_records(["", "   "]) == []
+    assert len(read_lines(tmp_path, [])) == 0
+    assert len(read_lines(tmp_path, ["", "   "])) == 0
 
 
-def test_candidate_record_single_candidate_is_invalid():
+def test_candidate_record_single_candidate_is_invalid(tmp_path):
     record = format_candidate_record(make_candidate_set())
     fields = record.split("\t")[:3]  # target id, target tokens, one candidate
     with pytest.raises(ValidationError) as err:
         parse_candidate_records(["\t".join(fields)])
     assert err.value.line_number == 1
-
-
-def test_candidate_record_parse_errors_cite_lines():
-    good = format_candidate_record(make_candidate_set())
-    with pytest.raises(ParseError) as err:
-        parse_candidate_records([good, "zzz\tonly two"])
-    assert err.value.line_number == 2
-    with pytest.raises(ParseError) as err:
-        parse_candidate_records(["4\t9 8\ttokens|notafloat|-1.0"])
+    with pytest.raises(ValidationError) as err:
+        read_lines(tmp_path, ["\t".join(fields)])
     assert err.value.line_number == 1
+
+
+def test_candidate_record_parse_errors_cite_lines(tmp_path):
+    good = format_candidate_record(make_candidate_set())
+    for parse in (parse_candidate_records, lambda lines: read_lines(tmp_path, lines)):
+        with pytest.raises(ParseError) as err:
+            parse([good, "zzz\tonly two"])
+        assert err.value.line_number == 2
+        with pytest.raises(ParseError) as err:
+            parse(["4\t9 8\ttokens|notafloat|-1.0"])
+        assert err.value.line_number == 1
 
 
 def test_candidate_record_floats_round_trip_exactly(tmp_path):
@@ -136,10 +255,151 @@ def test_candidate_record_floats_round_trip_exactly(tmp_path):
     )
     cset = CandidateSet(target_id=0, target_tokens=(1,), candidates=cands)
     path = tmp_path / "cands.txt"
-    write_candidate_records(path, [cset])
-    restored = read_candidate_records(path)[0]
-    assert restored.candidates[0].log_q == cands[0].log_q
-    assert restored.candidates[1].log_lm == cands[1].log_lm
+    write_candidate_sets(path, [cset])
+    restored = read_candidate_records(path)
+    assert restored.log_q[0][0] == cands[0].log_q
+    assert restored.log_lm[0][1] == cands[1].log_lm
+
+
+# legal tokens: ints, strings and the numerals that must stay strings
+INT_TOKENS = st.integers(-10**12, 10**12)
+STR_TOKENS = st.one_of(
+    st.sampled_from(["a", "007", "-0", "07", "+7", "\u0661", "\u0663\u0664", "<s>", "</s>",
+                     "<unk>", "x7", "\u00e9t\u00e9"]),
+    st.text(min_size=1, max_size=4),
+).filter(lambda t: outcome(lambda: token_to_str(t))[0] == "ok")
+TOKENS = st.one_of(INT_TOKENS, STR_TOKENS)
+FINITE = st.one_of(
+    st.sampled_from([5e-324, -5e-324, -0.0, 0.0, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def candidate_sets(draw, tokens=TOKENS, max_sets=4):
+    sets = []
+    for _ in range(draw(st.integers(0, max_sets))):
+        n = draw(st.integers(2, 5))
+        cands = tuple(
+            Candidate.from_scores(draw(st.lists(tokens, min_size=1, max_size=4)),
+                                  draw(FINITE), draw(FINITE))
+            for _ in range(n)
+        )
+        sets.append(CandidateSet(draw(st.integers(0, 10**6)),
+                                 tuple(draw(st.lists(tokens, min_size=1, max_size=4))), cands))
+    return sets
+
+
+@pytest.fixture(scope="module")
+def records_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets=st.one_of(candidate_sets(INT_TOKENS), candidate_sets(STR_TOKENS), candidate_sets()))
+def test_candidate_records_write_read_write_is_byte_stable(records_dir, sets):
+    oracle = records_dir / "oracle.txt"
+    write_candidate_sets(oracle, sets)
+    first = records_dir / "first.txt"
+    write_candidate_records(first, as_records(sets))
+    assert first.read_bytes() == oracle.read_bytes()
+    restored = read_candidate_records(first)
+    assert as_sets(restored) == sets
+    again = records_dir / "again.txt"
+    write_candidate_records(again, restored)
+    assert again.read_bytes() == first.read_bytes()
+
+
+# tokens a record cannot hold: whitespace, '|', a string spelled as an int
+UNWRITABLE = st.sampled_from(["a b", "a|b", "|", "7", "-3", "0", "t\u2028u"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_records_from_candidate_chunks_equal_the_per_set_writer(records_dir, data):
+    tokens = st.one_of(TOKENS, UNWRITABLE) if data.draw(st.booleans()) else TOKENS
+    vocab = data.draw(st.lists(tokens, min_size=1, max_size=6, unique=True))
+    lengths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    targets = [tuple(data.draw(st.lists(tokens, min_size=k, max_size=k))) for k in lengths]
+    n = data.draw(st.integers(2, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    # chunks as candidate_chunks makes them: equal-length targets, at most 2 per chunk
+    groups: dict = {}
+    for i, k in enumerate(lengths):
+        groups.setdefault(k, []).append(i)
+    chunks = [
+        (ids, rng.integers(0, len(vocab), size=(len(ids), n, k)),
+         -rng.exponential(5.0, size=(len(ids), n)), -rng.exponential(5.0, size=(len(ids), n)))
+        for k, group in groups.items() for ids in (group[:2], group[2:4], group[4:]) if ids
+    ]
+    sets = [None] * len(targets)
+    for ids, token_idx, log_q, log_lm in chunks:
+        for k, i in enumerate(ids):
+            sets[i] = candidate_set(vocab, i, targets[i], token_idx[k], log_q[k], log_lm[k])
+    oracle, path = records_dir / "oracle.txt", records_dir / "chunks.txt"
+    want = outcome(lambda: write_candidate_sets(oracle, sets))
+    got = outcome(lambda: write_candidate_records(
+        path, CandidateRecords.from_chunks(vocab, targets, chunks)))
+    assert got == want
+    if want[0] == "ok":
+        assert path.read_bytes() == oracle.read_bytes()
+
+
+FAULTS = ("field count", "bad id", "negative id", "empty target", "missing bar", "extra bar",
+          "non-float", "non-finite", "empty candidate", "one candidate")
+
+
+def corrupt(fields: list, fault: str, k: int) -> list:
+    """``fields`` of a record line with one fault in candidate field ``k``
+    (or in the set's own fields)."""
+    fields = list(fields)
+    if len(fields) < 3:  # an earlier fault left no candidate field
+        return fields + ["1|-1.0|-1.0"] * (k % 3)
+    c = 2 + k % (len(fields) - 2)
+    tokens, log_q, log_lm = (fields[c].split("|") + ["", ""])[:3]
+    if fault == "field count":
+        return fields[: k % 3]
+    if fault == "bad id":
+        fields[0] = ("x", "1.5", "", "0x1")[k % 4]
+    elif fault == "negative id":
+        fields[0] = f"-{k + 1}"
+    elif fault == "empty target":
+        fields[1] = ("", "  ")[k % 2]
+    elif fault == "missing bar":
+        fields[c] = f"{tokens}{log_q}|{log_lm}"
+    elif fault == "extra bar":
+        fields[c] = f"{tokens}|{log_q}|{log_lm}|"
+    elif fault == "non-float":
+        fields[c] = f"{tokens}|{log_q}|{('abc', '1..0', '')[k % 3]}"
+    elif fault == "non-finite":
+        fields[c] = f"{tokens}|{('nan', 'inf', '-inf', '1e999')[k % 4]}|{log_lm}"
+    elif fault == "empty candidate":
+        fields[c] = f"{('', ' ')[k % 2]}|{log_q}|{log_lm}"
+    else:
+        return fields[:3]
+    return fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=candidate_sets(max_sets=5), data=st.data())
+def test_columnar_reader_raises_what_the_per_set_reader_raises(records_dir, sets, data):
+    lines = [format_candidate_record(s).split("\t") for s in sets]
+    for _ in range(data.draw(st.integers(0, 3)) if lines else 0):
+        r = data.draw(st.integers(0, len(lines) - 1))
+        lines[r] = corrupt(lines[r], data.draw(st.sampled_from(FAULTS)),
+                           data.draw(st.integers(0, 11)))
+    text = ["\t".join(fields) for fields in lines]
+    for _ in range(data.draw(st.integers(0, 2))):
+        text.insert(data.draw(st.integers(0, len(text))), data.draw(st.sampled_from(["", " "])))
+    path = records_dir / "corrupt.txt"
+    path.write_text("".join(line + "\n" for line in text), encoding="utf-8")
+    want = outcome(lambda: read_candidate_sets(path))
+    got = outcome(lambda: read_candidate_records(path))
+    if want[0] == "ok":
+        assert got[0] == "ok" and as_sets(got[1]) == want[1]
+    else:
+        assert got == want
 
 
 # -- CLI pipeline -------------------------------------------------------------------
@@ -279,10 +539,80 @@ def test_two_step_select_equals_one_step_gamma_select(toy_dir, models_dir, tmp_p
     assert rescored.read_bytes() == scores.read_bytes()
 
 
+# candidate counts 2, 3 and 8, lengths varying inside a set, blank lines,
+# a repeated target id and non-canonical spacing and float spellings
+MIXED_RECORDS = (
+    "0\t3 1\t1 2|-2.5|-3.0\t4|-1.25|-2.0\n"
+    "\n"
+    "7\tb a\tx y z|-4.0|-6.5\t2  x|-3.5|-1e0\t007 -0|-2.0|-2.75\n"
+    "   \n"
+    "3\t5 5 5\t1|-0.5|-0.75\t1 2|-1.0|-1.5\t1 2 3|-1.5|-2.25\t2|-0.25|-4.0"
+    "\t3 3|-2.0|-0.5\t4 1 4 1|-3.0|-3.0\t1|-0.5|-0.75\t2 2 2 2 2|-6.0|-2.0\n"
+    "7\tc\ta|-1.0|-1.0\ta b|-2.0|-1.5\t\u0661|-0.5|-3.5\n"
+    "12\t9\t0|-3.25|-1.5\t0 0|-2.50|-3.125\n"
+    "\n"
+    "4\t1 2 3 4\t5 6|-2.0|-2.0\t5|-1.0|-2.5\t6 5 6|-4.5|-1.0\t5 5|-2.0|-2.0"
+    "\t6|-0.75|-3.0\t5 6 5 6|-5.0|-4.0\t6 6|-1.75|-1.75\t5|-1.0|-2.5\n"
+)
+
+
+@pytest.mark.parametrize("mode,seed", [("select", None), ("sample", 0), ("sample", 1),
+                                       ("sample", 9)])
+def test_select_on_mixed_candidate_counts_equals_the_per_set_loop(tmp_path, mode, seed):
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED_RECORDS, encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    argv = ["select", "--candidates", str(path), "--gamma", "0.3", "--mode", mode,
+            "--out", str(out)]
+    assert dispatch(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+    params = GammaParams(gamma=0.3)
+    pairs = []
+    for cset in read_candidate_sets(path):
+        if mode == "select":
+            idx = gamma_select(cset, params)
+        else:
+            idx = gamma_sample(cset, params, sentence_stream(seed, cset.target_id))
+        pairs.append(SyntheticPair(cset.candidates[idx].tokens, cset.target_tokens,
+                                   f"gamma-{mode}"))
+    expected = tmp_path / "expected.tsv"
+    write_synthetic(expected, pairs)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_score_on_mixed_candidate_counts_equals_the_per_set_loop(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED_RECORDS, encoding="utf-8")
+    scores, dump = tmp_path / "scores.txt", tmp_path / "dump.txt"
+    assert dispatch(["score", "--candidates", str(path), "--gamma", "0.6", "--out", str(scores),
+                     "--dump-candidates", str(dump)]) == 0
+    sets = read_candidate_sets(path)
+    params = GammaParams(gamma=0.6)
+    lines = [f"{cset.target_id}\t" + " ".join(repr(p) for p in gamma_distribution(cset, params).probs)
+             for cset in sets]
+    assert scores.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+    expected = tmp_path / "expected.txt"
+    write_candidate_sets(expected, sets)
+    assert dump.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_gamma_errors_are_the_per_set_loops(tmp_path, capsys):
+    # finite scores whose difference overflows fail inside the Gamma kernel
+    path = tmp_path / "overflow.txt"
+    path.write_text("0\t1\t1|-1.0|-2.0\t2|-2.0|-1.0\n"
+                    "1\t2\t1|-1.0|-2.0\t2|-1e308|1e308\t3|-1.0|-1.0\n", encoding="utf-8")
+    with pytest.raises(InvalidInputError) as want:
+        for cset in read_candidate_sets(path):
+            gamma_select(cset, GammaParams())
+    for argv in (["select", "--candidates", str(path)], ["score", "--candidates", str(path)]):
+        assert dispatch([*argv, "--out", str(tmp_path / "out.txt")]) == 1
+        assert capsys.readouterr().err == f"error: {want.value}\n"
+
+
 def test_select_sampling_requires_seed(tmp_path, toy_dir, models_dir, capsys):
     cands = tmp_path / "c.txt"
     sets = [make_candidate_set()]
-    write_candidate_records(cands, sets)
+    write_candidate_sets(cands, sets)
     code = dispatch(["select", "--candidates", str(cands), "--mode", "sample",
                      "--out", str(tmp_path / "out.tsv")])
     assert code == 1
@@ -305,6 +635,26 @@ def test_analyze_outputs(toy_dir, models_dir, tmp_path):
     assert (out / "spectrum.txt").exists()
     values = [float(line.split("\t")[1]) for line in (out / "spectrum.txt").read_text().splitlines()]
     assert values == sorted(values, reverse=True)
+
+
+def test_analyze_scores_the_backward_channel_once(toy_dir, models_dir, tmp_path,
+                                                   monkeypatch):
+    synth = tmp_path / "synth.tsv"
+    assert dispatch(["backtranslate", "--mono", str(toy_dir / "mono.txt"),
+                     "--backward", str(models_dir / "backward.txt"),
+                     "--strategy", "sampling", "--seed", "4", "--out", str(synth)]) == 0
+    calls = []
+    batch_score = ChannelModel.batch_score
+
+    def counted(self, outputs, inputs):
+        calls.append(1)
+        return batch_score(self, outputs, inputs)
+
+    monkeypatch.setattr(ChannelModel, "batch_score", counted)
+    assert dispatch(["analyze", "--synthetic", str(synth),
+                     "--backward", str(models_dir / "backward.txt"),
+                     "--lm", str(models_dir / "lm.txt"), "--out", str(tmp_path / "a")]) == 0
+    assert len(calls) == 1
 
 
 def test_oracle_table_rows_satisfy_bound(tmp_path):
