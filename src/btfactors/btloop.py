@@ -13,7 +13,10 @@ source LM (conditioned on the target's length, so the enumerated weights
 form a true distribution), ``jensen_lower_bound`` the corresponding
 expectation of the forward log-likelihood, and ``importance_mc_estimate``
 the importance-sampling Monte-Carlo estimator of that bound with the
-backward channel as proposal.
+backward channel as proposal.  Every sample is one of the enumerated
+sources, so the estimator reads each sample's LM and forward log-probs from
+the enumeration's scores at the sample's row instead of scoring the samples;
+``evaluate_marginal_oracles`` enumerates once for all three quantities.
 """
 
 from __future__ import annotations
@@ -460,6 +463,8 @@ def _scores_given_sources(channel: ChannelModel, out_seq, cond_idx: np.ndarray,
 
 def _enumerate_lm_and_channel(lm: NGramLM, channel: ChannelModel, y,
                               max_len: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """LM and channel log-probs of every source of length len(y), one entry
+    per row of ``_enumeration_indices``."""
     y = tuple(y)
     vocab = lm.content_vocab
     idx = _enumeration_indices(len(vocab), len(y), max_len)
@@ -468,22 +473,54 @@ def _enumerate_lm_and_channel(lm: NGramLM, channel: ChannelModel, y,
     return lm_scores, channel_scores
 
 
+def _log_marginal(lm_scores: np.ndarray, channel_scores: np.ndarray) -> float:
+    return _logsumexp(lm_scores + channel_scores) - _logsumexp(lm_scores)
+
+
+def _jensen(lm_scores: np.ndarray, channel_scores: np.ndarray) -> float:
+    weights = np.exp(lm_scores - _logsumexp(lm_scores))
+    return float((weights * channel_scores).sum())
+
+
 def exact_marginal(lm: NGramLM, channel: ChannelModel, y, max_len: int | None = None) -> float:
     """log sum_x p(x) p(y | x) over every source of length len(y).
 
     p(x) is the LM conditioned on that length (the enumerated weights are
     normalized), so the Jensen bound below is a true lower bound.
     """
-    lm_scores, channel_scores = _enumerate_lm_and_channel(lm, channel, y, max_len)
-    return _logsumexp(lm_scores + channel_scores) - _logsumexp(lm_scores)
+    return _log_marginal(*_enumerate_lm_and_channel(lm, channel, y, max_len))
 
 
 def jensen_lower_bound(lm: NGramLM, forward_channel: ChannelModel, y,
                        max_len: int | None = None) -> float:
     """sum_x p(x) log p(y | x) over the same length-conditioned enumeration."""
-    lm_scores, channel_scores = _enumerate_lm_and_channel(lm, forward_channel, y, max_len)
-    weights = np.exp(lm_scores - _logsumexp(lm_scores))
-    return float((weights * channel_scores).sum())
+    return _jensen(*_enumerate_lm_and_channel(lm, forward_channel, y, max_len))
+
+
+def _check_mc_inputs(lm: NGramLM, backward: ChannelModel, num_samples: int) -> None:
+    if num_samples < 2:
+        raise InvalidInputError("num_samples must be >= 2")
+    if backward.alpha <= 0.0:
+        raise InvalidInputError("backward model must smooth with alpha > 0 (positive mass)")
+    if tuple(backward.out_vocab) != tuple(lm.content_vocab):
+        raise InvalidInputError("backward output vocabulary must match the LM vocabulary")
+
+
+def _mc_moments(lm_scores: np.ndarray, forward_scores: np.ndarray, backward: ChannelModel,
+                y, num_samples: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Mean and standard error of Imp(x) * log p(y | x) over ``num_samples``
+    draws from the backward channel, with each draw's LM and forward
+    log-probs read from the enumeration's ``lm_scores`` and
+    ``forward_scores`` at the draw's row."""
+    y = tuple(y)
+    sample_idx, log_proposal = batch_sample(backward, y, num_samples, rng)
+    # a source's row in _enumeration_indices: its indices as base-|V| digits
+    rows = np.ravel_multi_index(sample_idx.T, (len(backward.out_vocab),) * len(y))
+    log_weights = (lm_scores[rows] - _logsumexp(lm_scores)) - log_proposal
+    values = np.exp(log_weights) * forward_scores[rows]
+    mean = float(values.mean())
+    std_error = float(values.std(ddof=1) / math.sqrt(num_samples))
+    return mean, std_error
 
 
 def importance_mc_estimate(lm: NGramLM, backward: ChannelModel, forward: ChannelModel,
@@ -493,37 +530,27 @@ def importance_mc_estimate(lm: NGramLM, backward: ChannelModel, forward: Channel
     x drawn from the backward channel.
 
     Unbiased for ``jensen_lower_bound`` because the importance weight uses
-    the same length-conditioned LM normalization.
+    the same length-conditioned LM normalization.  Every sample is one of
+    the enumerated sources, so its LM and forward log-probs are looked up
+    in the enumeration rather than scored again.
     """
-    if num_samples < 2:
-        raise InvalidInputError("num_samples must be >= 2")
-    if backward.alpha <= 0.0:
-        raise InvalidInputError("backward model must smooth with alpha > 0 (positive mass)")
-    y = tuple(y)
-    vocab = lm.content_vocab
-    if tuple(backward.out_vocab) != tuple(vocab):
-        raise InvalidInputError("backward output vocabulary must match the LM vocabulary")
-    enum_idx = _enumeration_indices(len(vocab), len(y), max_len)
-    log_z = _logsumexp(batch_lm_scores(lm, enum_idx, vocab))
-    sample_idx, log_proposal = batch_sample(backward, y, num_samples, rng)
-    log_lm = batch_lm_scores(lm, sample_idx, vocab)
-    log_weights = (log_lm - log_z) - log_proposal
-    forward_ll = _scores_given_sources(forward, y, sample_idx, vocab)
-    values = np.exp(log_weights) * forward_ll
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(num_samples))
-    return mean, std_error
+    _check_mc_inputs(lm, backward, num_samples)
+    lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y, max_len)
+    return _mc_moments(lm_scores, forward_scores, backward, y, num_samples, rng)
 
 
 def evaluate_marginal_oracles(lm: NGramLM, backward: ChannelModel, forward: ChannelModel,
                               y, num_samples: int, rng: np.random.Generator,
                               max_len: int | None = None) -> OracleResult:
-    """All three oracle quantities for one target sentence."""
-    mc_mean, mc_se = importance_mc_estimate(lm, backward, forward, y, num_samples, rng, max_len)
+    """All three oracle quantities for one target sentence, from one
+    enumeration of its sources."""
+    _check_mc_inputs(lm, backward, num_samples)
+    lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y, max_len)
+    mc_mean, mc_se = _mc_moments(lm_scores, forward_scores, backward, y, num_samples, rng)
     return OracleResult(
         y=tuple(y),
-        exact_log_marginal=exact_marginal(lm, forward, y, max_len),
-        jensen_bound=jensen_lower_bound(lm, forward, y, max_len),
+        exact_log_marginal=_log_marginal(lm_scores, forward_scores),
+        jensen_bound=_jensen(lm_scores, forward_scores),
         mc_estimate=mc_mean,
         mc_std_error=mc_se,
     )

@@ -187,21 +187,33 @@ def gamma_rows(log_q, log_lm, lengths, params: GammaParams = GammaParams()) -> n
     """
     log_q = np.asarray(log_q, dtype=float)
     lengths = np.broadcast_to(np.asarray(lengths, dtype=float), log_q.shape)
-    # importance rows stacked over quality rows: one z-scoring pass for both
-    z, _, _ = _zscore_rows(np.concatenate((np.asarray(log_lm, dtype=float) - log_q, log_q)),
-                           np.concatenate((lengths, lengths)), params.sigma_floor)
-    imp, qual = z[: len(log_q)], z[len(log_q) :]
-    scores = params.gamma * imp + (1.0 - params.gamma) * qual
-    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
-    probs = weights / weights.sum(axis=1, keepdims=True)
+    # finite log-probs near the float limit can overflow to inf or nan here;
+    # the finiteness and range checks refuse such rows with InvalidInputError
+    with np.errstate(over="ignore", invalid="ignore"):
+        # importance rows stacked over quality rows: one z-scoring pass for both
+        z, _, _ = _zscore_rows(np.concatenate((np.asarray(log_lm, dtype=float) - log_q, log_q)),
+                               np.concatenate((lengths, lengths)), params.sigma_floor)
+        imp, qual = z[: len(log_q)], z[len(log_q) :]
+        scores = params.gamma * imp + (1.0 - params.gamma) * qual
+        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs = weights / weights.sum(axis=1, keepdims=True)
     _check_gamma_rows(probs)
     return probs
 
 
-def invert_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row of (S, n) cumulative probabilities: the
-    number of entries at or below the row's uniform, clamped to n-1."""
-    return np.minimum((cdf <= uniforms[:, None]).sum(axis=1), cdf.shape[1] - 1)
+def invert_cdf(cdf: np.ndarray, uniforms: np.ndarray,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """Inverse-CDF draw per uniform from (S, n) cumulative probabilities.
+
+    Draw i reads row ``rows[i]`` of ``cdf`` (row i when ``rows`` is None)
+    and is the number of that row's entries at or below ``uniforms[i]``,
+    clamped to n-1.  The count goes one column at a time over the given
+    rows, so no gathered (draws, n) table is built.
+    """
+    counts = np.zeros(len(uniforms), dtype=np.intp)
+    for column in cdf.T:
+        counts += (column if rows is None else column[rows]) <= uniforms
+    return np.minimum(counts, cdf.shape[1] - 1)
 
 
 def _set_rows(cset: CandidateSet, params: GammaParams) -> np.ndarray:

@@ -10,9 +10,13 @@ mutually comparable and in ``token_sort_key`` order when it mixes types.
 
 Every sampler inverts the cumulative row with ``side="right"`` semantics
 through one kernel, ``_ancestral``: corpus sampling, the oracle's
-``batch_sample``, candidate sets and the toy-task generator.  Each sentence
-draws all of its uniforms from its own stream before any sampling, so a
-sentence decoded in a corpus gets the same tokens as it would alone.
+``batch_sample``, candidate sets and the toy-task generator.  It keeps one
+(states, |V|) table per position and, for each output row, counts the
+entries of that row's state at or below its uniform column by column
+(``invert_cdf`` with row indices); no per-sample copy of a table row is
+made.  Each sentence draws all of its uniforms from its own stream before
+any sampling, so a sentence decoded in a corpus gets the same tokens as it
+would alone.
 ``candidate_chunks`` samples the n-candidate pools of a whole corpus in
 chunks of at most ``_CHUNK`` equal-length targets, as (targets x n x L)
 index arrays with their channel and LM log-probs.
@@ -138,16 +142,18 @@ def _ancestral(steps, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     conditional given its previous output (prev 0 is BOS, 1 + i is
     out_vocab[i]), and that position's (n,) uniforms.  Returns the (n, L)
     sampled output indices and their (n,) log-probs, which stay 0 where
-    ``logs`` is None.  A table's rows are accumulated once, not per sample.
+    ``logs`` is None.  A table's rows are accumulated once, not per sample,
+    and never gathered per sample: ``invert_cdf`` counts column by column
+    over the samples' rows, and each log-prob is one flat lookup.
     """
     token_idx = np.empty((n, length), dtype=np.intp)
     log_probs = np.zeros(n)
     state = np.zeros(n, dtype=np.intp)      # previous output; base is added in place
     for t, (cdf, logs, base, draws) in enumerate(steps):
         state += base
-        idx = invert_cdf(cdf[state], draws)
+        idx = invert_cdf(cdf, draws, state)
         if logs is not None:
-            log_probs += logs[state, idx]
+            log_probs += logs.ravel()[state * logs.shape[1] + idx]
         token_idx[:, t] = idx
         state = idx + 1
     return token_idx, log_probs

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import btfactors.btloop as btloop
 from btfactors.analysis import (
     backward_scores,
     corpus_importance_report,
@@ -32,11 +35,12 @@ from btfactors.manipulate import SyntheticPair
 from btfactors.scoring import GammaParams, gamma_select
 from btfactors.streams import sentence_stream
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task
-from btfactors.toyseq.decode import sample_candidate_set
+from btfactors.toyseq.decode import batch_lm_scores, batch_sample, sample_candidate_set
 from btfactors.toyseq.models import (
     BOS,
     ChannelModel,
     NGramLM,
+    ParallelCorpus,
     channel_score,
     lm_score,
     train_channel,
@@ -298,6 +302,100 @@ def test_mc_estimate_input_validation(tiny_setup):
     unsmoothed = train_channel(task.bitext, "target_to_source", 0.0, out_vocab=task.source_vocab)
     with pytest.raises(InvalidInputError):
         importance_mc_estimate(lm, unsmoothed, forward, y, 10, np.random.default_rng(0))
+
+
+# -- Monte-Carlo estimator against the per-sample reference ----------------------------
+
+def reference_importance_mc_estimate(lm, backward, forward, y, num_samples, rng, max_len=None):
+    """The estimator with every sample scored on its own row: LM log-probs
+    by ``batch_lm_scores`` and forward log-probs by ``_scores_given_sources``
+    over the (num_samples, L) sample matrix."""
+    if num_samples < 2:
+        raise InvalidInputError("num_samples must be >= 2")
+    if backward.alpha <= 0.0:
+        raise InvalidInputError("backward model must smooth with alpha > 0 (positive mass)")
+    y = tuple(y)
+    vocab = lm.content_vocab
+    if tuple(backward.out_vocab) != tuple(vocab):
+        raise InvalidInputError("backward output vocabulary must match the LM vocabulary")
+    enum_idx = btloop._enumeration_indices(len(vocab), len(y), max_len)
+    log_z = btloop._logsumexp(batch_lm_scores(lm, enum_idx, vocab))
+    sample_idx, log_proposal = batch_sample(backward, y, num_samples, rng)
+    log_lm = batch_lm_scores(lm, sample_idx, vocab)
+    log_weights = (log_lm - log_z) - log_proposal
+    forward_ll = btloop._scores_given_sources(forward, y, sample_idx, vocab)
+    values = np.exp(log_weights) * forward_ll
+    mean = float(values.mean())
+    std_error = float(values.std(ddof=1) / math.sqrt(num_samples))
+    return mean, std_error
+
+
+@st.composite
+def oracle_models(draw):
+    """LM (order 2 or 3, with or without EOS), backward and forward channels
+    over a |V| in 2..4 int vocabulary, and a target of length 1..4."""
+    size = draw(st.integers(2, 4))
+    vocab = list(range(size))
+    sentences = st.lists(st.integers(0, size - 1), min_size=1, max_size=5)
+    corpus = draw(st.lists(sentences, min_size=1, max_size=8))
+    lm = train_ngram_lm(corpus, draw(st.sampled_from((2, 3))), draw(st.sampled_from((0.1, 1.0))),
+                        vocab=vocab, use_eos=draw(st.booleans()))
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.integers(1, 4))
+        token = st.integers(0, size - 1)
+        pairs.append((draw(st.lists(token, min_size=length, max_size=length)),
+                      draw(st.lists(token, min_size=length, max_size=length))))
+    bitext = ParallelCorpus.from_pairs(pairs)
+    backward = train_channel(bitext, "target_to_source", draw(st.sampled_from((0.1, 0.5))),
+                             out_vocab=vocab)
+    forward = train_channel(bitext, "source_to_target", draw(st.sampled_from((0.1, 1.0))),
+                            out_vocab=vocab)
+    y = tuple(draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4)))
+    return lm, backward, forward, y
+
+
+def same_float_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(models=oracle_models(), num_samples=st.sampled_from((2, 3, 257, 4000)),
+       seed=st.integers(0, 2**16))
+def test_mc_estimate_equals_the_per_sample_reference_bit_for_bit(models, num_samples, seed):
+    lm, backward, forward, y = models
+    got = importance_mc_estimate(lm, backward, forward, y, num_samples,
+                                 np.random.default_rng(seed))
+    want = reference_importance_mc_estimate(lm, backward, forward, y, num_samples,
+                                            np.random.default_rng(seed))
+    assert same_float_bits(got[0], want[0]) and same_float_bits(got[1], want[1])
+    result = evaluate_marginal_oracles(lm, backward, forward, y, num_samples,
+                                       np.random.default_rng(seed))
+    assert same_float_bits(result.mc_estimate, got[0])
+    assert same_float_bits(result.mc_std_error, got[1])
+    assert same_float_bits(result.exact_log_marginal, exact_marginal(lm, forward, y))
+    assert same_float_bits(result.jensen_bound, jensen_lower_bound(lm, forward, y))
+
+
+def test_oracle_bundle_scores_one_enumeration_and_no_sample_rows(monkeypatch, tiny_setup):
+    # the three quantities share one LM and one forward pass over |V|^L sources
+    task, backward, forward, lm = tiny_setup
+    lm_rows, channel_rows = [], []
+    lm_scores, channel_scores = btloop.batch_lm_scores, btloop._scores_given_sources
+
+    def counted_lm(lm, token_idx, out_vocab):
+        lm_rows.append(len(token_idx))
+        return lm_scores(lm, token_idx, out_vocab)
+
+    def counted_channel(channel, out_seq, cond_idx, cond_vocab):
+        channel_rows.append(len(cond_idx))
+        return channel_scores(channel, out_seq, cond_idx, cond_vocab)
+
+    monkeypatch.setattr(btloop, "batch_lm_scores", counted_lm)
+    monkeypatch.setattr(btloop, "_scores_given_sources", counted_channel)
+    y = task.mono.sentences[3]
+    evaluate_marginal_oracles(lm, backward, forward, y, 1000, sentence_stream(7, 3))
+    assert lm_rows == [4 ** len(y)] and channel_rows == [4 ** len(y)]
 
 
 def test_oracle_result_validates_bound():

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -595,18 +599,33 @@ def test_score_on_mixed_candidate_counts_equals_the_per_set_loop(tmp_path):
     assert dump.read_bytes() == expected.read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+OVERFLOWING_RECORDS = (
+    # the difference of two finite scores overflows
+    "0\t1\t1|-1.0|-2.0\t2|-2.0|-1.0\n1\t2\t1|-1.0|-2.0\t2|-1e308|1e308\t3|-1.0|-1.0\n",
+    # the sum of finite scores overflows while they are z-scored
+    "0\t1\t1|-1.5e308|-1.0\t1|-1.5e308|-1.0\t1|-1.4e308|-1.0\n",
+)
+
+
 def test_gamma_errors_are_the_per_set_loops(tmp_path, capsys):
-    # finite scores whose difference overflows fail inside the Gamma kernel
+    # finite scores that overflow fail inside the Gamma kernel, with no
+    # numpy warning beside the one-line error
     path = tmp_path / "overflow.txt"
-    path.write_text("0\t1\t1|-1.0|-2.0\t2|-2.0|-1.0\n"
-                    "1\t2\t1|-1.0|-2.0\t2|-1e308|1e308\t3|-1.0|-1.0\n", encoding="utf-8")
-    with pytest.raises(InvalidInputError) as want:
-        for cset in read_candidate_sets(path):
-            gamma_select(cset, GammaParams())
-    for argv in (["select", "--candidates", str(path)], ["score", "--candidates", str(path)]):
-        assert dispatch([*argv, "--out", str(tmp_path / "out.txt")]) == 1
-        assert capsys.readouterr().err == f"error: {want.value}\n"
+    for records in OVERFLOWING_RECORDS:
+        path.write_text(records, encoding="utf-8")
+        with pytest.raises(InvalidInputError) as want:
+            for cset in read_candidate_sets(path):
+                gamma_select(cset, GammaParams())
+        for command in ("select", "score"):
+            argv = [command, "--candidates", str(path), "--out", str(tmp_path / "out.txt")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert dispatch(argv) == 1
+            assert capsys.readouterr().err == f"error: {want.value}\n"
+            proc = subprocess.run([sys.executable, "-m", "btfactors.cli.main", *argv],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+            assert (proc.returncode, proc.stderr) == (1, f"error: {want.value}\n")
 
 
 def test_select_sampling_requires_seed(tmp_path, toy_dir, models_dir, capsys):

@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btfactors.errors import InvalidInputError
+from btfactors.scoring import invert_cdf
 from btfactors.streams import sentence_stream
 from btfactors.tokenio import token_sort_key
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task
 from btfactors.toyseq.decode import (
+    _ancestral,
+    _channel_steps,
+    _stacked_conditionals,
     batch_lm_scores,
     batch_sample,
     beam_decode,
@@ -339,6 +343,130 @@ def test_batch_lm_scores_sums_the_scalar_terms_pairwise():
     # summation order alone moves the last bits: 489 of the 3000 differ, by
     # at most 1.4e-14, on x86-64 with numpy 2.4
     assert np.abs(pooled - scalar).max() < 1e-13
+
+
+# -- sampling kernel against the row-gather reference -------------------------------
+
+def reference_invert_cdf(cdf, uniforms):
+    """Inverse-CDF draw per row of (S, n) cumulative probabilities, as one
+    boolean (S, n) matrix: entries at or below the row's uniform, clamped."""
+    return np.minimum((cdf <= uniforms[:, None]).sum(axis=1), cdf.shape[1] - 1)
+
+
+def reference_ancestral(steps, n, length):
+    """``_ancestral`` with each sample's table row gathered: every step
+    copies ``cdf[state]`` and reads ``logs[state, idx]``."""
+    token_idx = np.empty((n, length), dtype=np.intp)
+    log_probs = np.zeros(n)
+    state = np.zeros(n, dtype=np.intp)
+    for t, (cdf, logs, base, draws) in enumerate(steps):
+        state = state + base
+        idx = reference_invert_cdf(cdf[state], draws)
+        if logs is not None:
+            log_probs += logs[state, idx]
+        token_idx[:, t] = idx
+        state = idx + 1
+    return token_idx, log_probs
+
+
+def edge_uniforms(cdf):
+    """Uniforms on the edges of a cdf table: 0.0, each entry exactly, and
+    the floats just below and above each entry, all inside [0, 1)."""
+    entries = np.unique(cdf)
+    pool = np.concatenate(([0.0], entries, np.nextafter(entries, 0.0),
+                           np.nextafter(entries, 2.0)))
+    return np.unique(pool[(pool >= 0.0) & (pool < 1.0)])
+
+
+@st.composite
+def cdf_tables(draw):
+    """(S, |V|) cumulative rows with zero-probability columns, one row whose
+    last entry rounds below 1, and row indices with uniforms on its edges."""
+    size = draw(st.integers(1, 6))
+    weights = draw(st.lists(
+        st.lists(st.sampled_from((0.0, 0.0, 0.1, 0.3, 1.0, 2.5)), min_size=size, max_size=size)
+        .filter(any), min_size=1, max_size=5))
+    cdf = np.cumsum(np.array(weights) / np.array(weights).sum(axis=1, keepdims=True), axis=1)
+    # a row whose sum rounded low: uniforms in [last entry, 1) take the clamp
+    cdf = np.vstack((cdf, cdf[0] * (1.0 - 2.0**-52)))
+    n = draw(st.integers(1, 40))
+    rows = np.array(draw(st.lists(st.integers(0, len(cdf) - 1), min_size=n, max_size=n)))
+    pool = edge_uniforms(cdf)
+    uniforms = np.array(draw(st.lists(
+        st.one_of(st.sampled_from(pool.tolist()), st.floats(0.0, 1.0, exclude_max=True)),
+        min_size=n, max_size=n)))
+    return cdf, rows, uniforms
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cdf_tables())
+def test_invert_cdf_on_given_rows_equals_the_row_gather(case):
+    cdf, rows, uniforms = case
+    expected = reference_invert_cdf(cdf[rows], uniforms)
+    np.testing.assert_array_equal(invert_cdf(cdf, uniforms, rows), expected)
+    np.testing.assert_array_equal(invert_cdf(cdf[rows], uniforms), expected)
+
+
+def test_invert_cdf_clamps_a_last_entry_below_the_uniform():
+    cdf = np.cumsum(np.full((1, 10), 0.1), axis=1)
+    assert cdf[0, -1] < 1.0      # ten tenths round to 0.9999999999999999
+    uniforms = np.array([0.0, cdf[0, -1], np.nextafter(cdf[0, -1], 2.0), cdf[0, 0]])
+    rows = np.zeros(4, dtype=np.intp)
+    np.testing.assert_array_equal(invert_cdf(cdf, uniforms, rows), [0, 9, 9, 1])
+    np.testing.assert_array_equal(invert_cdf(cdf[rows], uniforms), [0, 9, 9, 1])
+
+
+@st.composite
+def sampling_channels(draw):
+    """A trained channel over |V| in 1..6 int tokens, alpha 0 (rows with
+    zero-probability columns) or 0.1, and a conditioning sequence that may
+    hold the unseen token 3."""
+    size = draw(st.integers(1, 6))
+    alpha = draw(st.sampled_from((0.0, 0.1)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        length = draw(st.integers(1, 4))
+        cond = draw(st.lists(st.sampled_from(CONDITIONING), min_size=length, max_size=length))
+        out = draw(st.lists(st.integers(0, size - 1), min_size=length, max_size=length))
+        pairs.append((cond, out))
+    model = train_channel(ParallelCorpus.from_pairs(pairs), "source_to_target", alpha,
+                          out_vocab=range(size))
+    cond_seq = tuple(draw(st.lists(st.sampled_from(CONDITIONING + (3,)), min_size=1,
+                                   max_size=4)))
+    return model, cond_seq
+
+
+def assert_same_samples(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sampling_channels(), n=st.integers(1, 30), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_ancestral_equals_the_row_gather_reference(case, n, seed, data):
+    model, cond_seq = case
+    length = len(cond_seq)
+    # batch_sample: one table per position, rng draws in order
+    reference_rng = np.random.default_rng(seed)
+    reference_steps = ((np.cumsum(p, axis=1), lg, 0, reference_rng.random(n))
+                       for p, lg in map(model.matrices_for_cond, cond_seq))
+    assert_same_samples(batch_sample(model, cond_seq, n, np.random.default_rng(seed)),
+                        reference_ancestral(reference_steps, n, length))
+    # stacked tables with a per-row base, uniforms on the tables' edges
+    cdfs, logs, index = _stacked_conditionals(model, [cond_seq])
+    pool = edge_uniforms(cdfs).tolist()
+    uniforms = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=length, max_size=length),
+        min_size=n, max_size=n)))
+    cond_idx = np.repeat([[index[c] for c in cond_seq]], n, axis=0)
+    assert_same_samples(_ancestral(_channel_steps(cdfs, logs, cond_idx, uniforms), n, length),
+                        reference_ancestral(_channel_steps(cdfs, logs, cond_idx, uniforms),
+                                            n, length))
+    # tables without logs, as the toy-task generator samples
+    no_logs = [(cdfs[index[c]], None, 0, uniforms[:, t]) for t, c in enumerate(cond_seq)]
+    assert_same_samples(_ancestral(iter(no_logs), n, length),
+                        reference_ancestral(iter(no_logs), n, length))
 
 
 # -- candidate sets ------------------------------------------------------------------
