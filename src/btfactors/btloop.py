@@ -5,7 +5,11 @@ one of the generation strategies; ``train_forward`` retrains the forward
 channel on authentic plus synthetic data; ``run_bt_experiment`` sweeps
 (strategy, seed) cells over freshly generated toy tasks and reports test
 BLEU together with the quality/importance diagnostics of each synthetic
-corpus.
+corpus.  Stochastic strategies draw each sentence's uniforms from its own
+stream through ``sentence_uniforms``.  In a sweep, the Gamma cells of one
+candidate count make one candidate-pool pass per seed between them: each
+chunk of pools is sampled once, every cell takes its picks from it, and no
+pool outlives its chunk.
 
 The oracle functions enumerate every equal-length source exactly:
 ``exact_marginal`` is the log marginal likelihood of a target under the
@@ -50,7 +54,7 @@ from .manipulate import (
     split_monolingual,
 )
 from .scoring import GammaParams, gamma_rows, invert_cdf
-from .streams import sentence_stream
+from .streams import sentence_uniforms
 from .toyseq.decode import (
     batch_lm_scores,
     batch_sample,
@@ -84,6 +88,7 @@ DEFAULT_GAMMA_SCORE = 0.2
 DEFAULT_GAMMA_SPLIT = 0.5
 ENUMERATION_GUARD = 10**6
 WEAK_BITEXT_FRACTION = 0.1
+GAMMA_KINDS = ("gamma-select", "gamma-sample")
 
 
 # -- strategies ---------------------------------------------------------------
@@ -168,7 +173,8 @@ def _beam_pairs(backward: ChannelModel, mono: MonoCorpus, ids,
 def _sampling_pairs(backward: ChannelModel, mono: MonoCorpus, ids,
                     seed: int) -> list[SyntheticPair]:
     targets = [mono.sentences[i] for i in ids]
-    sources = sample_decode(backward, targets, [sentence_stream(seed, i) for i in ids])
+    uniforms = sentence_uniforms(seed, ids, [len(y) for y in targets])
+    sources = sample_decode(backward, targets, uniforms)
     return [SyntheticPair(x, y, "sampling") for x, y in zip(sources, targets)]
 
 
@@ -183,27 +189,45 @@ def synthesize_split(mono: MonoCorpus, backward: ChannelModel, plan: SplitPlan, 
 
 
 def _gamma_sources(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM,
-                   strategy: BTStrategy, seed: int) -> list[tuple]:
-    """The Gamma-chosen candidate of each sentence's n-candidate pool.
+                   strategies: Sequence[BTStrategy], seed: int) -> list[list[tuple]]:
+    """The Gamma-chosen candidate of each sentence's n-candidate pool, one
+    source list per strategy, from one pass over the pools.
 
-    Selection takes each row's argmax (lowest index on ties); sampling draws
-    one more uniform from the sentence's stream after its candidates.
+    Every strategy must share one ``num_candidates``.  Each chunk of pools
+    is sampled once and every strategy takes its picks from it before the
+    next chunk is drawn.  Selection takes each row's argmax (lowest index on
+    ties); sampling inverts the Gamma CDF at the sentence's next uniform
+    after its candidates, the same uniform for every sampling strategy, so
+    each strategy picks exactly what it would pick alone.
     """
-    params = GammaParams(gamma=strategy.gamma)
+    sizes = {s.num_candidates for s in strategies}
+    if len(sizes) != 1:
+        raise InvalidInputError(
+            f"one candidate pass needs one num_candidates, got {sorted(sizes)}")
     vocab = np.array(backward.out_vocab, dtype=object)
-    sources: list = [None] * len(mono.sentences)
-    chunks = candidate_chunks(backward, lm, mono.sentences, strategy.num_candidates,
-                              lambda i: sentence_stream(seed, i))
-    for ids, streams, token_idx, log_q, log_lm in chunks:
-        probs = gamma_rows(log_q, log_lm, token_idx.shape[2], params)
-        if strategy.kind == "gamma-select":
-            picks = probs.argmax(axis=1)
-        else:
-            picks = invert_cdf(np.cumsum(probs, axis=1),
-                               np.array([stream.random() for stream in streams]))
-        for i, row in zip(ids, vocab[token_idx[np.arange(len(ids)), picks]]):
-            sources[i] = tuple(row)
+    sources: list = [[None] * len(mono.sentences) for _ in strategies]
+    chunks = candidate_chunks(backward, lm, mono.sentences, sizes.pop(),
+                              lambda ids, count: sentence_uniforms(seed, ids, count))
+    for ids, next_uniforms, token_idx, log_q, log_lm in chunks:
+        rows = np.arange(len(ids))
+        probs_by_gamma: dict = {}
+        for strategy, chosen in zip(strategies, sources):
+            probs = probs_by_gamma.get(strategy.gamma)
+            if probs is None:
+                probs = gamma_rows(log_q, log_lm, token_idx.shape[2],
+                                   GammaParams(gamma=strategy.gamma))
+                probs_by_gamma[strategy.gamma] = probs
+            if strategy.kind == "gamma-select":
+                picks = probs.argmax(axis=1)
+            else:
+                picks = invert_cdf(np.cumsum(probs, axis=1), next_uniforms)
+            for i, row in zip(ids, vocab[token_idx[rows, picks]]):
+                chosen[i] = tuple(row)
     return sources
+
+
+def _tagged(sources, mono: MonoCorpus, kind: str) -> list[SyntheticPair]:
+    return [SyntheticPair(x, y, kind) for x, y in zip(sources, mono.sentences)]
 
 
 def synthesize_corpus(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM | None,
@@ -225,11 +249,11 @@ def synthesize_corpus(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM | No
         split_seed = strategy.split_seed if strategy.split_seed is not None else seed
         plan = split_monolingual(mono, strategy.gamma, split_seed)
         return synthesize_split(mono, backward, plan, seed, beam_size)
-    if kind in ("gamma-select", "gamma-sample"):
+    if kind in GAMMA_KINDS:
         if lm is None:
             raise ConfigError(f"strategy {kind!r} needs a source language model")
-        sources = _gamma_sources(mono, backward, lm, strategy, seed)
-        return [SyntheticPair(x, y, kind) for x, y in zip(sources, mono.sentences)]
+        [sources] = _gamma_sources(mono, backward, lm, [strategy], seed)
+        return _tagged(sources, mono, kind)
     raise ConfigError(f"unknown strategy kind {kind!r}")
 
 
@@ -262,6 +286,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
+        labels: set[str] = set()
+        for strategy in self.strategies:
+            # a label names one report cell
+            if strategy.label in labels:
+                raise ConfigError(f"duplicate strategy {strategy.label!r}")
+            labels.add(strategy.label)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if self.beam_size < 1:
@@ -350,6 +380,10 @@ def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
     Each cell: train backward model and source LM on bitext, synthesize,
     retrain the forward model on bitext + synthetic, score test BLEU, and
     attach the synthetic corpus diagnostics.  Deterministic per seed.
+
+    Gamma cells with equal ``num_candidates`` share one candidate-pool pass
+    per seed, made when the first of them runs; each cell's sources equal
+    those of ``synthesize_corpus`` with that strategy alone.
     """
     strategies = list(config.strategies)
     if not any(s.kind == "none" for s in strategies):
@@ -367,12 +401,24 @@ def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
         if any(s.kind == "beam-weak" for s in strategies):
             weak = _weak_backward(task, config.alpha)
         references = task.mono_refs.sources()
+        gamma_synthetic: dict = {}
         for strategy in strategies:
             try:
-                generator_model = weak if strategy.kind == "beam-weak" else backward
-                synthetic = synthesize_corpus(
-                    task.mono, generator_model, lm, strategy, seed, config.beam_size
-                )
+                if strategy.kind not in GAMMA_KINDS:
+                    generator_model = weak if strategy.kind == "beam-weak" else backward
+                    synthetic = synthesize_corpus(
+                        task.mono, generator_model, lm, strategy, seed, config.beam_size
+                    )
+                else:
+                    if strategy not in gamma_synthetic:
+                        # the first Gamma cell of its candidate count makes
+                        # the one pool pass for every cell of that count
+                        group = [s for s in strategies if s.kind in GAMMA_KINDS
+                                 and s.num_candidates == strategy.num_candidates]
+                        passes = _gamma_sources(task.mono, backward, lm, group, seed)
+                        for member, sources in zip(group, passes):
+                            gamma_synthetic[member] = _tagged(sources, task.mono, member.kind)
+                    synthetic = gamma_synthetic.pop(strategy)
                 forward = train_forward(
                     task.bitext, synthetic, config.alpha, out_vocab=task.target_vocab
                 )

@@ -43,7 +43,7 @@ from ..analysis import (
 from ..errors import BtfactorsError, ConfigError, InvalidInputError
 from ..manipulate import SyntheticPair, split_monolingual
 from ..scoring import GammaParams, gamma_rows, invert_cdf
-from ..streams import sentence_stream
+from ..streams import sentence_stream, sentence_uniforms
 from ..tokenio import sequence_from_str
 from ..toyseq.decode import candidate_chunks
 from ..toyseq.models import ChannelModel, NGramLM, train_channel, train_ngram_lm
@@ -213,7 +213,7 @@ def _generate_candidates(args, inputs, params: GammaParams):
     dists: list = [None] * len(mono)
     kept = []
     chunks = candidate_chunks(backward, lm, mono.sentences, args.num_candidates,
-                              lambda i: sentence_stream(args.seed, i))
+                              lambda ids, count: sentence_uniforms(args.seed, ids, count))
     for ids, _, token_idx, log_q, log_lm in chunks:
         probs = gamma_rows(log_q, log_lm, token_idx.shape[2], params)
         for i, row in zip(ids, probs):
@@ -275,7 +275,7 @@ def _cmd_select(args, argv) -> int:
     if args.mode == "sample":
         _require_seed(args)
         # one uniform per record, each from its target's stream
-        uniforms = np.array([sentence_stream(args.seed, i).random() for i in records.target_ids])
+        uniforms = sentence_uniforms(args.seed, records.target_ids, 1)[:, 0]
     chosen = [0] * len(records)
     for rows, probs in _record_gammas(records, params_obj):
         if args.mode == "select":
@@ -296,6 +296,7 @@ def _cmd_select(args, argv) -> int:
 
 def _parse_config_text(text: str) -> ExperimentConfig:
     values: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -304,6 +305,7 @@ def _parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
+        linenos[key.strip()] = lineno
 
     known = {
         "seeds", "strategies", "gamma_dm", "gamma_score", "num_candidates",
@@ -314,11 +316,19 @@ def _parse_config_text(text: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
+    def parse(key, text, kind):
+        try:
+            return kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(
+                f"config line {linenos[key]}: {key} must be {what}, got {text!r}") from None
+
     def get_int(key, default):
-        return int(values.get(key, default))
+        return parse(key, values[key], int) if key in values else default
 
     def get_float(key, default):
-        return float(values.get(key, default))
+        return parse(key, values[key], float) if key in values else default
 
     task = ToyTaskSpec(
         source_vocab_size=get_int("source_vocab", 20),
@@ -329,7 +339,9 @@ def _parse_config_text(text: str) -> ExperimentConfig:
         mono_size=get_int("mono", 2000),
         test_size=get_int("test", 400),
     )
-    seeds = tuple(int(s) for s in values.get("seeds", "1 2 3 4 5").split())
+    seeds = (1, 2, 3, 4, 5)
+    if "seeds" in values:
+        seeds = tuple(parse("seeds", s, int) for s in values["seeds"].split())
     gamma_dm = get_float("gamma_dm", DEFAULT_GAMMA_SPLIT)
     gamma_score = get_float("gamma_score", DEFAULT_GAMMA_SCORE)
     num_candidates = get_int("num_candidates", DEFAULT_NUM_CANDIDATES)

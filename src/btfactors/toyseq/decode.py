@@ -14,12 +14,16 @@ through one kernel, ``_ancestral``: corpus sampling, the oracle's
 (states, |V|) table per position and, for each output row, counts the
 entries of that row's state at or below its uniform column by column
 (``invert_cdf`` with row indices); no per-sample copy of a table row is
-made.  Each sentence draws all of its uniforms from its own stream before
-any sampling, so a sentence decoded in a corpus gets the same tokens as it
-would alone.
+made.  Each sentence's uniforms are drawn from its own stream before any
+sampling (``streams.sentence_uniforms`` draws them for a whole corpus), so
+a sentence decoded in a corpus gets the same tokens as it would alone.
 ``candidate_chunks`` samples the n-candidate pools of a whole corpus in
 chunks of at most ``_CHUNK`` equal-length targets, as (targets x n x L)
-index arrays with their channel and LM log-probs.
+index arrays with their channel and LM log-probs.  Its ``draw(ids, count)``
+callback returns a (len(ids), count) array of each target's next uniforms;
+a target of length L takes L * n + 1 of them, the last being its next
+uniform, which is yielded for a draw after the candidates (gamma-sample's
+pick).
 """
 
 from __future__ import annotations
@@ -182,22 +186,23 @@ def _sample_outputs(model: ChannelModel, inputs, draws) -> list[tuple]:
     return _decode_by_length(model, inputs, index, sample_group)
 
 
-def sample_decode(model: ChannelModel, inputs, streams) -> list[tuple]:
+def sample_decode(model: ChannelModel, inputs, uniforms) -> list[tuple]:
     """One ancestral sample per input sequence, in input order.
 
-    Sentence i draws ``len(inputs[i])`` uniforms from ``streams[i]``, one per
-    position, before any sampling, so a corpus pass gives the same output as
-    decoding the sentences one by one.  Sentences of equal length are then
-    sampled together.
+    ``uniforms[i]`` holds input i's pre-drawn (len(inputs[i]),) uniforms,
+    one per position, for example from ``sentence_uniforms(seed, ids,
+    lengths)``, so a corpus pass gives the same output as decoding the
+    sentences one by one.  Sentences of equal length are sampled together.
     """
     inputs = [tuple(seq) for seq in inputs]
-    streams = list(streams)
-    if len(streams) != len(inputs):
+    uniforms = [np.asarray(row, dtype=float) for row in uniforms]
+    if len(uniforms) != len(inputs):
         raise InvalidInputError(
-            f"{len(inputs)} input sequences need as many streams, got {len(streams)}"
+            f"{len(inputs)} input sequences need as many uniform rows, got {len(uniforms)}"
         )
-    draws = [stream.random(len(seq)) for seq, stream in zip(inputs, streams)]
-    return _sample_outputs(model, inputs, draws)
+    if any(row.shape != (len(seq),) for seq, row in zip(inputs, uniforms)):
+        raise InvalidInputError("each input sequence needs one uniform per position")
+    return _sample_outputs(model, inputs, uniforms)
 
 
 def batch_sample(model: ChannelModel, cond_seq, n: int,
@@ -237,18 +242,20 @@ def batch_lm_scores(lm: NGramLM, token_idx: np.ndarray, out_vocab) -> np.ndarray
     return scores
 
 
-def candidate_chunks(backward: ChannelModel, lm: NGramLM, targets, n: int, stream_for):
+def candidate_chunks(backward: ChannelModel, lm: NGramLM, targets, n: int, draw):
     """n ancestral candidates per target, annotated with their backward
     log-prob (quality) and source-LM log-prob, a chunk of targets at a time.
 
     Targets are grouped by length and each group is cut into chunks of at
-    most ``_CHUNK`` targets, in corpus order.  Each chunk yields ``(ids,
-    streams, token_idx, log_q, log_lm)``: the targets' corpus positions, the
-    stream ``stream_for(i)`` of each, the (S, n, L) candidate indices into
-    ``backward.out_vocab`` and the (S, n) log-probs.  Streams are derived
-    one chunk at a time; each target draws its L * n uniforms (position by
-    position, n at a time) before sampling, and its stream is handed back
-    for any further draw.  Candidates keep generation order and duplicates.
+    most ``_CHUNK`` targets, in corpus order.  ``draw(ids, count)`` returns
+    a (len(ids), count) array holding the next ``count`` uniforms of each
+    target's stream; each chunk asks it for L * n + 1 per target.  The first
+    L * n are the candidates' draws (position by position, n at a time) and
+    the last is the target's next uniform.  Each chunk yields ``(ids,
+    next_uniforms, token_idx, log_q, log_lm)``: the targets' corpus
+    positions, their (S,) next uniforms, the (S, n, L) candidate indices into
+    ``backward.out_vocab`` and the (S, n) log-probs.  Candidates keep
+    generation order and duplicates.
     """
     if n < 2:
         raise InvalidInputError("candidate sets need n >= 2")
@@ -262,10 +269,9 @@ def candidate_chunks(backward: ChannelModel, lm: NGramLM, targets, n: int, strea
     for length, group in groups.items():
         for start in range(0, len(group), _CHUNK):
             ids = group[start : start + _CHUNK]
-            streams = [stream_for(i) for i in ids]
-            uniforms = np.array([s.random(length * n) for s in streams])
+            draws = draw(ids, length * n + 1)
             # row (target, candidate) takes draw t * n + candidate at position t
-            uniforms = uniforms.reshape(len(ids), length, n).transpose(0, 2, 1)
+            uniforms = draws[:, :-1].reshape(len(ids), length, n).transpose(0, 2, 1)
             cond_idx = np.array([[index[c] for c in targets[i]] for i in ids], dtype=np.intp)
             rows = len(ids) * n
             token_idx, log_q = _ancestral(
@@ -275,7 +281,7 @@ def candidate_chunks(backward: ChannelModel, lm: NGramLM, targets, n: int, strea
             log_lm = batch_lm_scores(lm, token_idx, backward.out_vocab)
             if not (np.all(np.isfinite(log_q)) and np.all(np.isfinite(log_lm))):
                 raise InvalidInputError("candidate log-probabilities must be finite")
-            yield (ids, streams, token_idx.reshape(len(ids), n, length),
+            yield (ids, draws[:, -1], token_idx.reshape(len(ids), n, length),
                    log_q.reshape(len(ids), n), log_lm.reshape(len(ids), n))
 
 
@@ -283,12 +289,14 @@ def sample_candidate_set(backward: ChannelModel, lm: NGramLM, target, n: int = 5
                          rng: np.random.Generator = None, target_id: int = 0) -> CandidateSet:
     """n independent ancestral samples from the backward channel given
     ``target``, each annotated with its backward log-prob (quality) and
-    source-LM log-prob, in generation order.  Duplicates are kept."""
+    source-LM log-prob, in generation order.  Duplicates are kept.  Takes
+    L * n + 1 uniforms from ``rng``, as ``candidate_chunks`` asks of each
+    target; the last is not used."""
     if rng is None:
         raise InvalidInputError("sample_candidate_set requires a seeded generator")
     target = tuple(target)
-    [(_, _, token_idx, log_q, log_lm)] = candidate_chunks(backward, lm, [target], n,
-                                                          lambda _: rng)
+    [(_, _, token_idx, log_q, log_lm)] = candidate_chunks(
+        backward, lm, [target], n, lambda ids, count: rng.random((1, count)))
     return candidate_set(backward.out_vocab, target_id, target,
                          token_idx[0], log_q[0], log_lm[0])
 

@@ -32,10 +32,15 @@ from btfactors.errors import (
     NumericError,
 )
 from btfactors.manipulate import SyntheticPair
-from btfactors.scoring import GammaParams, gamma_select
+from btfactors.scoring import GammaParams, gamma_sample, gamma_select
 from btfactors.streams import sentence_stream
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task
-from btfactors.toyseq.decode import batch_lm_scores, batch_sample, sample_candidate_set
+from btfactors.toyseq.decode import (
+    batch_lm_scores,
+    batch_sample,
+    candidate_set,
+    sample_candidate_set,
+)
 from btfactors.toyseq.models import (
     BOS,
     ChannelModel,
@@ -454,6 +459,73 @@ def test_experiment_requires_strategies_and_seeds():
         ExperimentConfig(task=TINY, strategies=(), seeds=(1,))
     with pytest.raises(ConfigError):
         ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=())
+
+
+def test_experiment_rejects_duplicate_strategies():
+    # each label names one report cell, so a repeated label is refused
+    for strategies in ((BTStrategy.beam(), BTStrategy.beam()),
+                       (BTStrategy.none(), BTStrategy.sampling(), BTStrategy.none()),
+                       (BTStrategy.gamma_sample(0.2, 5), BTStrategy.gamma_sample(0.2 + 1e-9, 5)),
+                       (BTStrategy.data_manipulation(0.5),
+                        BTStrategy.data_manipulation(0.5, split_seed=4))):
+        with pytest.raises(ConfigError, match="duplicate strategy"):
+            ExperimentConfig(task=TINY, strategies=strategies, seeds=(1,))
+    ExperimentConfig(task=TINY, strategies=(BTStrategy.gamma_sample(0.2, 5),
+                                            BTStrategy.gamma_sample(0.2, 6)), seeds=(1,))
+
+
+GAMMA_GRID = tuple(maker(gamma, 6) for maker in (BTStrategy.gamma_select, BTStrategy.gamma_sample)
+                   for gamma in (0.0, 0.2, 0.5, 1.0))
+
+
+def test_gamma_cells_share_one_candidate_pass_per_seed(monkeypatch):
+    passes = []
+    chunks = btloop.candidate_chunks
+
+    def counted(*args, **kwargs):
+        passes.append(args[3])
+        return chunks(*args, **kwargs)
+
+    config = ExperimentConfig(task=TINY.with_seed(0), seeds=(2, 3),
+                              strategies=(BTStrategy.beam(), *GAMMA_GRID))
+    monkeypatch.setattr(btloop, "candidate_chunks", counted)
+    records = run_bt_experiment(config).to_records()
+    assert passes == [6, 6]
+    monkeypatch.undo()
+    assert len(records) == 2 * 10
+    for strategy in GAMMA_GRID:
+        alone = run_bt_experiment(ExperimentConfig(task=config.task, seeds=config.seeds,
+                                                   strategies=(strategy,))).to_records()
+        assert [r for r in records if r["strategy"] == strategy.label] == alone[1::2]
+
+
+def reference_gamma_sources(mono, backward, lm, strategy, seed):
+    """Per-sentence Gamma synthesis: each sentence's stream draws its pool
+    position by position, then gamma-sample's pick."""
+    sources = []
+    for i, y in enumerate(mono.sentences):
+        stream = sentence_stream(seed, i)
+        token_idx, log_q = batch_sample(backward, y, strategy.num_candidates, stream)
+        cset = candidate_set(backward.out_vocab, i, y, token_idx, log_q,
+                             batch_lm_scores(lm, token_idx, backward.out_vocab))
+        params = GammaParams(gamma=strategy.gamma)
+        pick = (gamma_select(cset, params) if strategy.kind == "gamma-select"
+                else gamma_sample(cset, params, stream))
+        sources.append(cset.candidates[pick].tokens)
+    return sources
+
+
+def test_shared_gamma_pass_equals_each_strategy_alone(tiny_setup):
+    task, backward, _, lm = tiny_setup
+    for seed in (0, 2**32 + 3):
+        shared = btloop._gamma_sources(task.mono, backward, lm, GAMMA_GRID, seed)
+        for strategy, sources in zip(GAMMA_GRID, shared):
+            assert sources == reference_gamma_sources(task.mono, backward, lm, strategy, seed)
+            alone = synthesize_corpus(task.mono, backward, lm, strategy, seed)
+            assert [p.source for p in alone] == sources
+    with pytest.raises(InvalidInputError, match="one num_candidates"):
+        btloop._gamma_sources(task.mono, backward, lm, (BTStrategy.gamma_select(0.2, 4),
+                                                        BTStrategy.gamma_sample(0.2, 5)), 0)
 
 
 @pytest.mark.parametrize("lm_order", [2, 3])

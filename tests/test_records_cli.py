@@ -1,9 +1,12 @@
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,6 +563,21 @@ MIXED_RECORDS = (
 )
 
 
+def per_set_selection(path, mode, seed, gamma, out) -> None:
+    """Write what ``select`` chooses from the records at ``path``, one set at
+    a time, each sampled pick from its target's own stream."""
+    params = GammaParams(gamma=gamma)
+    pairs = []
+    for cset in read_candidate_sets(path):
+        if mode == "select":
+            idx = gamma_select(cset, params)
+        else:
+            idx = gamma_sample(cset, params, sentence_stream(seed, cset.target_id))
+        pairs.append(SyntheticPair(cset.candidates[idx].tokens, cset.target_tokens,
+                                   f"gamma-{mode}"))
+    write_synthetic(out, pairs)
+
+
 @pytest.mark.parametrize("mode,seed", [("select", None), ("sample", 0), ("sample", 1),
                                        ("sample", 9)])
 def test_select_on_mixed_candidate_counts_equals_the_per_set_loop(tmp_path, mode, seed):
@@ -569,17 +587,23 @@ def test_select_on_mixed_candidate_counts_equals_the_per_set_loop(tmp_path, mode
     argv = ["select", "--candidates", str(path), "--gamma", "0.3", "--mode", mode,
             "--out", str(out)]
     assert dispatch(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
-    params = GammaParams(gamma=0.3)
-    pairs = []
-    for cset in read_candidate_sets(path):
-        if mode == "select":
-            idx = gamma_select(cset, params)
-        else:
-            idx = gamma_sample(cset, params, sentence_stream(seed, cset.target_id))
-        pairs.append(SyntheticPair(cset.candidates[idx].tokens, cset.target_tokens,
-                                   f"gamma-{mode}"))
     expected = tmp_path / "expected.tsv"
-    write_synthetic(expected, pairs)
+    per_set_selection(path, mode, seed, 0.3, expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [4, 2**32 + 7])
+def test_select_sample_on_ids_past_two_to_the_32_equals_the_per_set_loop(tmp_path, seed):
+    # a stream id of 2**32 or more takes two entropy words
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(
+        f"{target_id}\t1 2\t5 6|-2.0|-2.0\t5|-1.0|-2.5\t6 5 6|-4.5|-1.0\t6|-0.75|-3.0\n"
+        for target_id in (2**32 + 5, 3, 2**32 - 1, 2**32 + 5, 0, 2**40)), encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    assert dispatch(["select", "--candidates", str(path), "--gamma", "0.3", "--mode", "sample",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+    expected = tmp_path / "expected.tsv"
+    per_set_selection(path, "sample", seed, 0.3, expected)
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -622,10 +646,7 @@ def test_gamma_errors_are_the_per_set_loops(tmp_path, capsys):
                 warnings.simplefilter("error")
                 assert dispatch(argv) == 1
             assert capsys.readouterr().err == f"error: {want.value}\n"
-            proc = subprocess.run([sys.executable, "-m", "btfactors.cli.main", *argv],
-                                  capture_output=True, text=True,
-                                  env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-            assert (proc.returncode, proc.stderr) == (1, f"error: {want.value}\n")
+            assert run_cli(*argv) == (1, f"error: {want.value}\n")
 
 
 def test_select_sampling_requires_seed(tmp_path, toy_dir, models_dir, capsys):
@@ -705,6 +726,28 @@ def test_bt_experiment_command(tmp_path):
     records = [json.loads(line) for line in lines]
     assert {r["strategy"] for r in records} == {"none", "beam", "sampling"}
     assert (out / "report.txt").read_text().startswith("strategy")
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter: (exit status, stderr)."""
+    proc = subprocess.run([sys.executable, "-m", "btfactors.cli.main", *map(str, argv)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("line,message", [
+    ("bitext = abc", "config line 2: bitext must be an integer, got 'abc'"),
+    ("seeds = 1 x", "config line 2: seeds must be an integer, got 'x'"),
+    ("num_candidates = 2.5", "config line 2: num_candidates must be an integer, got '2.5'"),
+    ("alpha = 0.1.2", "config line 2: alpha must be a number, got '0.1.2'"),
+    ("strategies = beam sampling beam", "duplicate strategy 'beam'"),
+], ids=["int", "seeds", "int-as-float", "float", "duplicate-strategy"])
+def test_bad_config_values_are_a_one_line_error(tmp_path, line, message):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"# bad value below\n{line}\nmono = 10\n", encoding="utf-8")
+    assert run_cli("bt-experiment", "--config", config, "--out", tmp_path / "exp") == (
+        1, f"error: {message}\n")
 
 
 def test_beam_backtranslation_over_a_mixed_vocabulary(tmp_path):
@@ -800,3 +843,50 @@ def test_rerun_from_manifest_is_byte_identical(toy_dir, tmp_path):
     assert rerun_from_manifest(toy_dir / "manifest.json") == 0
     for name, blob in snapshot.items():
         assert (toy_dir / name).read_bytes() == blob
+
+
+def stochastic_walkthrough(seed, vocab, lengths, sizes, gamma, n):
+    """The stochastic commands over one small task, with relative paths."""
+    s = str(seed)
+    models = ["--mono", "task/mono.txt", "--backward", "backward.txt"]
+    return [
+        ["toygen", "--seed", s, "--out", "task", "--source-vocab", str(vocab[0]),
+         "--target-vocab", str(vocab[1]), "--min-len", str(lengths[0]),
+         "--max-len", str(lengths[1]), "--bitext", str(sizes[0]), "--mono", str(sizes[1]),
+         "--test", str(sizes[2])],
+        ["train", "--kind", "backward", "--bitext", "task/bitext.tsv", "--out", "backward.txt"],
+        ["train", "--kind", "lm", "--bitext", "task/bitext.tsv", "--out", "lm.txt"],
+        ["backtranslate", *models, "--strategy", "sampling", "--seed", s,
+         "--out", "sampling.tsv"],
+        ["backtranslate", *models, "--strategy", "gamma-sample", "--lm", "lm.txt",
+         "--gamma", str(gamma), "--num-candidates", str(n), "--seed", s, "--out", "gs.tsv"],
+        ["manipulate", *models, "--gamma", str(gamma), "--seed", s, "--out", "dm"],
+        ["score", *models, "--lm", "lm.txt", "--gamma", str(gamma), "--num-candidates", str(n),
+         "--seed", s, "--out", "scores.txt", "--dump-candidates", "candidates.txt"],
+        ["select", "--candidates", "candidates.txt", "--gamma", str(gamma), "--mode", "sample",
+         "--seed", s, "--out", "chosen.tsv"],
+    ]
+
+
+def run_in(directory, commands) -> dict:
+    """Run ``commands`` with ``directory`` as the working directory; every
+    file it holds afterwards, by relative path."""
+    with contextlib.chdir(directory):
+        for argv in commands:
+            assert dispatch(argv) == 0, argv
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 + 10), vocab=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+       lengths=st.integers(1, 4).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 5))),
+       sizes=st.tuples(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60)),
+       gamma=st.sampled_from((0.0, 0.2, 0.5, 1.0)), n=st.integers(2, 12))
+def test_stochastic_commands_rerun_byte_identically(seed, vocab, lengths, sizes, gamma, n):
+    commands = stochastic_walkthrough(seed, vocab, lengths, sizes, gamma, n)
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+        files = run_in(first, commands)
+        assert run_in(second, commands) == files
+    assert {"sampling.tsv", "gs.tsv", "dm/synthetic.tsv", "dm/plan.json", "scores.txt",
+            "candidates.txt", "chosen.tsv", "chosen.tsv.manifest.json"} <= set(files)

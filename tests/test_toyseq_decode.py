@@ -217,10 +217,10 @@ def test_corpus_beam_matches_reference(model, inputs, data):
 @settings(max_examples=150, deadline=None)
 @given(model=channels(), inputs=CORPORA, seed=st.integers(0, 2**16))
 def test_corpus_sampling_matches_reference(model, inputs, seed):
-    streams = [sentence_stream(seed, i) for i in range(len(inputs))]
+    uniforms = [sentence_stream(seed, i).random(len(seq)) for i, seq in enumerate(inputs)]
     expected = [reference_sample_decode(model, seq, sentence_stream(seed, i))
                 for i, seq in enumerate(inputs)]
-    assert sample_decode(model, inputs, streams) == expected
+    assert sample_decode(model, inputs, uniforms) == expected
 
 
 def test_empty_corpus_decodes_to_nothing():
@@ -246,7 +246,7 @@ def test_mixed_vocabulary_ties_follow_token_sort_key():
 def test_sampling_on_deterministic_channel_is_seed_free():
     model = deterministic_channel()
     for seed in (0, 7, 123):
-        [out] = sample_decode(model, [(1, 0, 1)], [np.random.default_rng(seed)])
+        [out] = sample_decode(model, [(1, 0, 1)], [np.random.default_rng(seed).random(3)])
         assert out == (11, 10, 11)
 
 
@@ -255,7 +255,7 @@ def test_sample_never_beats_exhaustive_beam(rng):
     for trial in range(20):
         src = tuple(int(t) for t in rng.integers(0, 4, size=4))
         best = channel_score(model, beam_decode(model, [src], 4**4)[0], src)
-        [sampled] = sample_decode(model, [src], [np.random.default_rng(trial)])
+        [sampled] = sample_decode(model, [src], [np.random.default_rng(trial).random(len(src))])
         assert channel_score(model, sampled, src) <= best + 1e-12
 
 
@@ -270,7 +270,8 @@ def test_sampling_frequencies_match_enumerated_probabilities(rng):
     draws = 10**5
     stream = np.random.default_rng(42)
     observed: dict = {}
-    for out in sample_decode(model, [src] * draws, [stream] * draws):
+    uniforms = [stream.random(len(src)) for _ in range(draws)]
+    for out in sample_decode(model, [src] * draws, uniforms):
         observed[out] = observed.get(out, 0) + 1
     tv = 0.5 * sum(
         abs(observed.get(seq, 0) / draws - p) for seq, p in enumerated.items()
@@ -533,32 +534,33 @@ def test_candidate_chunks_match_per_sentence_reference(alpha, n, order, big, see
                 for _ in range(int(rng.integers(0, 6)))]
     targets = [targets[i] for i in rng.permutation(len(targets))]
 
-    got, streams = {}, {}
-    for ids, chunk_streams, token_idx, log_q, log_lm in candidate_chunks(
-            backward, lm, targets, n, lambda i: sentence_stream(seed, i)):
+    got, next_uniforms = {}, {}
+    for ids, chunk_next, token_idx, log_q, log_lm in candidate_chunks(
+            backward, lm, targets, n, lambda ids, count: np.array(
+                [sentence_stream(seed, i).random(count) for i in ids])):
         assert 1 <= len(ids) <= 64
         assert len({len(targets[i]) for i in ids}) == 1
         assert token_idx.shape == (len(ids), n, len(targets[ids[0]]))
         for k, i in enumerate(ids):
             got[i] = (token_idx[k], log_q[k], log_lm[k])
-            streams[i] = chunk_streams[k]
+            next_uniforms[i] = chunk_next[k]
     assert sorted(got) == list(range(len(targets)))
     for i, y in enumerate(targets):
         reference_stream = sentence_stream(seed, i)
         expected = reference_candidate_arrays(backward, lm, y, n, reference_stream)
         for actual, wanted in zip(got[i], expected):
             np.testing.assert_array_equal(actual, wanted)
-        assert streams[i].random() == reference_stream.random()
+        assert next_uniforms[i] == reference_stream.random()
 
 
 def test_candidate_chunks_reject_bad_input(backward_and_lm):
     backward, lm = backward_and_lm
-    stream_for = lambda i: sentence_stream(0, i)
+    draw = lambda ids, count: np.array([sentence_stream(0, i).random(count) for i in ids])
     with pytest.raises(InvalidInputError):
-        next(candidate_chunks(backward, lm, [(0, 1)], 1, stream_for))
+        next(candidate_chunks(backward, lm, [(0, 1)], 1, draw))
     with pytest.raises(InvalidInputError):
-        next(candidate_chunks(backward, lm, [(0, 1), ()], 4, stream_for))
+        next(candidate_chunks(backward, lm, [(0, 1), ()], 4, draw))
     # an unsmoothed LM that never saw a sampled bigram scores it -inf
     sparse_lm = train_ngram_lm([[0, 0]], order=2, alpha=0.0, vocab=range(4))
     with pytest.raises(InvalidInputError, match="finite"):
-        list(candidate_chunks(backward, sparse_lm, [(0, 1, 2, 3)] * 3, 20, stream_for))
+        list(candidate_chunks(backward, sparse_lm, [(0, 1, 2, 3)] * 3, 20, draw))
