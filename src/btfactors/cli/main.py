@@ -44,7 +44,7 @@ from ..errors import BtfactorsError, ConfigError, InvalidInputError
 from ..manipulate import SyntheticPair, split_monolingual
 from ..scoring import GammaParams, gamma_rows, invert_cdf
 from ..streams import sentence_stream, sentence_uniforms
-from ..tokenio import sequence_from_str
+from ..tokenio import record_lines, sequence_from_str
 from ..toyseq.decode import candidate_chunks
 from ..toyseq.models import ChannelModel, NGramLM, train_channel, train_ngram_lm
 from ..toyseq.taskgen import ToyTaskSpec, generate_toy_task
@@ -297,7 +297,7 @@ def _cmd_select(args, argv) -> int:
 def _parse_config_text(text: str) -> ExperimentConfig:
     values: dict[str, str] = {}
     linenos: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(record_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -345,6 +345,13 @@ def _parse_config_text(text: str) -> ExperimentConfig:
     gamma_dm = get_float("gamma_dm", DEFAULT_GAMMA_SPLIT)
     gamma_score = get_float("gamma_score", DEFAULT_GAMMA_SCORE)
     num_candidates = get_int("num_candidates", DEFAULT_NUM_CANDIDATES)
+    # checked whenever present, even when no listed strategy reads the key
+    for key, ok, what in (("gamma_dm", 0.0 <= gamma_dm <= 1.0, "in [0, 1]"),
+                          ("gamma_score", 0.0 <= gamma_score <= 1.0, "in [0, 1]"),
+                          ("num_candidates", num_candidates >= 2, ">= 2")):
+        if key in values and not ok:
+            raise ConfigError(
+                f"config line {linenos[key]}: {key} must be {what}, got {values[key]!r}")
     makers = {
         "none": BTStrategy.none,
         "beam": BTStrategy.beam,

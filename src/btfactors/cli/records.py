@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import InvalidInputError, ParseError, ValidationError
 from ..manipulate import MonoCorpus, SyntheticPair, PROVENANCES
 from ..scoring import check_candidate, check_candidate_set
-from ..tokenio import sequence_from_str, sequence_to_str, token_to_str
+from ..tokenio import record_lines, sequence_from_str, sequence_to_str, token_to_str
 from ..toyseq.models import ParallelCorpus
 
 
@@ -52,7 +52,7 @@ def write_mono(path, corpus: MonoCorpus) -> None:
 
 def read_mono(path) -> MonoCorpus:
     sentences = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(record_lines(read_text(path)), start=1):
         if not line.strip():
             raise ParseError("blank sentence line", lineno)
         sentences.append(sequence_from_str(line))
@@ -70,7 +70,7 @@ def write_parallel(path, corpus: ParallelCorpus) -> None:
 
 def read_parallel(path) -> ParallelCorpus:
     pairs = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(record_lines(read_text(path)), start=1):
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 2 tab-separated fields, found {len(fields)}", lineno)
@@ -95,7 +95,7 @@ def write_synthetic(path, pairs: Sequence[SyntheticPair]) -> None:
 
 def read_synthetic(path) -> list[SyntheticPair]:
     pairs = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(record_lines(read_text(path)), start=1):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(f"expected 3 tab-separated fields, found {len(fields)}", lineno)
@@ -210,7 +210,7 @@ def read_candidate_records(path) -> CandidateRecords:
     invariants.
     """
     columns: tuple[list, ...] = ([], [], [], [], [], [])
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(record_lines(read_text(path)), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

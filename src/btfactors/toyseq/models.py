@@ -53,6 +53,7 @@ from ..tokenio import (
     BOS,
     EOS,
     UNK,
+    record_lines,
     sequence_from_str,
     token_from_str,
     token_sort_key,
@@ -283,7 +284,7 @@ class _CountTable:
         its value; ``vocab`` is always read.  A ``key_len`` checks each row
         key's length here, where the line number is known.
         """
-        lines = text.splitlines()
+        lines = record_lines(text)
         if not lines or lines[0].strip() != cls._MAGIC:
             raise ParseError(f"expected header {cls._MAGIC!r}", 1)
         values = {}

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btfactors.cli.main import dispatch, rerun_from_manifest
+from btfactors.cli.main import _parse_config_text, dispatch, rerun_from_manifest
 from btfactors.cli.manifest import read_manifest
 from btfactors.cli.records import (
     CandidateRecords,
@@ -27,7 +27,7 @@ from btfactors.cli.records import (
     write_parallel,
     write_synthetic,
 )
-from btfactors.errors import InvalidInputError, ParseError, ValidationError
+from btfactors.errors import ConfigError, InvalidInputError, ParseError, ValidationError
 from btfactors.manipulate import MonoCorpus, SyntheticPair
 from btfactors.scoring import (
     Candidate,
@@ -200,6 +200,68 @@ def test_synthetic_rejects_unknown_provenance(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_synthetic(path)
     assert err.value.line_number == 1
+
+
+# the line separators str.splitlines() honours besides "\n" and "\r"
+LINE_SEPARATORS = ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+
+
+def test_crlf_and_cr_line_ends_are_accepted(tmp_path):
+    path = tmp_path / "mono.txt"
+    path.write_bytes(b"a b\r\nc\rd\n")
+    assert read_mono(path).sentences == (("a", "b"), ("c",), ("d",))
+    path.write_bytes(b"1 2\t3 4\r\n5\t6\r")
+    assert read_parallel(path).pairs == (((1, 2), (3, 4)), ((5,), (6,)))
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS)
+def test_mono_lines_end_at_newline_only(tmp_path, sep):
+    path = tmp_path / "mono.txt"
+    path.write_text(f"a b{sep}c d\n1 2\n", encoding="utf-8")
+    assert read_mono(path).sentences == (("a", "b", "c", "d"), (1, 2))
+    path.write_text(f"a b{sep}c d\n\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_mono(path)
+    assert err.value.line_number == 2
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS)
+def test_parallel_lines_end_at_newline_only(tmp_path, sep):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(f"1 2{sep}3\t4 5{sep}6\n7\t8\n", encoding="utf-8")
+    assert read_parallel(path).pairs == (((1, 2, 3), (4, 5, 6)), ((7,), (8,)))
+    path.write_text(f"1 2{sep}3\t4 5{sep}6\nonly-one-field\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_parallel(path)
+    assert err.value.line_number == 2
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS)
+def test_synthetic_lines_end_at_newline_only(tmp_path, sep):
+    path = tmp_path / "synth.tsv"
+    path.write_text(f"1{sep}2\t3 4\tbeam\n", encoding="utf-8")
+    assert read_synthetic(path) == [SyntheticPair((1, 2), (3, 4), "beam")]
+    path.write_text(f"1{sep}2\t3 4\tbeam\n1\t2\tmystery\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        read_synthetic(path)
+    assert err.value.line_number == 2
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS)
+def test_candidate_record_lines_end_at_newline_only(tmp_path, sep):
+    record = f"0\t1{sep}2\t3 4|-1.0|-2.0\t5{sep}6|-3.0|-4.0"
+    records = read_lines(tmp_path, [record])
+    assert records.targets == [(1, 2)] and records.texts == [["3 4", "5 6"]]
+    with pytest.raises(ValidationError) as err:
+        read_lines(tmp_path, [record, "1\t7\t8|-1.0|-1.0"])
+    assert err.value.line_number == 2
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS)
+def test_config_lines_end_at_newline_only(sep):
+    assert _parse_config_text(f"seeds = 1{sep}2\n").seeds == (1, 2)
+    with pytest.raises(ConfigError, match="^config line 2: bitext must be an integer"):
+        _parse_config_text(f"# a comment{sep}bitext = 5\nbitext = abc\n")
 
 
 def make_candidate_set():
@@ -742,7 +804,13 @@ def run_cli(*argv):
     ("num_candidates = 2.5", "config line 2: num_candidates must be an integer, got '2.5'"),
     ("alpha = 0.1.2", "config line 2: alpha must be a number, got '0.1.2'"),
     ("strategies = beam sampling beam", "duplicate strategy 'beam'"),
-], ids=["int", "seeds", "int-as-float", "float", "duplicate-strategy"])
+    # range checks hold even though no listed strategy reads these keys
+    ("gamma_dm = 2", "config line 2: gamma_dm must be in [0, 1], got '2'"),
+    ("gamma_score = 7", "config line 2: gamma_score must be in [0, 1], got '7'"),
+    ("gamma_score = nan", "config line 2: gamma_score must be in [0, 1], got 'nan'"),
+    ("num_candidates = 1", "config line 2: num_candidates must be >= 2, got '1'"),
+], ids=["int", "seeds", "int-as-float", "float", "duplicate-strategy", "gamma-dm-range",
+        "gamma-score-range", "gamma-score-nan", "num-candidates-range"])
 def test_bad_config_values_are_a_one_line_error(tmp_path, line, message):
     config = tmp_path / "exp.cfg"
     config.write_text(f"# bad value below\n{line}\nmono = 10\n", encoding="utf-8")

@@ -209,6 +209,16 @@ def test_model_parse_errors_cite_line_numbers():
     assert err.value.line_number == 6
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_model_lines_end_at_newline_only(sep):
+    # other line separators are whitespace inside a line, and line numbers stay right
+    text = f"btfactors-ngramlm v1\norder 2\nalpha 0.1\neos 1\nvocab 0{sep}1 2\n"
+    assert NGramLM.from_text(text).content_vocab == (0, 1, 2)
+    with pytest.raises(ParseError) as err:
+        NGramLM.from_text(text + "context 0 | 0\n")
+    assert err.value.line_number == 6
+
+
 @pytest.mark.parametrize("value", ["yes", "2", "true", "01", ""])
 def test_lm_eos_flag_other_than_0_or_1_cites_its_line(value):
     text = f"btfactors-ngramlm v1\norder 2\nalpha 0.1\neos {value}\nvocab 0 1\n"
