@@ -26,6 +26,7 @@ the enumeration's scores at the sample's row instead of scoring the samples;
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -61,6 +62,7 @@ from .toyseq.decode import (
     beam_decode,
     candidate_chunks,
     sample_decode,
+    token_array,
 )
 from .toyseq.models import (
     BOS,
@@ -204,7 +206,7 @@ def _gamma_sources(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM,
     if len(sizes) != 1:
         raise InvalidInputError(
             f"one candidate pass needs one num_candidates, got {sorted(sizes)}")
-    vocab = np.array(backward.out_vocab, dtype=object)
+    vocab = token_array(backward.out_vocab)
     sources: list = [[None] * len(mono.sentences) for _ in strategies]
     chunks = candidate_chunks(backward, lm, mono.sentences, sizes.pop(),
                               lambda ids, count: sentence_uniforms(seed, ids, count))
@@ -294,7 +296,11 @@ class ExperimentConfig:
             labels.add(strategy.label)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.beam_size < 1:
+        try:
+            beam_size = operator.index(self.beam_size)
+        except TypeError:
+            raise ConfigError(f"beam_size must be an integer, got {self.beam_size!r}") from None
+        if beam_size < 1:
             raise ConfigError("beam_size must be >= 1")
 
 

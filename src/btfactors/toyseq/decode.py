@@ -7,6 +7,12 @@ sentences by length and step through each group position by position over
 per-conditioning-token matrices.  Beam ties break lexicographically by
 token sequence, in Python's token order when the output vocabulary is
 mutually comparable and in ``token_sort_key`` order when it mixes types.
+No row is sorted: the tensor's rows and columns are permuted into that tie
+order once per call, and each sentence's live hypotheses are kept in
+lexicographic order of their prefixes, so the first maximum of an
+expansion row is its tie-break.  Each step takes its k best columns by k
+``argmax`` passes over a copy of the row in which -inf scores are raised to
+the most negative float and every taken column is set to -inf.
 
 Every sampler inverts the cumulative row with ``side="right"`` semantics
 through one kernel, ``_ancestral``: corpus sampling, the oracle's
@@ -27,6 +33,8 @@ pick).
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -54,6 +62,15 @@ def _stacked_conditionals(model: ChannelModel, inputs):
     return cdfs, logs, index
 
 
+def token_array(tokens) -> np.ndarray:
+    """``tokens`` as a 1-D object array, one element per token, so that
+    equal-length tuple tokens index as tokens rather than as array rows."""
+    array = np.empty(len(tokens), dtype=object)
+    for i, token in enumerate(tokens):
+        array[i] = token
+    return array
+
+
 def _decode_by_length(model: ChannelModel, inputs, index: dict, decode_group) -> list[tuple]:
     """Output tokens for every input, in input order.
 
@@ -65,7 +82,7 @@ def _decode_by_length(model: ChannelModel, inputs, index: dict, decode_group) ->
     for i, seq in enumerate(inputs):
         if seq:
             groups.setdefault(len(seq), []).append(i)
-    vocab = np.array(model.out_vocab, dtype=object)
+    vocab = token_array(model.out_vocab)
     outputs: list = [()] * len(inputs)
     for ids in groups.values():
         cond_idx = np.array([[index[c] for c in inputs[i]] for i in ids], dtype=np.intp)
@@ -74,42 +91,55 @@ def _decode_by_length(model: ChannelModel, inputs, index: dict, decode_group) ->
     return outputs
 
 
-def _beam_tie_rank(vocab) -> np.ndarray:
-    """Tie rank of each output index: Python's own token order when the
+def _beam_tie_order(vocab) -> np.ndarray:
+    """Output indices in tie order: Python's own token order when the
     vocabulary is comparable, else ``token_sort_key`` order, which is the
     order of ``out_vocab`` itself."""
     try:
-        order = sorted(range(len(vocab)), key=vocab.__getitem__)
+        return np.array(sorted(range(len(vocab)), key=vocab.__getitem__), dtype=np.intp)
     except TypeError:
         return np.arange(len(vocab))
-    rank = np.empty(len(vocab), dtype=np.intp)
-    rank[order] = np.arange(len(vocab))
-    return rank
 
 
-def _beam_group(logs: np.ndarray, cond_idx: np.ndarray, tie_rank: np.ndarray,
-                beam_size: int) -> np.ndarray:
-    """Best output indices, (n, L), for n equal-length index-encoded inputs."""
+def _beam_group(logs: np.ndarray, cond_idx: np.ndarray, beam_size: int) -> np.ndarray:
+    """Best outputs, (n, L), for n equal-length index-encoded inputs, as
+    positions in tie order: row 1 + j and column j of every ``logs`` matrix
+    belong to the j-th output token in tie order.
+
+    The live hypotheses of each row are kept in lexicographic order of
+    their prefixes, so column c of the (n, k * |V|) expansion, hypothesis
+    c // |V| extended by tie position c % |V|, is also c-th in
+    lexicographic order: the first maximum is the tie-break.  The k best
+    columns are taken by k ``argmax`` passes over a copy in which each taken
+    column is set to -inf and -inf scores are raised to the most negative
+    float, so an untaken -inf candidate still ranks above a taken column.
+    The picks are kept in column order, which keeps the prefixes sorted,
+    and the answer is the first maximum of the last step's scores.
+    """
     n, length = cond_idx.shape
     size = logs.shape[-1]
+    lowest = np.finfo(logs.dtype).min
+    rows = np.arange(n)
     scores = np.zeros((n, 1))
     prev = np.zeros((n, 1), dtype=np.intp)   # row 0 of every cond matrix is BOS
-    prefix_rank = np.zeros((n, 1), dtype=np.intp)
     parents, tokens = [], []
     for t in range(length):
         expanded = (scores[:, :, None] + logs[cond_idx[:, t, None], prev]).reshape(n, -1)
-        tie = (prefix_rank[:, :, None] * size + tie_rank).reshape(n, -1)
-        order = np.lexsort((tie, -expanded), axis=-1)[:, :beam_size]
-        scores = np.take_along_axis(expanded, order, axis=1)
-        parent, tok = np.divmod(order, size)
-        # lexicographic rank of the kept prefixes, the next step's tie key
-        prefix_rank = np.take_along_axis(tie, order, axis=1).argsort(axis=1).argsort(axis=1)
+        width = min(beam_size, expanded.shape[1])
+        work = np.maximum(expanded, lowest)
+        picks = np.empty((n, width), dtype=np.intp)
+        for j in range(width):
+            col = work.argmax(axis=1)
+            picks[:, j] = col
+            work[rows, col] = -np.inf
+        picks.sort(axis=1)
+        scores = np.take_along_axis(expanded, picks, axis=1)
+        parent, tok = np.divmod(picks, size)
         prev = tok + 1
         parents.append(parent)
         tokens.append(tok)
     out = np.empty((n, length), dtype=np.intp)
-    rows = np.arange(n)
-    beam = np.zeros(n, dtype=np.intp)         # column 0 holds the best hypothesis
+    beam = scores.argmax(axis=1)
     for t in reversed(range(length)):
         out[:, t] = tokens[t][rows, beam]
         beam = parents[t][rows, beam]
@@ -127,14 +157,20 @@ def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> list[tuple]:
     (all ints or all strings) and by ``token_sort_key`` when it mixes
     types.  An exhaustive width (|V| ** len) reduces to brute-force argmax.
     """
+    try:
+        beam_size = operator.index(beam_size)
+    except TypeError:
+        raise InvalidInputError(f"beam_size must be an integer, got {beam_size!r}") from None
     if beam_size < 1:
         raise InvalidInputError("beam_size must be >= 1")
     inputs = [tuple(seq) for seq in inputs]
     _, logs, index = _stacked_conditionals(model, inputs)
-    tie_rank = _beam_tie_rank(model.out_vocab)
+    order = _beam_tie_order(model.out_vocab)
+    # rows (previous token) and columns (next token) both in tie order
+    logs = logs[:, np.concatenate(([0], order + 1))][:, :, order]
     return _decode_by_length(
         model, inputs, index,
-        lambda ids, cond_idx: _beam_group(logs, cond_idx, tie_rank, beam_size),
+        lambda ids, cond_idx: order[_beam_group(logs, cond_idx, beam_size)],
     )
 
 

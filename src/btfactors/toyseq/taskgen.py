@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import InvalidInputError
 from ..manipulate import MonoCorpus
 from ..streams import TAG_CORPUS, TAG_TRUTH_CHANNEL, TAG_TRUTH_LM, task_stream
-from .decode import _ancestral, _sample_outputs
+from .decode import _ancestral, _sample_outputs, token_array
 from .models import BOS, ChannelModel, EOS, NGramLM, ParallelCorpus
 
 __all__ = ["ToyTaskSpec", "ToyTask", "generate_toy_task"]
@@ -128,7 +128,7 @@ def _sample_sentence_pairs(truth_lm: NGramLM, truth_channel: ChannelModel,
                            draws) -> list[tuple[tuple, tuple]]:
     """(source, target) per sentence from its 2 * length pre-drawn uniforms."""
     walk = _walk_cdf(truth_lm)
-    vocab = np.array(truth_lm.content_vocab, dtype=object)
+    vocab = token_array(truth_lm.content_vocab)
     groups: dict[int, list[int]] = {}
     for i, uniforms in enumerate(draws):
         groups.setdefault(len(uniforms) // 2, []).append(i)

@@ -31,7 +31,7 @@ from btfactors.errors import (
     InvalidInputError,
     NumericError,
 )
-from btfactors.manipulate import SyntheticPair
+from btfactors.manipulate import MonoCorpus, SyntheticPair
 from btfactors.scoring import GammaParams, gamma_sample, gamma_select
 from btfactors.streams import sentence_stream
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task
@@ -124,6 +124,22 @@ def test_synthesis_is_deterministic_and_tagged(tiny_setup):
         assert len(first) == len(task.mono)
         assert all(p.provenance == tag for p in first)
         assert [p.target for p in first] == list(task.mono.sentences)
+
+
+def test_equal_length_tuple_tokens_decode_as_tokens():
+    # a vocabulary of equal-length tuples must not index as a 2-D array
+    vocab = ((1, 2), (3, 4))
+    bitext = ParallelCorpus.from_pairs([(((1, 2), (3, 4)), (0, 1)),
+                                        (((3, 4), (1, 2)), (1, 0))])
+    backward = train_channel(bitext, "target_to_source", 0.1, out_vocab=vocab)
+    lm = train_ngram_lm(bitext.sources(), 2, 0.1, vocab=vocab)
+    mono = MonoCorpus.from_sequences([(0, 1), (1, 1, 0)])
+    for strategy in (BTStrategy.beam(), BTStrategy.sampling(),
+                     BTStrategy.gamma_select(num_candidates=4)):
+        pairs = synthesize_corpus(mono, backward, lm, strategy, seed=0)
+        assert [len(p.source) for p in pairs] == [2, 3]
+        for pair in pairs:
+            assert all(type(tok) is tuple and tok in vocab for tok in pair.source)
 
 
 def test_data_manipulation_tags_match_plan(tiny_setup):
@@ -459,6 +475,17 @@ def test_experiment_requires_strategies_and_seeds():
         ExperimentConfig(task=TINY, strategies=(), seeds=(1,))
     with pytest.raises(ConfigError):
         ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=())
+
+
+def test_experiment_beam_size_must_be_a_positive_integer():
+    for width in (2.5, 2.0, "5", None):
+        with pytest.raises(ConfigError, match="integer"):
+            ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=(1,),
+                             beam_size=width)
+    with pytest.raises(ConfigError, match=">= 1"):
+        ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=(1,), beam_size=0)
+    ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=(1,),
+                     beam_size=np.int64(3))
 
 
 def test_experiment_rejects_duplicate_strategies():

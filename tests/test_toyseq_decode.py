@@ -167,6 +167,15 @@ def test_wider_beam_never_scores_worse(rng):
 def test_beam_rejects_bad_width():
     with pytest.raises(InvalidInputError):
         beam_decode(deterministic_channel(), [(0,)], 0)
+    for width in (2.5, 2.0, "2", None):
+        with pytest.raises(InvalidInputError, match="integer"):
+            beam_decode(deterministic_channel(), [(0,)], width)
+
+
+def test_beam_accepts_numpy_integer_widths():
+    model = deterministic_channel()
+    for width in (np.int64(2), np.int32(1), np.uint8(3)):
+        assert beam_decode(model, [(0, 1)], width) == [(10, 11)]
 
 
 # -- corpus decoders against the reference oracles ------------------------------
@@ -229,6 +238,31 @@ def test_empty_corpus_decodes_to_nothing():
     assert sample_decode(model, [], []) == []
     with pytest.raises(InvalidInputError):
         beam_decode(model, [], 0)
+
+
+@pytest.fixture(scope="module")
+def sweep_task():
+    # the sweep benchmark's seed-1 task (|V| = 20, lengths 4-12), cut to its
+    # first 200 mono targets; bitext and mono prefix do not depend on the sizes
+    return generate_toy_task(ToyTaskSpec(
+        source_vocab_size=20, target_vocab_size=20, length_range=(4, 12), channel_noise=0.15,
+        bitext_size=300, mono_size=200, test_size=10, seed=1))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_corpus_beam_matches_reference_at_sweep_scale(sweep_task, alpha):
+    backward = train_channel(sweep_task.bitext, "target_to_source", alpha,
+                             out_vocab=sweep_task.source_vocab)
+    logs = np.stack([backward.matrices_for_cond(c)[1] for c in range(20)])
+    # unseen (prev, cond) keys give uniform rows, so whole rows tie exactly;
+    # without smoothing most entries are -inf
+    assert np.mean([np.all(row == row[0]) for row in logs.reshape(-1, 20)]) > 0.05
+    if alpha == 0.0:
+        assert np.isneginf(logs).mean() > 0.5
+    targets = sweep_task.mono.sentences
+    for beam_size in (1, 5, 25):
+        expected = [reference_beam_decode(backward, y, beam_size) for y in targets]
+        assert beam_decode(backward, targets, beam_size) == expected
 
 
 def test_mixed_vocabulary_ties_follow_token_sort_key():
