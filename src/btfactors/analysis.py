@@ -3,11 +3,11 @@ token-frequency profiles, and singular-value spectra of bag-of-token
 sentence representations.
 
 BLEU counts n-grams in numpy: integer-coded tokens, one compacted id per
-(sentence pair, n-gram), and ``np.unique``/``bincount`` counts.  The
-quality and importance summaries score the whole corpus with the models'
-``batch_score``, which adds the per-position terms one column at a time
-and so reproduces the scalar ``score`` bits.  Every reported number is the
-one the per-sentence loops gave.
+(sentence pair, n-gram), and ``np.unique``/``bincount`` counts.
+``corpus_diagnostics`` gives the quality, importance and spectrum reports
+of one corpus from one backward ``batch_score`` pass, which adds the
+per-position terms one column at a time and so reproduces the scalar
+``score`` bits.  Every reported number is the one the per-sentence loops gave.
 """
 
 from __future__ import annotations
@@ -114,54 +114,57 @@ class ImportanceReport:
     mean_log_importance: float
 
 
-def backward_scores(synthetic: Sequence[SyntheticPair], backward: ChannelModel,
-                    scores=None) -> np.ndarray:
-    """Backward log-probs of the synthetic sources given their targets:
-    ``scores`` when the caller already has them, else one batched pass."""
-    if scores is None:
-        return backward.batch_score([p.source for p in synthetic], [p.target for p in synthetic])
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != (len(synthetic),):
-        raise InconsistencyError(
-            f"{len(synthetic)} synthetic pairs need as many backward scores, got {scores.shape}")
-    return scores
-
-
-def corpus_quality_report(synthetic: Sequence[SyntheticPair], backward: ChannelModel,
-                          references=None, *, log_q=None) -> QualityReport:
-    """Mean per-sentence backward log-likelihood of the synthetic sources,
-    plus their BLEU against reference sources when those exist.
-
-    ``log_q`` takes the pairs' ``backward_scores`` when the caller already
-    has them, so the quality and importance reports can share one pass.
-    """
+def _backward_pass(synthetic: Sequence[SyntheticPair], backward: ChannelModel):
+    """The synthetic sources and their backward log-probs given their targets."""
     if not synthetic:
         raise InvalidInputError("synthetic corpus must be non-empty")
-    scores = backward_scores(synthetic, backward, log_q)
-    mean_log_q = float(np.mean(scores))
+    sources = [p.source for p in synthetic]
+    return sources, backward.batch_score(sources, [p.target for p in synthetic])
+
+
+def _quality(log_q: np.ndarray, sources: list, references) -> QualityReport:
+    mean_log_q = float(np.mean(log_q))
     if not math.isfinite(mean_log_q):
         raise InvalidInputError("backward scores are not finite; check model smoothing")
     bleu = None
     if references is not None:
         refs = [tuple(r) for r in references]
-        if len(refs) != len(synthetic):
+        if len(refs) != len(sources):
             raise InconsistencyError("references must align one-to-one with synthetic pairs")
-        bleu = corpus_bleu([pair.source for pair in synthetic], refs)
+        bleu = corpus_bleu(sources, refs)
     return QualityReport(mean_log_q=mean_log_q, bleu_vs_reference=bleu)
 
 
-def corpus_importance_report(synthetic: Sequence[SyntheticPair], lm: NGramLM,
-                             backward: ChannelModel, *, log_q=None) -> ImportanceReport:
-    """Mean per-sentence log importance weight of the synthetic sources;
-    ``log_q`` as in ``corpus_quality_report``."""
-    if not synthetic:
-        raise InvalidInputError("synthetic corpus must be non-empty")
-    sources = [p.source for p in synthetic]
-    values = lm.batch_score(sources) - backward_scores(synthetic, backward, log_q)
-    mean = float(np.mean(values))
+def _importance(log_lm: np.ndarray, log_q: np.ndarray) -> ImportanceReport:
+    mean = float(np.mean(log_lm - log_q))
     if not math.isfinite(mean):
         raise InvalidInputError("importance weights are not finite; check model smoothing")
     return ImportanceReport(mean_log_importance=mean)
+
+
+def corpus_quality_report(synthetic: Sequence[SyntheticPair], backward: ChannelModel,
+                          references=None) -> QualityReport:
+    """Mean per-sentence backward log-likelihood of the synthetic sources,
+    plus their BLEU against reference sources when those exist."""
+    sources, log_q = _backward_pass(synthetic, backward)
+    return _quality(log_q, sources, references)
+
+
+def corpus_importance_report(synthetic: Sequence[SyntheticPair], lm: NGramLM,
+                             backward: ChannelModel) -> ImportanceReport:
+    """Mean per-sentence log importance weight of the synthetic sources."""
+    sources, log_q = _backward_pass(synthetic, backward)
+    return _importance(lm.batch_score(sources), log_q)
+
+
+def corpus_diagnostics(synthetic: Sequence[SyntheticPair], backward: ChannelModel, lm: NGramLM,
+                       references, vocab) -> tuple[QualityReport, ImportanceReport, SpectrumReport]:
+    """``corpus_quality_report``, ``corpus_importance_report`` and the sources'
+    spectrum over ``vocab``, with one backward pass for the two reports."""
+    sources, log_q = _backward_pass(synthetic, backward)
+    return (_quality(log_q, sources, references),
+            _importance(lm.batch_score(sources), log_q),
+            singular_spectrum(sentence_representation_matrix(sources, vocab)))
 
 
 # -- corpus profile -----------------------------------------------------------

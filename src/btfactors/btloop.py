@@ -4,12 +4,13 @@
 one of the generation strategies; ``train_forward`` retrains the forward
 channel on authentic plus synthetic data; ``run_bt_experiment`` sweeps
 (strategy, seed) cells over freshly generated toy tasks and reports test
-BLEU together with the quality/importance diagnostics of each synthetic
-corpus.  Stochastic strategies draw each sentence's uniforms from its own
-stream through ``sentence_uniforms``.  In a sweep, the Gamma cells of one
-candidate count make one candidate-pool pass per seed between them: each
-chunk of pools is sampled once, every cell takes its picks from it, and no
-pool outlives its chunk.
+BLEU together with each synthetic corpus's ``corpus_diagnostics`` (quality,
+importance and spectrum from one backward pass).  Stochastic strategies draw
+each sentence's uniforms from its own stream through ``sentence_uniforms``.
+Gamma strategies pick with ``scoring.gamma_picks``.  In a sweep, the Gamma
+cells of one candidate count make one candidate-pool pass per seed between
+them: each chunk of pools is sampled once, every cell takes its picks from
+it, and no pool outlives its chunk.
 
 The oracle functions enumerate every equal-length source exactly:
 ``exact_marginal`` is the log marginal likelihood of a target under the
@@ -26,20 +27,14 @@ the enumeration's scores at the sample's row instead of scoring the samples;
 from __future__ import annotations
 
 import math
+import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .analysis import (
-    backward_scores,
-    corpus_bleu,
-    corpus_importance_report,
-    corpus_quality_report,
-    sentence_representation_matrix,
-    singular_spectrum,
-)
+from .analysis import corpus_bleu, corpus_diagnostics
 from .errors import (
     BtfactorsError,
     ConfigError,
@@ -54,7 +49,7 @@ from .manipulate import (
     assemble_mixed_corpus,
     split_monolingual,
 )
-from .scoring import GammaParams, gamma_rows, invert_cdf
+from .scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
 from .streams import sentence_uniforms
 from .toyseq.decode import (
     batch_lm_scores,
@@ -86,7 +81,6 @@ STRATEGY_KINDS = (
 
 DEFAULT_BEAM_SIZE = 5
 DEFAULT_NUM_CANDIDATES = 50
-DEFAULT_GAMMA_SCORE = 0.2
 DEFAULT_GAMMA_SPLIT = 0.5
 ENUMERATION_GUARD = 10**6
 WEAK_BITEXT_FRACTION = 0.1
@@ -94,6 +88,14 @@ GAMMA_KINDS = ("gamma-select", "gamma-sample")
 
 
 # -- strategies ---------------------------------------------------------------
+
+def _integer(name: str, value) -> int:
+    # numpy integers pass, floats and numeric strings do not
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
 
 @dataclass(frozen=True)
 class BTStrategy:
@@ -112,13 +114,19 @@ class BTStrategy:
             raise ConfigError(f"strategy {self.kind!r} requires gamma")
         if not needs_gamma and self.gamma is not None:
             raise ConfigError(f"strategy {self.kind!r} does not take gamma")
-        if self.kind in ("gamma-select", "gamma-sample"):
-            if self.num_candidates is None or self.num_candidates < 2:
+        if self.kind in GAMMA_KINDS:
+            if (self.num_candidates is None
+                    or _integer("num_candidates", self.num_candidates) < 2):
                 raise ConfigError(f"strategy {self.kind!r} requires num_candidates >= 2")
         elif self.num_candidates is not None:
             raise ConfigError(f"strategy {self.kind!r} does not take num_candidates")
-        if self.kind != "data-manipulation" and self.split_seed is not None:
-            raise ConfigError(f"strategy {self.kind!r} does not take split_seed")
+        if self.split_seed is not None:
+            if self.kind != "data-manipulation":
+                raise ConfigError(f"strategy {self.kind!r} does not take split_seed")
+            if _integer("split_seed", self.split_seed) < 0:
+                raise ConfigError(f"split_seed must be non-negative, got {self.split_seed}")
+        if self.gamma is not None and not isinstance(self.gamma, numbers.Real):
+            raise ConfigError(f"gamma must be a real number, got {self.gamma!r}")
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
 
@@ -126,7 +134,7 @@ class BTStrategy:
     def label(self) -> str:
         if self.kind == "data-manipulation":
             return f"data-manipulation(gamma={self.gamma:g})"
-        if self.kind in ("gamma-select", "gamma-sample"):
+        if self.kind in GAMMA_KINDS:
             return f"{self.kind}(gamma={self.gamma:g},n={self.num_candidates})"
         return self.kind
 
@@ -153,12 +161,12 @@ class BTStrategy:
         return cls(kind="data-manipulation", gamma=gamma, split_seed=split_seed)
 
     @classmethod
-    def gamma_select(cls, gamma: float = DEFAULT_GAMMA_SCORE,
+    def gamma_select(cls, gamma: float = DEFAULT_GAMMA,
                      num_candidates: int = DEFAULT_NUM_CANDIDATES) -> "BTStrategy":
         return cls(kind="gamma-select", gamma=gamma, num_candidates=num_candidates)
 
     @classmethod
-    def gamma_sample(cls, gamma: float = DEFAULT_GAMMA_SCORE,
+    def gamma_sample(cls, gamma: float = DEFAULT_GAMMA,
                      num_candidates: int = DEFAULT_NUM_CANDIDATES) -> "BTStrategy":
         return cls(kind="gamma-sample", gamma=gamma, num_candidates=num_candidates)
 
@@ -219,10 +227,7 @@ def _gamma_sources(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM,
                 probs = gamma_rows(log_q, log_lm, token_idx.shape[2],
                                    GammaParams(gamma=strategy.gamma))
                 probs_by_gamma[strategy.gamma] = probs
-            if strategy.kind == "gamma-select":
-                picks = probs.argmax(axis=1)
-            else:
-                picks = invert_cdf(np.cumsum(probs, axis=1), next_uniforms)
+            picks = gamma_picks(probs, None if strategy.kind == "gamma-select" else next_uniforms)
             for i, row in zip(ids, vocab[token_idx[rows, picks]]):
                 chosen[i] = tuple(row)
     return sources
@@ -251,12 +256,10 @@ def synthesize_corpus(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM | No
         split_seed = strategy.split_seed if strategy.split_seed is not None else seed
         plan = split_monolingual(mono, strategy.gamma, split_seed)
         return synthesize_split(mono, backward, plan, seed, beam_size)
-    if kind in GAMMA_KINDS:
-        if lm is None:
-            raise ConfigError(f"strategy {kind!r} needs a source language model")
-        [sources] = _gamma_sources(mono, backward, lm, [strategy], seed)
-        return _tagged(sources, mono, kind)
-    raise ConfigError(f"unknown strategy kind {kind!r}")
+    if lm is None:
+        raise ConfigError(f"strategy {kind!r} needs a source language model")
+    [sources] = _gamma_sources(mono, backward, lm, [strategy], seed)
+    return _tagged(sources, mono, kind)
 
 
 def train_forward(bitext: ParallelCorpus | None, synthetic: Sequence[SyntheticPair],
@@ -296,11 +299,7 @@ class ExperimentConfig:
             labels.add(strategy.label)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        try:
-            beam_size = operator.index(self.beam_size)
-        except TypeError:
-            raise ConfigError(f"beam_size must be an integer, got {self.beam_size!r}") from None
-        if beam_size < 1:
+        if _integer("beam_size", self.beam_size) < 1:
             raise ConfigError("beam_size must be >= 1")
 
 
@@ -317,17 +316,7 @@ class CellReport:
     spectral_entropy: float | None = None
 
     def to_record(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "test_bleu": self.test_bleu,
-            "synthetic_size": self.synthetic_size,
-            "mean_log_q": self.mean_log_q,
-            "mean_log_importance": self.mean_log_importance,
-            "synthetic_bleu": self.synthetic_bleu,
-            "mean_log_truth": self.mean_log_truth,
-            "spectral_entropy": self.spectral_entropy,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -437,17 +426,12 @@ def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
                 if synthetic:
                     # diagnostics always use the standard backward model,
                     # even for corpora generated by the weak variant
-                    log_q = backward_scores(synthetic, backward)
-                    quality = corpus_quality_report(synthetic, backward, references,
-                                                    log_q=log_q)
-                    importance = corpus_importance_report(synthetic, lm, backward, log_q=log_q)
+                    quality, importance, spectrum = corpus_diagnostics(
+                        synthetic, backward, lm, references, task.source_vocab
+                    )
                     truth_scores = task.truth_channel.batch_score(
                         [p.target for p in synthetic], [p.source for p in synthetic]
                     )
-                    matrix = sentence_representation_matrix(
-                        [p.source for p in synthetic], task.source_vocab
-                    )
-                    spectrum = singular_spectrum(matrix)
                     cell.mean_log_q = quality.mean_log_q
                     cell.synthetic_bleu = quality.bleu_vs_reference
                     cell.mean_log_importance = importance.mean_log_importance

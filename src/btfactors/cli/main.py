@@ -16,13 +16,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .. import __version__
 from ..btloop import (
     BTStrategy,
     DEFAULT_BEAM_SIZE,
-    DEFAULT_GAMMA_SCORE,
     DEFAULT_GAMMA_SPLIT,
     DEFAULT_NUM_CANDIDATES,
     ExperimentConfig,
@@ -32,17 +29,10 @@ from ..btloop import (
     synthesize_split,
     train_forward,
 )
-from ..analysis import (
-    backward_scores,
-    corpus_importance_report,
-    corpus_profile,
-    corpus_quality_report,
-    sentence_representation_matrix,
-    singular_spectrum,
-)
+from ..analysis import corpus_diagnostics, corpus_profile
 from ..errors import BtfactorsError, ConfigError, InvalidInputError
 from ..manipulate import SyntheticPair, split_monolingual
-from ..scoring import GammaParams, gamma_rows, invert_cdf
+from ..scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
 from ..streams import sentence_stream, sentence_uniforms
 from ..tokenio import record_lines, sequence_from_str
 from ..toyseq.decode import candidate_chunks
@@ -278,10 +268,7 @@ def _cmd_select(args, argv) -> int:
         uniforms = sentence_uniforms(args.seed, records.target_ids, 1)[:, 0]
     chosen = [0] * len(records)
     for rows, probs in _record_gammas(records, params_obj):
-        if args.mode == "select":
-            picks = probs.argmax(axis=1)
-        else:
-            picks = invert_cdf(np.cumsum(probs, axis=1), uniforms[rows])
+        picks = gamma_picks(probs, None if args.mode == "select" else uniforms[rows])
         for r, c in zip(rows, picks.tolist()):
             chosen[r] = c
     provenance = "gamma-select" if args.mode == "select" else "gamma-sample"
@@ -304,8 +291,12 @@ def _parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-        linenos[key.strip()] = lineno
+        key = key.strip()
+        if key in linenos:
+            raise ConfigError(
+                f"config line {lineno}: duplicate key {key!r} (first on line {linenos[key]})")
+        values[key] = value.strip()
+        linenos[key] = lineno
 
     known = {
         "seeds", "strategies", "gamma_dm", "gamma_score", "num_candidates",
@@ -343,7 +334,7 @@ def _parse_config_text(text: str) -> ExperimentConfig:
     if "seeds" in values:
         seeds = tuple(parse("seeds", s, int) for s in values["seeds"].split())
     gamma_dm = get_float("gamma_dm", DEFAULT_GAMMA_SPLIT)
-    gamma_score = get_float("gamma_score", DEFAULT_GAMMA_SCORE)
+    gamma_score = get_float("gamma_score", DEFAULT_GAMMA)
     num_candidates = get_int("num_candidates", DEFAULT_NUM_CANDIDATES)
     # checked whenever present, even when no listed strategy reads the key
     for key, ok, what in (("gamma_dm", 0.0 <= gamma_dm <= 1.0, "in [0, 1]"),
@@ -398,13 +389,11 @@ def _cmd_analyze(args, argv) -> int:
     if args.references:
         references = read_parallel(args.references).sources()
         inputs["references"] = args.references
-    log_q = backward_scores(synthetic, backward)
-    quality = corpus_quality_report(synthetic, backward, references, log_q=log_q)
-    importance = corpus_importance_report(synthetic, lm, backward, log_q=log_q)
     sources = [p.source for p in synthetic]
-    profile = corpus_profile(sources)
     vocab = sorted({tok for s in sources for tok in s}, key=str)
-    spectrum = singular_spectrum(sentence_representation_matrix(sources, vocab))
+    # before the profile, whose empty-corpus error would mask the diagnostics'
+    quality, importance, spectrum = corpus_diagnostics(synthetic, backward, lm, references, vocab)
+    profile = corpus_profile(sources)
 
     lines = [
         f"pairs             {len(synthetic)}",
@@ -508,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", required=True,
                    choices=("beam", "sampling", "gamma-select", "gamma-sample"))
     p.add_argument("--lm", help="source LM (gamma strategies)")
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_SCORE)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--num-candidates", type=int, default=DEFAULT_NUM_CANDIDATES)
     p.add_argument("--beam-size", type=int, default=DEFAULT_BEAM_SIZE)
     p.add_argument("--seed", type=int)
@@ -530,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backward")
     p.add_argument("--lm")
     p.add_argument("--num-candidates", type=int, default=DEFAULT_NUM_CANDIDATES)
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_SCORE)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--seed", type=int)
     p.add_argument("--dump-candidates", help="also write the generated candidate records")
     p.add_argument("--out", required=True)
@@ -538,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="pick one candidate per record by Gamma score")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_SCORE)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--mode", choices=("select", "sample"), default="select")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .. import __version__
 from ..errors import ParseError
 from .records import read_text
-
-MANIFEST_NAME = "manifest.json"
 
 
 @dataclass
@@ -59,16 +57,15 @@ def write_manifest(path, manifest: RunManifest) -> None:
 
 
 def read_manifest(path) -> RunManifest:
+    """The manifest at ``path``; a ParseError naming it unless it is a JSON
+    object with every field and an ``argv`` of strings."""
     try:
         data = json.loads(read_text(path))
-        return RunManifest(
-            command=data["command"],
-            params=data["params"],
-            seed=data["seed"],
-            inputs=data["inputs"],
-            outputs=data["outputs"],
-            argv=data["argv"],
-            version=data["version"],
-        )
-    except (json.JSONDecodeError, KeyError) as exc:
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        manifest = RunManifest(**{f.name: data[f.name] for f in fields(RunManifest)})
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"{path}: not a valid run manifest ({exc})") from exc
+    if not (isinstance(manifest.argv, list) and all(isinstance(a, str) for a in manifest.argv)):
+        raise ParseError(f"{path}: not a valid run manifest (argv must be a list of strings)")
+    return manifest

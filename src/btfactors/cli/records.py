@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import InvalidInputError, ParseError, ValidationError
 from ..manipulate import MonoCorpus, SyntheticPair, PROVENANCES
 from ..scoring import check_candidate, check_candidate_set
-from ..tokenio import record_lines, sequence_from_str, sequence_to_str, token_to_str
+from ..tokenio import record_lines, sequence_from_str, sequence_to_str, token_from_str, token_to_str
 from ..toyseq.models import ParallelCorpus
 
 
@@ -202,12 +202,12 @@ def write_candidate_records(path, records: CandidateRecords) -> None:
 def read_candidate_records(path) -> CandidateRecords:
     """Parse a candidate-record file into columns; blank lines are skipped.
 
-    Malformed lines raise ParseError, invariant violations (an empty
-    candidate, non-finite scores, a negative id, an empty target, fewer
-    than two candidates) raise ValidationError; both cite the 1-based line
-    number.  Of several faults in one line, the first met reading its
-    fields left to right is raised, candidate fields before the set's own
-    invariants.
+    Malformed lines, and target ids that are not canonical decimals like
+    int tokens, raise ParseError; invariant violations (an empty candidate,
+    non-finite scores, a negative id, an empty target, fewer than two
+    candidates) raise ValidationError; both cite the 1-based line number.
+    Of several faults in one line, the first met reading its fields left to
+    right is raised, candidate fields before the set's own invariants.
     """
     columns: tuple[list, ...] = ([], [], [], [], [], [])
     for lineno, line in enumerate(record_lines(read_text(path)), start=1):
@@ -219,10 +219,9 @@ def read_candidate_records(path) -> CandidateRecords:
                 f"expected a target id, target tokens, and candidates, found {len(fields)} fields",
                 lineno,
             )
-        try:
-            target_id = int(fields[0])
-        except ValueError as exc:
-            raise ParseError(f"bad target id {fields[0]!r}", lineno) from exc
+        target_id = token_from_str(fields[0])
+        if not isinstance(target_id, int):
+            raise ParseError(f"bad target id {fields[0]!r}", lineno)
         target = sequence_from_str(fields[1])
         texts, lengths, log_q, log_lm = [], [], [], []
         for field in fields[2:]:

@@ -17,10 +17,6 @@ from .streams import split_stream
 
 PROVENANCES = ("beam", "sampling", "gamma-select", "gamma-sample")
 
-# paper-grid defaults for the combination ratio
-GAMMA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-DEFAULT_SPLIT_GAMMA = 0.5
-
 
 @dataclass(frozen=True)
 class MonoCorpus:

@@ -7,10 +7,10 @@ the candidate's token count, standardized across the candidate set, mixed
 with weight ``gamma``, and pushed through a softmax to give the Gamma score
 distribution.  Selection takes the argmax; sampling draws from it.
 
-``gamma_rows`` is the one implementation: it scores many candidate sets at
-once, one set per row of (S, n) score arrays.  ``standardize``,
+``gamma_rows`` scores many candidate sets at once, one set per row of
+(S, n) score arrays, and ``gamma_picks`` picks one candidate per row.
 ``gamma_distribution``, ``gamma_select`` and ``gamma_sample`` are one-row
-calls of it, for a single ``CandidateSet``.
+calls of them, for a single ``CandidateSet``.
 
 The token count includes one terminal end-of-sequence marker when the token
 sequence carries one.  For equal-length candidate sets (the toy task's
@@ -227,9 +227,17 @@ def gamma_distribution(cset: CandidateSet, params: GammaParams = GammaParams()) 
     return GammaDistribution(probs=tuple(_set_rows(cset, params)[0].tolist()))
 
 
+def gamma_picks(probs: np.ndarray, uniforms: np.ndarray | None = None) -> np.ndarray:
+    """One candidate per row of (S, n) Gamma distributions: the row's
+    argmax (lowest index on ties), or its inverse CDF at ``uniforms[row]``."""
+    if uniforms is None:
+        return probs.argmax(axis=1)
+    return invert_cdf(np.cumsum(probs, axis=1), uniforms)
+
+
 def gamma_select(cset: CandidateSet, params: GammaParams = GammaParams()) -> int:
     """Index of the maximal Gamma score; ties break to the lowest index."""
-    return int(_set_rows(cset, params)[0].argmax())
+    return int(gamma_picks(_set_rows(cset, params))[0])
 
 
 def gamma_sample(cset: CandidateSet, params: GammaParams, rng: np.random.Generator) -> int:
@@ -238,5 +246,4 @@ def gamma_sample(cset: CandidateSet, params: GammaParams, rng: np.random.Generat
     Pass a generator derived from (seed, target_id) — see ``streams`` — so a
     corpus pass is reproducible sentence by sentence.
     """
-    cdf = np.cumsum(_set_rows(cset, params), axis=1)
-    return int(invert_cdf(cdf, np.array([rng.random()]))[0])
+    return int(gamma_picks(_set_rows(cset, params), np.array([rng.random()]))[0])

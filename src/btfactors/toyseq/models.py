@@ -44,6 +44,7 @@ line, then one ``<tag> <key tokens> | <token> <count> ...`` line per row.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,6 +328,10 @@ class NGramLM(_CountTable):
     _TAG = "context"
 
     def __init__(self, order: int, alpha: float, vocab, counts=None, use_eos: bool = True):
+        try:
+            order = operator.index(order)
+        except TypeError:
+            raise InvalidInputError(f"order must be an integer, got {order!r}") from None
         if order < 1:
             raise InvalidInputError("order must be >= 1")
         content = tuple(sorted(set(vocab), key=token_sort_key))
@@ -334,7 +339,7 @@ class NGramLM(_CountTable):
             raise InvalidInputError("vocabulary must be non-empty")
         if any(t in (BOS, EOS, UNK) for t in content):
             raise InvalidInputError("reserved markers cannot be content tokens")
-        self.order = int(order)
+        self.order = order
         self.use_eos = bool(use_eos)
         self.content_vocab = content
         self.event_vocab = content + ((EOS,) if use_eos else ())

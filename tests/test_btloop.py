@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 import btfactors.btloop as btloop
 from btfactors.analysis import (
-    backward_scores,
+    corpus_diagnostics,
     corpus_importance_report,
     corpus_quality_report,
+    sentence_representation_matrix,
+    singular_spectrum,
 )
 from btfactors.btloop import (
     BTStrategy,
@@ -27,7 +30,6 @@ from btfactors.btloop import (
 from btfactors.errors import (
     ConfigError,
     EnumerationTooLargeError,
-    InconsistencyError,
     InvalidInputError,
     NumericError,
 )
@@ -86,6 +88,31 @@ def test_strategy_parameter_contracts():
         BTStrategy(kind="data-manipulation")  # missing gamma
     with pytest.raises(ConfigError):
         BTStrategy(kind="sampling", split_seed=1)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"kind": "gamma-select", "gamma": 0.2, "num_candidates": 2.5},
+     "num_candidates must be an integer, got 2.5"),
+    ({"kind": "gamma-sample", "gamma": 0.2, "num_candidates": "5"},
+     "num_candidates must be an integer, got '5'"),
+    ({"kind": "data-manipulation", "gamma": 0.5, "split_seed": 1.5},
+     "split_seed must be an integer, got 1.5"),
+    ({"kind": "data-manipulation", "gamma": 0.5, "split_seed": -1},
+     "split_seed must be non-negative, got -1"),
+    ({"kind": "gamma-select", "gamma": "0.2", "num_candidates": 5},
+     "gamma must be a real number, got '0.2'"),
+])
+def test_strategy_parameters_are_checked_when_the_strategy_is_made(kwargs, message):
+    # refused here, not when a sweep reaches the cell
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        BTStrategy(**kwargs)
+
+
+def test_strategy_accepts_numpy_integers_and_reals():
+    strategy = BTStrategy.gamma_select(np.float64(0.2), np.int64(4))
+    assert strategy == BTStrategy.gamma_select(0.2, 4)
+    assert strategy.label == "gamma-select(gamma=0.2,n=4)"
+    assert BTStrategy.data_manipulation(0.5, split_seed=np.int32(3)).split_seed == 3
 
 
 def test_gamma_strategy_requires_lm(tiny_setup):
@@ -488,6 +515,14 @@ def test_experiment_beam_size_must_be_a_positive_integer():
                      beam_size=np.int64(3))
 
 
+def test_experiment_refuses_a_fractional_lm_order():
+    # it used to train an order-2 LM
+    config = ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=(1,),
+                              lm_order=2.5)
+    with pytest.raises(InvalidInputError, match="order must be an integer, got 2.5"):
+        run_bt_experiment(config)
+
+
 def test_experiment_rejects_duplicate_strategies():
     # each label names one report cell, so a repeated label is refused
     for strategies in ((BTStrategy.beam(), BTStrategy.beam()),
@@ -600,18 +635,19 @@ def test_each_cell_scores_its_pairs_with_one_channel_once(monkeypatch):
     assert len(calls) == 6 and len(set(calls)) == 6
 
 
-def test_reports_take_precomputed_backward_scores(tiny_setup):
+def test_corpus_diagnostics_equal_the_separate_reports(tiny_setup):
     task, backward, _, lm = tiny_setup
     synthetic = [SyntheticPair(source=s, target=t, provenance="beam")
                  for s, t in task.bitext.pairs[:25]]
-    log_q = backward_scores(synthetic, backward)
-    refs = [p.source for p in synthetic]
-    assert (corpus_quality_report(synthetic, backward, refs, log_q=log_q)
-            == corpus_quality_report(synthetic, backward, refs))
-    assert (corpus_importance_report(synthetic, lm, backward, log_q=log_q)
-            == corpus_importance_report(synthetic, lm, backward))
-    with pytest.raises(InconsistencyError):
-        corpus_quality_report(synthetic, backward, log_q=log_q[:-1])
+    sources = [p.source for p in synthetic]
+    refs = list(reversed(sources))
+    for references in (refs, None):
+        assert corpus_diagnostics(synthetic, backward, lm, references, task.source_vocab) == (
+            corpus_quality_report(synthetic, backward, references),
+            corpus_importance_report(synthetic, lm, backward),
+            singular_spectrum(sentence_representation_matrix(sources, task.source_vocab)))
+    with pytest.raises(InvalidInputError, match="synthetic corpus must be non-empty"):
+        corpus_diagnostics([], backward, lm, None, task.source_vocab)
 
 
 def test_experiment_matches_frozen_golden():

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -315,6 +316,17 @@ def test_candidate_record_parse_errors_cite_lines(tmp_path):
         with pytest.raises(ParseError) as err:
             parse(["4\t9 8\ttokens|notafloat|-1.0"])
         assert err.value.line_number == 1
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "+7", "\u0663", "07", "-0", " 7", "7\u2028"])
+def test_candidate_target_ids_are_canonical_decimals(tmp_path, spelling):
+    # int() would read each as a canonical id, so two spellings could name one target
+    rest = format_candidate_record(make_candidate_set()).split("\t", 1)[1]
+    with pytest.raises(ParseError, match=re.escape(f"line 2: bad target id {spelling!r}")):
+        read_lines(tmp_path, [f"10\t{rest}", f"{spelling}\t{rest}"])
+    assert read_lines(tmp_path, [f"10\t{rest}", f"0\t{rest}"]).target_ids == [10, 0]
+    with pytest.raises(ValidationError, match="target_id must be non-negative"):
+        read_lines(tmp_path, [f"-7\t{rest}"])
 
 
 def test_candidate_record_floats_round_trip_exactly(tmp_path):
@@ -809,8 +821,10 @@ def run_cli(*argv):
     ("gamma_score = 7", "config line 2: gamma_score must be in [0, 1], got '7'"),
     ("gamma_score = nan", "config line 2: gamma_score must be in [0, 1], got 'nan'"),
     ("num_candidates = 1", "config line 2: num_candidates must be >= 2, got '1'"),
+    # the later value used to win silently
+    ("mono = 5", "config line 3: duplicate key 'mono' (first on line 2)"),
 ], ids=["int", "seeds", "int-as-float", "float", "duplicate-strategy", "gamma-dm-range",
-        "gamma-score-range", "gamma-score-nan", "num-candidates-range"])
+        "gamma-score-range", "gamma-score-nan", "num-candidates-range", "duplicate-key"])
 def test_bad_config_values_are_a_one_line_error(tmp_path, line, message):
     config = tmp_path / "exp.cfg"
     config.write_text(f"# bad value below\n{line}\nmono = 10\n", encoding="utf-8")
@@ -911,6 +925,23 @@ def test_rerun_from_manifest_is_byte_identical(toy_dir, tmp_path):
     assert rerun_from_manifest(toy_dir / "manifest.json") == 0
     for name, blob in snapshot.items():
         assert (toy_dir / name).read_bytes() == blob
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+def test_manifest_that_is_not_an_object_is_a_parse_error(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="not a valid run manifest"):
+        rerun_from_manifest(path)
+
+
+@pytest.mark.parametrize("argv", ["toygen", 3, None, ["toygen", 3], [["toygen"]]])
+def test_manifest_argv_must_be_a_list_of_strings(tmp_path, argv):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": "toygen", "params": {}, "seed": 1, "inputs": {},
+                                "outputs": [], "argv": argv, "version": "0.1.0"}))
+    with pytest.raises(ParseError, match=re.escape("(argv must be a list of strings)")):
+        rerun_from_manifest(path)
 
 
 def stochastic_walkthrough(seed, vocab, lengths, sizes, gamma, n):

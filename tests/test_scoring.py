@@ -11,6 +11,7 @@ from btfactors.scoring import (
     CandidateSet,
     GammaParams,
     gamma_distribution,
+    gamma_picks,
     gamma_rows,
     gamma_sample,
     gamma_select,
@@ -176,6 +177,14 @@ def test_gamma_select_importance_argmax():
 def test_gamma_select_tie_breaks_to_lowest_index():
     cset = make_set(log_qs=[-3.0] * 4, log_lms=[-6.0] * 4)
     assert gamma_select(cset, GammaParams(gamma=0.3)) == 0
+
+
+def test_gamma_picks_take_the_argmax_or_invert_the_cdf():
+    probs = np.array([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.25, 0.25, 0.5]])
+    assert gamma_picks(probs).tolist() == [1, 0, 2]
+    # a uniform at a CDF step moves past it; one at the end picks the last index
+    assert gamma_picks(probs, np.array([0.1, 0.4, 1.0])).tolist() == [0, 1, 2]
+    assert gamma_picks(probs, np.array([0.7, 0.0, 0.3])).tolist() == [2, 0, 1]
 
 
 def test_gamma_zero_ranking_matches_normalized_quality(rng):

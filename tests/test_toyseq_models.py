@@ -79,6 +79,17 @@ def test_lm_rejects_token_outside_explicit_vocab():
         train_ngram_lm([[0, 7]], order=1, alpha=0.1, vocab=[0, 1])
 
 
+def test_lm_order_must_be_an_integer():
+    # a fractional order was truncated to a lower-order model
+    for order in (2.5, 2.0, "2", None):
+        with pytest.raises(InvalidInputError, match="order must be an integer"):
+            train_ngram_lm([[0, 1]], order=order, alpha=0.1)
+    with pytest.raises(InvalidInputError, match="order must be >= 1"):
+        NGramLM(order=0, alpha=0.1, vocab=[0, 1])
+    lm = train_ngram_lm([[0, 1]], order=np.int64(3), alpha=0.1)
+    assert type(lm.order) is int and lm.order == 3
+
+
 # -- channel model ------------------------------------------------------------------
 
 FIVE_PAIRS = ParallelCorpus.from_pairs(
