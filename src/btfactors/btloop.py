@@ -19,8 +19,10 @@ form a true distribution), ``jensen_lower_bound`` the corresponding
 expectation of the forward log-likelihood, and ``importance_mc_estimate``
 the importance-sampling Monte-Carlo estimator of that bound with the
 backward channel as proposal.  Every sample is one of the enumerated
-sources, so the estimator reads each sample's LM and forward log-probs from
-the enumeration's scores at the sample's row instead of scoring the samples;
+sources, so the estimator computes each source's importance-weighted value
+once, from the enumeration's LM, forward and backward log-probs, and draws
+the samples as enumeration rows, ``_MC_BLOCK`` at a time through
+``_ancestral``; only the uniforms and the values span all the samples.
 ``evaluate_marginal_oracles`` enumerates once for all three quantities.
 """
 
@@ -52,8 +54,8 @@ from .manipulate import (
 from .scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
 from .streams import sentence_uniforms
 from .toyseq.decode import (
+    _ancestral,
     batch_lm_scores,
-    batch_sample,
     beam_decode,
     candidate_chunks,
     sample_decode,
@@ -83,6 +85,8 @@ DEFAULT_BEAM_SIZE = 5
 DEFAULT_NUM_CANDIDATES = 50
 DEFAULT_GAMMA_SPLIT = 0.5
 ENUMERATION_GUARD = 10**6
+# Monte-Carlo samples drawn at a time; bounds the oracle's per-sample working set
+_MC_BLOCK = 8192
 WEAK_BITEXT_FRACTION = 0.1
 GAMMA_KINDS = ("gamma-select", "gamma-sample")
 
@@ -498,15 +502,15 @@ def _scores_given_sources(channel: ChannelModel, out_seq, cond_idx: np.ndarray,
 
 
 def _enumerate_lm_and_channel(lm: NGramLM, channel: ChannelModel, y,
-                              max_len: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """LM and channel log-probs of every source of length len(y), one entry
-    per row of ``_enumeration_indices``."""
+                              max_len: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (|V|^L, L) index matrix of every source of length L = len(y), with
+    the LM and channel log-probs of each of its rows."""
     y = tuple(y)
     vocab = lm.content_vocab
     idx = _enumeration_indices(len(vocab), len(y), max_len)
     lm_scores = batch_lm_scores(lm, idx, vocab)
     channel_scores = _scores_given_sources(channel, y, idx, vocab)
-    return lm_scores, channel_scores
+    return idx, lm_scores, channel_scores
 
 
 def _log_marginal(lm_scores: np.ndarray, channel_scores: np.ndarray) -> float:
@@ -524,36 +528,63 @@ def exact_marginal(lm: NGramLM, channel: ChannelModel, y, max_len: int | None = 
     p(x) is the LM conditioned on that length (the enumerated weights are
     normalized), so the Jensen bound below is a true lower bound.
     """
-    return _log_marginal(*_enumerate_lm_and_channel(lm, channel, y, max_len))
+    _, lm_scores, channel_scores = _enumerate_lm_and_channel(lm, channel, y, max_len)
+    return _log_marginal(lm_scores, channel_scores)
 
 
 def jensen_lower_bound(lm: NGramLM, forward_channel: ChannelModel, y,
                        max_len: int | None = None) -> float:
     """sum_x p(x) log p(y | x) over the same length-conditioned enumeration."""
-    return _jensen(*_enumerate_lm_and_channel(lm, forward_channel, y, max_len))
+    _, lm_scores, channel_scores = _enumerate_lm_and_channel(lm, forward_channel, y, max_len)
+    return _jensen(lm_scores, channel_scores)
 
 
-def _check_mc_inputs(lm: NGramLM, backward: ChannelModel, num_samples: int) -> None:
+def _check_mc_inputs(lm: NGramLM, backward: ChannelModel, num_samples: int) -> int:
+    """``num_samples`` as an int, once the estimator's inputs are checked."""
+    try:
+        num_samples = operator.index(num_samples)
+    except TypeError:
+        raise InvalidInputError(f"num_samples must be an integer, got {num_samples!r}") from None
     if num_samples < 2:
         raise InvalidInputError("num_samples must be >= 2")
     if backward.alpha <= 0.0:
         raise InvalidInputError("backward model must smooth with alpha > 0 (positive mass)")
     if tuple(backward.out_vocab) != tuple(lm.content_vocab):
         raise InvalidInputError("backward output vocabulary must match the LM vocabulary")
+    return num_samples
 
 
-def _mc_moments(lm_scores: np.ndarray, forward_scores: np.ndarray, backward: ChannelModel,
-                y, num_samples: int, rng: np.random.Generator) -> tuple[float, float]:
+def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarray,
+                backward: ChannelModel, y, num_samples: int,
+                rng: np.random.Generator) -> tuple[float, float]:
     """Mean and standard error of Imp(x) * log p(y | x) over ``num_samples``
-    draws from the backward channel, with each draw's LM and forward
-    log-probs read from the enumeration's ``lm_scores`` and
-    ``forward_scores`` at the draw's row."""
+    draws from the backward channel.
+
+    Each value is computed once per row of ``idx``, with the row's backward
+    log-prob summed from 0.0 position by position as ``_ancestral`` sums a
+    sample's, so a sample drawn as that row gets the same bits.  The draws
+    are made ``_MC_BLOCK`` at a time from one (L, n) uniform draw, the
+    numbers of L successive ``rng.random(n)`` calls.
+    """
     y = tuple(y)
-    sample_idx, log_proposal = batch_sample(backward, y, num_samples, rng)
+    tables = [backward.matrices_for_cond(cond) for cond in y]
+    log_q = np.zeros(len(idx))
+    state = np.zeros(len(idx), dtype=np.intp)       # previous output; 0 is BOS
+    for (_, logs), column in zip(tables, idx.T):
+        log_q += logs[state, column]
+        state = column + 1
+    by_row = np.exp((lm_scores - _logsumexp(lm_scores)) - log_q) * forward_scores
+    cdfs = [np.cumsum(probs, axis=1) for probs, _ in tables]
     # a source's row in _enumeration_indices: its indices as base-|V| digits
-    rows = np.ravel_multi_index(sample_idx.T, (len(backward.out_vocab),) * len(y))
-    log_weights = (lm_scores[rows] - _logsumexp(lm_scores)) - log_proposal
-    values = np.exp(log_weights) * forward_scores[rows]
+    dims = (len(backward.out_vocab),) * len(y)
+    uniforms = rng.random((len(y), num_samples))
+    values = np.empty(num_samples)
+    for start in range(0, num_samples, _MC_BLOCK):
+        draws = uniforms[:, start : start + _MC_BLOCK]
+        count = draws.shape[1]
+        steps = ((cdf, None, 0, row) for cdf, row in zip(cdfs, draws))
+        token_idx, _ = _ancestral(steps, count, len(y))
+        values[start : start + count] = by_row[np.ravel_multi_index(token_idx.T, dims)]
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(num_samples))
     return mean, std_error
@@ -567,22 +598,26 @@ def importance_mc_estimate(lm: NGramLM, backward: ChannelModel, forward: Channel
 
     Unbiased for ``jensen_lower_bound`` because the importance weight uses
     the same length-conditioned LM normalization.  Every sample is one of
-    the enumerated sources, so its LM and forward log-probs are looked up
-    in the enumeration rather than scored again.
+    the enumerated sources, so the samples are drawn as enumeration rows, a
+    block at a time, and each takes its row's value, computed once per
+    source; no sample is scored on its own.  The generator is consumed as by
+    ``len(y)`` calls of ``rng.random(num_samples)``, the numbers
+    ``batch_sample`` would draw.
     """
-    _check_mc_inputs(lm, backward, num_samples)
-    lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y, max_len)
-    return _mc_moments(lm_scores, forward_scores, backward, y, num_samples, rng)
+    num_samples = _check_mc_inputs(lm, backward, num_samples)
+    idx, lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y, max_len)
+    return _mc_moments(idx, lm_scores, forward_scores, backward, y, num_samples, rng)
 
 
 def evaluate_marginal_oracles(lm: NGramLM, backward: ChannelModel, forward: ChannelModel,
                               y, num_samples: int, rng: np.random.Generator,
                               max_len: int | None = None) -> OracleResult:
     """All three oracle quantities for one target sentence, from one
-    enumeration of its sources."""
-    _check_mc_inputs(lm, backward, num_samples)
-    lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y, max_len)
-    mc_mean, mc_se = _mc_moments(lm_scores, forward_scores, backward, y, num_samples, rng)
+    enumeration of its sources; the Monte-Carlo draws are rows of that
+    enumeration, as in ``importance_mc_estimate``."""
+    num_samples = _check_mc_inputs(lm, backward, num_samples)
+    idx, lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y, max_len)
+    mc_mean, mc_se = _mc_moments(idx, lm_scores, forward_scores, backward, y, num_samples, rng)
     return OracleResult(
         y=tuple(y),
         exact_log_marginal=_log_marginal(lm_scores, forward_scores),

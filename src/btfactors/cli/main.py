@@ -430,6 +430,9 @@ def _cmd_analyze(args, argv) -> int:
 def _cmd_oracle(args, argv) -> int:
     if args.task != "tiny":
         raise ConfigError(f"unknown oracle task {args.task!r}")
+    if args.num_targets < 0:
+        # a negative slice bound would silently drop the last |N| targets
+        raise ConfigError(f"--num-targets must be >= 0, got {args.num_targets}")
     spec = TINY_TASK.with_seed(args.seed)
     task = generate_toy_task(spec)
     backward = train_channel(task.bitext, "target_to_source", args.alpha,

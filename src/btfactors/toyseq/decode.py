@@ -15,10 +15,10 @@ expansion row is its tie-break.  Each step takes its k best columns by k
 the most negative float and every taken column is set to -inf.
 
 Every sampler inverts the cumulative row with ``side="right"`` semantics
-through one kernel, ``_ancestral``: corpus sampling, the oracle's
-``batch_sample``, candidate sets and the toy-task generator.  It keeps one
-(states, |V|) table per position and, for each output row, counts the
-entries of that row's state at or below its uniform column by column
+through one kernel, ``_ancestral``: corpus sampling, ``batch_sample``, the
+oracle's Monte-Carlo draws, candidate sets and the toy-task generator.  It
+keeps one (states, |V|) table per position and, for each output row, counts
+the entries of that row's state at or below its uniform column by column
 (``invert_cdf`` with row indices); no per-sample copy of a table row is
 made.  Each sentence's uniforms are drawn from its own stream before any
 sampling (``streams.sentence_uniforms`` draws them for a whole corpus), so

@@ -352,6 +352,30 @@ def test_mc_estimate_input_validation(tiny_setup):
         importance_mc_estimate(lm, unsmoothed, forward, y, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("num_samples", [2.5, "100", 100.0, None])
+@pytest.mark.parametrize("estimator", [importance_mc_estimate, evaluate_marginal_oracles])
+def test_mc_sample_count_must_be_an_integer(tiny_setup, estimator, num_samples):
+    # these used to escape as a bare TypeError from numpy or from a comparison
+    task, backward, forward, lm = tiny_setup
+    y = task.mono.sentences[0]
+    message = f"num_samples must be an integer, got {num_samples!r}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        estimator(lm, backward, forward, y, num_samples, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("num_samples", [np.int64(300), np.uint16(300), np.intp(300)])
+def test_mc_sample_count_accepts_numpy_integers(tiny_setup, num_samples):
+    task, backward, forward, lm = tiny_setup
+    y = task.mono.sentences[0]
+    want = importance_mc_estimate(lm, backward, forward, y, 300, np.random.default_rng(4))
+    got = importance_mc_estimate(lm, backward, forward, y, num_samples,
+                                 np.random.default_rng(4))
+    assert got == want
+    result = evaluate_marginal_oracles(lm, backward, forward, y, num_samples,
+                                       np.random.default_rng(4))
+    assert (result.mc_estimate, result.mc_std_error) == want
+
+
 # -- Monte-Carlo estimator against the per-sample reference ----------------------------
 
 def reference_importance_mc_estimate(lm, backward, forward, y, num_samples, rng, max_len=None):
@@ -423,6 +447,65 @@ def test_mc_estimate_equals_the_per_sample_reference_bit_for_bit(models, num_sam
     assert same_float_bits(result.mc_std_error, got[1])
     assert same_float_bits(result.exact_log_marginal, exact_marginal(lm, forward, y))
     assert same_float_bits(result.jensen_bound, jensen_lower_bound(lm, forward, y))
+
+
+def reference_mc_moments(lm_scores, forward_scores, backward, y, num_samples, rng):
+    """The estimator over full-size sample arrays: ``batch_sample``'s (n, L)
+    index matrix and n log-probs, each sample's enumeration row by
+    ``ravel_multi_index``, and n importance-weighted values."""
+    sample_idx, log_proposal = batch_sample(backward, y, num_samples, rng)
+    rows = np.ravel_multi_index(sample_idx.T, (len(backward.out_vocab),) * len(y))
+    log_weights = (lm_scores[rows] - btloop._logsumexp(lm_scores)) - log_proposal
+    values = np.exp(log_weights) * forward_scores[rows]
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(num_samples))
+
+
+@pytest.mark.parametrize("seed", [1, 3, 8])
+@pytest.mark.parametrize("use_eos", [True, False], ids=["eos", "no-eos"])
+def test_blocked_estimator_equals_full_array_reference_bit_for_bit(seed, use_eos):
+    task = generate_toy_task(TINY.with_seed(seed))
+    backward = train_channel(task.bitext, "target_to_source", 0.1, out_vocab=task.source_vocab)
+    forward = train_channel(task.bitext, "source_to_target", 0.1, out_vocab=task.target_vocab)
+    lm = train_ngram_lm(task.bitext.sources(), 2, 0.1, vocab=task.source_vocab,
+                        use_eos=use_eos)
+    tokens = itertools.chain.from_iterable(task.mono.sentences)
+    block = btloop._MC_BLOCK
+    for length in (1, 2, 3, 4):
+        y = tuple(itertools.islice(tokens, length))
+        _, lm_scores, forward_scores = btloop._enumerate_lm_and_channel(lm, forward, y, None)
+        for num_samples in (2, block - 1, block, block + 1, 3 * block + 7):
+            got_rng = np.random.default_rng([seed, length, num_samples])
+            want_rng = np.random.default_rng([seed, length, num_samples])
+            got = importance_mc_estimate(lm, backward, forward, y, num_samples, got_rng)
+            want = reference_mc_moments(lm_scores, forward_scores, backward, y, num_samples,
+                                        want_rng)
+            assert same_float_bits(got[0], want[0]) and same_float_bits(got[1], want[1]), (
+                length, num_samples)
+            # both consumed the generator alike
+            assert got_rng.random() == want_rng.random()
+
+
+def test_oracle_samples_in_blocks_without_log_probs(monkeypatch, tiny_setup):
+    # no (n, L) token matrix and no per-sample log-prob array at n = 10^5
+    task, backward, forward, lm = tiny_setup
+    calls = []
+    ancestral = btloop._ancestral
+
+    def counted(steps, n, length):
+        calls.append(n)
+
+        def checked():
+            for step in steps:
+                assert step[1] is None
+                yield step
+
+        return ancestral(checked(), n, length)
+
+    monkeypatch.setattr(btloop, "_ancestral", counted)
+    evaluate_marginal_oracles(lm, backward, forward, task.mono.sentences[0], 10**5,
+                              sentence_stream(7, 0))
+    block = btloop._MC_BLOCK
+    assert calls == [block] * (10**5 // block) + [10**5 % block]
 
 
 def test_oracle_bundle_scores_one_enumeration_and_no_sample_rows(monkeypatch, tiny_setup):

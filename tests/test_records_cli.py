@@ -784,6 +784,16 @@ def test_oracle_table_rows_satisfy_bound(tmp_path):
         assert bound <= exact + 1e-9
 
 
+@pytest.mark.parametrize("count", ["-1", "-118"])
+def test_oracle_refuses_a_negative_target_count(tmp_path, capsys, count):
+    # a negative count used to slice off the last |N| targets and exit 0
+    out = tmp_path / "oracle"
+    assert dispatch(["oracle", "--task", "tiny", "--seed", "1", "--num-targets", count,
+                     "--samples", "50", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --num-targets must be >= 0, got {count}\n"
+    assert not out.exists()
+
+
 def test_bt_experiment_command(tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text(
