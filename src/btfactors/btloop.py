@@ -1,5 +1,10 @@
 """The back-translation loop and its exact oracles.
 
+``STRATEGIES`` is the one table of generation strategies that ``BTStrategy``,
+the config parser and the CLI read: each kind's parameters, each with the
+config key that sets it, and its ``stochastic`` and ``needs_lm`` flags.  A
+Gamma kind is one that takes ``num_candidates``.  ``DOMAINS`` bounds them.
+
 ``synthesize_corpus`` turns a monolingual corpus into synthetic pairs under
 one of the generation strategies; ``train_forward`` retrains the forward
 channel on authentic plus synthetic data; ``run_bt_experiment`` sweeps
@@ -32,7 +37,7 @@ import math
 import numbers
 import operator
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,7 +56,7 @@ from .manipulate import (
     assemble_mixed_corpus,
     split_monolingual,
 )
-from .scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
+from .scoring import GammaParams, gamma_picks, gamma_rows
 from .streams import sentence_uniforms
 from .toyseq.decode import (
     _ancestral,
@@ -71,16 +76,6 @@ from .toyseq.models import (
 )
 from .toyseq.taskgen import ToyTask, ToyTaskSpec, generate_toy_task
 
-STRATEGY_KINDS = (
-    "none",
-    "beam",
-    "sampling",
-    "data-manipulation",
-    "gamma-select",
-    "gamma-sample",
-    "beam-weak",
-)
-
 DEFAULT_BEAM_SIZE = 5
 DEFAULT_NUM_CANDIDATES = 50
 DEFAULT_GAMMA_SPLIT = 0.5
@@ -88,91 +83,95 @@ ENUMERATION_GUARD = 10**6
 # Monte-Carlo samples drawn at a time; bounds the oracle's per-sample working set
 _MC_BLOCK = 8192
 WEAK_BITEXT_FRACTION = 0.1
-GAMMA_KINDS = ("gamma-select", "gamma-sample")
 
 
 # -- strategies ---------------------------------------------------------------
 
-def _integer(name: str, value) -> int:
-    # numpy integers pass, floats and numeric strings do not
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+class StrategySpec(NamedTuple):
+    """What one strategy kind takes and needs."""
+
+    params: dict[str, str]  # each required parameter -> the config key that sets it
+    stochastic: bool        # draws random numbers, so the CLI requires --seed
+    needs_lm: bool          # picks by Gamma score, which reads the source LM
+
+
+_GAMMA_PARAMS = {"gamma": "gamma_score", "num_candidates": "num_candidates"}
+STRATEGIES = {
+    "none": StrategySpec({}, stochastic=False, needs_lm=False),
+    "beam": StrategySpec({}, stochastic=False, needs_lm=False),
+    "beam-weak": StrategySpec({}, stochastic=False, needs_lm=False),
+    "sampling": StrategySpec({}, stochastic=True, needs_lm=False),
+    "data-manipulation": StrategySpec({"gamma": "gamma_dm"}, stochastic=True, needs_lm=False),
+    "gamma-select": StrategySpec(_GAMMA_PARAMS, stochastic=True, needs_lm=True),
+    "gamma-sample": StrategySpec(_GAMMA_PARAMS, stochastic=True, needs_lm=True),
+}
+
+
+class Domain(NamedTuple):
+    """The values one numeric parameter takes."""
+
+    type: type                      # int or float
+    text: str                       # the range as error messages state it
+    holds: Callable[[float], bool]
+
+
+DOMAINS = {
+    "gamma": Domain(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "num_candidates": Domain(int, ">= 2", lambda v: v >= 2),
+    "beam_size": Domain(int, ">= 1", lambda v: v >= 1),
+}
+# each strategy parameter, as a label shows it
+_LABELS = {"gamma": "gamma={:g}", "num_candidates": "n={}"}
+
+
+def check_parameter(name: str, value, label: str | None = None, shown: str | None = None):
+    """ConfigError unless ``value`` has the type and range of parameter
+    ``name``; the message calls it ``label`` and its value ``shown``."""
+    label = name if label is None else label
+    domain = DOMAINS[name]
+    if domain.type is int:
+        try:
+            # numpy integers pass, floats and numeric strings do not
+            value = operator.index(value)
+        except TypeError:
+            raise ConfigError(f"{label} must be an integer, got {value!r}") from None
+    elif not isinstance(value, numbers.Real):
+        raise ConfigError(f"{label} must be a real number, got {value!r}")
+    if not domain.holds(value):
+        raise ConfigError(
+            f"{label} must be {domain.text}, got {value if shown is None else shown}")
 
 
 @dataclass(frozen=True)
 class BTStrategy:
-    """A synthetic-generation strategy with exactly its required parameters."""
+    """A synthetic-generation strategy with exactly the parameters that
+    ``STRATEGIES`` lists for its kind."""
 
     kind: str
     gamma: float | None = None
-    split_seed: int | None = None
     num_candidates: int | None = None
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
+        spec = STRATEGIES.get(self.kind)
+        if spec is None:
             raise ConfigError(f"unknown strategy kind {self.kind!r}")
-        needs_gamma = self.kind in ("data-manipulation", "gamma-select", "gamma-sample")
-        if needs_gamma and self.gamma is None:
-            raise ConfigError(f"strategy {self.kind!r} requires gamma")
-        if not needs_gamma and self.gamma is not None:
-            raise ConfigError(f"strategy {self.kind!r} does not take gamma")
-        if self.kind in GAMMA_KINDS:
-            if (self.num_candidates is None
-                    or _integer("num_candidates", self.num_candidates) < 2):
-                raise ConfigError(f"strategy {self.kind!r} requires num_candidates >= 2")
-        elif self.num_candidates is not None:
-            raise ConfigError(f"strategy {self.kind!r} does not take num_candidates")
-        if self.split_seed is not None:
-            if self.kind != "data-manipulation":
-                raise ConfigError(f"strategy {self.kind!r} does not take split_seed")
-            if _integer("split_seed", self.split_seed) < 0:
-                raise ConfigError(f"split_seed must be non-negative, got {self.split_seed}")
-        if self.gamma is not None and not isinstance(self.gamma, numbers.Real):
-            raise ConfigError(f"gamma must be a real number, got {self.gamma!r}")
-        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
+        for name in _LABELS:
+            value = getattr(self, name)
+            if name not in spec.params:
+                if value is not None:
+                    raise ConfigError(f"strategy {self.kind!r} does not take {name}")
+            elif value is None:
+                raise ConfigError(f"strategy {self.kind!r} requires {name}")
+            else:
+                check_parameter(name, value)
 
     @property
     def label(self) -> str:
-        if self.kind == "data-manipulation":
-            return f"data-manipulation(gamma={self.gamma:g})"
-        if self.kind in GAMMA_KINDS:
-            return f"{self.kind}(gamma={self.gamma:g},n={self.num_candidates})"
-        return self.kind
-
-    # convenience constructors
-    @classmethod
-    def none(cls) -> "BTStrategy":
-        return cls(kind="none")
-
-    @classmethod
-    def beam(cls) -> "BTStrategy":
-        return cls(kind="beam")
-
-    @classmethod
-    def beam_weak(cls) -> "BTStrategy":
-        return cls(kind="beam-weak")
-
-    @classmethod
-    def sampling(cls) -> "BTStrategy":
-        return cls(kind="sampling")
-
-    @classmethod
-    def data_manipulation(cls, gamma: float = DEFAULT_GAMMA_SPLIT,
-                          split_seed: int | None = None) -> "BTStrategy":
-        return cls(kind="data-manipulation", gamma=gamma, split_seed=split_seed)
-
-    @classmethod
-    def gamma_select(cls, gamma: float = DEFAULT_GAMMA,
-                     num_candidates: int = DEFAULT_NUM_CANDIDATES) -> "BTStrategy":
-        return cls(kind="gamma-select", gamma=gamma, num_candidates=num_candidates)
-
-    @classmethod
-    def gamma_sample(cls, gamma: float = DEFAULT_GAMMA,
-                     num_candidates: int = DEFAULT_NUM_CANDIDATES) -> "BTStrategy":
-        return cls(kind="gamma-sample", gamma=gamma, num_candidates=num_candidates)
+        params = STRATEGIES[self.kind].params
+        if not params:
+            return self.kind
+        shown = ",".join(_LABELS[name].format(getattr(self, name)) for name in params)
+        return f"{self.kind}({shown})"
 
 
 # -- synthesis ----------------------------------------------------------------
@@ -250,6 +249,8 @@ def synthesize_corpus(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM | No
     so output is independent of evaluation order.
     """
     kind = strategy.kind
+    if STRATEGIES[kind].needs_lm and lm is None:
+        raise ConfigError(f"strategy {kind!r} needs a source language model")
     if kind == "none":
         return []
     if kind in ("beam", "beam-weak"):
@@ -257,11 +258,8 @@ def synthesize_corpus(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM | No
     if kind == "sampling":
         return _sampling_pairs(backward, mono, range(len(mono.sentences)), seed)
     if kind == "data-manipulation":
-        split_seed = strategy.split_seed if strategy.split_seed is not None else seed
-        plan = split_monolingual(mono, strategy.gamma, split_seed)
+        plan = split_monolingual(mono, strategy.gamma, seed)
         return synthesize_split(mono, backward, plan, seed, beam_size)
-    if lm is None:
-        raise ConfigError(f"strategy {kind!r} needs a source language model")
     [sources] = _gamma_sources(mono, backward, lm, [strategy], seed)
     return _tagged(sources, mono, kind)
 
@@ -295,16 +293,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
-        labels: set[str] = set()
-        for strategy in self.strategies:
-            # a label names one report cell
-            if strategy.label in labels:
-                raise ConfigError(f"duplicate strategy {strategy.label!r}")
-            labels.add(strategy.label)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if _integer("beam_size", self.beam_size) < 1:
-            raise ConfigError("beam_size must be >= 1")
+        # a (strategy label, seed) pair names one report cell
+        for what, items in (("strategy", [s.label for s in self.strategies]),
+                            ("seed", self.seeds)):
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ConfigError(f"duplicate {what} {item!r}")
+        check_parameter("beam_size", self.beam_size)
 
 
 @dataclass
@@ -386,7 +383,7 @@ def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     strategies = list(config.strategies)
     if not any(s.kind == "none" for s in strategies):
-        strategies.insert(0, BTStrategy.none())
+        strategies.insert(0, BTStrategy("none"))
     report = ExperimentReport()
     for seed in config.seeds:
         task = generate_toy_task(config.task.with_seed(seed))
@@ -403,7 +400,7 @@ def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
         gamma_synthetic: dict = {}
         for strategy in strategies:
             try:
-                if strategy.kind not in GAMMA_KINDS:
+                if strategy.num_candidates is None:
                     generator_model = weak if strategy.kind == "beam-weak" else backward
                     synthetic = synthesize_corpus(
                         task.mono, generator_model, lm, strategy, seed, config.beam_size
@@ -412,8 +409,8 @@ def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
                     if strategy not in gamma_synthetic:
                         # the first Gamma cell of its candidate count makes
                         # the one pool pass for every cell of that count
-                        group = [s for s in strategies if s.kind in GAMMA_KINDS
-                                 and s.num_candidates == strategy.num_candidates]
+                        group = [s for s in strategies
+                                 if s.num_candidates == strategy.num_candidates]
                         passes = _gamma_sources(task.mono, backward, lm, group, seed)
                         for member, sources in zip(group, passes):
                             gamma_synthetic[member] = _tagged(sources, task.mono, member.kind)

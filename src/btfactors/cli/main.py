@@ -18,11 +18,14 @@ from pathlib import Path
 
 from .. import __version__
 from ..btloop import (
-    BTStrategy,
     DEFAULT_BEAM_SIZE,
     DEFAULT_GAMMA_SPLIT,
     DEFAULT_NUM_CANDIDATES,
+    DOMAINS,
+    STRATEGIES,
+    BTStrategy,
     ExperimentConfig,
+    check_parameter,
     evaluate_marginal_oracles,
     run_bt_experiment,
     synthesize_corpus,
@@ -141,24 +144,23 @@ def _require_seed(args) -> None:
 
 
 def _cmd_backtranslate(args, argv) -> int:
+    # the manifest records every flag, also those the strategy does not read
+    for name in ("gamma", "num_candidates", "beam_size"):
+        check_parameter(name, getattr(args, name), "--" + name.replace("_", "-"))
+    spec = STRATEGIES[args.strategy]
+    if spec.stochastic:
+        _require_seed(args)
+    if spec.needs_lm and not args.lm:
+        raise ConfigError(f"--lm is required for strategy {args.strategy!r}")
+    strategy = BTStrategy(args.strategy, **{name: getattr(args, name) for name in spec.params})
     mono = read_mono(args.mono)
     backward = _load_channel(args.backward)
     inputs = {"mono": args.mono, "backward": args.backward}
     lm = None
-    if args.strategy in ("sampling", "gamma-select", "gamma-sample"):
-        _require_seed(args)
-    seed = args.seed if args.seed is not None else 0
-    if args.strategy == "beam":
-        strategy = BTStrategy.beam()
-    elif args.strategy == "sampling":
-        strategy = BTStrategy.sampling()
-    else:
-        if not args.lm:
-            raise ConfigError(f"--lm is required for strategy {args.strategy!r}")
+    if spec.needs_lm:
         lm = _load_lm(args.lm)
         inputs["lm"] = args.lm
-        maker = BTStrategy.gamma_select if args.strategy == "gamma-select" else BTStrategy.gamma_sample
-        strategy = maker(gamma=args.gamma, num_candidates=args.num_candidates)
+    seed = args.seed if args.seed is not None else 0
     pairs = synthesize_corpus(mono, backward, lm, strategy, seed, args.beam_size)
     write_synthetic(args.out, pairs)
     params = {
@@ -298,10 +300,13 @@ def _parse_config_text(text: str) -> ExperimentConfig:
         values[key] = value.strip()
         linenos[key] = lineno
 
+    # the keys that set strategy parameters, with their defaults
+    strategy_keys = {"gamma_dm": DEFAULT_GAMMA_SPLIT, "gamma_score": DEFAULT_GAMMA,
+                     "num_candidates": DEFAULT_NUM_CANDIDATES}
     known = {
-        "seeds", "strategies", "gamma_dm", "gamma_score", "num_candidates",
-        "beam_size", "alpha", "lm_order", "source_vocab", "target_vocab",
-        "min_len", "max_len", "noise", "bitext", "mono", "test",
+        "seeds", "strategies", "beam_size", "alpha", "lm_order", "source_vocab",
+        "target_vocab", "min_len", "max_len", "noise", "bitext", "mono", "test",
+        *strategy_keys,
     }
     unknown = set(values) - known
     if unknown:
@@ -333,33 +338,24 @@ def _parse_config_text(text: str) -> ExperimentConfig:
     seeds = (1, 2, 3, 4, 5)
     if "seeds" in values:
         seeds = tuple(parse("seeds", s, int) for s in values["seeds"].split())
-    gamma_dm = get_float("gamma_dm", DEFAULT_GAMMA_SPLIT)
-    gamma_score = get_float("gamma_score", DEFAULT_GAMMA)
-    num_candidates = get_int("num_candidates", DEFAULT_NUM_CANDIDATES)
-    # checked whenever present, even when no listed strategy reads the key
-    for key, ok, what in (("gamma_dm", 0.0 <= gamma_dm <= 1.0, "in [0, 1]"),
-                          ("gamma_score", 0.0 <= gamma_score <= 1.0, "in [0, 1]"),
-                          ("num_candidates", num_candidates >= 2, ">= 2")):
-        if key in values and not ok:
-            raise ConfigError(
-                f"config line {linenos[key]}: {key} must be {what}, got {values[key]!r}")
-    makers = {
-        "none": BTStrategy.none,
-        "beam": BTStrategy.beam,
-        "beam-weak": BTStrategy.beam_weak,
-        "sampling": BTStrategy.sampling,
-        "data-manipulation": lambda: BTStrategy.data_manipulation(gamma=gamma_dm),
-        "gamma-select": lambda: BTStrategy.gamma_select(gamma_score, num_candidates),
-        "gamma-sample": lambda: BTStrategy.gamma_sample(gamma_score, num_candidates),
-    }
-    names = values.get("strategies", "beam sampling").split()
-    try:
-        strategies = tuple(makers[name]() for name in names)
-    except KeyError as exc:
-        raise ConfigError(f"unknown strategy {exc.args[0]!r}") from exc
+    # the parameter each of those keys sets
+    key_params = {key: name for spec in STRATEGIES.values() for name, key in spec.params.items()}
+    settings = dict(strategy_keys)
+    for key, name in key_params.items():
+        if key in values:
+            # checked whenever present, even when no listed strategy reads the key
+            settings[key] = parse(key, values[key], DOMAINS[name].type)
+            check_parameter(name, settings[key], f"config line {linenos[key]}: {key}",
+                            repr(values[key]))
+    strategies = []
+    for kind in values.get("strategies", "beam sampling").split():
+        if kind not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {kind!r}")
+        params = STRATEGIES[kind].params
+        strategies.append(BTStrategy(kind, **{name: settings[key] for name, key in params.items()}))
     return ExperimentConfig(
         task=task,
-        strategies=strategies,
+        strategies=tuple(strategies),
         seeds=seeds,
         beam_size=get_int("beam_size", DEFAULT_BEAM_SIZE),
         alpha=get_float("alpha", 0.1),
@@ -433,6 +429,9 @@ def _cmd_oracle(args, argv) -> int:
     if args.num_targets < 0:
         # a negative slice bound would silently drop the last |N| targets
         raise ConfigError(f"--num-targets must be >= 0, got {args.num_targets}")
+    if args.samples < 2:
+        # checked before any target, so it holds for zero targets too
+        raise ConfigError(f"--samples must be >= 2, got {args.samples}")
     spec = TINY_TASK.with_seed(args.seed)
     task = generate_toy_task(spec)
     backward = train_channel(task.bitext, "target_to_source", args.alpha,

@@ -62,12 +62,12 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def sweep():
     strategies = (
-        BTStrategy.beam(),
-        BTStrategy.beam_weak(),
-        BTStrategy.sampling(),
-        BTStrategy.data_manipulation(0.5),
-        BTStrategy.gamma_select(),
-        BTStrategy.gamma_sample(),
+        BTStrategy("beam"),
+        BTStrategy("beam-weak"),
+        BTStrategy("sampling"),
+        BTStrategy("data-manipulation", 0.5),
+        BTStrategy("gamma-select", 0.2, 50),
+        BTStrategy("gamma-sample", 0.2, 50),
     )
     config = ExperimentConfig(task=ACCEPTANCE_TASK, strategies=strategies, seeds=SEEDS)
     start = time.monotonic()
@@ -187,8 +187,8 @@ def test_criterion_3_two_factor_ordering():
         backward = train_channel(task.bitext, "target_to_source", 0.1,
                                  out_vocab=task.source_vocab)
         lm = train_ngram_lm(task.bitext.sources(), 2, 0.1, vocab=task.source_vocab)
-        beam = synthesize_corpus(task.mono, backward, lm, BTStrategy.beam(), seed)
-        sampling = synthesize_corpus(task.mono, backward, lm, BTStrategy.sampling(), seed)
+        beam = synthesize_corpus(task.mono, backward, lm, BTStrategy("beam"), seed)
+        sampling = synthesize_corpus(task.mono, backward, lm, BTStrategy("sampling"), seed)
         q_beam = corpus_quality_report(beam, backward).mean_log_q
         q_samp = corpus_quality_report(sampling, backward).mean_log_q
         i_beam = corpus_importance_report(beam, lm, backward).mean_log_importance

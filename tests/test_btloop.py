@@ -86,8 +86,6 @@ def test_strategy_parameter_contracts():
         BTStrategy(kind="beam", gamma=0.2)  # spurious parameter
     with pytest.raises(ConfigError):
         BTStrategy(kind="data-manipulation")  # missing gamma
-    with pytest.raises(ConfigError):
-        BTStrategy(kind="sampling", split_seed=1)
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -95,10 +93,10 @@ def test_strategy_parameter_contracts():
      "num_candidates must be an integer, got 2.5"),
     ({"kind": "gamma-sample", "gamma": 0.2, "num_candidates": "5"},
      "num_candidates must be an integer, got '5'"),
-    ({"kind": "data-manipulation", "gamma": 0.5, "split_seed": 1.5},
-     "split_seed must be an integer, got 1.5"),
-    ({"kind": "data-manipulation", "gamma": 0.5, "split_seed": -1},
-     "split_seed must be non-negative, got -1"),
+    ({"kind": "gamma-sample", "gamma": 0.2, "num_candidates": 1},
+     "num_candidates must be >= 2, got 1"),
+    ({"kind": "data-manipulation", "gamma": float("nan")},
+     "gamma must be in [0, 1], got nan"),
     ({"kind": "gamma-select", "gamma": "0.2", "num_candidates": 5},
      "gamma must be a real number, got '0.2'"),
 ])
@@ -109,23 +107,22 @@ def test_strategy_parameters_are_checked_when_the_strategy_is_made(kwargs, messa
 
 
 def test_strategy_accepts_numpy_integers_and_reals():
-    strategy = BTStrategy.gamma_select(np.float64(0.2), np.int64(4))
-    assert strategy == BTStrategy.gamma_select(0.2, 4)
+    strategy = BTStrategy("gamma-select", np.float64(0.2), np.int64(4))
+    assert strategy == BTStrategy("gamma-select", 0.2, 4)
     assert strategy.label == "gamma-select(gamma=0.2,n=4)"
-    assert BTStrategy.data_manipulation(0.5, split_seed=np.int32(3)).split_seed == 3
 
 
 def test_gamma_strategy_requires_lm(tiny_setup):
     task, backward, _, _ = tiny_setup
     with pytest.raises(ConfigError):
-        synthesize_corpus(task.mono, backward, None, BTStrategy.gamma_select(), seed=0)
+        synthesize_corpus(task.mono, backward, None, BTStrategy("gamma-select", 0.2, 50), seed=0)
 
 
 # -- synthesis ------------------------------------------------------------------------
 
 def test_none_strategy_yields_empty_corpus(tiny_setup):
     task, backward, _, lm = tiny_setup
-    assert synthesize_corpus(task.mono, backward, lm, BTStrategy.none(), seed=0) == []
+    assert synthesize_corpus(task.mono, backward, lm, BTStrategy("none"), seed=0) == []
 
 
 def test_beam_synthesis_on_noiseless_task_recovers_true_sources():
@@ -134,16 +131,16 @@ def test_beam_synthesis_on_noiseless_task_recovers_true_sources():
     )
     task = generate_toy_task(spec)
     backward = train_channel(task.bitext, "target_to_source", 0.1, out_vocab=task.source_vocab)
-    pairs = synthesize_corpus(task.mono, backward, None, BTStrategy.beam(), seed=0)
+    pairs = synthesize_corpus(task.mono, backward, None, BTStrategy("beam"), seed=0)
     assert [p.source for p in pairs] == task.mono_refs.sources()
 
 
 def test_synthesis_is_deterministic_and_tagged(tiny_setup):
     task, backward, _, lm = tiny_setup
     for strategy, tag in [
-        (BTStrategy.sampling(), "sampling"),
-        (BTStrategy.gamma_select(num_candidates=10), "gamma-select"),
-        (BTStrategy.gamma_sample(num_candidates=10), "gamma-sample"),
+        (BTStrategy("sampling"), "sampling"),
+        (BTStrategy("gamma-select", 0.2, 10), "gamma-select"),
+        (BTStrategy("gamma-sample", 0.2, 10), "gamma-sample"),
     ]:
         first = synthesize_corpus(task.mono, backward, lm, strategy, seed=5)
         second = synthesize_corpus(task.mono, backward, lm, strategy, seed=5)
@@ -161,8 +158,8 @@ def test_equal_length_tuple_tokens_decode_as_tokens():
     backward = train_channel(bitext, "target_to_source", 0.1, out_vocab=vocab)
     lm = train_ngram_lm(bitext.sources(), 2, 0.1, vocab=vocab)
     mono = MonoCorpus.from_sequences([(0, 1), (1, 1, 0)])
-    for strategy in (BTStrategy.beam(), BTStrategy.sampling(),
-                     BTStrategy.gamma_select(num_candidates=4)):
+    for strategy in (BTStrategy("beam"), BTStrategy("sampling"),
+                     BTStrategy("gamma-select", 0.2, 4)):
         pairs = synthesize_corpus(mono, backward, lm, strategy, seed=0)
         assert [len(p.source) for p in pairs] == [2, 3]
         for pair in pairs:
@@ -173,16 +170,16 @@ def test_data_manipulation_tags_match_plan(tiny_setup):
     task, backward, _, _ = tiny_setup
     from btfactors.manipulate import split_monolingual
 
-    strategy = BTStrategy.data_manipulation(gamma=0.5, split_seed=9)
+    strategy = BTStrategy("data-manipulation", 0.5)
     pairs = synthesize_corpus(task.mono, backward, None, strategy, seed=4)
-    plan = split_monolingual(task.mono, 0.5, 9)
+    plan = split_monolingual(task.mono, 0.5, 4)
     for i, pair in enumerate(pairs):
         assert pair.provenance == ("beam" if i in set(plan.beam_ids) else "sampling")
 
 
 def test_gamma_select_zero_gamma_picks_max_normalized_quality(tiny_setup):
     task, backward, _, lm = tiny_setup
-    strategy = BTStrategy.gamma_select(gamma=0.0, num_candidates=12)
+    strategy = BTStrategy("gamma-select", 0.0, 12)
     pairs = synthesize_corpus(task.mono, backward, lm, strategy, seed=8)
     for i, y in enumerate(task.mono.sentences[:10]):
         cset = sample_candidate_set(backward, lm, y, 12, sentence_stream(8, i), target_id=i)
@@ -550,9 +547,9 @@ def test_evaluate_marginal_oracles_bundle(tiny_setup):
 SMALL_EXPERIMENT = ExperimentConfig(
     task=ToyTaskSpec(bitext_size=150, mono_size=150, test_size=60),
     strategies=(
-        BTStrategy.beam(),
-        BTStrategy.sampling(),
-        BTStrategy.gamma_select(num_candidates=10),
+        BTStrategy("beam"),
+        BTStrategy("sampling"),
+        BTStrategy("gamma-select", 0.2, 10),
     ),
     seeds=(1, 2),
 )
@@ -584,23 +581,31 @@ def test_experiment_requires_strategies_and_seeds():
     with pytest.raises(ConfigError):
         ExperimentConfig(task=TINY, strategies=(), seeds=(1,))
     with pytest.raises(ConfigError):
-        ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=())
+        ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),), seeds=())
+
+
+def test_experiment_rejects_duplicate_seeds():
+    # each (label, seed) pair names one report cell
+    for seeds in ((1, 1), (3, 1, 2, 1)):
+        with pytest.raises(ConfigError, match="^duplicate seed 1$"):
+            ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),), seeds=seeds)
+    ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),), seeds=(1, 2, 3))
 
 
 def test_experiment_beam_size_must_be_a_positive_integer():
     for width in (2.5, 2.0, "5", None):
         with pytest.raises(ConfigError, match="integer"):
-            ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=(1,),
+            ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),), seeds=(1,),
                              beam_size=width)
     with pytest.raises(ConfigError, match=">= 1"):
-        ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=(1,), beam_size=0)
-    ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=(1,),
+        ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),), seeds=(1,), beam_size=0)
+    ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),), seeds=(1,),
                      beam_size=np.int64(3))
 
 
 def test_experiment_refuses_a_fractional_lm_order():
     # it used to train an order-2 LM
-    config = ExperimentConfig(task=TINY, strategies=(BTStrategy.beam(),), seeds=(1,),
+    config = ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),), seeds=(1,),
                               lm_order=2.5)
     with pytest.raises(InvalidInputError, match="order must be an integer, got 2.5"):
         run_bt_experiment(config)
@@ -608,18 +613,17 @@ def test_experiment_refuses_a_fractional_lm_order():
 
 def test_experiment_rejects_duplicate_strategies():
     # each label names one report cell, so a repeated label is refused
-    for strategies in ((BTStrategy.beam(), BTStrategy.beam()),
-                       (BTStrategy.none(), BTStrategy.sampling(), BTStrategy.none()),
-                       (BTStrategy.gamma_sample(0.2, 5), BTStrategy.gamma_sample(0.2 + 1e-9, 5)),
-                       (BTStrategy.data_manipulation(0.5),
-                        BTStrategy.data_manipulation(0.5, split_seed=4))):
+    for strategies in ((BTStrategy("beam"), BTStrategy("beam")),
+                       (BTStrategy("none"), BTStrategy("sampling"), BTStrategy("none")),
+                       (BTStrategy("gamma-sample", 0.2, 5),
+                        BTStrategy("gamma-sample", 0.2 + 1e-9, 5))):
         with pytest.raises(ConfigError, match="duplicate strategy"):
             ExperimentConfig(task=TINY, strategies=strategies, seeds=(1,))
-    ExperimentConfig(task=TINY, strategies=(BTStrategy.gamma_sample(0.2, 5),
-                                            BTStrategy.gamma_sample(0.2, 6)), seeds=(1,))
+    ExperimentConfig(task=TINY, strategies=(BTStrategy("gamma-sample", 0.2, 5),
+                                            BTStrategy("gamma-sample", 0.2, 6)), seeds=(1,))
 
 
-GAMMA_GRID = tuple(maker(gamma, 6) for maker in (BTStrategy.gamma_select, BTStrategy.gamma_sample)
+GAMMA_GRID = tuple(BTStrategy(kind, gamma, 6) for kind in ("gamma-select", "gamma-sample")
                    for gamma in (0.0, 0.2, 0.5, 1.0))
 
 
@@ -632,7 +636,7 @@ def test_gamma_cells_share_one_candidate_pass_per_seed(monkeypatch):
         return chunks(*args, **kwargs)
 
     config = ExperimentConfig(task=TINY.with_seed(0), seeds=(2, 3),
-                              strategies=(BTStrategy.beam(), *GAMMA_GRID))
+                              strategies=(BTStrategy("beam"), *GAMMA_GRID))
     monkeypatch.setattr(btloop, "candidate_chunks", counted)
     records = run_bt_experiment(config).to_records()
     assert passes == [6, 6]
@@ -669,8 +673,8 @@ def test_shared_gamma_pass_equals_each_strategy_alone(tiny_setup):
             alone = synthesize_corpus(task.mono, backward, lm, strategy, seed)
             assert [p.source for p in alone] == sources
     with pytest.raises(InvalidInputError, match="one num_candidates"):
-        btloop._gamma_sources(task.mono, backward, lm, (BTStrategy.gamma_select(0.2, 4),
-                                                        BTStrategy.gamma_sample(0.2, 5)), 0)
+        btloop._gamma_sources(task.mono, backward, lm, (BTStrategy("gamma-select", 0.2, 4),
+                                                        BTStrategy("gamma-sample", 0.2, 5)), 0)
 
 
 @pytest.mark.parametrize("lm_order", [2, 3])
@@ -688,8 +692,8 @@ def test_diagnostics_never_call_the_scalar_scorers(monkeypatch, tiny_setup, lm_o
     corpus_importance_report(synthetic, lm, backward)
     config = ExperimentConfig(
         task=TINY.with_seed(3),
-        strategies=(BTStrategy.beam(), BTStrategy.sampling(),
-                    BTStrategy.gamma_select(num_candidates=4)),
+        strategies=(BTStrategy("beam"), BTStrategy("sampling"),
+                    BTStrategy("gamma-select", 0.2, 4)),
         seeds=(3,),
         lm_order=lm_order,
     )
@@ -709,8 +713,8 @@ def test_each_cell_scores_its_pairs_with_one_channel_once(monkeypatch):
     monkeypatch.setattr(ChannelModel, "batch_score", counted)
     config = ExperimentConfig(
         task=TINY.with_seed(5),
-        strategies=(BTStrategy.beam(), BTStrategy.sampling(),
-                    BTStrategy.gamma_select(num_candidates=4)),
+        strategies=(BTStrategy("beam"), BTStrategy("sampling"),
+                    BTStrategy("gamma-select", 0.2, 4)),
         seeds=(5,),
     )
     run_bt_experiment(config)

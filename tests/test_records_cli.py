@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btfactors.btloop import STRATEGIES, BTStrategy
 from btfactors.cli.main import _parse_config_text, dispatch, rerun_from_manifest
 from btfactors.cli.manifest import read_manifest
 from btfactors.cli.records import (
@@ -557,6 +558,44 @@ def test_stochastic_commands_require_seed(toy_dir, models_dir, tmp_path, capsys)
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["beam", "sampling", "gamma-select", "gamma-sample"])
+def test_every_backtranslate_strategy_requires_what_its_flags_say(toy_dir, models_dir,
+                                                                  tmp_path, capsys, kind):
+    spec = STRATEGIES[kind]
+    base = ["backtranslate", "--mono", str(toy_dir / "mono.txt"),
+            "--backward", str(models_dir / "backward.txt"), "--strategy", kind]
+    lm_error = f"error: --lm is required for strategy {kind!r}\n"
+    seed_error = "error: --seed is required for stochastic commands\n"
+    outcomes = {}
+    for extra in ([], ["--seed", "1"], ["--seed", "1", "--lm", str(models_dir / "lm.txt")]):
+        out = tmp_path / f"{len(extra)}.tsv"
+        outcomes[len(extra)] = (dispatch([*base, *extra, "--out", str(out)]),
+                                capsys.readouterr().err, out.exists())
+    assert outcomes[0] == ((1, seed_error, False) if spec.stochastic
+                           else (1, lm_error, False) if spec.needs_lm else (0, "", True))
+    assert outcomes[2] == ((1, lm_error, False) if spec.needs_lm else (0, "", True))
+    assert outcomes[4] == (0, "", True)
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--strategy", "beam", "--gamma", "7", "--num-candidates", "-3"],
+     "--gamma must be in [0, 1], got 7.0"),
+    (["--strategy", "beam", "--num-candidates", "-3"], "--num-candidates must be >= 2, got -3"),
+    (["--strategy", "sampling", "--seed", "1", "--beam-size", "0"],
+     "--beam-size must be >= 1, got 0"),
+    (["--strategy", "gamma-sample", "--seed", "1", "--gamma", "nan"],
+     "--gamma must be in [0, 1], got nan"),
+], ids=["gamma-on-beam", "num-candidates-on-beam", "beam-size-on-sampling", "gamma-nan"])
+def test_backtranslate_range_checks_every_flag(models_dir, tmp_path, capsys, flags, message):
+    # checked before any input is read, and whether or not the strategy reads the flag
+    out = tmp_path / "x.tsv"
+    code = dispatch(["backtranslate", "--mono", str(tmp_path / "absent.txt"),
+                     "--backward", str(models_dir / "backward.txt"), "--lm",
+                     str(models_dir / "lm.txt"), *flags, "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_manipulate_is_byte_deterministic(toy_dir, models_dir, tmp_path):
     args = ["manipulate", "--mono", str(toy_dir / "mono.txt"),
             "--backward", str(models_dir / "backward.txt"),
@@ -794,6 +833,22 @@ def test_oracle_refuses_a_negative_target_count(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "6"])
+@pytest.mark.parametrize("samples", ["-7", "1"])
+def test_oracle_refuses_too_few_samples_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          count, samples):
+    # with no targets a bad count used to exit 0 and enter the manifest
+    def no_task(spec):
+        raise AssertionError("task built before --samples was checked")
+
+    monkeypatch.setattr("btfactors.cli.main.generate_toy_task", no_task)
+    out = tmp_path / "oracle"
+    assert dispatch(["oracle", "--task", "tiny", "--seed", "1", "--num-targets", count,
+                     "--samples", samples, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --samples must be >= 2, got {samples}\n"
+    assert not out.exists()
+
+
 def test_bt_experiment_command(tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text(
@@ -833,13 +888,37 @@ def run_cli(*argv):
     ("num_candidates = 1", "config line 2: num_candidates must be >= 2, got '1'"),
     # the later value used to win silently
     ("mono = 5", "config line 3: duplicate key 'mono' (first on line 2)"),
+    # each row of the report used to be written twice
+    ("seeds = 1 2 1", "duplicate seed 1"),
 ], ids=["int", "seeds", "int-as-float", "float", "duplicate-strategy", "gamma-dm-range",
-        "gamma-score-range", "gamma-score-nan", "num-candidates-range", "duplicate-key"])
+        "gamma-score-range", "gamma-score-nan", "num-candidates-range", "duplicate-key",
+        "duplicate-seed"])
 def test_bad_config_values_are_a_one_line_error(tmp_path, line, message):
     config = tmp_path / "exp.cfg"
     config.write_text(f"# bad value below\n{line}\nmono = 10\n", encoding="utf-8")
     assert run_cli("bt-experiment", "--config", config, "--out", tmp_path / "exp") == (
         1, f"error: {message}\n")
+
+
+EVERY_KIND = (BTStrategy("none"), BTStrategy("beam"), BTStrategy("beam-weak"),
+              BTStrategy("sampling"), BTStrategy("data-manipulation", 0.5),
+              BTStrategy("gamma-select", 0.2, 50), BTStrategy("gamma-sample", 0.2, 50))
+
+
+def test_every_strategy_kind_builds_from_config_text_as_directly():
+    assert [s.kind for s in EVERY_KIND] == list(STRATEGIES)
+    assert [s.label for s in EVERY_KIND] == [
+        "none", "beam", "beam-weak", "sampling", "data-manipulation(gamma=0.5)",
+        "gamma-select(gamma=0.2,n=50)", "gamma-sample(gamma=0.2,n=50)"]
+    for strategy in EVERY_KIND:
+        [parsed] = _parse_config_text(f"strategies = {strategy.kind}\n").strategies
+        assert parsed == strategy
+    # each parameter comes from its own key
+    keys = "gamma_dm = 0.25\ngamma_score = 0.75\nnum_candidates = 9\n"
+    config = _parse_config_text(f"strategies = {' '.join(STRATEGIES)}\n{keys}")
+    assert [s.label for s in config.strategies] == [
+        "none", "beam", "beam-weak", "sampling", "data-manipulation(gamma=0.25)",
+        "gamma-select(gamma=0.75,n=9)", "gamma-sample(gamma=0.75,n=9)"]
 
 
 def test_beam_backtranslation_over_a_mixed_vocabulary(tmp_path):
