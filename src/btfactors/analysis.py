@@ -2,8 +2,9 @@
 token-frequency profiles, and singular-value spectra of bag-of-token
 sentence representations.
 
-BLEU counts n-grams in numpy: integer-coded tokens, one compacted id per
-(sentence pair, n-gram), and ``np.unique``/``bincount`` counts.
+BLEU and the sentence representations code tokens with ``tokenio.encode``;
+BLEU counts one compacted id per (sentence pair, n-gram) with
+``np.unique``/``bincount``.
 ``corpus_diagnostics`` gives the quality, importance and spectrum reports
 of one corpus from one backward ``batch_score`` pass, which adds the
 per-position terms one column at a time and so reproduces the scalar
@@ -19,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InconsistencyError, InvalidInputError, NumericError
+from .errors import InconsistencyError, InvalidInputError, NumericError, check_integer
 from .manipulate import SyntheticPair
+from .tokenio import encode
 from .toyseq.models import ChannelModel, NGramLM
 
 
@@ -34,7 +36,7 @@ def _count_ngrams(hyps: list, refs: list, matched: list, total: list) -> None:
     """Add each order's clipped matches and hypothesis n-grams of the
     aligned pairs to ``matched[n - 1]`` and ``total[n - 1]``.
 
-    Tokens are integer-coded through one dict, so any hashable tokens work
+    Tokens are coded by ``tokenio.encode``, so any hashable tokens work
     and compare as Python compares them.  Each order gives every position
     an id for (sentence pair, n-gram starting there), compacted with
     ``np.unique`` from the (n-1)-gram id and the n-th token.  A key stays
@@ -46,8 +48,7 @@ def _count_ngrams(hyps: list, refs: list, matched: list, total: list) -> None:
     lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
     size = int(lengths.sum())
     codes: dict = {}
-    tokens = np.fromiter((codes.setdefault(tok, len(codes)) for s in sentences for tok in s),
-                         dtype=np.int64, count=size)
+    tokens = encode(sentences, codes)
     hyp_size = int(lengths[: len(hyps)].sum())
     # tokens from each position to the end of its sentence: an n-gram starts
     # wherever at least n are left
@@ -79,6 +80,7 @@ def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
     integer, so the float arithmetic is that of the textbook Counter loop
     and the score is the same bit for bit.
     """
+    max_n = check_integer("max_n", max_n, 1)
     hyps = [tuple(h) for h in hypotheses]
     refs = [tuple(r) for r in references]
     if not hyps or len(hyps) != len(refs):
@@ -200,23 +202,24 @@ def corpus_profile(corpus) -> CorpusProfile:
 def sentence_representation_matrix(corpus, vocab) -> np.ndarray:
     """Rows are L2-normalized bag-of-token count vectors over ``vocab``.
 
-    Counts are small integers, so each row's sum of squares is exact in any
-    order and its norm is the correctly rounded square root.  An empty
-    sentence gives a row of NaN (0 / 0).
+    A token outside ``vocab`` or repeated in it is refused.  Counts are
+    small integers, so each row's sum of squares is exact in any order and
+    its norm is the correctly rounded square root.  An empty sentence gives
+    a row of NaN (0 / 0).
     """
     sentences = [tuple(s) for s in corpus]
     if not sentences:
         raise InvalidInputError("corpus must be non-empty")
     vocab = tuple(vocab)
-    index = {tok: i for i, tok in enumerate(vocab)}
+    index = dict(zip(vocab, range(len(vocab))))
+    if len(index) < len(vocab):
+        repeated = next(tok for i, tok in enumerate(vocab) if index[tok] != i)
+        raise InvalidInputError(f"representation vocabulary repeats the token {repeated!r}")
+    cols = encode(sentences, index)
+    if len(index) > len(vocab):
+        raise InvalidInputError(f"token {list(index)[len(vocab)]!r} is outside the "
+                                "representation vocabulary")
     lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-    try:
-        cols = np.fromiter((index[tok] for s in sentences for tok in s),
-                           dtype=np.intp, count=int(lengths.sum()))
-    except KeyError as exc:
-        raise InvalidInputError(
-            f"token {exc.args[0]!r} is outside the representation vocabulary"
-        ) from None
     matrix = np.zeros((len(sentences), len(vocab)))
     np.add.at(matrix, (np.repeat(np.arange(len(sentences)), lengths), cols), 1.0)
     matrix /= np.linalg.norm(matrix, axis=1)[:, None]

@@ -48,6 +48,7 @@ from .errors import (
     EnumerationTooLargeError,
     InvalidInputError,
     NumericError,
+    check_integer,
 )
 from .manipulate import (
     MonoCorpus,
@@ -538,12 +539,7 @@ def jensen_lower_bound(lm: NGramLM, forward_channel: ChannelModel, y,
 
 def _check_mc_inputs(lm: NGramLM, backward: ChannelModel, num_samples: int) -> int:
     """``num_samples`` as an int, once the estimator's inputs are checked."""
-    try:
-        num_samples = operator.index(num_samples)
-    except TypeError:
-        raise InvalidInputError(f"num_samples must be an integer, got {num_samples!r}") from None
-    if num_samples < 2:
-        raise InvalidInputError("num_samples must be >= 2")
+    num_samples = check_integer("num_samples", num_samples, 2)
     if backward.alpha <= 0.0:
         raise InvalidInputError("backward model must smooth with alpha > 0 (positive mass)")
     if tuple(backward.out_vocab) != tuple(lm.content_vocab):

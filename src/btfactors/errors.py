@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
 
 from __future__ import annotations
+
+import operator
 
 
 class BtfactorsError(Exception):
@@ -41,3 +43,14 @@ class EnumerationTooLargeError(BtfactorsError, ValueError):
 
 class NumericError(BtfactorsError, RuntimeError):
     """An iterative numeric procedure failed to converge."""
+
+
+def check_integer(name: str, value, low: int) -> int:
+    """``value`` as an int; InvalidInputError unless it is an integer >= ``low``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise InvalidInputError(f"{name} must be >= {low}")
+    return value

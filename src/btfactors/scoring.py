@@ -207,13 +207,20 @@ def invert_cdf(cdf: np.ndarray, uniforms: np.ndarray,
 
     Draw i reads row ``rows[i]`` of ``cdf`` (row i when ``rows`` is None)
     and is the number of that row's entries at or below ``uniforms[i]``,
-    clamped to n-1.  The count goes one column at a time over the given
-    rows, so no gathered (draws, n) table is built.
+    clamped to n-1.  Rows must be non-decreasing, as a cumsum is: a
+    branchless binary search reads each row's first n-1 entries, padded with
+    NaN (no uniform, not even +inf or NaN, is at or above one) to a width
+    P >= n, a power of two, in log2(P) gathers without a (draws, n) table.
     """
-    counts = np.zeros(len(uniforms), dtype=np.intp)
-    for column in cdf.T:
-        counts += (column if rows is None else column[rows]) <= uniforms
-    return np.minimum(counts, cdf.shape[1] - 1)
+    n = cdf.shape[1]
+    width = 1 << (n - 1).bit_length()
+    table = np.full((len(cdf), width), np.nan)
+    table[:, : n - 1] = cdf[:, : n - 1]
+    base = (np.arange(len(uniforms)) if rows is None else np.asarray(rows)) * width
+    found, step = base.copy(), width
+    while step := step >> 1:
+        found += (table.ravel()[step - 1 :][found] <= uniforms) * step
+    return found - base
 
 
 def _set_rows(cset: CandidateSet, params: GammaParams) -> np.ndarray:

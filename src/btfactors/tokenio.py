@@ -27,6 +27,9 @@ from __future__ import annotations
 
 import functools
 import re
+from itertools import chain
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -92,6 +95,16 @@ def sequence_to_str(tokens) -> str:
 
 def sequence_from_str(text: str) -> tuple:
     return tuple(map(token_from_str, text.split()))
+
+
+def encode(seqs, codes: dict) -> np.ndarray:
+    """Every token of ``seqs``, flat, as its int64 code in ``codes``, which
+    maps tokens to 0 .. len(codes) - 1 and gains each token it lacks, with
+    the next code, in the order tokens are first seen.  Iterates in C."""
+    flat = list(chain.from_iterable(seqs))
+    fresh = [tok for tok in dict.fromkeys(flat) if tok not in codes]
+    codes.update(zip(fresh, range(len(codes), len(codes) + len(fresh))))
+    return np.fromiter(map(codes.__getitem__, flat), dtype=np.int64, count=len(flat))
 
 
 def record_lines(text: str) -> list[str]:

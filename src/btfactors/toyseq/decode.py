@@ -17,12 +17,12 @@ the most negative float and every taken column is set to -inf.
 Every sampler inverts the cumulative row with ``side="right"`` semantics
 through one kernel, ``_ancestral``: corpus sampling, ``batch_sample``, the
 oracle's Monte-Carlo draws, candidate sets and the toy-task generator.  It
-keeps one (states, |V|) table per position and, for each output row, counts
-the entries of that row's state at or below its uniform column by column
-(``invert_cdf`` with row indices); no per-sample copy of a table row is
-made.  Each sentence's uniforms are drawn from its own stream before any
-sampling (``streams.sentence_uniforms`` draws them for a whole corpus), so
-a sentence decoded in a corpus gets the same tokens as it would alone.
+keeps one (states, |V|) table per position and, for each output row,
+binary-searches its state's row for its uniform (``invert_cdf`` with row
+indices); no per-sample copy of a table row is made.  Each sentence's
+uniforms are drawn from its own stream before any sampling
+(``streams.sentence_uniforms`` draws them for a whole corpus), so a
+sentence decoded in a corpus gets the same tokens as it would alone.
 ``candidate_chunks`` samples the n-candidate pools of a whole corpus in
 chunks of at most ``_CHUNK`` equal-length targets, as (targets x n x L)
 index arrays with their channel and LM log-probs.  Its ``draw(ids, count)``
@@ -34,12 +34,11 @@ pick).
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, check_integer
 from ..scoring import Candidate, CandidateSet, invert_cdf
+from ..tokenio import encode
 from .models import ChannelModel, EOS, NGramLM
 
 # targets per candidate chunk; bounds the (targets x n x L) working set
@@ -48,18 +47,27 @@ _CHUNK = 64
 
 def _stacked_conditionals(model: ChannelModel, inputs):
     """(cumulative prob, log) matrices of every conditioning token in
-    ``inputs``, stacked into two (conds, |V|+1, |V|) tensors, and each
-    token's index into them."""
+    ``inputs``, stacked into two (conds, |V|+1, |V|) tensors, and
+    ``cond_rows(ids, length)``: the (len(ids), length) indices into them of
+    the tokens of the equal-length inputs ``ids``."""
     index: dict = {}
-    for seq in inputs:
-        for cond in seq:
-            index.setdefault(cond, len(index))
+    flat = encode(inputs, index)
     pairs = [model.matrices_for_cond(cond) for cond in index]
-    size = len(model.out_vocab)
-    empty = np.empty((0, size + 1, size))
-    cdfs = np.cumsum(np.stack([p for p, _ in pairs]), axis=-1) if pairs else empty
-    logs = np.stack([lg for _, lg in pairs]) if pairs else empty
-    return cdfs, logs, index
+    shape = (len(pairs), len(model.out_vocab) + 1, len(model.out_vocab))
+    cdfs = np.cumsum(np.array([p for p, _ in pairs]).reshape(shape), axis=-1)
+    logs = np.array([lg for _, lg in pairs]).reshape(shape)
+    lengths = np.fromiter(map(len, inputs), dtype=np.intp, count=len(inputs))
+    starts = np.cumsum(lengths) - lengths
+    return cdfs, logs, lambda ids, length: flat[np.add.outer(starts[ids], np.arange(length))]
+
+
+def _by_length(seqs) -> dict[int, list[int]]:
+    """Positions of the non-empty ``seqs``, grouped by length in corpus order."""
+    groups: dict[int, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        if seq:
+            groups.setdefault(len(seq), []).append(i)
+    return groups
 
 
 def token_array(tokens) -> np.ndarray:
@@ -71,22 +79,17 @@ def token_array(tokens) -> np.ndarray:
     return array
 
 
-def _decode_by_length(model: ChannelModel, inputs, index: dict, decode_group) -> list[tuple]:
+def _decode_by_length(model: ChannelModel, inputs, cond_rows, decode_group) -> list[tuple]:
     """Output tokens for every input, in input order.
 
     ``decode_group(ids, cond_idx)`` decodes one group of equal-length,
-    non-empty inputs: their positions and (n, L) conditioning indices in, an
-    (n, L) matrix of output indices out.  Empty inputs decode to ``()``.
+    non-empty inputs: their positions and (n, L) ``cond_rows`` indices in,
+    an (n, L) matrix of output indices out.  Empty inputs decode to ``()``.
     """
-    groups: dict[int, list[int]] = {}
-    for i, seq in enumerate(inputs):
-        if seq:
-            groups.setdefault(len(seq), []).append(i)
     vocab = token_array(model.out_vocab)
     outputs: list = [()] * len(inputs)
-    for ids in groups.values():
-        cond_idx = np.array([[index[c] for c in inputs[i]] for i in ids], dtype=np.intp)
-        for i, row in zip(ids, vocab[decode_group(ids, cond_idx)]):
+    for length, ids in _by_length(inputs).items():
+        for i, row in zip(ids, vocab[decode_group(ids, cond_rows(ids, length))]):
             outputs[i] = tuple(row)
     return outputs
 
@@ -157,19 +160,14 @@ def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> list[tuple]:
     (all ints or all strings) and by ``token_sort_key`` when it mixes
     types.  An exhaustive width (|V| ** len) reduces to brute-force argmax.
     """
-    try:
-        beam_size = operator.index(beam_size)
-    except TypeError:
-        raise InvalidInputError(f"beam_size must be an integer, got {beam_size!r}") from None
-    if beam_size < 1:
-        raise InvalidInputError("beam_size must be >= 1")
+    beam_size = check_integer("beam_size", beam_size, 1)
     inputs = [tuple(seq) for seq in inputs]
-    _, logs, index = _stacked_conditionals(model, inputs)
+    _, logs, cond_rows = _stacked_conditionals(model, inputs)
     order = _beam_tie_order(model.out_vocab)
     # rows (previous token) and columns (next token) both in tie order
     logs = logs[:, np.concatenate(([0], order + 1))][:, :, order]
     return _decode_by_length(
-        model, inputs, index,
+        model, inputs, cond_rows,
         lambda ids, cond_idx: order[_beam_group(logs, cond_idx, beam_size)],
     )
 
@@ -183,8 +181,8 @@ def _ancestral(steps, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     out_vocab[i]), and that position's (n,) uniforms.  Returns the (n, L)
     sampled output indices and their (n,) log-probs, which stay 0 where
     ``logs`` is None.  A table's rows are accumulated once, not per sample,
-    and never gathered per sample: ``invert_cdf`` counts column by column
-    over the samples' rows, and each log-prob is one flat lookup.
+    and never gathered per sample: ``invert_cdf`` binary-searches the
+    samples' rows in place, and each log-prob is one flat lookup.
     """
     token_idx = np.empty((n, length), dtype=np.intp)
     log_probs = np.zeros(n)
@@ -212,14 +210,14 @@ def _channel_steps(cdfs: np.ndarray, logs: np.ndarray, cond_idx: np.ndarray,
 
 def _sample_outputs(model: ChannelModel, inputs, draws) -> list[tuple]:
     """One ancestral sample per input, from its pre-drawn (len,) uniforms."""
-    cdfs, logs, index = _stacked_conditionals(model, inputs)
+    cdfs, logs, cond_rows = _stacked_conditionals(model, inputs)
 
     def sample_group(ids, cond_idx):
         uniforms = np.array([draws[i] for i in ids])
         return _ancestral(_channel_steps(cdfs, logs, cond_idx, uniforms),
                           len(ids), cond_idx.shape[1])[0]
 
-    return _decode_by_length(model, inputs, index, sample_group)
+    return _decode_by_length(model, inputs, cond_rows, sample_group)
 
 
 def sample_decode(model: ChannelModel, inputs, uniforms) -> list[tuple]:
@@ -298,20 +296,16 @@ def candidate_chunks(backward: ChannelModel, lm: NGramLM, targets, n: int, draw)
     targets = [tuple(y) for y in targets]
     if not all(targets):
         raise InvalidInputError("target_tokens must be non-empty")
-    cdfs, logs, index = _stacked_conditionals(backward, targets)
-    groups: dict[int, list[int]] = {}
-    for i, y in enumerate(targets):
-        groups.setdefault(len(y), []).append(i)
-    for length, group in groups.items():
+    cdfs, logs, cond_rows = _stacked_conditionals(backward, targets)
+    for length, group in _by_length(targets).items():
         for start in range(0, len(group), _CHUNK):
             ids = group[start : start + _CHUNK]
             draws = draw(ids, length * n + 1)
             # row (target, candidate) takes draw t * n + candidate at position t
             uniforms = draws[:, :-1].reshape(len(ids), length, n).transpose(0, 2, 1)
-            cond_idx = np.array([[index[c] for c in targets[i]] for i in ids], dtype=np.intp)
             rows = len(ids) * n
             token_idx, log_q = _ancestral(
-                _channel_steps(cdfs, logs, np.repeat(cond_idx, n, axis=0),
+                _channel_steps(cdfs, logs, np.repeat(cond_rows(ids, length), n, axis=0),
                                uniforms.reshape(rows, length)),
                 rows, length)
             log_lm = batch_lm_scores(lm, token_idx, backward.out_vocab)

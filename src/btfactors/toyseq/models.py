@@ -30,9 +30,12 @@ Conventions of the table:
   as probability rows with alpha == 0), but alpha and every count must be
   finite and non-negative.
 
-``batch_score`` scores a whole corpus in one pass over a matrix of the
-distinct keys' rows.  It adds each sequence's terms one position at a time
-from 0.0, as ``score`` does, so the two agree bit for bit.
+One key builder, ``_keys``, codes a corpus with ``tokenio.encode`` and
+gives every position a compacted key id.  ``batch_score`` gathers each
+position's term from a matrix of the distinct keys' rows and adds each
+sequence's terms one position at a time from 0.0, as ``score`` does, so the
+two agree bit for bit.  The trainers count (key id, event) pairs with
+``np.unique``; the scalar ``score`` methods stay the reference.
 
 Rows, log rows and stacked row matrices are cached: models are immutable
 once built, and the trainers fill ``counts`` before the first lookup.
@@ -44,16 +47,17 @@ line, then one ``<tag> <key tokens> | <token> <count> ...`` line per row.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ..errors import InvalidInputError, ParseError
+from ..errors import InvalidInputError, ParseError, check_integer
 from ..tokenio import (
     BOS,
     EOS,
     UNK,
+    encode,
     record_lines,
     sequence_from_str,
     token_from_str,
@@ -125,8 +129,8 @@ class _CountTable:
 
     A subclass names its text format (``_MAGIC``) and row tag (``_TAG``),
     sorts its events, wraps ``_row``, ``_log_row`` and ``_stack`` in its
-    own key shape, and gives ``_sum_terms`` its per-position keys and its
-    own log arithmetic (``_term_row``, ``_oov_term``).
+    own key shape, and gives ``_keys`` its per-position keys and
+    ``_sum_terms`` its own log arithmetic (``_term_row``, ``_oov_term``).
     """
 
     _MAGIC: str
@@ -214,37 +218,26 @@ class _CountTable:
         """``log_prob`` of an out-of-vocabulary token."""
         raise NotImplementedError
 
-    def _sum_terms(self, runs: list, back: int, conds: list | None = None) -> np.ndarray:
-        """Log-probability of every run of tokens, bit for bit as ``score``.
+    def _keys(self, runs: list, back: int, conds: list | None = None):
+        """The run lengths, the distinct tokens in code order, the flat token
+        codes, each position's key id and event index (-1 outside the event
+        space), and the keys in id order, of ``runs`` coded by ``encode``.
 
-        Position t of ``runs[i]`` is scored under the key made of the
-        ``back`` tokens before it in the run (BOS-padded), followed by
-        ``conds[i][t]`` when ``conds`` is given.  Tokens are integer-coded
-        through one dict, and each distinct key gets an id, compacted column
-        by column with ``np.unique`` (a key code stays below positions x
-        distinct tokens).  In-vocabulary terms are gathered from one
-        (distinct keys x events) matrix of ``_term_row`` rows, and
-        out-of-vocabulary ones come from ``_oov_term``.  Each run adds its
-        terms one position at a time starting from 0.0, the order of the
-        scalar loop; a pairwise ``.sum(axis=1)`` would round differently.
+        Position t of ``runs[i]`` has the key made of the ``back`` tokens
+        before it in the run (BOS-padded), followed by ``conds[i][t]`` when
+        ``conds`` is given.  Key ids are compacted column by column with
+        ``np.unique``, so a key code stays below positions x distinct tokens.
         """
         lengths = np.fromiter(map(len, runs), dtype=np.intp, count=len(runs))
-        size = int(lengths.sum())
         codes = {BOS: 0}    # code 0 also pads the keys before a run's start
-
-        def encode(seqs) -> np.ndarray:
-            return np.fromiter((codes.setdefault(tok, len(codes)) for seq in seqs for tok in seq),
-                               dtype=np.int64, count=size)
-
-        flat = encode(runs)
-        starts = np.cumsum(lengths) - lengths
-        at = np.arange(size)
-        run_start = np.repeat(starts, lengths)
+        flat = encode(runs, codes)
+        at = np.arange(len(flat))
+        run_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
         columns = [np.where(at - b >= run_start, flat[np.maximum(at - b, 0)], 0)
                    for b in range(back, 0, -1)]
         if conds is not None:
-            columns.append(encode(conds))
-        key_ids = np.zeros(size, dtype=np.int64)
+            columns.append(encode(conds, codes))
+        key_ids = np.zeros(len(flat), dtype=np.int64)
         for column in columns:
             _, key_ids = np.unique(key_ids * len(codes) + column, return_inverse=True)
         # any position of a key spells it out
@@ -253,16 +246,44 @@ class _CountTable:
         tokens = list(codes)
         keys = [tuple(tokens[column[j]] for column in columns) for j in position.tolist()]
         events = np.array([self._index.get(tok, -1) for tok in tokens], dtype=np.intp)[flat]
+        return lengths, tokens, flat, key_ids, events, keys
+
+    def _sum_terms(self, runs: list, back: int, conds: list | None = None) -> np.ndarray:
+        """Log-probability of every run under its ``_keys``, bit for bit as
+        ``score``: in-vocabulary terms are gathered from one (distinct keys x
+        events) matrix of ``_term_row`` rows, out-of-vocabulary ones come
+        from ``_oov_term``, and each run adds its terms one position at a
+        time from 0.0, the order of the scalar loop (a pairwise
+        ``.sum(axis=1)`` would round differently)."""
+        lengths, tokens, flat, key_ids, events, keys = self._keys(runs, back, conds)
         rows = (np.stack([self._term_row(key) for key in keys]) if keys
                 else np.empty((0, len(self._events))))
         terms = rows[key_ids, events]
         for j in np.flatnonzero(events < 0).tolist():
             terms[j] = self._oov_term(keys[key_ids[j]], tokens[flat[j]])
+        starts = np.cumsum(lengths) - lengths
         totals = np.zeros(len(runs))
         for t in range(int(lengths.max(initial=0))):
             live = np.flatnonzero(lengths > t)
             totals[live] += terms[starts[live] + t]
         return totals
+
+    def _count(self, runs: list, back: int, conds: list | None, what: str) -> None:
+        """Add the events of ``runs`` under their ``_keys`` to ``counts`` as
+        Python ints, refusing the first token in corpus order that is no
+        event, or is EOS before the end of its run, as ``what``."""
+        lengths, tokens, flat, key_ids, events, keys = self._keys(runs, back, conds)
+        ends = np.cumsum(lengths) - 1
+        bad = (events < 0) | (events == self._index.get(EOS, -1))
+        bad[ends] = events[ends] < 0
+        if bad.any():
+            token = tokens[flat[bad.argmax()]]
+            raise InvalidInputError(f"{what} {token!r} is outside the vocabulary")
+        size = len(self._events)
+        pairs, counts = np.unique(key_ids * size + events, return_counts=True)
+        for pair, count in zip(pairs.tolist(), counts.tolist()):
+            key, event = divmod(pair, size)
+            self.counts.setdefault(keys[key], {})[self._events[event]] = count
 
     # -- serialization ----------------------------------------------------
     def _text(self, fields: list[str], vocab) -> str:
@@ -328,12 +349,7 @@ class NGramLM(_CountTable):
     _TAG = "context"
 
     def __init__(self, order: int, alpha: float, vocab, counts=None, use_eos: bool = True):
-        try:
-            order = operator.index(order)
-        except TypeError:
-            raise InvalidInputError(f"order must be an integer, got {order!r}") from None
-        if order < 1:
-            raise InvalidInputError("order must be >= 1")
+        order = check_integer("order", order, 1)
         content = tuple(sorted(set(vocab), key=token_sort_key))
         if not content:
             raise InvalidInputError("vocabulary must be non-empty")
@@ -560,20 +576,10 @@ def train_ngram_lm(corpus, order: int = 2, alpha: float = 0.1, vocab=None,
     if any(not s for s in sentences):
         raise InvalidInputError("training sentences must be non-empty")
     if vocab is None:
-        vocab = sorted({tok for s in sentences for tok in s}, key=token_sort_key)
+        vocab = sorted(set(chain.from_iterable(sentences)), key=token_sort_key)
     model = NGramLM(order=order, alpha=alpha, vocab=vocab, use_eos=use_eos)
-    counts = model.counts
-    for sentence in sentences:
-        prefix: tuple = ()
-        for tok in sentence:
-            if model.event_index(tok) is None or tok == EOS:
-                raise InvalidInputError(f"training token {tok!r} is outside the vocabulary")
-            row = counts.setdefault(model.context_of(prefix), {})
-            row[tok] = row.get(tok, 0) + 1
-            prefix = prefix + (tok,)
-        if use_eos:
-            row = counts.setdefault(model.context_of(prefix), {})
-            row[EOS] = row.get(EOS, 0) + 1
+    end = (EOS,) if model.use_eos else ()
+    model._count([(*s, *end) for s in sentences], model.order - 1, None, "training token")
     return model
 
 
@@ -585,25 +591,13 @@ def train_channel(pairs: ParallelCorpus, direction: str, alpha: float = 0.1,
     models p(target | source), ``target_to_source`` models p(source |
     target).
     """
-    if direction not in ChannelModel.DIRECTIONS:
-        raise InvalidInputError(f"direction must be one of {ChannelModel.DIRECTIONS}")
-    outputs_first = direction == "target_to_source"
-    rows = []
-    for src, tgt in pairs.pairs:
-        out_seq, cond_seq = (src, tgt) if outputs_first else (tgt, src)
-        rows.append((out_seq, cond_seq))
+    outputs, conds = pairs.sources(), pairs.targets()
+    if direction == "source_to_target":
+        outputs, conds = conds, outputs
     if out_vocab is None:
-        out_vocab = sorted({tok for out_seq, _ in rows for tok in out_seq}, key=token_sort_key)
+        out_vocab = sorted(set(chain.from_iterable(outputs)), key=token_sort_key)
     model = ChannelModel(direction=direction, alpha=alpha, out_vocab=out_vocab)
-    counts = model.counts
-    for out_seq, cond_seq in rows:
-        prev = BOS
-        for out_tok, cond_tok in zip(out_seq, cond_seq):
-            if model.out_index(out_tok) is None:
-                raise InvalidInputError(f"output token {out_tok!r} is outside the vocabulary")
-            row = counts.setdefault((prev, cond_tok), {})
-            row[out_tok] = row.get(out_tok, 0) + 1
-            prev = out_tok
+    model._count(outputs, 1, conds, "output token")
     return model
 
 

@@ -342,6 +342,28 @@ def test_representation_unit_norm_and_duplicates(rng):
 def test_representation_rejects_unknown_tokens():
     with pytest.raises(InvalidInputError):
         sentence_representation_matrix([(0, 9)], [0, 1])
+    # the first unknown token in corpus order is named
+    with pytest.raises(InvalidInputError, match="token 'y' is outside"):
+        sentence_representation_matrix([(0, 1), (1, "y", 8)], [0, 1])
+
+
+@pytest.mark.parametrize("vocab, repeated", [([1, 2, 1], 1), (["a", "b", "b"], "'b'"),
+                                             ([0, 3, 3, 0], 0)])
+def test_representation_rejects_a_repeated_vocabulary_token(vocab, repeated):
+    # a repeat used to leave a dead column, which widened the spectrum's
+    # entropy normalizer by one dimension
+    with pytest.raises(InvalidInputError, match=f"repeats the token {repeated}$"):
+        sentence_representation_matrix([(1, 2)], vocab)
+
+
+@pytest.mark.parametrize("max_n", [0, -1, 2.5, "4", None])
+def test_bleu_refuses_an_order_that_is_not_a_positive_integer(max_n):
+    with pytest.raises(InvalidInputError, match="max_n must be"):
+        corpus_bleu([(1, 2)], [(1, 2)], max_n=max_n)
+
+
+def test_bleu_accepts_numpy_integer_orders():
+    assert corpus_bleu([(1, 2)], [(1, 2)], max_n=np.int64(2)) == 100.0
 
 
 def loop_representation_matrix(corpus, vocab):

@@ -75,3 +75,30 @@ def test_writable_int_and_str_tokens_round_trip(tokens):
 def test_caches_are_bounded():
     assert tokenio._cached_token_text.cache_info().maxsize == 2**16
     assert token_from_str.cache_info().maxsize == 2**16
+
+
+HASHABLE_TOKENS = st.one_of(
+    st.sampled_from(EDGE_TOKENS),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(np.int64),
+    st.text(alphabet="ab", max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seqs=st.lists(st.lists(HASHABLE_TOKENS, max_size=5), max_size=5),
+       known=st.lists(HASHABLE_TOKENS, max_size=4))
+def test_encode_codes_new_tokens_in_first_seen_order(seqs, known):
+    codes = dict(zip(dict.fromkeys(known), range(len(known))))
+    want = dict(codes)
+    want_flat = [want.setdefault(tok, len(want)) for seq in seqs for tok in seq]
+    flat = tokenio.encode(seqs, codes)
+    assert flat.dtype == np.int64 and flat.tolist() == want_flat
+    assert list(codes.items()) == list(want.items())
+
+
+def test_encode_extends_the_callers_codes():
+    codes = {"<s>": 0}
+    assert tokenio.encode([("b", "a"), (), ("a", "c", "<s>")], codes).tolist() == [1, 2, 2, 3, 0]
+    assert codes == {"<s>": 0, "b": 1, "a": 2, "c": 3}
+    assert tokenio.encode([], codes).shape == (0,)

@@ -416,8 +416,10 @@ def edge_uniforms(cdf):
 @st.composite
 def cdf_tables(draw):
     """(S, |V|) cumulative rows with zero-probability columns, one row whose
-    last entry rounds below 1, and row indices with uniforms on its edges."""
-    size = draw(st.integers(1, 6))
+    last entry rounds below 1, and row indices with uniforms on its edges,
+    +inf and NaN among them.  Widths run 1-6 and on each side of the
+    powers of two that ``invert_cdf`` pads to."""
+    size = draw(st.one_of(st.integers(1, 6), st.sampled_from((16, 17, 32, 33, 50))))
     weights = draw(st.lists(
         st.lists(st.sampled_from((0.0, 0.0, 0.1, 0.3, 1.0, 2.5)), min_size=size, max_size=size)
         .filter(any), min_size=1, max_size=5))
@@ -428,7 +430,8 @@ def cdf_tables(draw):
     rows = np.array(draw(st.lists(st.integers(0, len(cdf) - 1), min_size=n, max_size=n)))
     pool = edge_uniforms(cdf)
     uniforms = np.array(draw(st.lists(
-        st.one_of(st.sampled_from(pool.tolist()), st.floats(0.0, 1.0, exclude_max=True)),
+        st.one_of(st.sampled_from(pool.tolist()), st.floats(0.0, 1.0, exclude_max=True),
+                  st.sampled_from((np.inf, np.nan))),
         min_size=n, max_size=n)))
     return cdf, rows, uniforms
 
@@ -489,17 +492,17 @@ def test_ancestral_equals_the_row_gather_reference(case, n, seed, data):
     assert_same_samples(batch_sample(model, cond_seq, n, np.random.default_rng(seed)),
                         reference_ancestral(reference_steps, n, length))
     # stacked tables with a per-row base, uniforms on the tables' edges
-    cdfs, logs, index = _stacked_conditionals(model, [cond_seq])
+    cdfs, logs, cond_rows = _stacked_conditionals(model, [cond_seq])
     pool = edge_uniforms(cdfs).tolist()
     uniforms = np.array(data.draw(st.lists(
         st.lists(st.sampled_from(pool), min_size=length, max_size=length),
         min_size=n, max_size=n)))
-    cond_idx = np.repeat([[index[c] for c in cond_seq]], n, axis=0)
+    cond_idx = np.repeat(cond_rows([0], length), n, axis=0)
     assert_same_samples(_ancestral(_channel_steps(cdfs, logs, cond_idx, uniforms), n, length),
                         reference_ancestral(_channel_steps(cdfs, logs, cond_idx, uniforms),
                                             n, length))
     # tables without logs, as the toy-task generator samples
-    no_logs = [(cdfs[index[c]], None, 0, uniforms[:, t]) for t, c in enumerate(cond_seq)]
+    no_logs = [(cdfs[c], None, 0, uniforms[:, t]) for t, c in enumerate(cond_idx[0])]
     assert_same_samples(_ancestral(iter(no_logs), n, length),
                         reference_ancestral(iter(no_logs), n, length))
 

@@ -17,6 +17,7 @@ from btfactors.toyseq.models import (
     train_channel,
     train_ngram_lm,
 )
+from btfactors.tokenio import token_sort_key
 
 
 # -- n-gram LM ------------------------------------------------------------------
@@ -427,3 +428,117 @@ def test_channel_batch_score_rejects_misaligned_pairs():
         model.batch_score([(0,), (0, 1)], [(1,), (1,)])
     with pytest.raises(InvalidInputError, match="2 outputs need as many inputs, got 1"):
         model.batch_score([(0,), (1,)], [(1,)])
+
+
+# -- counted training against the dict-loop trainers --------------------------------
+
+def reference_train_ngram_lm(corpus, order=2, alpha=0.1, vocab=None, use_eos=True):
+    """``train_ngram_lm`` as one counts-row update per token."""
+    sentences = [tuple(s) for s in corpus]
+    if vocab is None:
+        vocab = sorted({tok for s in sentences for tok in s}, key=token_sort_key)
+    model = NGramLM(order=order, alpha=alpha, vocab=vocab, use_eos=use_eos)
+    counts = model.counts
+    for sentence in sentences:
+        prefix: tuple = ()
+        for tok in sentence:
+            if model.event_index(tok) is None or tok == EOS:
+                raise InvalidInputError(f"training token {tok!r} is outside the vocabulary")
+            row = counts.setdefault(model.context_of(prefix), {})
+            row[tok] = row.get(tok, 0) + 1
+            prefix = prefix + (tok,)
+        if use_eos:
+            row = counts.setdefault(model.context_of(prefix), {})
+            row[EOS] = row.get(EOS, 0) + 1
+    return model
+
+
+def reference_train_channel(pairs, direction, alpha=0.1, out_vocab=None):
+    """``train_channel`` as one counts-row update per token."""
+    outputs_first = direction == "target_to_source"
+    rows = [(src, tgt) if outputs_first else (tgt, src) for src, tgt in pairs.pairs]
+    if out_vocab is None:
+        out_vocab = sorted({tok for out_seq, _ in rows for tok in out_seq}, key=token_sort_key)
+    model = ChannelModel(direction=direction, alpha=alpha, out_vocab=out_vocab)
+    counts = model.counts
+    for out_seq, cond_seq in rows:
+        prev = BOS
+        for out_tok, cond_tok in zip(out_seq, cond_seq):
+            if model.out_index(out_tok) is None:
+                raise InvalidInputError(f"output token {out_tok!r} is outside the vocabulary")
+            row = counts.setdefault((prev, cond_tok), {})
+            row[out_tok] = row.get(out_tok, 0) + 1
+            prev = out_tok
+    return model
+
+
+def training_outcome(train, *args, **kwargs):
+    """The text and counts of the trained model, or the message it raised."""
+    try:
+        model = train(*args, **kwargs)
+    except InvalidInputError as exc:
+        return str(exc)
+    assert all(type(c) is int for row in model.counts.values() for c in row.values())
+    return model.to_text(), model.counts
+
+
+# tokens a training corpus may hold although no explicit vocabulary does
+STRAY_TOKENS = (99, "oov", EOS)
+
+
+@st.composite
+def training_vocab(draw):
+    """A vocabulary, the pool a corpus draws from (the vocabulary, mostly
+    with one stray token more), and the vocab argument: None (derived) or
+    the vocabulary, maybe with an unused token more."""
+    vocab = draw(vocabularies())
+    pool = vocab + draw(st.sampled_from(([], *([tok] for tok in STRAY_TOKENS))))
+    explicit = vocab + draw(st.sampled_from(([], [40], ["unused"])))
+    return pool, draw(st.sampled_from((None, explicit)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=training_vocab(), order=st.integers(1, 3), use_eos=st.booleans(),
+       alpha=ALPHAS, data=st.data())
+def test_counted_lm_training_equals_the_dict_loop(case, order, use_eos, alpha, data):
+    pool, vocab = case
+    corpus = data.draw(st.lists(sentences_over(pool), min_size=1, max_size=8))
+    assert (training_outcome(train_ngram_lm, corpus, order, alpha, vocab, use_eos)
+            == training_outcome(reference_train_ngram_lm, corpus, order, alpha, vocab, use_eos))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=training_vocab(), conds=vocabularies(), alpha=ALPHAS,
+       direction=st.sampled_from(ChannelModel.DIRECTIONS), data=st.data())
+def test_counted_channel_training_equals_the_dict_loop(case, conds, alpha, direction, data):
+    pool, vocab = case
+    outputs = data.draw(st.lists(sentences_over(pool), min_size=1, max_size=8))
+    inputs = [data.draw(st.lists(st.sampled_from(conds), min_size=len(o), max_size=len(o)))
+              for o in outputs]
+    if direction == "target_to_source":
+        pairs = ParallelCorpus.from_pairs(zip(outputs, inputs))
+    else:
+        pairs = ParallelCorpus.from_pairs(zip(inputs, outputs))
+    assert (training_outcome(train_channel, pairs, direction, alpha, vocab)
+            == training_outcome(reference_train_channel, pairs, direction, alpha, vocab))
+
+
+@pytest.mark.parametrize("corpus, use_eos, message", [
+    ([[0, 1], [1, 5, 7]], True, "training token 5 is outside the vocabulary"),
+    ([[0, EOS, 9]], True, "training token '</s>' is outside the vocabulary"),
+    ([[0, 1, EOS]], False, "training token '</s>' is outside the vocabulary"),
+    ([[1, BOS]], True, "training token '<s>' is outside the vocabulary"),
+])
+def test_counted_lm_training_refuses_the_first_stray_token(corpus, use_eos, message):
+    for train in (train_ngram_lm, reference_train_ngram_lm):
+        with pytest.raises(InvalidInputError) as info:
+            train(corpus, order=2, alpha=0.1, vocab=[0, 1], use_eos=use_eos)
+        assert str(info.value) == message
+
+
+def test_counted_channel_training_refuses_the_first_stray_output_token():
+    pairs = ParallelCorpus.from_pairs([((0, 1), (5, 6)), ((1, "x", 8), (5, 5, 5))])
+    for train in (train_channel, reference_train_channel):
+        with pytest.raises(InvalidInputError) as info:
+            train(pairs, "target_to_source", alpha=0.1, out_vocab=[0, 1])
+        assert str(info.value) == "output token 'x' is outside the vocabulary"
