@@ -3,7 +3,8 @@
 ``STRATEGIES`` is the one table of generation strategies that ``BTStrategy``,
 the config parser and the CLI read: each kind's parameters, each with the
 config key that sets it, and its ``stochastic`` and ``needs_lm`` flags.  A
-Gamma kind is one that takes ``num_candidates``.  ``DOMAINS`` bounds them.
+Gamma kind is one that takes ``num_candidates``.  ``DOMAINS`` bounds them,
+and the ``ExperimentConfig`` seeds and ``EXPERIMENT_KEYS`` fields.
 
 ``synthesize_corpus`` turns a monolingual corpus into synthetic pairs under
 one of the generation strategies; ``train_forward`` retrains the forward
@@ -69,6 +70,8 @@ from .toyseq.decode import (
 )
 from .toyseq.models import (
     BOS,
+    DEFAULT_ALPHA,
+    DEFAULT_LM_ORDER,
     ChannelModel,
     NGramLM,
     ParallelCorpus,
@@ -120,7 +123,12 @@ DOMAINS = {
     "gamma": Domain(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
     "num_candidates": Domain(int, ">= 2", lambda v: v >= 2),
     "beam_size": Domain(int, ">= 1", lambda v: v >= 1),
+    "seed": Domain(int, ">= 0", lambda v: v >= 0),
+    "alpha": Domain(float, "finite and non-negative", lambda v: 0.0 <= v < math.inf),
+    "lm_order": Domain(int, ">= 1", lambda v: v >= 1),
 }
+# the ExperimentConfig fields that a config sets by key, each bounded in DOMAINS
+EXPERIMENT_KEYS = ("beam_size", "alpha", "lm_order")
 # each strategy parameter, as a label shows it
 _LABELS = {"gamma": "gamma={:g}", "num_candidates": "n={}"}
 
@@ -266,7 +274,7 @@ def synthesize_corpus(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM | No
 
 
 def train_forward(bitext: ParallelCorpus | None, synthetic: Sequence[SyntheticPair],
-                  alpha: float = 0.1, out_vocab=None) -> ChannelModel:
+                  alpha: float = DEFAULT_ALPHA, out_vocab=None) -> ChannelModel:
     """Forward channel trained on authentic plus synthetic pairs.
 
     Every pair counts exactly once (no upsampling).  ``bitext`` may be None
@@ -288,8 +296,8 @@ class ExperimentConfig:
     strategies: tuple[BTStrategy, ...]
     seeds: tuple[int, ...]
     beam_size: int = DEFAULT_BEAM_SIZE
-    alpha: float = 0.1
-    lm_order: int = 2
+    alpha: float = DEFAULT_ALPHA
+    lm_order: int = DEFAULT_LM_ORDER
 
     def __post_init__(self):
         if not self.strategies:
@@ -302,7 +310,10 @@ class ExperimentConfig:
             for i, item in enumerate(items):
                 if item in items[:i]:
                     raise ConfigError(f"duplicate {what} {item!r}")
-        check_parameter("beam_size", self.beam_size)
+        for seed in self.seeds:
+            check_parameter("seed", seed)
+        for name in EXPERIMENT_KEYS:
+            check_parameter(name, getattr(self, name))
 
 
 @dataclass

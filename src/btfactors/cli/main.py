@@ -7,6 +7,10 @@ sweeps strategies over seeds, ``analyze`` reports corpus diagnostics, and
 ``oracle`` tabulates the exact marginal-likelihood bounds.  Every command
 writes a run manifest beside its outputs; stochastic commands require an
 explicit ``--seed`` (there is no wall-clock fallback).
+
+Task keys (the ``toygen`` flags and the config's task keys) come from
+``ToyTaskSpec().keys()``, strategy keys from ``STRATEGIES`` and experiment
+keys from ``EXPERIMENT_KEYS``, with the library's types and defaults.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from ..btloop import (
     DEFAULT_GAMMA_SPLIT,
     DEFAULT_NUM_CANDIDATES,
     DOMAINS,
+    EXPERIMENT_KEYS,
     STRATEGIES,
     BTStrategy,
     ExperimentConfig,
@@ -39,7 +44,8 @@ from ..scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
 from ..streams import sentence_stream, sentence_uniforms
 from ..tokenio import record_lines, sequence_from_str
 from ..toyseq.decode import candidate_chunks
-from ..toyseq.models import ChannelModel, NGramLM, train_channel, train_ngram_lm
+from ..toyseq.models import (DEFAULT_ALPHA, DEFAULT_LM_ORDER, ChannelModel, NGramLM,
+                             train_channel, train_ngram_lm)
 from ..toyseq.taskgen import ToyTaskSpec, generate_toy_task
 from .manifest import build_manifest, read_manifest, write_manifest
 from .records import (
@@ -55,16 +61,16 @@ from .records import (
     write_synthetic,
 )
 
-TINY_TASK = ToyTaskSpec(
-    source_vocab_size=4,
-    target_vocab_size=4,
-    length_range=(2, 4),
-    channel_noise=0.2,
-    bitext_size=400,
-    mono_size=120,
-    test_size=60,
-    seed=0,
-)
+TINY_TASK = ToyTaskSpec.from_keys({"source_vocab": 4, "target_vocab": 4, "min_len": 2,
+                                  "max_len": 4, "noise": 0.2, "bitext": 400, "mono": 120,
+                                  "test": 60})
+# each task key with its default: the toygen flags and the config's task keys
+TASK_KEYS = ToyTaskSpec().keys()
+# the config keys that set strategy parameters, with their defaults
+STRATEGY_KEYS = {"gamma_dm": DEFAULT_GAMMA_SPLIT, "gamma_score": DEFAULT_GAMMA,
+                 "num_candidates": DEFAULT_NUM_CANDIDATES}
+# every key a bt-experiment config may set
+CONFIG_KEYS = ("seeds", "strategies", *STRATEGY_KEYS, *EXPERIMENT_KEYS, *TASK_KEYS)
 
 
 def _write_text(path, text: str) -> None:
@@ -89,16 +95,7 @@ def _emit_manifest(out_dir_or_file, command, params, seed, inputs, outputs, argv
 # -- command implementations ----------------------------------------------------
 
 def _cmd_toygen(args, argv) -> int:
-    spec = ToyTaskSpec(
-        source_vocab_size=args.source_vocab,
-        target_vocab_size=args.target_vocab,
-        length_range=(args.min_len, args.max_len),
-        channel_noise=args.noise,
-        bitext_size=args.bitext,
-        mono_size=args.mono,
-        test_size=args.test,
-        seed=args.seed,
-    )
+    spec = ToyTaskSpec.from_keys({key: getattr(args, key) for key in TASK_KEYS}, args.seed)
     task = generate_toy_task(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -110,12 +107,7 @@ def _cmd_toygen(args, argv) -> int:
     _write_text(out / "truth_channel.txt", task.truth_channel.to_text())
     outputs = ["bitext.tsv", "mono.txt", "mono_refs.tsv", "test.tsv",
                "truth_lm.txt", "truth_channel.txt"]
-    params = {
-        "source_vocab": args.source_vocab, "target_vocab": args.target_vocab,
-        "min_len": args.min_len, "max_len": args.max_len, "noise": args.noise,
-        "bitext": args.bitext, "mono": args.mono, "test": args.test,
-    }
-    _emit_manifest(out, "toygen", params, args.seed, {}, outputs, argv)
+    _emit_manifest(out, "toygen", spec.keys(), args.seed, {}, outputs, argv)
     return 0
 
 
@@ -145,8 +137,9 @@ def _require_seed(args) -> None:
 
 def _cmd_backtranslate(args, argv) -> int:
     # the manifest records every flag, also those the strategy does not read
-    for name in ("gamma", "num_candidates", "beam_size"):
-        check_parameter(name, getattr(args, name), "--" + name.replace("_", "-"))
+    flags = {name: getattr(args, name) for name in ("gamma", "num_candidates", "beam_size")}
+    for name, value in flags.items():
+        check_parameter(name, value, "--" + name.replace("_", "-"))
     spec = STRATEGIES[args.strategy]
     if spec.stochastic:
         _require_seed(args)
@@ -163,10 +156,7 @@ def _cmd_backtranslate(args, argv) -> int:
     seed = args.seed if args.seed is not None else 0
     pairs = synthesize_corpus(mono, backward, lm, strategy, seed, args.beam_size)
     write_synthetic(args.out, pairs)
-    params = {
-        "strategy": args.strategy, "gamma": args.gamma,
-        "num_candidates": args.num_candidates, "beam_size": args.beam_size,
-    }
+    params = {"strategy": args.strategy, **flags}
     _emit_manifest(args.out, "backtranslate", params, args.seed, inputs, [str(args.out)], argv)
     return 0
 
@@ -300,15 +290,7 @@ def _parse_config_text(text: str) -> ExperimentConfig:
         values[key] = value.strip()
         linenos[key] = lineno
 
-    # the keys that set strategy parameters, with their defaults
-    strategy_keys = {"gamma_dm": DEFAULT_GAMMA_SPLIT, "gamma_score": DEFAULT_GAMMA,
-                     "num_candidates": DEFAULT_NUM_CANDIDATES}
-    known = {
-        "seeds", "strategies", "beam_size", "alpha", "lm_order", "source_vocab",
-        "target_vocab", "min_len", "max_len", "noise", "bitext", "mono", "test",
-        *strategy_keys,
-    }
-    unknown = set(values) - known
+    unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -320,47 +302,35 @@ def _parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(
                 f"config line {linenos[key]}: {key} must be {what}, got {text!r}") from None
 
-    def get_int(key, default):
-        return parse(key, values[key], int) if key in values else default
+    def checked(key, text, name):
+        value = parse(key, text, DOMAINS[name].type)
+        check_parameter(name, value, f"config line {linenos[key]}: {key}", repr(text))
+        return value
 
-    def get_float(key, default):
-        return parse(key, values[key], float) if key in values else default
-
-    task = ToyTaskSpec(
-        source_vocab_size=get_int("source_vocab", 20),
-        target_vocab_size=get_int("target_vocab", 20),
-        length_range=(get_int("min_len", 4), get_int("max_len", 12)),
-        channel_noise=get_float("noise", 0.15),
-        bitext_size=get_int("bitext", 2000),
-        mono_size=get_int("mono", 2000),
-        test_size=get_int("test", 400),
-    )
+    task = ToyTaskSpec.from_keys({key: parse(key, values[key], type(default))
+                                  for key, default in TASK_KEYS.items() if key in values})
     seeds = (1, 2, 3, 4, 5)
     if "seeds" in values:
-        seeds = tuple(parse("seeds", s, int) for s in values["seeds"].split())
-    # the parameter each of those keys sets
+        seeds = tuple(checked("seeds", s, "seed") for s in values["seeds"].split())
+    # the parameter each strategy key sets
     key_params = {key: name for spec in STRATEGIES.values() for name, key in spec.params.items()}
-    settings = dict(strategy_keys)
+    settings = dict(STRATEGY_KEYS)
     for key, name in key_params.items():
         if key in values:
             # checked whenever present, even when no listed strategy reads the key
-            settings[key] = parse(key, values[key], DOMAINS[name].type)
-            check_parameter(name, settings[key], f"config line {linenos[key]}: {key}",
-                            repr(values[key]))
+            settings[key] = checked(key, values[key], name)
     strategies = []
     for kind in values.get("strategies", "beam sampling").split():
         if kind not in STRATEGIES:
             raise ConfigError(f"unknown strategy {kind!r}")
         params = STRATEGIES[kind].params
         strategies.append(BTStrategy(kind, **{name: settings[key] for name, key in params.items()}))
-    return ExperimentConfig(
-        task=task,
-        strategies=tuple(strategies),
-        seeds=seeds,
-        beam_size=get_int("beam_size", DEFAULT_BEAM_SIZE),
-        alpha=get_float("alpha", 0.1),
-        lm_order=get_int("lm_order", 2),
-    )
+    # only the keys the config sets, so ExperimentConfig's defaults apply;
+    # beam_size keeps ExperimentConfig's range message
+    experiment = {key: (parse(key, values[key], DOMAINS[key].type) if key == "beam_size"
+                        else checked(key, values[key], key))
+                  for key in EXPERIMENT_KEYS if key in values}
+    return ExperimentConfig(task=task, strategies=tuple(strategies), seeds=seeds, **experiment)
 
 
 def _cmd_bt_experiment(args, argv) -> int:
@@ -453,10 +423,8 @@ def _cmd_oracle(args, argv) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "oracle.tsv", "\n".join(rows) + "\n")
-    params = {
-        "task": args.task, "num_targets": args.num_targets, "samples": args.samples,
-        "order": args.order, "alpha": args.alpha,
-    }
+    params = {name: getattr(args, name)
+              for name in ("task", "num_targets", "samples", "order", "alpha")}
     _emit_manifest(out, "oracle", params, args.seed, {}, ["oracle.tsv"], argv)
     return 0
 
@@ -474,22 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toygen", help="generate a seeded toy translation task")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--source-vocab", type=int, default=20)
-    p.add_argument("--target-vocab", type=int, default=20)
-    p.add_argument("--min-len", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=12)
-    p.add_argument("--noise", type=float, default=0.15)
-    p.add_argument("--bitext", type=int, default=2000)
-    p.add_argument("--mono", type=int, default=2000)
-    p.add_argument("--test", type=int, default=400)
+    for key, default in TASK_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
     p.set_defaults(func=_cmd_toygen)
 
     p = sub.add_parser("train", help="train a channel model or language model")
     p.add_argument("--kind", choices=("backward", "forward", "lm"), required=True)
     p.add_argument("--bitext", required=True)
     p.add_argument("--synthetic", help="synthetic corpus to add (kind=forward)")
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--order", type=int, default=DEFAULT_LM_ORDER)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -554,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--num-targets", type=int, default=20)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--order", type=int, default=DEFAULT_LM_ORDER)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle)
 

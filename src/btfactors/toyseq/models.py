@@ -78,6 +78,10 @@ __all__ = [
     "train_ngram_lm",
 ]
 
+# the training defaults of the trainers, the experiment config and the CLI
+DEFAULT_ALPHA = 0.1
+DEFAULT_LM_ORDER = 2
+
 
 @dataclass(frozen=True)
 class ParallelCorpus:
@@ -562,8 +566,8 @@ class ChannelModel(_CountTable):
 
 # -- training -------------------------------------------------------------
 
-def train_ngram_lm(corpus, order: int = 2, alpha: float = 0.1, vocab=None,
-                   use_eos: bool = True) -> NGramLM:
+def train_ngram_lm(corpus, order: int = DEFAULT_LM_ORDER, alpha: float = DEFAULT_ALPHA,
+                   vocab=None, use_eos: bool = True) -> NGramLM:
     """Count-MLE n-gram model with add-alpha smoothing.
 
     ``vocab`` defaults to the tokens observed in ``corpus``; passing an
@@ -583,7 +587,7 @@ def train_ngram_lm(corpus, order: int = 2, alpha: float = 0.1, vocab=None,
     return model
 
 
-def train_channel(pairs: ParallelCorpus, direction: str, alpha: float = 0.1,
+def train_channel(pairs: ParallelCorpus, direction: str, alpha: float = DEFAULT_ALPHA,
                   out_vocab=None) -> ChannelModel:
     """Count-MLE channel with add-alpha smoothing.
 

@@ -17,6 +17,10 @@ equal length are then sampled together through the decoders' ancestral
 kernel.  The monolingual split's true sources are kept aside
 (``mono_refs``) for reference-based diagnostics that only a synthetic task
 can provide.
+
+``ToyTaskSpec.keys()`` is the one table of task keys: the ``toygen`` flags,
+the config's task keys and the ``toygen`` manifest's params, with the
+fields' defaults; ``ToyTaskSpec.from_keys`` builds a spec from any subset.
 """
 
 from __future__ import annotations
@@ -60,6 +64,23 @@ class ToyTaskSpec:
 
     def with_seed(self, seed: int) -> "ToyTaskSpec":
         return replace(self, seed=seed)
+
+    def keys(self) -> dict:
+        """Each task key with its value here: ``ToyTaskSpec().keys()`` gives the defaults."""
+        lo, hi = self.length_range
+        return {"source_vocab": self.source_vocab_size, "target_vocab": self.target_vocab_size,
+                "min_len": lo, "max_len": hi, "noise": self.channel_noise,
+                "bitext": self.bitext_size, "mono": self.mono_size, "test": self.test_size}
+
+    @classmethod
+    def from_keys(cls, values, seed: int = 0) -> "ToyTaskSpec":
+        """The spec that ``values`` sets; a task key it leaves out keeps its default."""
+        keys = cls().keys()
+        if not set(values) <= set(keys):
+            raise InvalidInputError(f"unknown task keys: {sorted(set(values) - set(keys))}")
+        keys.update(values)
+        return cls(keys["source_vocab"], keys["target_vocab"], (keys["min_len"], keys["max_len"]),
+                   keys["noise"], keys["bitext"], keys["mono"], keys["test"], seed)
 
 
 @dataclass(frozen=True)

@@ -604,11 +604,31 @@ def test_experiment_beam_size_must_be_a_positive_integer():
 
 
 def test_experiment_refuses_a_fractional_lm_order():
-    # it used to train an order-2 LM
-    config = ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),), seeds=(1,),
-                              lm_order=2.5)
-    with pytest.raises(InvalidInputError, match="order must be an integer, got 2.5"):
-        run_bt_experiment(config)
+    # it used to train an order-2 LM; the config itself is refused, before any cell runs
+    with pytest.raises(ConfigError, match=r"^lm_order must be an integer, got 2\.5$"):
+        ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),), seeds=(1,), lm_order=2.5)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("seeds", (1, 2, -1), "seed must be >= 0, got -1"),
+    ("seeds", (1, 2.0), "seed must be an integer, got 2.0"),
+    ("alpha", -1.0, "alpha must be finite and non-negative, got -1.0"),
+    ("alpha", math.nan, "alpha must be finite and non-negative, got nan"),
+    ("alpha", math.inf, "alpha must be finite and non-negative, got inf"),
+    ("alpha", "0.1", "alpha must be a real number, got '0.1'"),
+    ("lm_order", 0, "lm_order must be >= 1, got 0"),
+])
+def test_experiment_refuses_bad_seeds_alpha_and_lm_order(field, value, message):
+    # each of these used to fail inside run_bt_experiment, after earlier cells had run
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**{"task": TINY, "strategies": (BTStrategy("beam"),), "seeds": (1,),
+                            field: value})
+
+
+def test_experiment_accepts_the_edges_of_seeds_alpha_and_lm_order():
+    config = ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),),
+                              seeds=(0, np.int64(7)), alpha=0, lm_order=np.int64(1))
+    assert (config.alpha, config.lm_order) == (0, 1)
 
 
 def test_experiment_rejects_duplicate_strategies():

@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btfactors.btloop import STRATEGIES, BTStrategy
-from btfactors.cli.main import _parse_config_text, dispatch, rerun_from_manifest
+import btfactors.cli.main as cli_main
+from btfactors.cli.main import (
+    CONFIG_KEYS,
+    TASK_KEYS,
+    _parse_config_text,
+    dispatch,
+    rerun_from_manifest,
+)
 from btfactors.cli.manifest import read_manifest
 from btfactors.cli.records import (
     CandidateRecords,
@@ -43,6 +50,7 @@ from btfactors.streams import sentence_stream
 from btfactors.tokenio import sequence_from_str, sequence_to_str, token_to_str
 from btfactors.toyseq.decode import candidate_set
 from btfactors.toyseq.models import ChannelModel, ParallelCorpus
+from btfactors.toyseq.taskgen import ToyTaskSpec
 
 
 # -- reference oracle: the per-set candidate-record writer and reader ----------------
@@ -890,14 +898,78 @@ def run_cli(*argv):
     ("mono = 5", "config line 3: duplicate key 'mono' (first on line 2)"),
     # each row of the report used to be written twice
     ("seeds = 1 2 1", "duplicate seed 1"),
+    # these three used to fail inside the sweep, the first after seeds 1 and 2 had run
+    ("seeds = 1 2 -1", "config line 2: seeds must be >= 0, got '-1'"),
+    ("lm_order = 0", "config line 2: lm_order must be >= 1, got '0'"),
+    ("alpha = -1", "config line 2: alpha must be finite and non-negative, got '-1'"),
+    ("alpha = inf", "config line 2: alpha must be finite and non-negative, got 'inf'"),
 ], ids=["int", "seeds", "int-as-float", "float", "duplicate-strategy", "gamma-dm-range",
         "gamma-score-range", "gamma-score-nan", "num-candidates-range", "duplicate-key",
-        "duplicate-seed"])
+        "duplicate-seed", "seed-range", "lm-order-range", "alpha-range", "alpha-inf"])
 def test_bad_config_values_are_a_one_line_error(tmp_path, line, message):
     config = tmp_path / "exp.cfg"
     config.write_text(f"# bad value below\n{line}\nmono = 10\n", encoding="utf-8")
     assert run_cli("bt-experiment", "--config", config, "--out", tmp_path / "exp") == (
         1, f"error: {message}\n")
+    assert not (tmp_path / "exp").exists()
+
+
+# a value other than the default for every task key
+TASK_VALUES = {"source_vocab": 7, "target_vocab": 9, "min_len": 2, "max_len": 5,
+               "noise": 0.3, "bitext": 11, "mono": 12, "test": 13}
+
+
+@pytest.mark.parametrize("key", TASK_VALUES)
+def test_a_task_key_sets_the_same_spec_as_flag_and_as_config_line(tmp_path, monkeypatch, key):
+    assert list(TASK_VALUES) == list(TASK_KEYS)
+    value = TASK_VALUES[key]
+    assert type(value) is type(TASK_KEYS[key]) and value != TASK_KEYS[key]
+    specs = []
+
+    def capture(spec):
+        specs.append(spec)
+        raise InvalidInputError("captured")
+
+    monkeypatch.setattr(cli_main, "generate_toy_task", capture)
+    flag = "--" + key.replace("_", "-")
+    assert dispatch(["toygen", "--seed", "0", "--out", str(tmp_path), flag, str(value)]) == 1
+    parsed = _parse_config_text(f"{key} = {value}\n").task
+    assert specs == [parsed]
+    assert parsed != ToyTaskSpec() and parsed.keys()[key] == value
+
+
+def test_toygen_manifest_params_are_the_spec_keys(toy_dir):
+    params = read_manifest(toy_dir / "manifest.json").params
+    spec = ToyTaskSpec(source_vocab_size=6, target_vocab_size=6, length_range=(3, 6),
+                       bitext_size=80, mono_size=40, test_size=20, seed=5)
+    # ints stay ints and the noise stays a float
+    assert [(k, v, type(v)) for k, v in params.items()] == sorted(
+        (k, v, type(v)) for k, v in spec.keys().items())
+    assert params == {"bitext": 80, "max_len": 6, "min_len": 3, "mono": 40, "noise": 0.15,
+                      "source_vocab": 6, "target_vocab": 6, "test": 20}
+
+
+def readme_config_table():
+    """(key, default) per row of the README's config-key table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = text.split("| key | type | default | sets |\n| --- | --- | --- | --- |\n", 1)[1]
+    rows = []
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        key, _, default, _ = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        rows.append((key, default))
+    return rows
+
+
+def test_readme_config_table_lists_every_key_the_parser_accepts_with_its_default():
+    rows = readme_config_table()
+    assert [key for key, _ in rows] == list(CONFIG_KEYS)
+    # every key is accepted, and the default the README gives is the one a missing key takes
+    text = "".join(f"{key} = {default}\n" for key, default in rows)
+    assert _parse_config_text(text) == _parse_config_text("")
+    with pytest.raises(ConfigError, match=r"^unknown config keys: \['seed'\]$"):
+        _parse_config_text("seed = 1\n")
 
 
 EVERY_KIND = (BTStrategy("none"), BTStrategy("beam"), BTStrategy("beam-weak"),

@@ -158,3 +158,36 @@ def test_truth_models_are_normalized():
 def test_degenerate_specs_are_rejected(kwargs):
     with pytest.raises(InvalidInputError):
         ToyTaskSpec(**kwargs)
+
+
+# -- the task-key table ---------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vocab=st.tuples(st.integers(2, 10**6), st.integers(2, 10**6)),
+    length_range=st.tuples(st.integers(1, 50), st.integers(0, 50))
+                   .map(lambda t: (t[0], t[0] + t[1])),
+    noise=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    sizes=st.tuples(*[st.integers(1, 10**9)] * 3),
+    seed=st.integers(0, 2**64),
+)
+def test_spec_round_trips_through_its_keys(vocab, length_range, noise, sizes, seed):
+    spec = ToyTaskSpec(vocab[0], vocab[1], length_range, noise, *sizes, seed)
+    keys = spec.keys()
+    assert ToyTaskSpec.from_keys(keys, spec.seed) == spec
+    # ints stay ints and the noise stays a float, as the manifest writes them
+    assert {type(v) for k, v in keys.items() if k != "noise"} == {int}
+    assert type(keys["noise"]) is float
+
+
+def test_missing_keys_keep_their_defaults():
+    assert ToyTaskSpec.from_keys({}) == ToyTaskSpec()
+    assert ToyTaskSpec.from_keys({"max_len": 20, "mono": 7}, seed=3) == ToyTaskSpec(
+        length_range=(4, 20), mono_size=7, seed=3)
+    assert list(ToyTaskSpec().keys()) == [
+        "source_vocab", "target_vocab", "min_len", "max_len", "noise", "bitext", "mono", "test"]
+
+
+def test_unknown_task_keys_are_refused():
+    with pytest.raises(InvalidInputError, match=r"^unknown task keys: \['beta', 'seed'\]$"):
+        ToyTaskSpec.from_keys({"seed": 1, "mono": 5, "beta": 2})
