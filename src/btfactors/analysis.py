@@ -2,8 +2,10 @@
 token-frequency profiles, and singular-value spectra of bag-of-token
 sentence representations.
 
-BLEU and the sentence representations code tokens with ``tokenio.encode``;
-BLEU counts one compacted id per (sentence pair, n-gram) with
+BLEU, the reports and the sentence representations read coded corpora
+(``tokenio.CodedCorpus``) and encode plain sequences once on entry; a
+synthetic corpus may be given coded as its (sources, targets) pair.  BLEU
+counts one compacted id per (sentence pair, n-gram) with
 ``np.unique``/``bincount``.
 ``corpus_diagnostics`` gives the quality, importance and spectrum reports
 of one corpus from one backward ``batch_score`` pass, which adds the
@@ -22,8 +24,8 @@ import numpy as np
 
 from .errors import InconsistencyError, InvalidInputError, NumericError, check_integer
 from .manipulate import SyntheticPair
-from .tokenio import encode
-from .toyseq.models import ChannelModel, NGramLM
+from .tokenio import coded
+from .toyseq.models import ChannelModel, NGramLM, coded_pairs
 
 
 # -- BLEU -------------------------------------------------------------------
@@ -32,33 +34,31 @@ from .toyseq.models import ChannelModel, NGramLM
 _BLEU_PAIRS = 512
 
 
-def _count_ngrams(hyps: list, refs: list, matched: list, total: list) -> None:
-    """Add each order's clipped matches and hypothesis n-grams of the
+def _count_ngrams(tokens: np.ndarray, lengths: np.ndarray, pairs: int, vocab_size: int,
+                  matched: list, total: list) -> None:
+    """Add each order's clipped matches and hypothesis n-grams of ``pairs``
     aligned pairs to ``matched[n - 1]`` and ``total[n - 1]``.
 
-    Tokens are coded by ``tokenio.encode``, so any hashable tokens work
-    and compare as Python compares them.  Each order gives every position
-    an id for (sentence pair, n-gram starting there), compacted with
-    ``np.unique`` from the (n-1)-gram id and the n-th token.  A key stays
-    below (pairs + tokens) x (distinct tokens), so int64 holds it whatever
-    the vocabulary.  The hypothesis and reference counts of an id clip
-    each other.
+    ``tokens`` holds the hypotheses' and then the references' token codes,
+    below ``vocab_size``, and ``lengths`` their lengths.  Tokens coded as
+    ``tokenio`` codes them compare as Python compares them.  Each order
+    gives every position an id for (sentence pair, n-gram starting there),
+    compacted with ``np.unique`` from the (n-1)-gram id and the n-th token.
+    A key stays below (pairs + tokens) x (distinct tokens), so int64 holds
+    it whatever the vocabulary.  The hypothesis and reference counts of an
+    id clip each other.
     """
-    sentences = hyps + refs
-    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
     size = int(lengths.sum())
-    codes: dict = {}
-    tokens = encode(sentences, codes)
-    hyp_size = int(lengths[: len(hyps)].sum())
+    hyp_size = int(lengths[:pairs].sum())
     # tokens from each position to the end of its sentence: an n-gram starts
     # wherever at least n are left
     left = np.repeat(np.cumsum(lengths), lengths) - np.arange(size)
     # the order-0 id is the sentence pair, shared by a hypothesis and its reference
-    ids = np.repeat(np.tile(np.arange(len(hyps)), 2), lengths)
+    ids = np.repeat(np.tile(np.arange(pairs), 2), lengths)
     for n in range(1, min(len(total), int(lengths.max())) + 1):
         starts = size - n + 1
         # a start without n tokens left gets an id too; it is never counted
-        distinct, ids = np.unique(ids[:starts] * len(codes) + tokens[n - 1 :],
+        distinct, ids = np.unique(ids[:starts] * vocab_size + tokens[n - 1 :],
                                   return_inverse=True)
         valid = left[:starts] >= n
         hyp_counts = np.bincount(ids[:hyp_size][valid[:hyp_size]], minlength=len(distinct))
@@ -76,21 +76,31 @@ def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
     unigram matches give exactly 0.  The brevity penalty exp(1 - r/c)
     applies when the hypothesis corpus is shorter than the references.
 
-    N-grams are counted in numpy (``_count_ngrams``).  Every count is an
-    integer, so the float arithmetic is that of the textbook Counter loop
-    and the score is the same bit for bit.
+    N-grams are counted in numpy (``_count_ngrams``), ``_BLEU_PAIRS``
+    sentence pairs at a time, over codes shared by both corpora.  Every
+    count is an integer, so the float arithmetic is that of the textbook
+    Counter loop and the score is the same bit for bit.
     """
     max_n = check_integer("max_n", max_n, 1)
-    hyps = [tuple(h) for h in hypotheses]
-    refs = [tuple(r) for r in references]
-    if not hyps or len(hyps) != len(refs):
+    hyps, refs = coded(hypotheses), coded(references)
+    if not len(hyps) or len(hyps) != len(refs):
         raise InvalidInputError("hypotheses and references must be equal-length and non-empty")
+    table: dict = {}
+    hyp_codes, ref_codes = hyps.codes_in(table), refs.codes_in(table)
+    hyp_starts, ref_starts = hyps.starts.tolist(), refs.starts.tolist()
+    hyp_starts.append(len(hyp_codes))
+    ref_starts.append(len(ref_codes))
     matched = [0] * max_n
     total = [0] * max_n
     for lo in range(0, len(hyps), _BLEU_PAIRS):
-        _count_ngrams(hyps[lo : lo + _BLEU_PAIRS], refs[lo : lo + _BLEU_PAIRS], matched, total)
-    hyp_len = sum(map(len, hyps))
-    ref_len = sum(map(len, refs))
+        hi = min(lo + _BLEU_PAIRS, len(hyps))
+        _count_ngrams(
+            np.concatenate((hyp_codes[hyp_starts[lo] : hyp_starts[hi]],
+                            ref_codes[ref_starts[lo] : ref_starts[hi]])),
+            np.concatenate((hyps.lengths[lo:hi], refs.lengths[lo:hi])),
+            hi - lo, len(table), matched, total)
+    hyp_len = int(hyps.lengths.sum())
+    ref_len = int(refs.lengths.sum())
     orders = [i for i in range(max_n) if total[i] > 0]
     if not orders or matched[0] == 0:
         return 0.0
@@ -116,21 +126,22 @@ class ImportanceReport:
     mean_log_importance: float
 
 
-def _backward_pass(synthetic: Sequence[SyntheticPair], backward: ChannelModel):
-    """The synthetic sources and their backward log-probs given their targets."""
-    if not synthetic:
+def _backward_pass(synthetic, backward: ChannelModel):
+    """The coded synthetic sources and their backward log-probs given their
+    targets."""
+    sources, targets = coded_pairs(synthetic)
+    if not len(sources):
         raise InvalidInputError("synthetic corpus must be non-empty")
-    sources = [p.source for p in synthetic]
-    return sources, backward.batch_score(sources, [p.target for p in synthetic])
+    return sources, backward.batch_score(sources, targets)
 
 
-def _quality(log_q: np.ndarray, sources: list, references) -> QualityReport:
+def _quality(log_q: np.ndarray, sources, references) -> QualityReport:
     mean_log_q = float(np.mean(log_q))
     if not math.isfinite(mean_log_q):
         raise InvalidInputError("backward scores are not finite; check model smoothing")
     bleu = None
     if references is not None:
-        refs = [tuple(r) for r in references]
+        refs = coded(references)
         if len(refs) != len(sources):
             raise InconsistencyError("references must align one-to-one with synthetic pairs")
         bleu = corpus_bleu(sources, refs)
@@ -147,7 +158,8 @@ def _importance(log_lm: np.ndarray, log_q: np.ndarray) -> ImportanceReport:
 def corpus_quality_report(synthetic: Sequence[SyntheticPair], backward: ChannelModel,
                           references=None) -> QualityReport:
     """Mean per-sentence backward log-likelihood of the synthetic sources,
-    plus their BLEU against reference sources when those exist."""
+    plus their BLEU against reference sources when those exist.
+    ``synthetic`` may be given coded as its (sources, targets) pair."""
     sources, log_q = _backward_pass(synthetic, backward)
     return _quality(log_q, sources, references)
 
@@ -162,7 +174,9 @@ def corpus_importance_report(synthetic: Sequence[SyntheticPair], lm: NGramLM,
 def corpus_diagnostics(synthetic: Sequence[SyntheticPair], backward: ChannelModel, lm: NGramLM,
                        references, vocab) -> tuple[QualityReport, ImportanceReport, SpectrumReport]:
     """``corpus_quality_report``, ``corpus_importance_report`` and the sources'
-    spectrum over ``vocab``, with one backward pass for the two reports."""
+    spectrum over ``vocab``, with one backward pass for the two reports.
+    ``synthetic`` may be given coded as its (sources, targets) pair, and
+    ``references`` coded; then nothing is encoded."""
     sources, log_q = _backward_pass(synthetic, backward)
     return (_quality(log_q, sources, references),
             _importance(lm.batch_score(sources), log_q),
@@ -205,21 +219,21 @@ def sentence_representation_matrix(corpus, vocab) -> np.ndarray:
     A token outside ``vocab`` or repeated in it is refused.  Counts are
     small integers, so each row's sum of squares is exact in any order and
     its norm is the correctly rounded square root.  An empty sentence gives
-    a row of NaN (0 / 0).
+    a row of NaN (0 / 0).  ``corpus`` may be coded.
     """
-    sentences = [tuple(s) for s in corpus]
-    if not sentences:
+    sentences = coded(corpus)
+    if not len(sentences):
         raise InvalidInputError("corpus must be non-empty")
     vocab = tuple(vocab)
     index = dict(zip(vocab, range(len(vocab))))
     if len(index) < len(vocab):
         repeated = next(tok for i, tok in enumerate(vocab) if index[tok] != i)
         raise InvalidInputError(f"representation vocabulary repeats the token {repeated!r}")
-    cols = encode(sentences, index)
+    cols = sentences.codes_in(index)
     if len(index) > len(vocab):
         raise InvalidInputError(f"token {list(index)[len(vocab)]!r} is outside the "
                                 "representation vocabulary")
-    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+    lengths = sentences.lengths
     matrix = np.zeros((len(sentences), len(vocab)))
     np.add.at(matrix, (np.repeat(np.arange(len(sentences)), lengths), cols), 1.0)
     matrix /= np.linalg.norm(matrix, axis=1)[:, None]

@@ -13,6 +13,10 @@ channel on authentic plus synthetic data; ``run_bt_experiment`` sweeps
 BLEU together with each synthetic corpus's ``corpus_diagnostics`` (quality,
 importance and spectrum from one backward pass).  Stochastic strategies draw
 each sentence's uniforms from its own stream through ``sentence_uniforms``.
+``run_bt_experiment`` codes each corpus of a seed's task once
+(``tokenio.encode``); ``synthesize_corpus`` then hands out each synthetic
+corpus coded by its decoder, and training, scoring, BLEU and the
+diagnostics read those codes, so no decoder output is coded token by token.
 Gamma strategies pick with ``scoring.gamma_picks``.  In a sweep, the Gamma
 cells of one candidate count make one candidate-pool pass per seed between
 them: each chunk of pools is sampled once, every cell takes its picks from
@@ -55,18 +59,17 @@ from .manipulate import (
     MonoCorpus,
     SplitPlan,
     SyntheticPair,
-    assemble_mixed_corpus,
     split_monolingual,
 )
 from .scoring import GammaParams, gamma_picks, gamma_rows
 from .streams import sentence_uniforms
+from .tokenio import CodedCorpus, encode
 from .toyseq.decode import (
     _ancestral,
     batch_lm_scores,
     beam_decode,
     candidate_chunks,
     sample_decode,
-    token_array,
 )
 from .toyseq.models import (
     BOS,
@@ -75,10 +78,11 @@ from .toyseq.models import (
     ChannelModel,
     NGramLM,
     ParallelCorpus,
+    coded_pairs,
     train_channel,
     train_ngram_lm,
 )
-from .toyseq.taskgen import ToyTask, ToyTaskSpec, generate_toy_task
+from .toyseq.taskgen import ToyTaskSpec, generate_toy_task
 
 DEFAULT_BEAM_SIZE = 5
 DEFAULT_NUM_CANDIDATES = 50
@@ -185,35 +189,35 @@ class BTStrategy:
 
 # -- synthesis ----------------------------------------------------------------
 
-def _beam_pairs(backward: ChannelModel, mono: MonoCorpus, ids,
-                beam_size: int) -> list[SyntheticPair]:
-    targets = [mono.sentences[i] for i in ids]
-    sources = beam_decode(backward, targets, beam_size)
-    return [SyntheticPair(x, y, "beam") for x, y in zip(sources, targets)]
-
-
-def _sampling_pairs(backward: ChannelModel, mono: MonoCorpus, ids,
-                    seed: int) -> list[SyntheticPair]:
-    targets = [mono.sentences[i] for i in ids]
-    uniforms = sentence_uniforms(seed, ids, [len(y) for y in targets])
-    sources = sample_decode(backward, targets, uniforms)
-    return [SyntheticPair(x, y, "sampling") for x, y in zip(sources, targets)]
+def _split_sources(mono: CodedCorpus, backward: ChannelModel, plan: SplitPlan, seed: int,
+                   beam_size: int) -> CodedCorpus:
+    """Data manipulation on the coded ``mono``: beam sources for
+    ``plan.beam_ids``, sampled sources (one stream per sentence from
+    ``seed``) for the rest, coded, in corpus order."""
+    beam = beam_decode(backward, mono.take(plan.beam_ids), beam_size)
+    ids = plan.sampling_ids
+    uniforms = sentence_uniforms(seed, ids, mono.lengths[list(ids)].tolist())
+    sampled = sample_decode(backward, mono.take(ids), uniforms)
+    # the beam half, then the sampling half, back in corpus order
+    return CodedCorpus.concat([beam, sampled]).take(np.argsort(plan.beam_ids + ids))
 
 
 def synthesize_split(mono: MonoCorpus, backward: ChannelModel, plan: SplitPlan, seed: int,
                      beam_size: int = DEFAULT_BEAM_SIZE) -> list[SyntheticPair]:
     """Data manipulation: beam sources for ``plan.beam_ids``, sampled sources
-    (one stream per sentence from ``seed``) for the rest, in corpus order."""
-    beam_pairs = dict(zip(plan.beam_ids, _beam_pairs(backward, mono, plan.beam_ids, beam_size)))
-    sampling_pairs = dict(zip(plan.sampling_ids,
-                              _sampling_pairs(backward, mono, plan.sampling_ids, seed)))
-    return list(assemble_mixed_corpus(plan, beam_pairs, sampling_pairs).pairs)
+    (one stream per sentence from ``seed``) for the rest, in corpus order,
+    tagged ``beam`` or ``sampling``."""
+    sources = _split_sources(encode(mono.sentences), backward, plan, seed, beam_size)
+    beam = set(plan.beam_ids)
+    return [SyntheticPair(x, y, "beam" if i in beam else "sampling")
+            for i, (x, y) in enumerate(zip(sources, mono.sentences))]
 
 
-def _gamma_sources(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM,
-                   strategies: Sequence[BTStrategy], seed: int) -> list[list[tuple]]:
+def _gamma_sources(mono: CodedCorpus, backward: ChannelModel, lm: NGramLM,
+                   strategies: Sequence[BTStrategy], seed: int) -> list[CodedCorpus]:
     """The Gamma-chosen candidate of each sentence's n-candidate pool, one
-    source list per strategy, from one pass over the pools.
+    coded source corpus per strategy, from one pass over the pools of the
+    coded ``mono``.
 
     Every strategy must share one ``num_candidates``.  Each chunk of pools
     is sampled once and every strategy takes its picks from it before the
@@ -226,51 +230,73 @@ def _gamma_sources(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM,
     if len(sizes) != 1:
         raise InvalidInputError(
             f"one candidate pass needs one num_candidates, got {sorted(sizes)}")
-    vocab = token_array(backward.out_vocab)
-    sources: list = [[None] * len(mono.sentences) for _ in strategies]
-    chunks = candidate_chunks(backward, lm, mono.sentences, sizes.pop(),
+    picked = [np.empty(len(mono.codes), dtype=np.int64) for _ in strategies]
+    starts = mono.starts
+    chunks = candidate_chunks(backward, lm, mono, sizes.pop(),
                               lambda ids, count: sentence_uniforms(seed, ids, count))
     for ids, next_uniforms, token_idx, log_q, log_lm in chunks:
         rows = np.arange(len(ids))
+        at = np.add.outer(starts[ids], np.arange(token_idx.shape[2]))
         probs_by_gamma: dict = {}
-        for strategy, chosen in zip(strategies, sources):
+        for strategy, chosen in zip(strategies, picked):
             probs = probs_by_gamma.get(strategy.gamma)
             if probs is None:
                 probs = gamma_rows(log_q, log_lm, token_idx.shape[2],
                                    GammaParams(gamma=strategy.gamma))
                 probs_by_gamma[strategy.gamma] = probs
             picks = gamma_picks(probs, None if strategy.kind == "gamma-select" else next_uniforms)
-            for i, row in zip(ids, vocab[token_idx[rows, picks]]):
-                chosen[i] = tuple(row)
+            chosen[at] = token_idx[rows, picks]
+    return [CodedCorpus.from_indices(backward.out_vocab, chosen, mono.lengths)
+            for chosen in picked]
+
+
+def _coded_sources(mono: CodedCorpus, backward: ChannelModel, lm: NGramLM | None,
+                   strategy: BTStrategy, seed: int, beam_size: int) -> CodedCorpus:
+    """The coded synthetic sources of the coded ``mono`` under ``strategy``;
+    empty for ``none``."""
+    kind = strategy.kind
+    if kind == "none":
+        return mono.take(())
+    if kind in ("beam", "beam-weak"):
+        return beam_decode(backward, mono, beam_size)
+    if kind == "sampling":
+        ids = range(len(mono))
+        return sample_decode(backward, mono,
+                             sentence_uniforms(seed, ids, mono.lengths.tolist()))
+    if kind == "data-manipulation":
+        plan = split_monolingual(mono, strategy.gamma, seed)
+        return _split_sources(mono, backward, plan, seed, beam_size)
+    [sources] = _gamma_sources(mono, backward, lm, [strategy], seed)
     return sources
 
 
-def _tagged(sources, mono: MonoCorpus, kind: str) -> list[SyntheticPair]:
-    return [SyntheticPair(x, y, kind) for x, y in zip(sources, mono.sentences)]
+# each strategy kind's provenance tag, where it is not the kind itself
+_PROVENANCE = {"beam-weak": "beam"}
 
 
-def synthesize_corpus(mono: MonoCorpus, backward: ChannelModel, lm: NGramLM | None,
-                      strategy: BTStrategy, seed: int,
-                      beam_size: int = DEFAULT_BEAM_SIZE) -> list[SyntheticPair]:
-    """One synthetic source per target sentence, tagged with its provenance.
+def synthesize_corpus(mono, backward: ChannelModel, lm: NGramLM | None,
+                      strategy: BTStrategy, seed: int, beam_size: int = DEFAULT_BEAM_SIZE):
+    """One synthetic source per target sentence.
 
-    Stochastic strategies derive one stream per sentence from (seed, index),
-    so output is independent of evaluation order.
+    ``mono`` is a ``MonoCorpus``, which gives a list of ``SyntheticPair``
+    tagged with their provenance, or its sentences coded
+    (``tokenio.CodedCorpus``), which gives the coded (sources, targets) pair,
+    both empty for ``none``.  Stochastic strategies derive one stream per
+    sentence from (seed, index), so output is independent of evaluation
+    order.
     """
     kind = strategy.kind
     if STRATEGIES[kind].needs_lm and lm is None:
         raise ConfigError(f"strategy {kind!r} needs a source language model")
-    if kind == "none":
-        return []
-    if kind in ("beam", "beam-weak"):
-        return _beam_pairs(backward, mono, range(len(mono.sentences)), beam_size)
-    if kind == "sampling":
-        return _sampling_pairs(backward, mono, range(len(mono.sentences)), seed)
+    if isinstance(mono, CodedCorpus):
+        sources = _coded_sources(mono, backward, lm, strategy, seed, beam_size)
+        return sources, (mono if len(sources) else sources)
     if kind == "data-manipulation":
         plan = split_monolingual(mono, strategy.gamma, seed)
         return synthesize_split(mono, backward, plan, seed, beam_size)
-    [sources] = _gamma_sources(mono, backward, lm, [strategy], seed)
-    return _tagged(sources, mono, kind)
+    sources = _coded_sources(encode(mono.sentences), backward, lm, strategy, seed, beam_size)
+    return [SyntheticPair(x, y, _PROVENANCE.get(kind, kind))
+            for x, y in zip(sources, mono.sentences)]
 
 
 def train_forward(bitext: ParallelCorpus | None, synthetic: Sequence[SyntheticPair],
@@ -278,14 +304,15 @@ def train_forward(bitext: ParallelCorpus | None, synthetic: Sequence[SyntheticPa
     """Forward channel trained on authentic plus synthetic pairs.
 
     Every pair counts exactly once (no upsampling).  ``bitext`` may be None
-    for synthetic-only training; the union must be non-empty.
+    for synthetic-only training; the union must be non-empty.  Either
+    corpus may be given coded as its (sources, targets) pair.
     """
-    pairs = list(bitext.pairs) if bitext is not None else []
-    pairs.extend((p.source, p.target) for p in synthetic)
-    if not pairs:
+    parts = [coded_pairs(corpus) for corpus in (bitext, synthetic) if corpus is not None]
+    sources = CodedCorpus.concat([src for src, _ in parts])
+    if not len(sources):
         raise InvalidInputError("cannot train a forward model on an empty corpus")
-    corpus = ParallelCorpus(pairs=tuple(pairs))
-    return train_channel(corpus, "source_to_target", alpha, out_vocab=out_vocab)
+    targets = CodedCorpus.concat([tgt for _, tgt in parts])
+    return train_channel((sources, targets), "source_to_target", alpha, out_vocab=out_vocab)
 
 
 # -- experiment sweep -----------------------------------------------------------
@@ -370,15 +397,18 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _evaluate_test_bleu(forward: ChannelModel, test: ParallelCorpus, beam_size: int) -> float:
-    return corpus_bleu(beam_decode(forward, test.sources(), beam_size), test.targets())
+def _evaluate_test_bleu(forward: ChannelModel, test, beam_size: int) -> float:
+    sources, targets = coded_pairs(test)
+    return corpus_bleu(beam_decode(forward, sources, beam_size), targets)
 
 
-def _weak_backward(task: ToyTask, alpha: float) -> ChannelModel:
-    # under-trained variant: fit on the leading tenth of the bitext
-    weak_size = max(1, int(len(task.bitext) * WEAK_BITEXT_FRACTION))
-    subset = ParallelCorpus(pairs=task.bitext.pairs[:weak_size])
-    return train_channel(subset, "target_to_source", alpha, out_vocab=task.source_vocab)
+def _weak_backward(bitext: tuple[CodedCorpus, CodedCorpus], alpha: float,
+                   vocab) -> ChannelModel:
+    # under-trained variant: fit on the leading tenth of the coded bitext
+    sources, targets = bitext
+    weak = range(max(1, int(len(sources) * WEAK_BITEXT_FRACTION)))
+    return train_channel((sources.take(weak), targets.take(weak)), "target_to_source", alpha,
+                         out_vocab=vocab)
 
 
 def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -391,7 +421,9 @@ def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Gamma cells with equal ``num_candidates`` share one candidate-pool pass
     per seed, made when the first of them runs; each cell's sources equal
-    those of ``synthesize_corpus`` with that strategy alone.
+    those of ``synthesize_corpus`` with that strategy alone.  Each corpus of
+    the task is coded once per seed, and each synthetic corpus comes coded
+    from its decoder.
     """
     strategies = list(config.strategies)
     if not any(s.kind == "none" for s in strategies):
@@ -399,23 +431,23 @@ def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport()
     for seed in config.seeds:
         task = generate_toy_task(config.task.with_seed(seed))
+        bitext, test = coded_pairs(task.bitext), coded_pairs(task.test)
+        mono = encode(task.mono.sentences)
+        references = encode(task.mono_refs.sources())
         backward = train_channel(
-            task.bitext, "target_to_source", config.alpha, out_vocab=task.source_vocab
+            bitext, "target_to_source", config.alpha, out_vocab=task.source_vocab
         )
-        lm = train_ngram_lm(
-            task.bitext.sources(), config.lm_order, config.alpha, vocab=task.source_vocab
-        )
+        lm = train_ngram_lm(bitext[0], config.lm_order, config.alpha, vocab=task.source_vocab)
         weak = None
         if any(s.kind == "beam-weak" for s in strategies):
-            weak = _weak_backward(task, config.alpha)
-        references = task.mono_refs.sources()
+            weak = _weak_backward(bitext, config.alpha, task.source_vocab)
         gamma_synthetic: dict = {}
         for strategy in strategies:
             try:
                 if strategy.num_candidates is None:
                     generator_model = weak if strategy.kind == "beam-weak" else backward
                     synthetic = synthesize_corpus(
-                        task.mono, generator_model, lm, strategy, seed, config.beam_size
+                        mono, generator_model, lm, strategy, seed, config.beam_size
                     )
                 else:
                     if strategy not in gamma_synthetic:
@@ -423,28 +455,27 @@ def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
                         # the one pool pass for every cell of that count
                         group = [s for s in strategies
                                  if s.num_candidates == strategy.num_candidates]
-                        passes = _gamma_sources(task.mono, backward, lm, group, seed)
+                        passes = _gamma_sources(mono, backward, lm, group, seed)
                         for member, sources in zip(group, passes):
-                            gamma_synthetic[member] = _tagged(sources, task.mono, member.kind)
+                            gamma_synthetic[member] = (sources, mono)
                     synthetic = gamma_synthetic.pop(strategy)
+                sources, targets = synthetic
                 forward = train_forward(
-                    task.bitext, synthetic, config.alpha, out_vocab=task.target_vocab
+                    bitext, synthetic, config.alpha, out_vocab=task.target_vocab
                 )
                 cell = CellReport(
                     strategy=strategy.label,
                     seed=seed,
-                    test_bleu=_evaluate_test_bleu(forward, task.test, config.beam_size),
-                    synthetic_size=len(synthetic),
+                    test_bleu=_evaluate_test_bleu(forward, test, config.beam_size),
+                    synthetic_size=len(sources),
                 )
-                if synthetic:
+                if len(sources):
                     # diagnostics always use the standard backward model,
                     # even for corpora generated by the weak variant
                     quality, importance, spectrum = corpus_diagnostics(
                         synthetic, backward, lm, references, task.source_vocab
                     )
-                    truth_scores = task.truth_channel.batch_score(
-                        [p.target for p in synthetic], [p.source for p in synthetic]
-                    )
+                    truth_scores = task.truth_channel.batch_score(targets, sources)
                     cell.mean_log_q = quality.mean_log_q
                     cell.synthetic_bleu = quality.bleu_vs_reference
                     cell.mean_log_importance = importance.mean_log_importance

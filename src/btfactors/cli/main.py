@@ -95,7 +95,10 @@ def _emit_manifest(out_dir_or_file, command, params, seed, inputs, outputs, argv
 # -- command implementations ----------------------------------------------------
 
 def _cmd_toygen(args, argv) -> int:
-    spec = ToyTaskSpec.from_keys({key: getattr(args, key) for key in TASK_KEYS}, args.seed)
+    # the flags that move a key off its default, so a range fault names one of them
+    spec = ToyTaskSpec.from_keys({key: getattr(args, key) for key, default in TASK_KEYS.items()
+                                  if getattr(args, key) != default},
+                                 args.seed, lambda key: "--" + key.replace("_", "-"))
     task = generate_toy_task(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -308,7 +311,8 @@ def _parse_config_text(text: str) -> ExperimentConfig:
         return value
 
     task = ToyTaskSpec.from_keys({key: parse(key, values[key], type(default))
-                                  for key, default in TASK_KEYS.items() if key in values})
+                                  for key, default in TASK_KEYS.items() if key in values},
+                                 label=lambda key: f"config line {linenos[key]}: {key}")
     seeds = (1, 2, 3, 4, 5)
     if "seeds" in values:
         seeds = tuple(checked("seeds", s, "seed") for s in values["seeds"].split())
@@ -325,11 +329,8 @@ def _parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown strategy {kind!r}")
         params = STRATEGIES[kind].params
         strategies.append(BTStrategy(kind, **{name: settings[key] for name, key in params.items()}))
-    # only the keys the config sets, so ExperimentConfig's defaults apply;
-    # beam_size keeps ExperimentConfig's range message
-    experiment = {key: (parse(key, values[key], DOMAINS[key].type) if key == "beam_size"
-                        else checked(key, values[key], key))
-                  for key in EXPERIMENT_KEYS if key in values}
+    # only the keys the config sets, so ExperimentConfig's defaults apply
+    experiment = {key: checked(key, values[key], key) for key in EXPERIMENT_KEYS if key in values}
     return ExperimentConfig(task=task, strategies=tuple(strategies), seeds=seeds, **experiment)
 
 

@@ -21,13 +21,24 @@ every other token -- bools, floats (``0.0 == -0.0``), numpy scalars,
 tuples, subclasses, unhashable objects -- is converted uncached.  Each cache
 holds at most 2**16 entries.  Errors are never cached: an unwritable token
 raises the same ParseError on every call.
+
+A corpus is coded once, as a ``CodedCorpus``: its distinct tokens in
+first-seen order, its flat int64 codes into them and its sentence lengths.
+``encode`` is the one function that codes tokens in Python.  Code that
+already holds a corpus as indices into a vocabulary (the decoders, the task
+generator) builds it with ``CodedCorpus.from_indices``, and ``take``,
+``concat`` and ``with_end`` make new corpora from old codes; all of these
+run in numpy.  A consumer moves a corpus into its own code space with
+``codes_in(table)``: one ``setdefault`` per distinct token and one gather,
+giving the codes, and leaving ``table`` in the order, that coding the
+sentences token by token into ``table`` would give.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -97,14 +108,110 @@ def sequence_from_str(text: str) -> tuple:
     return tuple(map(token_from_str, text.split()))
 
 
-def encode(seqs, codes: dict) -> np.ndarray:
-    """Every token of ``seqs``, flat, as its int64 code in ``codes``, which
-    maps tokens to 0 .. len(codes) - 1 and gains each token it lacks, with
-    the next code, in the order tokens are first seen.  Iterates in C."""
+def _token_array(tokens) -> np.ndarray:
+    """``tokens`` as a 1-D object array, one element per token, so that
+    equal-length tuple tokens index as tokens rather than as array rows."""
+    array = np.empty(len(tokens), dtype=object)
+    for i, token in enumerate(tokens):
+        array[i] = token
+    return array
+
+
+class CodedCorpus:
+    """A corpus of token sequences, coded once.
+
+    ``tokens`` holds the distinct tokens in the order they are first seen,
+    ``codes`` every token of every sentence, flat, as its int64 index into
+    ``tokens``, and ``lengths`` each sentence's length.  Tokens are distinct
+    as dict keys are, so equal tokens of different types (``1``, ``True``)
+    share the code of the first one seen.  Iterating gives the sentences as
+    tuples.
+    """
+
+    __slots__ = ("tokens", "codes", "lengths")
+
+    def __init__(self, tokens: tuple, codes: np.ndarray, lengths: np.ndarray):
+        self.tokens = tokens
+        self.codes = codes
+        self.lengths = lengths
+
+    @classmethod
+    def from_indices(cls, vocab, index, lengths) -> "CodedCorpus":
+        """The corpus whose flat tokens are ``vocab[index]``: the vocabulary
+        entries it uses, ordered by the first position of each (one
+        ``np.minimum.at`` pass, no sort of the corpus).  The entries of
+        ``vocab`` that ``index`` uses must be distinct."""
+        index = np.asarray(index, dtype=np.int64).ravel()
+        first = np.full(len(vocab), len(index))
+        np.minimum.at(first, index, np.arange(len(index)))
+        used = np.flatnonzero(first < len(index))
+        used = used[np.argsort(first[used])]
+        remap = np.empty(len(vocab), dtype=np.int64)
+        remap[used] = np.arange(len(used))
+        return cls(tuple(vocab[i] for i in used.tolist()), remap[index],
+                   np.asarray(lengths, dtype=np.intp))
+
+    @classmethod
+    def concat(cls, corpora) -> "CodedCorpus":
+        """The sentences of ``corpora``, one corpus after the other."""
+        table: dict = {}
+        codes = [corpus.codes_in(table) for corpus in corpora]
+        return cls(tuple(table), np.concatenate(codes, dtype=np.int64),
+                   np.concatenate([corpus.lengths for corpus in corpora], dtype=np.intp))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __iter__(self):
+        flat = iter(_token_array(self.tokens)[self.codes].tolist())
+        return (tuple(islice(flat, n)) for n in self.lengths.tolist())
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Each sentence's offset into ``codes``."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    def codes_in(self, table: dict) -> np.ndarray:
+        """Every token, flat, as its int64 code in ``table``, which maps
+        tokens to 0 .. len(table) - 1 and gains each token it lacks, with
+        the next code, in the order tokens are first seen."""
+        lookup = np.fromiter((table.setdefault(tok, len(table)) for tok in self.tokens),
+                             dtype=np.int64, count=len(self.tokens))
+        return lookup[self.codes]
+
+    def take(self, ids) -> "CodedCorpus":
+        """The sentences at positions ``ids``, in that order."""
+        ids = np.asarray(ids, dtype=np.intp)
+        lengths = self.lengths[ids]
+        offsets = self.starts[ids] - (np.cumsum(lengths) - lengths)
+        at = np.repeat(offsets, lengths) + np.arange(int(lengths.sum()))
+        return CodedCorpus.from_indices(self.tokens, self.codes[at], lengths)
+
+    def with_end(self, token) -> "CodedCorpus":
+        """Every sentence followed by ``token``, coded as ``encode`` codes
+        those sentences."""
+        size = len(self.tokens)
+        code = dict(zip(self.tokens, range(size))).get(token, size)
+        return CodedCorpus.from_indices((*self.tokens, token),
+                                        np.insert(self.codes, np.cumsum(self.lengths), code),
+                                        self.lengths + 1)
+
+
+def encode(seqs) -> CodedCorpus:
+    """``seqs`` coded: the one coder that reads tokens in Python, once
+    each.  Iterates in C."""
+    seqs = list(map(tuple, seqs))
     flat = list(chain.from_iterable(seqs))
-    fresh = [tok for tok in dict.fromkeys(flat) if tok not in codes]
-    codes.update(zip(fresh, range(len(codes), len(codes) + len(fresh))))
-    return np.fromiter(map(codes.__getitem__, flat), dtype=np.int64, count=len(flat))
+    tokens = tuple(dict.fromkeys(flat))
+    index = dict(zip(tokens, range(len(tokens))))
+    return CodedCorpus(tokens,
+                       np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat)),
+                       np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs)))
+
+
+def coded(seqs) -> CodedCorpus:
+    """``seqs`` if it is coded already, else ``encode(seqs)``."""
+    return seqs if isinstance(seqs, CodedCorpus) else encode(seqs)
 
 
 def record_lines(text: str) -> list[str]:

@@ -1,12 +1,17 @@
 """Decoding for channel models: beam search, ancestral sampling, and
 annotated candidate-set generation.
 
-``beam_decode`` and ``sample_decode`` take a whole corpus.  They group its
-sentences by length and step through each group position by position over
-(sentences x beam x |V|) arrays gathered from a stacked tensor of the
-per-conditioning-token matrices.  Beam ties break lexicographically by
-token sequence, in Python's token order when the output vocabulary is
-mutually comparable and in ``token_sort_key`` order when it mixes types.
+``beam_decode`` and ``sample_decode`` take a whole corpus, coded
+(``tokenio.CodedCorpus``) or as plain sequences, which they encode once.
+They group its sentences by length and step through each group position by
+position over (sentences x beam x |V|) arrays gathered from a stacked
+tensor of the per-conditioning-token matrices, one matrix per distinct
+token of the coded input.  The outputs are filled in as indices into the
+output vocabulary and handed out coded (``CodedCorpus.from_indices``), or as
+tuples when the input was plain sequences.  Beam ties break
+lexicographically by token sequence, in Python's token order when the
+output vocabulary is mutually comparable and in ``token_sort_key`` order
+when it mixes types.
 No row is sorted: the tensor's rows and columns are permuted into that tie
 order once per call, and each sentence's live hypotheses are kept in
 lexicographic order of their prefixes, so the first maximum of an
@@ -38,60 +43,56 @@ import numpy as np
 
 from ..errors import InvalidInputError, check_integer
 from ..scoring import Candidate, CandidateSet, invert_cdf
-from ..tokenio import encode
+from ..tokenio import CodedCorpus, coded
 from .models import ChannelModel, EOS, NGramLM
 
 # targets per candidate chunk; bounds the (targets x n x L) working set
 _CHUNK = 64
 
 
-def _stacked_conditionals(model: ChannelModel, inputs):
-    """(cumulative prob, log) matrices of every conditioning token in
-    ``inputs``, stacked into two (conds, |V|+1, |V|) tensors, and
-    ``cond_rows(ids, length)``: the (len(ids), length) indices into them of
-    the tokens of the equal-length inputs ``ids``."""
-    index: dict = {}
-    flat = encode(inputs, index)
-    pairs = [model.matrices_for_cond(cond) for cond in index]
+def _stacked_conditionals(model: ChannelModel, inputs: CodedCorpus):
+    """(cumulative prob, log) matrices of every distinct token of the coded
+    ``inputs``, stacked in code order into two (conds, |V|+1, |V|) tensors,
+    and ``cond_rows(ids, length)``: the (len(ids), length) indices into them
+    of the tokens of the equal-length inputs ``ids``."""
+    pairs = [model.matrices_for_cond(cond) for cond in inputs.tokens]
     shape = (len(pairs), len(model.out_vocab) + 1, len(model.out_vocab))
     cdfs = np.cumsum(np.array([p for p, _ in pairs]).reshape(shape), axis=-1)
     logs = np.array([lg for _, lg in pairs]).reshape(shape)
-    lengths = np.fromiter(map(len, inputs), dtype=np.intp, count=len(inputs))
-    starts = np.cumsum(lengths) - lengths
-    return cdfs, logs, lambda ids, length: flat[np.add.outer(starts[ids], np.arange(length))]
+    starts = inputs.starts
+    return cdfs, logs, lambda ids, length: inputs.codes[np.add.outer(starts[ids],
+                                                                     np.arange(length))]
 
 
-def _by_length(seqs) -> dict[int, list[int]]:
-    """Positions of the non-empty ``seqs``, grouped by length in corpus order."""
+def _by_length(lengths: np.ndarray) -> dict[int, list[int]]:
+    """Positions of the non-empty sentences of ``lengths``, grouped by
+    length in corpus order."""
     groups: dict[int, list[int]] = {}
-    for i, seq in enumerate(seqs):
-        if seq:
-            groups.setdefault(len(seq), []).append(i)
+    for i, length in enumerate(lengths.tolist()):
+        if length:
+            groups.setdefault(length, []).append(i)
     return groups
 
 
-def token_array(tokens) -> np.ndarray:
-    """``tokens`` as a 1-D object array, one element per token, so that
-    equal-length tuple tokens index as tokens rather than as array rows."""
-    array = np.empty(len(tokens), dtype=object)
-    for i, token in enumerate(tokens):
-        array[i] = token
-    return array
-
-
-def _decode_by_length(model: ChannelModel, inputs, cond_rows, decode_group) -> list[tuple]:
-    """Output tokens for every input, in input order.
+def _decode_by_length(model: ChannelModel, inputs: CodedCorpus, cond_rows,
+                      decode_group) -> CodedCorpus:
+    """Output tokens for every input, in input order, coded.
 
     ``decode_group(ids, cond_idx)`` decodes one group of equal-length,
     non-empty inputs: their positions and (n, L) ``cond_rows`` indices in,
     an (n, L) matrix of output indices out.  Empty inputs decode to ``()``.
     """
-    vocab = token_array(model.out_vocab)
-    outputs: list = [()] * len(inputs)
-    for length, ids in _by_length(inputs).items():
-        for i, row in zip(ids, vocab[decode_group(ids, cond_rows(ids, length))]):
-            outputs[i] = tuple(row)
-    return outputs
+    out = np.empty(len(inputs.codes), dtype=np.int64)
+    starts = inputs.starts
+    for length, ids in _by_length(inputs.lengths).items():
+        out[np.add.outer(starts[ids], np.arange(length))] = decode_group(
+            ids, cond_rows(ids, length))
+    return CodedCorpus.from_indices(model.out_vocab, out, inputs.lengths)
+
+
+def _as_given(outputs: CodedCorpus, inputs):
+    """``outputs`` coded if ``inputs`` was, else as a list of tuples."""
+    return outputs if isinstance(inputs, CodedCorpus) else list(outputs)
 
 
 def _beam_tie_order(vocab) -> np.ndarray:
@@ -159,17 +160,18 @@ def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> list[tuple]:
     Python's own order when the output vocabulary is mutually comparable
     (all ints or all strings) and by ``token_sort_key`` when it mixes
     types.  An exhaustive width (|V| ** len) reduces to brute-force argmax.
+    Coded inputs give coded outputs; plain sequences give tuples.
     """
     beam_size = check_integer("beam_size", beam_size, 1)
-    inputs = [tuple(seq) for seq in inputs]
-    _, logs, cond_rows = _stacked_conditionals(model, inputs)
+    corpus = coded(inputs)
+    _, logs, cond_rows = _stacked_conditionals(model, corpus)
     order = _beam_tie_order(model.out_vocab)
     # rows (previous token) and columns (next token) both in tie order
     logs = logs[:, np.concatenate(([0], order + 1))][:, :, order]
-    return _decode_by_length(
-        model, inputs, cond_rows,
+    return _as_given(_decode_by_length(
+        model, corpus, cond_rows,
         lambda ids, cond_idx: order[_beam_group(logs, cond_idx, beam_size)],
-    )
+    ), inputs)
 
 
 def _ancestral(steps, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,8 +210,9 @@ def _channel_steps(cdfs: np.ndarray, logs: np.ndarray, cond_idx: np.ndarray,
             for t in range(cond_idx.shape[1]))
 
 
-def _sample_outputs(model: ChannelModel, inputs, draws) -> list[tuple]:
-    """One ancestral sample per input, from its pre-drawn (len,) uniforms."""
+def _sample_outputs(model: ChannelModel, inputs: CodedCorpus, draws) -> CodedCorpus:
+    """One ancestral sample per coded input, from its pre-drawn (len,)
+    uniforms."""
     cdfs, logs, cond_rows = _stacked_conditionals(model, inputs)
 
     def sample_group(ids, cond_idx):
@@ -227,16 +230,17 @@ def sample_decode(model: ChannelModel, inputs, uniforms) -> list[tuple]:
     one per position, for example from ``sentence_uniforms(seed, ids,
     lengths)``, so a corpus pass gives the same output as decoding the
     sentences one by one.  Sentences of equal length are sampled together.
+    Coded inputs give coded outputs; plain sequences give tuples.
     """
-    inputs = [tuple(seq) for seq in inputs]
+    corpus = coded(inputs)
     uniforms = [np.asarray(row, dtype=float) for row in uniforms]
-    if len(uniforms) != len(inputs):
+    if len(uniforms) != len(corpus):
         raise InvalidInputError(
-            f"{len(inputs)} input sequences need as many uniform rows, got {len(uniforms)}"
+            f"{len(corpus)} input sequences need as many uniform rows, got {len(uniforms)}"
         )
-    if any(row.shape != (len(seq),) for seq, row in zip(inputs, uniforms)):
+    if any(row.shape != (length,) for length, row in zip(corpus.lengths.tolist(), uniforms)):
         raise InvalidInputError("each input sequence needs one uniform per position")
-    return _sample_outputs(model, inputs, uniforms)
+    return _as_given(_sample_outputs(model, corpus, uniforms), inputs)
 
 
 def batch_sample(model: ChannelModel, cond_seq, n: int,
@@ -262,7 +266,8 @@ def batch_lm_scores(lm: NGramLM, token_idx: np.ndarray, out_vocab) -> np.ndarray
     """
     columns = [lm.event_index(tok) for tok in out_vocab]
     if lm.order != 2 or any(c is None for c in columns):
-        return lm.batch_score(tuple(out_vocab[j] for j in row) for row in token_idx)
+        n, length = token_idx.shape
+        return lm.batch_score(CodedCorpus.from_indices(out_vocab, token_idx, np.full(n, length)))
     mat = lm.bigram_log_matrix()
     cols = np.asarray(columns, dtype=np.intp)
     event_idx = cols[token_idx]            # (n, L) indices into the event space
@@ -293,11 +298,11 @@ def candidate_chunks(backward: ChannelModel, lm: NGramLM, targets, n: int, draw)
     """
     if n < 2:
         raise InvalidInputError("candidate sets need n >= 2")
-    targets = [tuple(y) for y in targets]
-    if not all(targets):
+    targets = coded(targets)
+    if not targets.lengths.all():
         raise InvalidInputError("target_tokens must be non-empty")
     cdfs, logs, cond_rows = _stacked_conditionals(backward, targets)
-    for length, group in _by_length(targets).items():
+    for length, group in _by_length(targets.lengths).items():
         for start in range(0, len(group), _CHUNK):
             ids = group[start : start + _CHUNK]
             draws = draw(ids, length * n + 1)

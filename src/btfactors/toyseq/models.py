@@ -30,12 +30,15 @@ Conventions of the table:
   as probability rows with alpha == 0), but alpha and every count must be
   finite and non-negative.
 
-One key builder, ``_keys``, codes a corpus with ``tokenio.encode`` and
-gives every position a compacted key id.  ``batch_score`` gathers each
+One key builder, ``_keys``, reads a coded corpus (``tokenio.CodedCorpus``)
+and gives every position a compacted key id.  ``batch_score`` gathers each
 position's term from a matrix of the distinct keys' rows and adds each
 sequence's terms one position at a time from 0.0, as ``score`` does, so the
 two agree bit for bit.  The trainers count (key id, event) pairs with
-``np.unique``; the scalar ``score`` methods stay the reference.
+``np.unique``; the scalar ``score`` methods stay the reference.  The
+scorers and trainers take coded corpora, or plain sequences, which they
+encode once on entry; a parallel corpus may be given coded as its
+(sources, targets) pair of coded corpora (``coded_pairs``).
 
 Rows, log rows and stacked row matrices are cached: models are immutable
 once built, and the trainers fill ``counts`` before the first lookup.
@@ -48,8 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-
 import numpy as np
 
 from ..errors import InvalidInputError, ParseError, check_integer
@@ -57,6 +58,8 @@ from ..tokenio import (
     BOS,
     EOS,
     UNK,
+    CodedCorpus,
+    coded,
     encode,
     record_lines,
     sequence_from_str,
@@ -73,6 +76,7 @@ __all__ = [
     "NGramLM",
     "ParallelCorpus",
     "channel_score",
+    "coded_pairs",
     "lm_score",
     "train_channel",
     "train_ngram_lm",
@@ -90,15 +94,7 @@ class ParallelCorpus:
     pairs: tuple[tuple[tuple, tuple], ...]
 
     def __post_init__(self):
-        if not self.pairs:
-            raise InvalidInputError("parallel corpus must be non-empty")
-        for i, (src, tgt) in enumerate(self.pairs):
-            if not src or not tgt:
-                raise InvalidInputError(f"pair {i}: sequences must be non-empty")
-            if len(src) != len(tgt):
-                raise InvalidInputError(
-                    f"pair {i}: source length {len(src)} != target length {len(tgt)}"
-                )
+        _check_pairs([len(src) for src, _ in self.pairs], [len(tgt) for _, tgt in self.pairs])
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -112,6 +108,35 @@ class ParallelCorpus:
 
     def targets(self) -> list[tuple]:
         return [tgt for _, tgt in self.pairs]
+
+
+def coded_pairs(pairs) -> tuple[CodedCorpus, CodedCorpus]:
+    """The sources and targets of ``pairs`` as coded corpora.  ``pairs`` is
+    that (sources, targets) pair already, a ``ParallelCorpus``, or a
+    sequence of objects with ``source`` and ``target`` (``SyntheticPair``);
+    each side of the last two is encoded once."""
+    if isinstance(pairs, tuple) and len(pairs) == 2 and all(
+            isinstance(side, CodedCorpus) for side in pairs):
+        return pairs
+    if isinstance(pairs, ParallelCorpus):
+        return encode(pairs.sources()), encode(pairs.targets())
+    return encode([p.source for p in pairs]), encode([p.target for p in pairs])
+
+
+def _check_pairs(src_lengths, tgt_lengths) -> None:
+    """Refuse a parallel corpus of these source and target lengths that is
+    empty or holds an empty or unequal-length pair."""
+    src, tgt = np.asarray(src_lengths, dtype=np.intp), np.asarray(tgt_lengths, dtype=np.intp)
+    if len(src) != len(tgt):
+        raise InvalidInputError(f"{len(src)} sources need as many targets, got {len(tgt)}")
+    if not len(src):
+        raise InvalidInputError("parallel corpus must be non-empty")
+    bad = (src == 0) | (tgt == 0) | (src != tgt)
+    if bad.any():
+        i = int(bad.argmax())
+        if not src[i] or not tgt[i]:
+            raise InvalidInputError(f"pair {i}: sequences must be non-empty")
+        raise InvalidInputError(f"pair {i}: source length {src[i]} != target length {tgt[i]}")
 
 
 def _num_to_str(value) -> str:
@@ -222,25 +247,25 @@ class _CountTable:
         """``log_prob`` of an out-of-vocabulary token."""
         raise NotImplementedError
 
-    def _keys(self, runs: list, back: int, conds: list | None = None):
+    def _keys(self, runs: CodedCorpus, back: int, conds: CodedCorpus | None = None):
         """The run lengths, the distinct tokens in code order, the flat token
         codes, each position's key id and event index (-1 outside the event
-        space), and the keys in id order, of ``runs`` coded by ``encode``.
+        space), and the keys in id order, of the coded ``runs``.
 
         Position t of ``runs[i]`` has the key made of the ``back`` tokens
         before it in the run (BOS-padded), followed by ``conds[i][t]`` when
         ``conds`` is given.  Key ids are compacted column by column with
         ``np.unique``, so a key code stays below positions x distinct tokens.
         """
-        lengths = np.fromiter(map(len, runs), dtype=np.intp, count=len(runs))
+        lengths = runs.lengths
         codes = {BOS: 0}    # code 0 also pads the keys before a run's start
-        flat = encode(runs, codes)
+        flat = runs.codes_in(codes)
         at = np.arange(len(flat))
         run_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
         columns = [np.where(at - b >= run_start, flat[np.maximum(at - b, 0)], 0)
                    for b in range(back, 0, -1)]
         if conds is not None:
-            columns.append(encode(conds, codes))
+            columns.append(conds.codes_in(codes))
         key_ids = np.zeros(len(flat), dtype=np.int64)
         for column in columns:
             _, key_ids = np.unique(key_ids * len(codes) + column, return_inverse=True)
@@ -252,7 +277,8 @@ class _CountTable:
         events = np.array([self._index.get(tok, -1) for tok in tokens], dtype=np.intp)[flat]
         return lengths, tokens, flat, key_ids, events, keys
 
-    def _sum_terms(self, runs: list, back: int, conds: list | None = None) -> np.ndarray:
+    def _sum_terms(self, runs: CodedCorpus, back: int,
+                   conds: CodedCorpus | None = None) -> np.ndarray:
         """Log-probability of every run under its ``_keys``, bit for bit as
         ``score``: in-vocabulary terms are gathered from one (distinct keys x
         events) matrix of ``_term_row`` rows, out-of-vocabulary ones come
@@ -272,7 +298,8 @@ class _CountTable:
             totals[live] += terms[starts[live] + t]
         return totals
 
-    def _count(self, runs: list, back: int, conds: list | None, what: str) -> None:
+    def _count(self, runs: CodedCorpus, back: int, conds: CodedCorpus | None,
+               what: str) -> None:
         """Add the events of ``runs`` under their ``_keys`` to ``counts`` as
         Python ints, refusing the first token in corpus order that is no
         event, or is EOS before the end of its run, as ``what``."""
@@ -418,9 +445,9 @@ class NGramLM(_CountTable):
 
     def batch_score(self, sequences) -> np.ndarray:
         """``score`` of every sequence, bit for bit, from one batched pass."""
-        end = (EOS,) if self.use_eos else ()
+        runs = coded(sequences)
         # the key of position t is context_of(run[:t])
-        return self._sum_terms([(*seq, *end) for seq in sequences], self.order - 1)
+        return self._sum_terms(runs.with_end(EOS) if self.use_eos else runs, self.order - 1)
 
     def _term_row(self, key: tuple) -> np.ndarray:
         # math.log, as log_prob takes it: np.log differs in the last bit
@@ -518,17 +545,17 @@ class ChannelModel(_CountTable):
     def batch_score(self, outputs, inputs) -> np.ndarray:
         """``score`` of every (output, input) pair, bit for bit, from one
         batched pass."""
-        outputs = [tuple(seq) for seq in outputs]
-        inputs = [tuple(seq) for seq in inputs]
+        outputs, inputs = coded(outputs), coded(inputs)
         if len(outputs) != len(inputs):
             raise InvalidInputError(
                 f"{len(outputs)} outputs need as many inputs, got {len(inputs)}"
             )
-        for output, input_seq in zip(outputs, inputs):
-            if len(output) != len(input_seq):
-                raise InvalidInputError(
-                    f"output length {len(output)} != input length {len(input_seq)}"
-                )
+        unequal = outputs.lengths != inputs.lengths
+        if unequal.any():
+            i = int(unequal.argmax())
+            raise InvalidInputError(
+                f"output length {outputs.lengths[i]} != input length {inputs.lengths[i]}"
+            )
         # the key of position t is (output[t - 1] or BOS, input[t])
         return self._sum_terms(outputs, 1, inputs)
 
@@ -574,32 +601,34 @@ def train_ngram_lm(corpus, order: int = DEFAULT_LM_ORDER, alpha: float = DEFAULT
     explicit vocabulary fixes the event space (tokens outside it are a
     caller error at training time).
     """
-    sentences = [tuple(s) for s in corpus]
-    if not sentences:
+    sentences = coded(corpus)
+    if not len(sentences):
         raise InvalidInputError("training corpus must be non-empty")
-    if any(not s for s in sentences):
+    if not sentences.lengths.all():
         raise InvalidInputError("training sentences must be non-empty")
     if vocab is None:
-        vocab = sorted(set(chain.from_iterable(sentences)), key=token_sort_key)
+        vocab = sorted(set(sentences.tokens), key=token_sort_key)
     model = NGramLM(order=order, alpha=alpha, vocab=vocab, use_eos=use_eos)
-    end = (EOS,) if model.use_eos else ()
-    model._count([(*s, *end) for s in sentences], model.order - 1, None, "training token")
+    runs = sentences.with_end(EOS) if model.use_eos else sentences
+    model._count(runs, model.order - 1, None, "training token")
     return model
 
 
-def train_channel(pairs: ParallelCorpus, direction: str, alpha: float = DEFAULT_ALPHA,
+def train_channel(pairs, direction: str, alpha: float = DEFAULT_ALPHA,
                   out_vocab=None) -> ChannelModel:
     """Count-MLE channel with add-alpha smoothing.
 
-    ``direction`` picks which side is the output: ``source_to_target``
-    models p(target | source), ``target_to_source`` models p(source |
-    target).
+    ``pairs`` is a ``ParallelCorpus`` or anything else ``coded_pairs``
+    takes, such as its coded (sources, targets) pair.  ``direction`` picks
+    which side is the output: ``source_to_target`` models p(target |
+    source), ``target_to_source`` models p(source | target).
     """
-    outputs, conds = pairs.sources(), pairs.targets()
+    outputs, conds = coded_pairs(pairs)
+    _check_pairs(outputs.lengths, conds.lengths)
     if direction == "source_to_target":
         outputs, conds = conds, outputs
     if out_vocab is None:
-        out_vocab = sorted(set(chain.from_iterable(outputs)), key=token_sort_key)
+        out_vocab = sorted(set(outputs.tokens), key=token_sort_key)
     model = ChannelModel(direction=direction, alpha=alpha, out_vocab=out_vocab)
     model._count(outputs, 1, conds, "output token")
     return model

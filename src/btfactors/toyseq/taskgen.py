@@ -14,13 +14,15 @@ stream and are fully determined by the spec's seed.  Each sentence takes
 its length and then 2 * length uniforms from that stream, the first half
 for the source walk and the second for the channel outputs; sentences of
 equal length are then sampled together through the decoders' ancestral
-kernel.  The monolingual split's true sources are kept aside
-(``mono_refs``) for reference-based diagnostics that only a synthetic task
-can provide.
+kernel.  The sampled source indices reach the channel sampler as a coded
+corpus (``CodedCorpus.from_indices``), never re-read token by token.  The
+monolingual split's true sources are kept aside (``mono_refs``) for
+reference-based diagnostics that only a synthetic task can provide.
 
 ``ToyTaskSpec.keys()`` is the one table of task keys: the ``toygen`` flags,
 the config's task keys and the ``toygen`` manifest's params, with the
-fields' defaults; ``ToyTaskSpec.from_keys`` builds a spec from any subset.
+fields' defaults; ``ToyTaskSpec.from_keys`` builds a spec from any subset,
+and names the key of a value out of range with the caller's label for it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 from ..errors import InvalidInputError
 from ..manipulate import MonoCorpus
 from ..streams import TAG_CORPUS, TAG_TRUTH_CHANNEL, TAG_TRUTH_LM, task_stream
-from .decode import _ancestral, _sample_outputs, token_array
+from ..tokenio import CodedCorpus
+from .decode import _ancestral, _by_length, _sample_outputs
 from .models import BOS, ChannelModel, EOS, NGramLM, ParallelCorpus
 
 __all__ = ["ToyTaskSpec", "ToyTask", "generate_toy_task"]
@@ -50,15 +53,9 @@ class ToyTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.source_vocab_size < 2 or self.target_vocab_size < 2:
-            raise InvalidInputError("vocabulary sizes must be >= 2")
-        lo, hi = self.length_range
-        if not 1 <= lo <= hi:
-            raise InvalidInputError(f"bad length range {self.length_range}")
-        if not 0.0 < self.channel_noise < 1.0:
-            raise InvalidInputError("channel_noise must lie strictly inside (0, 1)")
-        if min(self.bitext_size, self.mono_size, self.test_size) < 1:
-            raise InvalidInputError("corpus sizes must be positive")
+        fault = _key_fault(self.keys())
+        if fault is not None:
+            raise InvalidInputError(fault[1])
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
 
@@ -73,14 +70,37 @@ class ToyTaskSpec:
                 "bitext": self.bitext_size, "mono": self.mono_size, "test": self.test_size}
 
     @classmethod
-    def from_keys(cls, values, seed: int = 0) -> "ToyTaskSpec":
-        """The spec that ``values`` sets; a task key it leaves out keeps its default."""
+    def from_keys(cls, values, seed: int = 0, label=None) -> "ToyTaskSpec":
+        """The spec that ``values`` sets; a task key it leaves out keeps its
+        default.  With ``label``, a value out of range is refused with the
+        message ``f"{label(key)}: {check's message}"``, naming the first key
+        the failed check reads that ``values`` sets."""
         keys = cls().keys()
         if not set(values) <= set(keys):
             raise InvalidInputError(f"unknown task keys: {sorted(set(values) - set(keys))}")
         keys.update(values)
+        fault = _key_fault(keys)
+        if fault is not None and label is not None:
+            names, message = fault
+            key = next((name for name in names if name in values), names[0])
+            raise InvalidInputError(f"{label(key)}: {message}")
         return cls(keys["source_vocab"], keys["target_vocab"], (keys["min_len"], keys["max_len"]),
                    keys["noise"], keys["bitext"], keys["mono"], keys["test"], seed)
+
+
+def _key_fault(keys: dict) -> tuple[tuple[str, ...], str] | None:
+    """The first range check the task ``keys`` fail, as the keys it reads
+    and its message; None if they pass every check."""
+    lo, hi = keys["min_len"], keys["max_len"]
+    checks = [
+        (("source_vocab",), keys["source_vocab"] >= 2, "vocabulary sizes must be >= 2"),
+        (("target_vocab",), keys["target_vocab"] >= 2, "vocabulary sizes must be >= 2"),
+        (("min_len", "max_len"), 1 <= lo <= hi, f"bad length range {(lo, hi)}"),
+        (("noise",), 0.0 < keys["noise"] < 1.0, "channel_noise must lie strictly inside (0, 1)"),
+        *(((key,), keys[key] >= 1, "corpus sizes must be positive")
+          for key in ("bitext", "mono", "test")),
+    ]
+    return next(((names, message) for names, ok, message in checks if not ok), None)
 
 
 @dataclass(frozen=True)
@@ -149,16 +169,15 @@ def _sample_sentence_pairs(truth_lm: NGramLM, truth_channel: ChannelModel,
                            draws) -> list[tuple[tuple, tuple]]:
     """(source, target) per sentence from its 2 * length pre-drawn uniforms."""
     walk = _walk_cdf(truth_lm)
-    vocab = token_array(truth_lm.content_vocab)
-    groups: dict[int, list[int]] = {}
-    for i, uniforms in enumerate(draws):
-        groups.setdefault(len(uniforms) // 2, []).append(i)
-    sources: list = [None] * len(draws)
-    for length, ids in groups.items():
+    lengths = np.array([len(d) // 2 for d in draws], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    index = np.empty(int(lengths.sum()), dtype=np.int64)
+    for length, ids in _by_length(lengths).items():
         uniforms = np.array([draws[i][:length] for i in ids])
         steps = ((walk, None, 0, uniforms[:, t]) for t in range(length))
-        for i, row in zip(ids, vocab[_ancestral(steps, len(ids), length)[0]]):
-            sources[i] = tuple(row)
+        index[np.add.outer(starts[ids], np.arange(length))] = _ancestral(
+            steps, len(ids), length)[0]
+    sources = CodedCorpus.from_indices(truth_lm.content_vocab, index, lengths)
     targets = _sample_outputs(truth_channel, sources, [d[len(d) // 2 :] for d in draws])
     return list(zip(sources, targets))
 

@@ -36,6 +36,7 @@ from btfactors.errors import (
 from btfactors.manipulate import MonoCorpus, SyntheticPair
 from btfactors.scoring import GammaParams, gamma_sample, gamma_select
 from btfactors.streams import sentence_stream
+from btfactors.tokenio import encode
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task
 from btfactors.toyseq.decode import (
     batch_lm_scores,
@@ -687,14 +688,17 @@ def reference_gamma_sources(mono, backward, lm, strategy, seed):
 def test_shared_gamma_pass_equals_each_strategy_alone(tiny_setup):
     task, backward, _, lm = tiny_setup
     for seed in (0, 2**32 + 3):
-        shared = btloop._gamma_sources(task.mono, backward, lm, GAMMA_GRID, seed)
-        for strategy, sources in zip(GAMMA_GRID, shared):
+        shared = btloop._gamma_sources(encode(task.mono.sentences), backward, lm, GAMMA_GRID,
+                                       seed)
+        for strategy, coded_sources in zip(GAMMA_GRID, shared):
+            sources = list(coded_sources)
             assert sources == reference_gamma_sources(task.mono, backward, lm, strategy, seed)
             alone = synthesize_corpus(task.mono, backward, lm, strategy, seed)
             assert [p.source for p in alone] == sources
     with pytest.raises(InvalidInputError, match="one num_candidates"):
-        btloop._gamma_sources(task.mono, backward, lm, (BTStrategy("gamma-select", 0.2, 4),
-                                                        BTStrategy("gamma-sample", 0.2, 5)), 0)
+        btloop._gamma_sources(encode(task.mono.sentences), backward, lm,
+                              (BTStrategy("gamma-select", 0.2, 4),
+                               BTStrategy("gamma-sample", 0.2, 5)), 0)
 
 
 @pytest.mark.parametrize("lm_order", [2, 3])

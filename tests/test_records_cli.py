@@ -903,15 +903,45 @@ def run_cli(*argv):
     ("lm_order = 0", "config line 2: lm_order must be >= 1, got '0'"),
     ("alpha = -1", "config line 2: alpha must be finite and non-negative, got '-1'"),
     ("alpha = inf", "config line 2: alpha must be finite and non-negative, got 'inf'"),
+    # these four used to name neither the key nor the line
+    ("beam_size = 0", "config line 2: beam_size must be >= 1, got '0'"),
+    ("noise = 1", "config line 2: noise: channel_noise must lie strictly inside (0, 1)"),
+    ("min_len = 0", "config line 2: min_len: bad length range (0, 12)"),
+    ("source_vocab = 1", "config line 2: source_vocab: vocabulary sizes must be >= 2"),
 ], ids=["int", "seeds", "int-as-float", "float", "duplicate-strategy", "gamma-dm-range",
         "gamma-score-range", "gamma-score-nan", "num-candidates-range", "duplicate-key",
-        "duplicate-seed", "seed-range", "lm-order-range", "alpha-range", "alpha-inf"])
+        "duplicate-seed", "seed-range", "lm-order-range", "alpha-range", "alpha-inf",
+        "beam-size-range", "noise-range", "min-len-range", "source-vocab-range"])
 def test_bad_config_values_are_a_one_line_error(tmp_path, line, message):
     config = tmp_path / "exp.cfg"
     config.write_text(f"# bad value below\n{line}\nmono = 10\n", encoding="utf-8")
     assert run_cli("bt-experiment", "--config", config, "--out", tmp_path / "exp") == (
         1, f"error: {message}\n")
     assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--noise", "1", "--noise: channel_noise must lie strictly inside (0, 1)"),
+    ("--min-len", "0", "--min-len: bad length range (0, 12)"),
+    ("--source-vocab", "1", "--source-vocab: vocabulary sizes must be >= 2"),
+    # a length range checks both keys; the message names the flag given
+    ("--max-len", "3", "--max-len: bad length range (4, 3)"),
+])
+def test_toygen_range_faults_name_their_flag(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "task"
+    assert dispatch(["toygen", "--seed", "0", "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_task_key_labels_name_a_key_the_config_sets():
+    # min_len alone past the default max_len: the line that set min_len is named
+    with pytest.raises(InvalidInputError) as exc:
+        _parse_config_text("\nmin_len = 13\n")
+    assert str(exc.value) == "config line 2: min_len: bad length range (13, 12)"
+    # without a label the spec's own message is unchanged
+    with pytest.raises(InvalidInputError, match=r"^bad length range \(13, 12\)$"):
+        ToyTaskSpec.from_keys({"min_len": 13})
 
 
 # a value other than the default for every task key

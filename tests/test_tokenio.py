@@ -92,13 +92,14 @@ def test_encode_codes_new_tokens_in_first_seen_order(seqs, known):
     codes = dict(zip(dict.fromkeys(known), range(len(known))))
     want = dict(codes)
     want_flat = [want.setdefault(tok, len(want)) for seq in seqs for tok in seq]
-    flat = tokenio.encode(seqs, codes)
+    flat = tokenio.encode(seqs).codes_in(codes)
     assert flat.dtype == np.int64 and flat.tolist() == want_flat
     assert list(codes.items()) == list(want.items())
 
 
 def test_encode_extends_the_callers_codes():
     codes = {"<s>": 0}
-    assert tokenio.encode([("b", "a"), (), ("a", "c", "<s>")], codes).tolist() == [1, 2, 2, 3, 0]
+    corpus = tokenio.encode([("b", "a"), (), ("a", "c", "<s>")])
+    assert corpus.codes_in(codes).tolist() == [1, 2, 2, 3, 0]
     assert codes == {"<s>": 0, "b": 1, "a": 2, "c": 3}
-    assert tokenio.encode([], codes).shape == (0,)
+    assert tokenio.encode([]).codes_in(codes).shape == (0,)

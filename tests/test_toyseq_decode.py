@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from btfactors.errors import InvalidInputError
 from btfactors.scoring import invert_cdf
 from btfactors.streams import sentence_stream
-from btfactors.tokenio import token_sort_key
+from btfactors.tokenio import encode, token_sort_key
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task
 from btfactors.toyseq.decode import (
     _ancestral,
@@ -492,7 +492,7 @@ def test_ancestral_equals_the_row_gather_reference(case, n, seed, data):
     assert_same_samples(batch_sample(model, cond_seq, n, np.random.default_rng(seed)),
                         reference_ancestral(reference_steps, n, length))
     # stacked tables with a per-row base, uniforms on the tables' edges
-    cdfs, logs, cond_rows = _stacked_conditionals(model, [cond_seq])
+    cdfs, logs, cond_rows = _stacked_conditionals(model, encode([cond_seq]))
     pool = edge_uniforms(cdfs).tolist()
     uniforms = np.array(data.draw(st.lists(
         st.lists(st.sampled_from(pool), min_size=length, max_size=length),
