@@ -246,42 +246,74 @@ class SpectrumReport:
     normalized_spectral_entropy: float
 
 
+# up to this order the Jacobi rotates rows of Python floats, above it numpy
+# slices: a row rotation takes O(n) interpreted float operations, a slice
+# rotation about 20 numpy calls whatever n is.  Rows over slices, per
+# rotation on 2 cores: 0.5x the time at n = 20, 0.9x at 40, 1.0x at 44,
+# 2x at 100, 4x at 200 and 9x at 400.
+_FLOAT_ROWS_UP_TO = 40
+
+
 def _jacobi_eigenvalues(sym: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigenvalues of a symmetric (Gram) matrix by cyclic Jacobi rotations
+    (Golub & Van Loan, *Matrix Computations*, section 8.5).
 
     Converged when the off-diagonal Frobenius norm drops below ``tol``
     relative to the matrix norm; raises after ``max_sweeps`` full sweeps.
+    A matrix whose norm overflows is refused: it would pass that test
+    before any rotation.  Up to order ``_FLOAT_ROWS_UP_TO`` the matrix is
+    held as rows of Python floats, and a rotation updates columns p and q
+    in one loop over the rows and rows p and q in two comprehensions;
+    above it, a rotation updates numpy slices.  Python's float ``*``, ``-``
+    and ``+`` are the IEEE operations numpy applies element by element,
+    without fused multiply-adds, so both give the same bits.
     """
     a = np.array(sym, dtype=float)
     n = a.shape[0]
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise InvalidInputError("matrix is too large: the norm of its Gram matrix overflows")
     if n == 1:
         return a.diagonal().copy()
-    scale = max(float(np.linalg.norm(a)), 1.0)
+    scale = max(norm, 1.0)
     off_diag = ~np.eye(n, dtype=bool)
+    rows = a.tolist() if n <= _FLOAT_ROWS_UP_TO else a
     for _ in range(max_sweeps):
         # summed directly over off-diagonal entries: a full-norm/diagonal
         # subtraction would bottom out at the cancellation floor ~eps*|A|^2
-        off = float(np.linalg.norm(a[off_diag]))
+        off = float(np.linalg.norm(np.asarray(rows)[off_diag]))
         if off <= tol * scale:
-            return a.diagonal().copy()
+            return np.asarray(rows).diagonal().copy()
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                # Python floats: an overflow of theta to inf gives t = 0
+                # without numpy's warning
+                apq = float(rows[p][q])
                 if abs(apq) <= 1e-300:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                theta = (float(rows[q][q]) - float(rows[p][p])) / (2.0 * apq)
                 if abs(theta) > 1e150:
                     t = 1.0 / (2.0 * theta)
                 else:
                     t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
+                if rows is a:
+                    rot_p = c * a[:, p] - s * a[:, q]
+                    rot_q = s * a[:, p] + c * a[:, q]
+                    a[:, p], a[:, q] = rot_p, rot_q
+                    rot_p = c * a[p, :] - s * a[q, :]
+                    rot_q = s * a[p, :] + c * a[q, :]
+                    a[p, :], a[q, :] = rot_p, rot_q
+                    continue
+                for row in rows:
+                    ap, aq = row[p], row[q]
+                    row[p] = c * ap - s * aq
+                    row[q] = s * ap + c * aq
+                row_p, row_q = rows[p], rows[q]
+                rows[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
+                rows[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
     raise NumericError(f"Jacobi iteration did not converge within {max_sweeps} sweeps")
 
 
@@ -294,7 +326,10 @@ def singular_spectrum(matrix) -> SpectrumReport:
         raise InvalidInputError("matrix must be 2-D and non-empty")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix entries must be finite")
-    gram = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
+    # the product overflows once entries near 1e154, its norm near 1e77
+    # (sooner in a larger matrix); the Jacobi refuses an infinite norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
     eigenvalues = np.clip(_jacobi_eigenvalues(gram), 0.0, None)
     singular = np.sqrt(np.sort(eigenvalues)[::-1])
     energy = singular**2

@@ -61,7 +61,7 @@ from .manipulate import (
     SyntheticPair,
     split_monolingual,
 )
-from .scoring import GammaParams, gamma_picks, gamma_rows
+from .scoring import GammaParams, cdf_table, gamma_picks, gamma_rows
 from .streams import sentence_uniforms
 from .tokenio import CodedCorpus, encode
 from .toyseq.decode import (
@@ -609,7 +609,7 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
         log_q += logs[state, column]
         state = column + 1
     by_row = np.exp((lm_scores - _logsumexp(lm_scores)) - log_q) * forward_scores
-    cdfs = [np.cumsum(probs, axis=1) for probs, _ in tables]
+    cdfs = [cdf_table(probs) for probs, _ in tables]
     # a source's row in _enumeration_indices: its indices as base-|V| digits
     dims = (len(backward.out_vocab),) * len(y)
     uniforms = rng.random((len(y), num_samples))

@@ -201,21 +201,33 @@ def gamma_rows(log_q, log_lm, lengths, params: GammaParams = GammaParams()) -> n
     return probs
 
 
-def invert_cdf(cdf: np.ndarray, uniforms: np.ndarray,
-               rows: np.ndarray | None = None) -> np.ndarray:
-    """Inverse-CDF draw per uniform from (S, n) cumulative probabilities.
+def cdf_table(probs: np.ndarray) -> np.ndarray:
+    """The (S, P) table that ``invert_cdf`` searches for (S, n) rows of
+    probabilities: each row's cumulative sums over its first n-1 entries
+    (the bits of the first n-1 entries of its cumsum), padded with NaN (no
+    uniform, not even +inf or NaN, is at or above one) to a width P >= n, a
+    power of two.  A table is built once and searched for any number of
+    draws."""
+    n = probs.shape[1]
+    table = np.full((len(probs), 1 << (n - 1).bit_length()), np.nan)
+    np.cumsum(probs[:, : n - 1], axis=1, out=table[:, : n - 1])
+    return table
 
-    Draw i reads row ``rows[i]`` of ``cdf`` (row i when ``rows`` is None)
-    and is the number of that row's entries at or below ``uniforms[i]``,
-    clamped to n-1.  Rows must be non-decreasing, as a cumsum is: a
-    branchless binary search reads each row's first n-1 entries, padded with
-    NaN (no uniform, not even +inf or NaN, is at or above one) to a width
-    P >= n, a power of two, in log2(P) gathers without a (draws, n) table.
+
+def invert_cdf(table: np.ndarray, uniforms: np.ndarray,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """Inverse-CDF draw per uniform from the ``cdf_table`` of (S, n)
+    probabilities.
+
+    Draw i reads row ``rows[i]`` of the table (row i when ``rows`` is None)
+    and is the number of that row's cumulative probabilities at or below
+    ``uniforms[i]``, clamped to n-1: a branchless binary search over the
+    padded width P takes log2(P) gathers without a (draws, n) table.
     """
-    n = cdf.shape[1]
-    width = 1 << (n - 1).bit_length()
-    table = np.full((len(cdf), width), np.nan)
-    table[:, : n - 1] = cdf[:, : n - 1]
+    width = table.shape[1]
+    if width & (width - 1):
+        raise InvalidInputError(f"invert_cdf takes a cdf_table, of a power-of-two width, "
+                                f"got width {width}")
     base = (np.arange(len(uniforms)) if rows is None else np.asarray(rows)) * width
     found, step = base.copy(), width
     while step := step >> 1:
@@ -239,7 +251,7 @@ def gamma_picks(probs: np.ndarray, uniforms: np.ndarray | None = None) -> np.nda
     argmax (lowest index on ties), or its inverse CDF at ``uniforms[row]``."""
     if uniforms is None:
         return probs.argmax(axis=1)
-    return invert_cdf(np.cumsum(probs, axis=1), uniforms)
+    return invert_cdf(cdf_table(probs), uniforms)
 
 
 def gamma_select(cset: CandidateSet, params: GammaParams = GammaParams()) -> int:

@@ -24,10 +24,11 @@ through one kernel, ``_ancestral``: corpus sampling, ``batch_sample``, the
 oracle's Monte-Carlo draws, candidate sets and the toy-task generator.  It
 keeps one (states, |V|) table per position and, for each output row,
 binary-searches its state's row for its uniform (``invert_cdf`` with row
-indices); no per-sample copy of a table row is made.  Each sentence's
-uniforms are drawn from its own stream before any sampling
-(``streams.sentence_uniforms`` draws them for a whole corpus), so a
-sentence decoded in a corpus gets the same tokens as it would alone.
+indices) in a table built once (``cdf_table``); no per-sample copy of a
+table row is made.  Each sentence's uniforms are drawn from its own stream
+before any sampling (``streams.sentence_uniforms`` draws them for a whole
+corpus), so a sentence decoded in a corpus gets the same tokens as it would
+alone.
 ``candidate_chunks`` samples the n-candidate pools of a whole corpus in
 chunks of at most ``_CHUNK`` equal-length targets, as (targets x n x L)
 index arrays with their channel and LM log-probs.  Its ``draw(ids, count)``
@@ -42,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidInputError, check_integer
-from ..scoring import Candidate, CandidateSet, invert_cdf
+from ..scoring import Candidate, CandidateSet, cdf_table, invert_cdf
 from ..tokenio import CodedCorpus, coded
 from .models import ChannelModel, EOS, NGramLM
 
@@ -51,17 +52,19 @@ _CHUNK = 64
 
 
 def _stacked_conditionals(model: ChannelModel, inputs: CodedCorpus):
-    """(cumulative prob, log) matrices of every distinct token of the coded
-    ``inputs``, stacked in code order into two (conds, |V|+1, |V|) tensors,
-    and ``cond_rows(ids, length)``: the (len(ids), length) indices into them
-    of the tokens of the equal-length inputs ``ids``."""
+    """The (prob, log) matrices of every distinct token of the coded
+    ``inputs``, stacked in code order: the probs as one (conds * (|V|+1),
+    P) ``cdf_table``, the logs as a
+    (conds, |V|+1, |V|) tensor; and ``cond_rows(ids, length)``: the
+    (len(ids), length) indices into the stack of the tokens of the
+    equal-length inputs ``ids``."""
     pairs = [model.matrices_for_cond(cond) for cond in inputs.tokens]
-    shape = (len(pairs), len(model.out_vocab) + 1, len(model.out_vocab))
-    cdfs = np.cumsum(np.array([p for p, _ in pairs]).reshape(shape), axis=-1)
-    logs = np.array([lg for _, lg in pairs]).reshape(shape)
+    size = len(model.out_vocab)
+    table = cdf_table(np.array([p for p, _ in pairs]).reshape(-1, size))
+    logs = np.array([lg for _, lg in pairs]).reshape(len(pairs), size + 1, size)
     starts = inputs.starts
-    return cdfs, logs, lambda ids, length: inputs.codes[np.add.outer(starts[ids],
-                                                                     np.arange(length))]
+    return table, logs, lambda ids, length: inputs.codes[np.add.outer(starts[ids],
+                                                                      np.arange(length))]
 
 
 def _by_length(lengths: np.ndarray) -> dict[int, list[int]]:
@@ -177,21 +180,22 @@ def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> list[tuple]:
 def _ancestral(steps, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF ancestral sampling of n outputs, one position per step.
 
-    Each step is ``(cdf, logs, base, draws)``: (states, |V|) cumulative
-    prob and log tables in which row ``base + prev`` is an output row's
-    conditional given its previous output (prev 0 is BOS, 1 + i is
-    out_vocab[i]), and that position's (n,) uniforms.  Returns the (n, L)
-    sampled output indices and their (n,) log-probs, which stay 0 where
-    ``logs`` is None.  A table's rows are accumulated once, not per sample,
-    and never gathered per sample: ``invert_cdf`` binary-searches the
-    samples' rows in place, and each log-prob is one flat lookup.
+    Each step is ``(table, logs, base, draws)``: the ``cdf_table`` of
+    (states, |V|) probs and the (states, |V|) log table, in both of which
+    row ``base + prev`` is an output row's conditional given its previous
+    output (prev 0 is BOS, 1 + i is out_vocab[i]), and that position's (n,)
+    uniforms.  Returns the (n, L) sampled output indices and their (n,)
+    log-probs, which stay 0 where ``logs`` is None.  A table's rows are
+    accumulated once, not per sample, and never gathered per sample:
+    ``invert_cdf`` binary-searches the samples' rows in place, and each
+    log-prob is one flat lookup.
     """
     token_idx = np.empty((n, length), dtype=np.intp)
     log_probs = np.zeros(n)
     state = np.zeros(n, dtype=np.intp)      # previous output; base is added in place
-    for t, (cdf, logs, base, draws) in enumerate(steps):
+    for t, (table, logs, base, draws) in enumerate(steps):
         state += base
-        idx = invert_cdf(cdf, draws, state)
+        idx = invert_cdf(table, draws, state)
         if logs is not None:
             log_probs += logs.ravel()[state * logs.shape[1] + idx]
         token_idx[:, t] = idx
@@ -199,25 +203,26 @@ def _ancestral(steps, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     return token_idx, log_probs
 
 
-def _channel_steps(cdfs: np.ndarray, logs: np.ndarray, cond_idx: np.ndarray,
+def _channel_steps(table: np.ndarray, logs: np.ndarray, cond_idx: np.ndarray,
                    uniforms: np.ndarray):
     """``_ancestral`` steps for rows conditioned on (rows, L) indices into
-    stacked (conds, |V|+1, |V|) tensors, with (rows, L) uniforms."""
-    size = cdfs.shape[-1]
-    flat_cdfs, flat_logs = cdfs.reshape(-1, size), logs.reshape(-1, size)
+    a ``_stacked_conditionals`` table and (conds, |V|+1, |V|) log tensor,
+    with (rows, L) uniforms."""
+    size = logs.shape[-1]
+    flat_logs = logs.reshape(-1, size)
     base = cond_idx * (size + 1)
-    return ((flat_cdfs, flat_logs, base[:, t], uniforms[:, t])
+    return ((table, flat_logs, base[:, t], uniforms[:, t])
             for t in range(cond_idx.shape[1]))
 
 
 def _sample_outputs(model: ChannelModel, inputs: CodedCorpus, draws) -> CodedCorpus:
     """One ancestral sample per coded input, from its pre-drawn (len,)
     uniforms."""
-    cdfs, logs, cond_rows = _stacked_conditionals(model, inputs)
+    table, logs, cond_rows = _stacked_conditionals(model, inputs)
 
     def sample_group(ids, cond_idx):
         uniforms = np.array([draws[i] for i in ids])
-        return _ancestral(_channel_steps(cdfs, logs, cond_idx, uniforms),
+        return _ancestral(_channel_steps(table, logs, cond_idx, uniforms),
                           len(ids), cond_idx.shape[1])[0]
 
     return _decode_by_length(model, inputs, cond_rows, sample_group)
@@ -247,7 +252,7 @@ def batch_sample(model: ChannelModel, cond_seq, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n ancestral samples as an (n, len) index matrix plus log-probs."""
     cond_seq = tuple(cond_seq)
-    steps = ((np.cumsum(probs, axis=1), logs, 0, rng.random(n))
+    steps = ((cdf_table(probs), logs, 0, rng.random(n))
              for probs, logs in map(model.matrices_for_cond, cond_seq))
     return _ancestral(steps, n, len(cond_seq))
 
@@ -301,7 +306,7 @@ def candidate_chunks(backward: ChannelModel, lm: NGramLM, targets, n: int, draw)
     targets = coded(targets)
     if not targets.lengths.all():
         raise InvalidInputError("target_tokens must be non-empty")
-    cdfs, logs, cond_rows = _stacked_conditionals(backward, targets)
+    table, logs, cond_rows = _stacked_conditionals(backward, targets)
     for length, group in _by_length(targets.lengths).items():
         for start in range(0, len(group), _CHUNK):
             ids = group[start : start + _CHUNK]
@@ -310,7 +315,7 @@ def candidate_chunks(backward: ChannelModel, lm: NGramLM, targets, n: int, draw)
             uniforms = draws[:, :-1].reshape(len(ids), length, n).transpose(0, 2, 1)
             rows = len(ids) * n
             token_idx, log_q = _ancestral(
-                _channel_steps(cdfs, logs, np.repeat(cond_rows(ids, length), n, axis=0),
+                _channel_steps(table, logs, np.repeat(cond_rows(ids, length), n, axis=0),
                                uniforms.reshape(rows, length)),
                 rows, length)
             log_lm = batch_lm_scores(lm, token_idx, backward.out_vocab)

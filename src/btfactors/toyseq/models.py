@@ -40,7 +40,8 @@ scorers and trainers take coded corpora, or plain sequences, which they
 encode once on entry; a parallel corpus may be given coded as its
 (sources, targets) pair of coded corpora (``coded_pairs``).
 
-Rows, log rows and stacked row matrices are cached: models are immutable
+Rows are filled on lookup, those of a batch of keys in one numpy pass
+(``_fill_rows``), and kept, as are stacked row matrices: models are immutable
 once built, and the trainers fill ``counts`` before the first lookup.
 Both serialize to a versioned text format with sorted keys, so training is
 diffable and bit-reproducible: a magic line, header fields, the ``vocab``
@@ -159,7 +160,7 @@ class _CountTable:
     A subclass names its text format (``_MAGIC``) and row tag (``_TAG``),
     sorts its events, wraps ``_row``, ``_log_row`` and ``_stack`` in its
     own key shape, and gives ``_keys`` its per-position keys and
-    ``_sum_terms`` its own log arithmetic (``_term_row``, ``_oov_term``).
+    ``_sum_terms`` its own log arithmetic (``_term_rows``, ``_oov_term``).
     """
 
     _MAGIC: str
@@ -185,39 +186,54 @@ class _CountTable:
                         "must be finite and non-negative"
                     )
             self.counts[key] = dict(row)
-        self._row_cache: dict[tuple, np.ndarray] = {}
-        self._log_cache: dict[tuple, np.ndarray] = {}
+        self._prob_rows: dict[tuple, np.ndarray] = {}
+        self._log_rows: dict[tuple, np.ndarray] = {}
         self._stacks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _fill_rows(self, keys) -> None:
+        """Fill the read-only prob and log rows of those of ``keys`` not
+        filled yet, in one numpy pass: their counts scattered into one
+        (keys, events) matrix, summed per row and divided add-alpha.  A row
+        whose denominator is not positive is uniform.  Only the keys looked
+        up are filled, so the rows kept grow with the lookups, not with the
+        keys counted."""
+        new = [key for key in dict.fromkeys(keys) if key not in self._prob_rows]
+        if not new:
+            return
+        size = len(self._events)
+        rows = [self.counts.get(key, {}) for key in new]
+        counts = np.zeros((len(new), size))
+        at_key = np.repeat(np.arange(len(new)),
+                           np.array([len(row) for row in rows], dtype=np.intp))
+        at_event = np.array([self._index[tok] for row in rows for tok in row], dtype=np.intp)
+        counts[at_key, at_event] = np.array([cnt for row in rows for cnt in row.values()],
+                                            dtype=float)
+        denom = counts.sum(axis=1) + self.alpha * size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            probs = (counts + self.alpha) / denom[:, None]
+            probs[denom <= 0.0] = 1.0 / size
+            logs = np.log(probs)
+        probs.setflags(write=False)
+        logs.setflags(write=False)
+        self._prob_rows.update(zip(new, probs))
+        self._log_rows.update(zip(new, logs))
+
+    def _gather(self, rows: dict, keys) -> np.ndarray:
+        """The (len(keys), events) matrix of ``keys``' rows in ``rows``
+        (``_prob_rows`` or ``_log_rows``), filled first where missing."""
+        self._fill_rows(keys)
+        return np.array([rows[key] for key in keys]).reshape(len(keys), len(self._events))
 
     def _row(self, key: tuple) -> np.ndarray:
         """p(. | key) over the events; always sums to 1."""
-        cached = self._row_cache.get(key)
-        if cached is not None:
-            return cached
-        size = len(self._events)
-        counts = np.zeros(size)
-        row = self.counts.get(key)
-        if row:
-            for tok, cnt in row.items():
-                counts[self._index[tok]] = cnt
-        denom = counts.sum() + self.alpha * size
-        if denom <= 0.0:
-            probs = np.full(size, 1.0 / size)
-        else:
-            probs = (counts + self.alpha) / denom
-        probs.setflags(write=False)
-        self._row_cache[key] = probs
-        return probs
+        if key not in self._prob_rows:
+            self._fill_rows((key,))
+        return self._prob_rows[key]
 
     def _log_row(self, key: tuple) -> np.ndarray:
-        cached = self._log_cache.get(key)
-        if cached is not None:
-            return cached
-        with np.errstate(divide="ignore"):
-            logs = np.log(self._row(key))
-        logs.setflags(write=False)
-        self._log_cache[key] = logs
-        return logs
+        if key not in self._log_rows:
+            self._fill_rows((key,))
+        return self._log_rows[key]
 
     def _oov_denom(self, key: tuple) -> float:
         """Denominator of the alpha floor an out-of-vocabulary token gets."""
@@ -230,17 +246,16 @@ class _CountTable:
         cached = self._stacks.get(keys)
         if cached is not None:
             return cached
-        probs = np.stack([self._row(key) for key in keys])
-        with np.errstate(divide="ignore"):
-            logs = np.log(probs)
+        probs, logs = self._gather(self._prob_rows, keys), self._gather(self._log_rows, keys)
         probs.setflags(write=False)
         logs.setflags(write=False)
         self._stacks[keys] = (probs, logs)
         return probs, logs
 
     # -- batched scoring --------------------------------------------------
-    def _term_row(self, key: tuple) -> np.ndarray:
-        """log p(. | key) over the events, rounded as ``log_prob`` rounds it."""
+    def _term_rows(self, keys) -> np.ndarray:
+        """log p(. | key) over the events for each of ``keys``, rounded as
+        ``log_prob`` rounds it."""
         raise NotImplementedError
 
     def _oov_term(self, key: tuple, token) -> float:
@@ -281,14 +296,12 @@ class _CountTable:
                    conds: CodedCorpus | None = None) -> np.ndarray:
         """Log-probability of every run under its ``_keys``, bit for bit as
         ``score``: in-vocabulary terms are gathered from one (distinct keys x
-        events) matrix of ``_term_row`` rows, out-of-vocabulary ones come
+        events) matrix of ``_term_rows``, out-of-vocabulary ones come
         from ``_oov_term``, and each run adds its terms one position at a
         time from 0.0, the order of the scalar loop (a pairwise
         ``.sum(axis=1)`` would round differently)."""
         lengths, tokens, flat, key_ids, events, keys = self._keys(runs, back, conds)
-        rows = (np.stack([self._term_row(key) for key in keys]) if keys
-                else np.empty((0, len(self._events))))
-        terms = rows[key_ids, events]
+        terms = self._term_rows(keys)[key_ids, events]
         for j in np.flatnonzero(events < 0).tolist():
             terms[j] = self._oov_term(keys[key_ids[j]], tokens[flat[j]])
         starts = np.cumsum(lengths) - lengths
@@ -449,11 +462,12 @@ class NGramLM(_CountTable):
         # the key of position t is context_of(run[:t])
         return self._sum_terms(runs.with_end(EOS) if self.use_eos else runs, self.order - 1)
 
-    def _term_row(self, key: tuple) -> np.ndarray:
+    def _term_rows(self, keys) -> np.ndarray:
         # math.log, as log_prob takes it: np.log differs in the last bit
         # on a few entries
+        rows = self._gather(self._prob_rows, keys)
         return np.array([math.log(p) if p > 0.0 else -math.inf
-                         for p in self._row(key).tolist()])
+                         for p in rows.ravel().tolist()]).reshape(rows.shape)
 
     def _oov_term(self, key: tuple, token) -> float:
         return self.log_prob(token, key)
@@ -559,8 +573,8 @@ class ChannelModel(_CountTable):
         # the key of position t is (output[t - 1] or BOS, input[t])
         return self._sum_terms(outputs, 1, inputs)
 
-    def _term_row(self, key: tuple) -> np.ndarray:
-        return self._log_row(key)
+    def _term_rows(self, keys) -> np.ndarray:
+        return self._gather(self._log_rows, keys)
 
     def _oov_term(self, key: tuple, token) -> float:
         return self.log_prob(token, *key)

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from ..manipulate import MonoCorpus
+from ..scoring import cdf_table
 from ..streams import TAG_CORPUS, TAG_TRUTH_CHANNEL, TAG_TRUTH_LM, task_stream
 from ..tokenio import CodedCorpus
 from .decode import _ancestral, _by_length, _sample_outputs
@@ -153,8 +154,9 @@ def _truth_channel(spec: ToyTaskSpec) -> ChannelModel:
 
 
 def _walk_cdf(truth_lm: NGramLM) -> np.ndarray:
-    """(|V|+1, |V|) cumulative source-walk rows with the end marker masked
-    out: row 0 follows BOS, row 1 + i follows content_vocab[i]."""
+    """The ``cdf_table`` of the (|V|+1, |V|) source-walk rows with the end
+    marker masked out: row 0 follows BOS, row 1 + i follows
+    content_vocab[i]."""
     eos_idx = len(truth_lm.event_vocab) - 1
     rows = []
     for context in [(BOS,)] + [(tok,) for tok in truth_lm.content_vocab]:
@@ -162,7 +164,7 @@ def _walk_cdf(truth_lm: NGramLM) -> np.ndarray:
         row[eos_idx] = 0.0  # walk stays inside the length budget
         row /= row.sum()    # at full width: a sum over fewer terms can round differently
         rows.append(row[:eos_idx])
-    return np.cumsum(rows, axis=1)
+    return cdf_table(np.array(rows))
 
 
 def _sample_sentence_pairs(truth_lm: NGramLM, truth_channel: ChannelModel,

@@ -1,12 +1,15 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btfactors import analysis
 from btfactors.analysis import (
+    _jacobi_eigenvalues,
     corpus_bleu,
     corpus_importance_report,
     corpus_profile,
@@ -14,7 +17,7 @@ from btfactors.analysis import (
     sentence_representation_matrix,
     singular_spectrum,
 )
-from btfactors.errors import InconsistencyError, InvalidInputError
+from btfactors.errors import InconsistencyError, InvalidInputError, NumericError
 from btfactors.manipulate import SyntheticPair
 from btfactors.toyseq.models import (
     ChannelModel,
@@ -451,3 +454,153 @@ def test_spectrum_rejects_degenerate_input():
         singular_spectrum(np.zeros((3, 3)))
     with pytest.raises(InvalidInputError):
         singular_spectrum(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("shape, entry", [((2, 2), 1e80), ((2, 2), 1e200), ((1, 3), 1e200)])
+def test_spectrum_refuses_a_matrix_whose_gram_norm_overflows(shape, entry):
+    # an infinite norm passed the Jacobi convergence test before any rotation:
+    # 1e80 gave singular values (1.414e80, 1.414e80), 1e200 gave (inf, inf),
+    # and the 1 x 1 Gram matrix of one 1e200 row a singular value of inf;
+    # numpy's overflow warnings would fail the test as errors
+    with pytest.raises(InvalidInputError, match="norm of its Gram matrix overflows"):
+        singular_spectrum(np.full(shape, entry))
+
+
+def test_spectrum_of_a_large_matrix_with_a_finite_gram_norm():
+    report = singular_spectrum(np.full((2, 2), 1e76))
+    assert report.singular_values[0] == pytest.approx(2e76)
+    assert report.singular_values[1] == 0.0
+    assert report.normalized_spectral_entropy == 0.0
+
+
+# -- Jacobi rotations against the numpy-slice reference ------------------------------
+
+def reference_jacobi_eigenvalues(sym, tol=1e-10, max_sweeps=100, hits=None):
+    """Cyclic Jacobi rotating numpy slices, written apart from
+    ``_jacobi_eigenvalues``: its bit reference on rows of Python floats and
+    on slices.  ``hits`` counts the rotations skipped (|a_pq| <= 1e-300) and those taken with
+    |theta| > 1e150."""
+    a = np.array(sym, dtype=float)
+    n = a.shape[0]
+    if n == 1:
+        return a.diagonal().copy()
+    scale = max(float(np.linalg.norm(a)), 1.0)
+    off_diag = ~np.eye(n, dtype=bool)
+    for _ in range(max_sweeps):
+        off = float(np.linalg.norm(a[off_diag]))
+        if off <= tol * scale:
+            return a.diagonal().copy()
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                # scalars as Python floats, as in ``_jacobi_eigenvalues``: the
+                # same IEEE result, but an overflow of theta to inf (a gap over
+                # 1.8e308 * |a_pq|) gives t = 0 without numpy's warning
+                apq = float(a[p, q])
+                if abs(apq) <= 1e-300:
+                    if hits is not None:
+                        hits["skip"] += 1
+                    continue
+                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
+                if abs(theta) > 1e150:
+                    if hits is not None:
+                        hits["far"] += 1
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rot_p = c * a[:, p] - s * a[:, q]
+                rot_q = s * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = rot_p, rot_q
+                rot_p = c * a[p, :] - s * a[q, :]
+                rot_q = s * a[p, :] + c * a[q, :]
+                a[p, :], a[q, :] = rot_p, rot_q
+    raise NumericError(f"Jacobi iteration did not converge within {max_sweeps} sweeps")
+
+
+@st.composite
+def jacobi_matrices(draw):
+    """n x n Gram matrices, n in 1..40, of row-normalised 0/1 count matrices
+    (sentence representations), scaled by 10**e for e in [-150, 70].  A
+    zero column leaves zero off-diagonal entries, which rotations skip;
+    optionally a tiny entry is planted for the skip, and for the
+    |theta| > 1e150 branch a diagonal (0, scale) with an entry 1e-155 times
+    the gap at (0, 1): the zero diagonal entry takes that rotation's
+    rounding into the eigenvalues."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = (rng.random((draw(st.integers(1, 60)), n)) < draw(
+        st.sampled_from((0.05, 0.3, 0.7)))).astype(float)
+    counts = counts[counts.any(axis=1)] if counts.any() else np.eye(1, n)
+    rows = counts / np.linalg.norm(counts, axis=1)[:, None]
+    far = n > 1 and draw(st.booleans())
+    scale = 10.0 ** draw(st.floats(-140.0 if far else -150.0, 70.0))
+    gram = rows.T @ rows * scale
+    if n > 1 and draw(st.booleans()):
+        p, q = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        gram[p, q] = gram[q, p] = draw(st.sampled_from((0.0, 1e-301, -1e-300)))
+    if far:
+        gram[0, 0], gram[1, 1] = 0.0, scale
+        gram[0, 1] = gram[1, 0] = scale * 1e-155
+    return gram
+
+
+def jacobi_both_ways(gram):
+    """``_jacobi_eigenvalues`` on rows of Python floats, then on numpy slices."""
+    results = []
+    for bound in (len(gram), 0):
+        with mock.patch.object(analysis, "_FLOAT_ROWS_UP_TO", bound):
+            results.append(_jacobi_eigenvalues(gram))
+    return results
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram=jacobi_matrices())
+def test_jacobi_rotations_on_float_rows_and_slices_equal_the_reference(gram):
+    expected = reference_jacobi_eigenvalues(gram).tobytes()
+    assert [got.tobytes() for got in jacobi_both_ways(gram)] == [expected, expected]
+
+
+def test_jacobi_above_the_float_row_bound_rotates_slices_to_the_same_bits():
+    n = analysis._FLOAT_ROWS_UP_TO + 1
+    counts = (np.random.default_rng(5).random((2 * n, n)) < 0.3).astype(float)
+    rows = counts / np.linalg.norm(counts, axis=1)[:, None]
+    gram = rows.T @ rows
+    assert _jacobi_eigenvalues(gram).tobytes() == reference_jacobi_eigenvalues(gram).tobytes()
+
+
+def test_jacobi_reference_cases_reach_the_skip_and_the_far_branch():
+    # (0, 1) has |theta| = 1 / (2e-155) and moves the zero diagonal entry to
+    # a subnormal; rows 0-1 and 2-3 never couple
+    gram = np.array([[0.0, 1e-155, 0.0, 0.0], [1e-155, 1.0, 0.0, 0.0],
+                     [0.0, 0.0, 3.0, 0.5], [0.0, 0.0, 0.5, 4.0]])
+    hits = Counter()
+    expected = reference_jacobi_eigenvalues(gram, hits=hits)
+    assert hits["far"] >= 1 and hits["skip"] >= 4
+    assert [got.tobytes() for got in jacobi_both_ways(gram)] == [expected.tobytes()] * 2
+
+
+def test_jacobi_theta_overflowing_to_inf_leaves_the_eigenvalues_exact():
+    # at (0, 1) theta = 1e39 / 2e-280 overflows to inf, so t = 0 and the
+    # rotation is the identity; the true eigenvalue -a_pq**2 / gap = -1e-599
+    # rounds to 0.  The coupled block 2-3 keeps the sweeps going.
+    gram = np.array([[0.0, 1e-280, 0.0, 0.0], [1e-280, 1e39, 0.0, 0.0],
+                     [0.0, 0.0, 3e38, 1e38], [0.0, 0.0, 1e38, 4e38]])
+    hits = Counter()
+    expected = reference_jacobi_eigenvalues(gram, hits=hits)
+    assert hits["far"] >= 1
+    assert expected[:2].tolist() == [0.0, 1e39]
+    assert [got.tobytes() for got in jacobi_both_ways(gram)] == [expected.tobytes()] * 2
+
+
+def test_jacobi_raises_the_same_error_when_sweeps_run_out():
+    rows = np.random.default_rng(3).random((8, 6))
+    gram = rows.T @ rows
+    message = "Jacobi iteration did not converge within 1 sweeps"
+    for bound in (len(gram), 0):    # rows of Python floats, numpy slices
+        with mock.patch.object(analysis, "_FLOAT_ROWS_UP_TO", bound), \
+                pytest.raises(NumericError, match=message):
+            _jacobi_eigenvalues(gram, max_sweeps=1)
+    with pytest.raises(NumericError, match=message):
+        reference_jacobi_eigenvalues(gram, max_sweeps=1)

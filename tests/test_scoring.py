@@ -10,6 +10,7 @@ from btfactors.scoring import (
     Candidate,
     CandidateSet,
     GammaParams,
+    cdf_table,
     gamma_distribution,
     gamma_picks,
     gamma_rows,
@@ -356,7 +357,7 @@ def test_gamma_rows_match_per_set_reference(data, n, sets, gamma):
     params = GammaParams(gamma=gamma)
     probs = gamma_rows(log_q, log_lm, lengths, params)
     uniforms = np.array([data.draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in rows])
-    picks = invert_cdf(np.cumsum(probs, axis=1), uniforms)
+    picks = invert_cdf(cdf_table(probs), uniforms)
     for s, (q, lm, lens) in enumerate(rows):
         cset = make_set(q, lm, lens)
         expected = reference_gamma_distribution(cset, params)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btfactors.errors import InvalidInputError
-from btfactors.scoring import invert_cdf
+from btfactors.scoring import cdf_table, invert_cdf
 from btfactors.streams import sentence_stream
 from btfactors.tokenio import encode, token_sort_key
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task
@@ -415,43 +415,49 @@ def edge_uniforms(cdf):
 
 @st.composite
 def cdf_tables(draw):
-    """(S, |V|) cumulative rows with zero-probability columns, one row whose
-    last entry rounds below 1, and row indices with uniforms on its edges,
-    +inf and NaN among them.  Widths run 1-6 and on each side of the
-    powers of two that ``invert_cdf`` pads to."""
+    """(S, |V|) probability rows with zero-probability columns, one row
+    whose cumsum ends below 1, and row indices with uniforms on the edges of
+    the cumsums, +inf and NaN among them.  Widths run 1-6 and on each side
+    of the powers of two that ``cdf_table`` pads to."""
     size = draw(st.one_of(st.integers(1, 6), st.sampled_from((16, 17, 32, 33, 50))))
     weights = draw(st.lists(
         st.lists(st.sampled_from((0.0, 0.0, 0.1, 0.3, 1.0, 2.5)), min_size=size, max_size=size)
         .filter(any), min_size=1, max_size=5))
-    cdf = np.cumsum(np.array(weights) / np.array(weights).sum(axis=1, keepdims=True), axis=1)
-    # a row whose sum rounded low: uniforms in [last entry, 1) take the clamp
-    cdf = np.vstack((cdf, cdf[0] * (1.0 - 2.0**-52)))
+    probs = np.array(weights) / np.array(weights).sum(axis=1, keepdims=True)
+    # a row whose cumsum ends below 1: uniforms in [last entry, 1) take the clamp
+    probs = np.vstack((probs, probs[0] * (1.0 - 2.0**-40)))
     n = draw(st.integers(1, 40))
-    rows = np.array(draw(st.lists(st.integers(0, len(cdf) - 1), min_size=n, max_size=n)))
-    pool = edge_uniforms(cdf)
+    rows = np.array(draw(st.lists(st.integers(0, len(probs) - 1), min_size=n, max_size=n)))
+    pool = edge_uniforms(np.cumsum(probs, axis=1))
     uniforms = np.array(draw(st.lists(
         st.one_of(st.sampled_from(pool.tolist()), st.floats(0.0, 1.0, exclude_max=True),
                   st.sampled_from((np.inf, np.nan))),
         min_size=n, max_size=n)))
-    return cdf, rows, uniforms
+    return probs, rows, uniforms
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=cdf_tables())
 def test_invert_cdf_on_given_rows_equals_the_row_gather(case):
-    cdf, rows, uniforms = case
-    expected = reference_invert_cdf(cdf[rows], uniforms)
-    np.testing.assert_array_equal(invert_cdf(cdf, uniforms, rows), expected)
-    np.testing.assert_array_equal(invert_cdf(cdf[rows], uniforms), expected)
+    probs, rows, uniforms = case
+    expected = reference_invert_cdf(np.cumsum(probs[rows], axis=1), uniforms)
+    np.testing.assert_array_equal(invert_cdf(cdf_table(probs), uniforms, rows), expected)
+    np.testing.assert_array_equal(invert_cdf(cdf_table(probs[rows]), uniforms), expected)
 
 
 def test_invert_cdf_clamps_a_last_entry_below_the_uniform():
-    cdf = np.cumsum(np.full((1, 10), 0.1), axis=1)
+    probs = np.full((1, 10), 0.1)
+    cdf = np.cumsum(probs, axis=1)
     assert cdf[0, -1] < 1.0      # ten tenths round to 0.9999999999999999
     uniforms = np.array([0.0, cdf[0, -1], np.nextafter(cdf[0, -1], 2.0), cdf[0, 0]])
     rows = np.zeros(4, dtype=np.intp)
-    np.testing.assert_array_equal(invert_cdf(cdf, uniforms, rows), [0, 9, 9, 1])
-    np.testing.assert_array_equal(invert_cdf(cdf[rows], uniforms), [0, 9, 9, 1])
+    np.testing.assert_array_equal(invert_cdf(cdf_table(probs), uniforms, rows), [0, 9, 9, 1])
+    np.testing.assert_array_equal(invert_cdf(cdf_table(probs[rows]), uniforms), [0, 9, 9, 1])
+
+
+def test_invert_cdf_refuses_a_table_whose_width_is_not_a_power_of_two():
+    with pytest.raises(InvalidInputError, match="power-of-two width, got width 3"):
+        invert_cdf(np.cumsum(np.full((1, 3), 1 / 3), axis=1), np.array([0.5]))
 
 
 @st.composite
@@ -491,19 +497,25 @@ def test_ancestral_equals_the_row_gather_reference(case, n, seed, data):
                        for p, lg in map(model.matrices_for_cond, cond_seq))
     assert_same_samples(batch_sample(model, cond_seq, n, np.random.default_rng(seed)),
                         reference_ancestral(reference_steps, n, length))
-    # stacked tables with a per-row base, uniforms on the tables' edges
-    cdfs, logs, cond_rows = _stacked_conditionals(model, encode([cond_seq]))
+    # stacked tables with a per-row base, uniforms on the tables' edges; the
+    # reference reads the unpadded cumulative rows
+    table, logs, cond_rows = _stacked_conditionals(model, encode([cond_seq]))
+    probs = np.stack([model.matrices_for_cond(cond)[0] for cond in encode([cond_seq]).tokens])
+    cdfs = np.cumsum(probs, axis=-1)
+    flat_cdfs = cdfs.reshape(-1, cdfs.shape[-1])
+    np.testing.assert_array_equal(table, cdf_table(probs.reshape(flat_cdfs.shape)))
     pool = edge_uniforms(cdfs).tolist()
     uniforms = np.array(data.draw(st.lists(
         st.lists(st.sampled_from(pool), min_size=length, max_size=length),
         min_size=n, max_size=n)))
     cond_idx = np.repeat(cond_rows([0], length), n, axis=0)
-    assert_same_samples(_ancestral(_channel_steps(cdfs, logs, cond_idx, uniforms), n, length),
-                        reference_ancestral(_channel_steps(cdfs, logs, cond_idx, uniforms),
+    assert_same_samples(_ancestral(_channel_steps(table, logs, cond_idx, uniforms), n, length),
+                        reference_ancestral(_channel_steps(flat_cdfs, logs, cond_idx, uniforms),
                                             n, length))
     # tables without logs, as the toy-task generator samples
     no_logs = [(cdfs[c], None, 0, uniforms[:, t]) for t, c in enumerate(cond_idx[0])]
-    assert_same_samples(_ancestral(iter(no_logs), n, length),
+    assert_same_samples(_ancestral(((cdf_table(probs[c]), None, 0, uniforms[:, t])
+                                    for t, c in enumerate(cond_idx[0])), n, length),
                         reference_ancestral(iter(no_logs), n, length))
 
 

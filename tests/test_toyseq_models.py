@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -542,3 +543,186 @@ def test_counted_channel_training_refuses_the_first_stray_output_token():
         with pytest.raises(InvalidInputError) as info:
             train(pairs, "target_to_source", alpha=0.1, out_vocab=[0, 1])
         assert str(info.value) == "output token 'x' is outside the vocabulary"
+
+
+# -- one-pass row fill against the per-key loop --------------------------------------
+
+def reference_row(model, key):
+    """p(. | key) built from the key's count dict alone, one entry at a time."""
+    size = len(model._events)
+    counts = np.zeros(size)
+    for tok, cnt in model.counts.get(key, {}).items():
+        counts[model._index[tok]] = cnt
+    denom = counts.sum() + model.alpha * size
+    if denom <= 0.0:
+        return np.full(size, 1.0 / size)
+    return (counts + model.alpha) / denom
+
+
+def reference_stack(model, keys):
+    probs = np.stack([reference_row(model, key) for key in keys])
+    with np.errstate(divide="ignore"):
+        return probs, np.log(probs)
+
+
+def reference_lm_score(lm, sequence):
+    total, prefix = 0.0, ()
+    for tok in (*sequence, EOS) if lm.use_eos else sequence:
+        context = lm.context_of(prefix)
+        idx = lm.event_index(tok)
+        p = float(reference_row(lm, context)[idx]) if idx is not None else lm.prob(tok, context)
+        total += math.log(p) if p > 0.0 else -math.inf
+        prefix = prefix + (tok,)
+    return total
+
+
+def reference_channel_score(model, output, input_seq):
+    total, prev = 0.0, BOS
+    for out_tok, cond_tok in zip(output, input_seq):
+        idx = model.out_index(out_tok)
+        if idx is None:
+            total += model.log_prob(out_tok, prev, cond_tok)   # reads the counts only
+        else:
+            total += float(reference_stack(model, [(prev, cond_tok)])[1][0, idx])
+        prev = out_tok
+    return total
+
+
+# every kind of count a table holds: training's ints, ints past 2**53 that
+# round on the way to float, floats read back from model text, and zeros
+FILL_COUNTS = st.one_of(st.integers(0, 50), st.integers(2**53, 2**64), st.floats(0.0, 50.0),
+                        st.just(0))
+
+
+def filled_rows(keys, events):
+    row = st.dictionaries(st.sampled_from(events), FILL_COUNTS, max_size=len(events))
+    return st.dictionaries(keys, row, max_size=8)
+
+
+def as_read(model, draw):
+    """``model``, or the model read back from its text."""
+    return type(model).from_text(model.to_text()) if draw(st.booleans()) else model
+
+
+@st.composite
+def filled_lms(draw):
+    vocab = draw(vocabularies())
+    order = draw(st.integers(1, 3))
+    use_eos = draw(st.booleans())
+    alpha = draw(ALPHAS)
+    if draw(st.booleans()):
+        corpus = draw(st.lists(sentences_over(vocab), min_size=1, max_size=6))
+        return as_read(train_ngram_lm(corpus, order, alpha, vocab, use_eos), draw)
+    keys = st.tuples(*[st.sampled_from(vocab + [BOS])] * (order - 1))
+    counts = draw(filled_rows(keys, vocab + ([EOS] if use_eos else [])))
+    return as_read(NGramLM(order, alpha, vocab, counts=counts, use_eos=use_eos), draw)
+
+
+@st.composite
+def filled_channels(draw):
+    vocab = draw(vocabularies())
+    conds = draw(vocabularies())
+    alpha = draw(ALPHAS)
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.integers(1, 5).flatmap(lambda n: st.tuples(
+            st.lists(st.sampled_from(vocab), min_size=n, max_size=n),
+            st.lists(st.sampled_from(conds), min_size=n, max_size=n))), min_size=1, max_size=6))
+        model = train_channel(ParallelCorpus.from_pairs(pairs), "target_to_source", alpha, vocab)
+        return as_read(model, draw)
+    keys = st.tuples(st.sampled_from(vocab + [BOS]), st.sampled_from(conds))
+    counts = draw(filled_rows(keys, vocab))
+    return as_read(ChannelModel("target_to_source", alpha, vocab, counts=counts), draw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lm=filled_lms(), data=st.data())
+def test_lm_rows_filled_in_one_pass_equal_the_per_key_loop(lm, data):
+    for context in [*lm.counts, ("unseen",) * (lm.order - 1)]:
+        probs, logs = reference_stack(lm, [context])
+        assert same_bits(lm.prob_row(context), probs[0])
+        assert same_bits(lm.log_row(context), logs[0])
+    if lm.order == 2:
+        contexts = [(BOS,)] + [(tok,) for tok in lm.event_vocab]
+        assert same_bits(lm.bigram_log_matrix(), reference_stack(lm, contexts)[1])
+    pool = list(lm.content_vocab) + list(OOV_TOKENS[: data.draw(st.integers(0, 3))])
+    sentences = data.draw(st.lists(sentences_over(pool, min_size=0), min_size=1, max_size=8))
+    expected = np.array([reference_lm_score(lm, s) for s in sentences])
+    assert same_bits(lm.batch_score(sentences), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=filled_channels(), data=st.data())
+def test_channel_rows_filled_in_one_pass_equal_the_per_key_loop(model, data):
+    prevs = (BOS,) + model.out_vocab
+    conds = sorted({c for _, c in model.counts}, key=token_sort_key) + ["unseen"]
+    for state in [*model.counts, (BOS, "unseen")]:
+        probs, logs = reference_stack(model, [state])
+        assert same_bits(model.prob_row(*state), probs[0])
+        assert same_bits(model.log_row(*state), logs[0])
+    for cond in conds:
+        probs, logs = reference_stack(model, [(prev, cond) for prev in prevs])
+        got = model.matrices_for_cond(cond)
+        assert same_bits(got[0], probs) and same_bits(got[1], logs)
+    outs = list(model.out_vocab) + list(OOV_TOKENS[: data.draw(st.integers(0, 3))])
+    pairs = data.draw(st.lists(
+        st.integers(1, 6).flatmap(lambda n: st.tuples(
+            st.lists(st.sampled_from(outs), min_size=n, max_size=n).map(tuple),
+            st.lists(st.sampled_from(conds), min_size=n, max_size=n).map(tuple))),
+        min_size=1, max_size=8))
+    expected = np.array([reference_channel_score(model, o, i) for o, i in pairs])
+    assert same_bits(model.batch_score([o for o, _ in pairs], [i for _, i in pairs]), expected)
+
+
+def test_rows_of_zero_counts_and_alpha_zero_are_uniform():
+    model = ChannelModel("target_to_source", 0, ["a", 1, "b"],
+                         counts={(BOS, 1): {"a": 0, 1: 0}, ("a", 1): {}, (1, "x"): {"b": 2**60}})
+    for state in [(BOS, 1), ("a", 1), (BOS, "unseen")]:
+        assert model.prob_row(*state).tolist() == [1.0 / 3] * 3
+    assert model.prob_row(1, "x").tolist() == [0.0, 0.0, 1.0]
+    assert not model.prob_row(BOS, 1).flags.writeable
+
+
+def test_a_lookup_fills_only_the_rows_it_asks_for():
+    lm = NGramLM(2, 0.1, list(range(50)), counts={(tok,): {tok: 1} for tok in range(50)})
+    lm.prob_row((3,))
+    assert list(lm._prob_rows) == [(3,)]
+    lm.batch_score([(4, 5)])
+    assert list(lm._prob_rows) == [(3,), (BOS,), (4,), (5,)]   # (5,) ends the run
+
+
+def test_a_sweep_fills_each_trained_tables_rows_in_batches(monkeypatch):
+    from btfactors.btloop import BTStrategy, ExperimentConfig, run_bt_experiment
+    from btfactors.toyseq import models
+    from btfactors.toyseq.taskgen import ToyTaskSpec
+
+    trained, passes, filled = [], Counter(), Counter()
+    count, fill = models._CountTable._count, models._CountTable._fill_rows
+
+    def counting(self, *args):
+        trained.append(self)
+        return count(self, *args)
+
+    def filling(self, keys):
+        before = len(self._prob_rows)
+        fill(self, keys)
+        if len(self._prob_rows) > before:
+            passes[id(self)] += 1
+            filled[id(self)] += len(self._prob_rows) - before
+
+    monkeypatch.setattr(models._CountTable, "_count", counting)
+    monkeypatch.setattr(models._CountTable, "_fill_rows", filling)
+    # the sweep benchmark's configuration, at seed 1
+    task = ToyTaskSpec(source_vocab_size=20, target_vocab_size=20, length_range=(4, 12),
+                       channel_noise=0.15, bitext_size=300, mono_size=3000, test_size=400)
+    strategies = (BTStrategy("beam"), BTStrategy("beam-weak"), BTStrategy("sampling"),
+                  BTStrategy("data-manipulation", 0.5), BTStrategy("gamma-select", 0.2, 50),
+                  BTStrategy("gamma-sample", 0.2, 50))
+    run_bt_experiment(ExperimentConfig(task=task, strategies=strategies, seeds=(1,),
+                                       beam_size=5, alpha=0.1, lm_order=2))
+    assert len(trained) == len({id(t) for t in trained}) >= 10
+    # a channel fills the 21 rows of one conditioning token's stack per pass
+    # (20 tokens), the LM the rows of a stack or of a scored batch: never a
+    # pass per key
+    for table in trained:
+        assert 1 <= passes[id(table)] <= 20
+        assert filled[id(table)] >= 10 * passes[id(table)]
