@@ -337,7 +337,8 @@ def singular_spectrum(matrix) -> SpectrumReport:
     if total <= 0.0:
         raise InvalidInputError("matrix is degenerate (zero Frobenius norm)")
     shares = energy / total
-    entropy = float(-(shares[shares > 0.0] * np.log(shares[shares > 0.0])).sum())
+    # 0.0 - sum, not -sum: a rank-one spectrum's zero sum stays +0.0, not -0.0
+    entropy = 0.0 - float((shares[shares > 0.0] * np.log(shares[shares > 0.0])).sum())
     bound = min(a.shape)
     normalized = entropy / math.log(bound) if bound > 1 else 0.0
     return SpectrumReport(

@@ -61,11 +61,12 @@ from .manipulate import (
     SyntheticPair,
     split_monolingual,
 )
-from .scoring import GammaParams, cdf_table, gamma_picks, gamma_rows
+from .scoring import GammaParams, gamma_picks, gamma_rows
 from .streams import sentence_uniforms
 from .tokenio import CodedCorpus, encode
 from .toyseq.decode import (
     _ancestral,
+    _stacked_conditionals,
     batch_lm_scores,
     beam_decode,
     candidate_chunks,
@@ -531,13 +532,24 @@ def _enumeration_indices(vocab_size: int, length: int, max_len: int | None) -> n
 
 def _scores_given_sources(channel: ChannelModel, out_seq, cond_idx: np.ndarray,
                           cond_vocab) -> np.ndarray:
-    """log p(out_seq | source) for every index-encoded source row."""
+    """log p(out_seq | source) for every source row of indices into
+    ``cond_vocab``, bit for bit as ``channel.score``: position t gathers
+    column out_seq[t] of the log rows of the (out_seq[t-1] or BOS, c) keys,
+    all read in one ``rows`` lookup, and an out-of-vocabulary output takes
+    ``log_prob`` per condition.  Not ``batch_score``: its (rows x positions)
+    keys would take hundreds of MB at ``ENUMERATION_GUARD``."""
+    out_seq = tuple(out_seq)
+    prevs = (BOS, *out_seq)[: len(out_seq)]
+    logs = channel.rows([(prev, c) for prev in prevs for c in cond_vocab])[1]
+    logs = logs.reshape(len(out_seq), len(cond_vocab), len(channel.out_vocab))
     scores = np.zeros(cond_idx.shape[0])
-    prev = BOS
-    for position, out_tok in enumerate(out_seq):
-        per_cond = np.array([channel.log_prob(out_tok, prev, c) for c in cond_vocab])
+    for position, (prev, out_tok) in enumerate(zip(prevs, out_seq)):
+        col = channel.out_index(out_tok)
+        if col is None:
+            per_cond = np.array([channel.log_prob(out_tok, prev, c) for c in cond_vocab])
+        else:
+            per_cond = logs[position, :, col]
         scores += per_cond[cond_idx[:, position]]
-        prev = out_tok
     return scores
 
 
@@ -597,19 +609,21 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
 
     Each value is computed once per row of ``idx``, with the row's backward
     log-prob summed from 0.0 position by position as ``_ancestral`` sums a
-    sample's, so a sample drawn as that row gets the same bits.  The draws
-    are made ``_MC_BLOCK`` at a time from one (L, n) uniform draw, the
-    numbers of L successive ``rng.random(n)`` calls.
+    sample's, from the same ``_stacked_conditionals`` tables, so a sample
+    drawn as that row gets the same bits.  The draws are made ``_MC_BLOCK``
+    at a time, without log-probs, from one (L, n) uniform draw, the numbers
+    of L successive ``rng.random(n)`` calls.
     """
     y = tuple(y)
-    tables = [backward.matrices_for_cond(cond) for cond in y]
+    table, logs, cond_rows = _stacked_conditionals(backward, encode([y]))
+    blocks = cond_rows([0], len(y))[0].tolist()     # position t's matrix in the stack
     log_q = np.zeros(len(idx))
     state = np.zeros(len(idx), dtype=np.intp)       # previous output; 0 is BOS
-    for (_, logs), column in zip(tables, idx.T):
-        log_q += logs[state, column]
+    for block, column in zip(blocks, idx.T):
+        log_q += logs[block][state, column]
         state = column + 1
     by_row = np.exp((lm_scores - _logsumexp(lm_scores)) - log_q) * forward_scores
-    cdfs = [cdf_table(probs) for probs, _ in tables]
+    bases = [block * logs.shape[1] for block in blocks]
     # a source's row in _enumeration_indices: its indices as base-|V| digits
     dims = (len(backward.out_vocab),) * len(y)
     uniforms = rng.random((len(y), num_samples))
@@ -617,7 +631,7 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
     for start in range(0, num_samples, _MC_BLOCK):
         draws = uniforms[:, start : start + _MC_BLOCK]
         count = draws.shape[1]
-        steps = ((cdf, None, 0, row) for cdf, row in zip(cdfs, draws))
+        steps = ((table, None, base, row) for base, row in zip(bases, draws))
         token_idx, _ = _ancestral(steps, count, len(y))
         values[start : start + count] = by_row[np.ravel_multi_index(token_idx.T, dims)]
     mean = float(values.mean())

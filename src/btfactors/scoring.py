@@ -28,7 +28,8 @@ import numpy as np
 from .errors import InvalidInputError
 
 DEFAULT_GAMMA = 0.2
-DEFAULT_SIGMA_FLOOR = 1e-12
+# a candidate set whose standard deviation is at most this scores all 0
+SIGMA_FLOOR = 1e-12
 
 
 def check_candidate(length: int, num_tokens: int, log_q: float, log_lm: float) -> None:
@@ -93,13 +94,10 @@ class GammaParams:
     """Mixing weight between importance (gamma) and quality (1 - gamma)."""
 
     gamma: float = DEFAULT_GAMMA
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise InvalidInputError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not self.sigma_floor > 0.0:
-            raise InvalidInputError("sigma_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -133,12 +131,10 @@ def log_importance(candidate: Candidate) -> float:
     return candidate.log_lm - candidate.log_q
 
 
-def _zscore_rows(values, lengths, sigma_floor: float):
+def _zscore_rows(values, lengths):
     """Length-normalized z-scores of each row of (R, n) values, with each
     row's mean and sample std (N-1 divisor, the arithmetic of ``np.std``);
-    a row whose std is at most ``sigma_floor`` scores all 0."""
-    if not sigma_floor > 0.0:
-        raise InvalidInputError("sigma_floor must be positive")
+    a row whose std is at most ``SIGMA_FLOOR`` scores all 0."""
     values = np.asarray(values, dtype=float)
     lengths = np.broadcast_to(np.asarray(lengths, dtype=float), values.shape)
     if values.ndim != 2 or values.shape[1] < 2:
@@ -152,17 +148,17 @@ def _zscore_rows(values, lengths, sigma_floor: float):
     mu = normalized.sum(axis=1, keepdims=True) / n
     deviation = normalized - mu
     sigma = np.sqrt((deviation * deviation).sum(axis=1, keepdims=True) / (n - 1))
-    flat = sigma <= sigma_floor
+    flat = sigma <= SIGMA_FLOOR
     out = deviation / np.where(flat, 1.0, sigma)
     out[flat[:, 0]] = 0.0
     return out, mu[:, 0], sigma[:, 0]
 
 
-def standardize(log_values, lengths, sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> StandardizedScores:
+def standardize(log_values, lengths) -> StandardizedScores:
     """Divide each log value by its sequence length, then z-score the list.
 
     The scale is the sample standard deviation (N-1 divisor).  When it does
-    not exceed ``sigma_floor`` every output is exactly 0, which keeps
+    not exceed ``SIGMA_FLOOR`` every output is exactly 0, which keeps
     degenerate all-duplicate candidate sets away from a division by ~0 and
     turns the downstream Gamma distribution uniform.
     """
@@ -170,7 +166,7 @@ def standardize(log_values, lengths, sigma_floor: float = DEFAULT_SIGMA_FLOOR) -
     lens = np.asarray(lengths, dtype=float)
     if values.ndim != 1 or values.shape != lens.shape:
         raise InvalidInputError("log_values and lengths must be equal-length 1-D sequences")
-    out, mu, sigma = _zscore_rows(values[None], lens[None], sigma_floor)
+    out, mu, sigma = _zscore_rows(values[None], lens[None])
     return StandardizedScores(values=tuple(out[0].tolist()), mu=float(mu[0]),
                               sigma=float(sigma[0]))
 
@@ -192,7 +188,7 @@ def gamma_rows(log_q, log_lm, lengths, params: GammaParams = GammaParams()) -> n
     with np.errstate(over="ignore", invalid="ignore"):
         # importance rows stacked over quality rows: one z-scoring pass for both
         z, _, _ = _zscore_rows(np.concatenate((np.asarray(log_lm, dtype=float) - log_q, log_q)),
-                               np.concatenate((lengths, lengths)), params.sigma_floor)
+                               np.concatenate((lengths, lengths)))
         imp, qual = z[: len(log_q)], z[len(log_q) :]
         scores = params.gamma * imp + (1.0 - params.gamma) * qual
         weights = np.exp(scores - scores.max(axis=1, keepdims=True))

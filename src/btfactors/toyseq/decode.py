@@ -6,7 +6,8 @@ annotated candidate-set generation.
 They group its sentences by length and step through each group position by
 position over (sentences x beam x |V|) arrays gathered from a stacked
 tensor of the per-conditioning-token matrices, one matrix per distinct
-token of the coded input.  The outputs are filled in as indices into the
+token of the coded input, all read from the model in one ``rows`` lookup
+(``_stacked_conditionals``).  The outputs are filled in as indices into the
 output vocabulary and handed out coded (``CodedCorpus.from_indices``), or as
 tuples when the input was plain sequences.  Beam ties break
 lexicographically by token sequence, in Python's token order when the
@@ -22,7 +23,8 @@ the most negative float and every taken column is set to -inf.
 Every sampler inverts the cumulative row with ``side="right"`` semantics
 through one kernel, ``_ancestral``: corpus sampling, ``batch_sample``, the
 oracle's Monte-Carlo draws, candidate sets and the toy-task generator.  It
-keeps one (states, |V|) table per position and, for each output row,
+reads a (states, |V|) table at each position (the channel samplers read the
+one stacked table of ``_stacked_conditionals``) and, for each output row,
 binary-searches its state's row for its uniform (``invert_cdf`` with row
 indices) in a table built once (``cdf_table``); no per-sample copy of a
 table row is made.  Each sentence's uniforms are drawn from its own stream
@@ -45,23 +47,24 @@ import numpy as np
 from ..errors import InvalidInputError, check_integer
 from ..scoring import Candidate, CandidateSet, cdf_table, invert_cdf
 from ..tokenio import CodedCorpus, coded
-from .models import ChannelModel, EOS, NGramLM
+from .models import BOS, ChannelModel, EOS, NGramLM
 
 # targets per candidate chunk; bounds the (targets x n x L) working set
 _CHUNK = 64
 
 
 def _stacked_conditionals(model: ChannelModel, inputs: CodedCorpus):
-    """The (prob, log) matrices of every distinct token of the coded
-    ``inputs``, stacked in code order: the probs as one (conds * (|V|+1),
-    P) ``cdf_table``, the logs as a
-    (conds, |V|+1, |V|) tensor; and ``cond_rows(ids, length)``: the
-    (len(ids), length) indices into the stack of the tokens of the
-    equal-length inputs ``ids``."""
-    pairs = [model.matrices_for_cond(cond) for cond in inputs.tokens]
-    size = len(model.out_vocab)
-    table = cdf_table(np.array([p for p, _ in pairs]).reshape(-1, size))
-    logs = np.array([lg for _, lg in pairs]).reshape(len(pairs), size + 1, size)
+    """The rows of every (previous output, conditioning token) key of the
+    coded ``inputs``, from one ``rows`` lookup: one block of |V|+1 rows per
+    distinct token, in code order, whose row 0 is prev == BOS and row 1 + i
+    prev == out_vocab[i].  Returns the probs as one (conds * (|V|+1), P)
+    ``cdf_table``, the logs as a (conds, |V|+1, |V|) tensor, and
+    ``cond_rows(ids, length)``: the (len(ids), length) indices into the
+    stack of the tokens of the equal-length inputs ``ids``."""
+    prevs = (BOS, *model.out_vocab)
+    probs, logs = model.rows([(prev, cond) for cond in inputs.tokens for prev in prevs])
+    table = cdf_table(probs)
+    logs = logs.reshape(len(inputs.tokens), len(prevs), len(model.out_vocab))
     starts = inputs.starts
     return table, logs, lambda ids, length: inputs.codes[np.add.outer(starts[ids],
                                                                       np.arange(length))]
@@ -250,18 +253,23 @@ def sample_decode(model: ChannelModel, inputs, uniforms) -> list[tuple]:
 
 def batch_sample(model: ChannelModel, cond_seq, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n ancestral samples as an (n, len) index matrix plus log-probs."""
-    cond_seq = tuple(cond_seq)
-    steps = ((cdf_table(probs), logs, 0, rng.random(n))
-             for probs, logs in map(model.matrices_for_cond, cond_seq))
-    return _ancestral(steps, n, len(cond_seq))
+    """n ancestral samples as an (n, len) index matrix plus log-probs.
+    Position t takes the (n,) uniforms of row t of one (len, n) draw, the
+    numbers of len successive ``rng.random(n)`` calls."""
+    corpus = coded([tuple(cond_seq)])
+    length = int(corpus.lengths[0])
+    table, logs, cond_rows = _stacked_conditionals(model, corpus)
+    cond_idx = np.repeat(cond_rows([0], length), n, axis=0)
+    return _ancestral(_channel_steps(table, logs, cond_idx, rng.random((length, n)).T),
+                      n, length)
 
 
 def batch_lm_scores(lm: NGramLM, token_idx: np.ndarray, out_vocab) -> np.ndarray:
     """LM log-probs of index-encoded sequences.
 
     For an order-2 model whose events cover ``out_vocab`` the terms come
-    from ``bigram_log_matrix`` and are summed with ``.sum(axis=1)``, which is
+    from one ``rows`` lookup of the contexts (row 0 is BOS, row 1 + i is
+    (event_vocab[i],)) and are summed with ``.sum(axis=1)``, which is
     pairwise summation, so a score can differ from ``NGramLM.score`` in the
     last bits: on the 3000 reference sources of the sweep benchmark's seed-1
     task, 489 differ, by at most 1.4e-14 (x86-64, numpy 2.4).  The candidate
@@ -273,7 +281,7 @@ def batch_lm_scores(lm: NGramLM, token_idx: np.ndarray, out_vocab) -> np.ndarray
     if lm.order != 2 or any(c is None for c in columns):
         n, length = token_idx.shape
         return lm.batch_score(CodedCorpus.from_indices(out_vocab, token_idx, np.full(n, length)))
-    mat = lm.bigram_log_matrix()
+    mat = lm.rows([(BOS,), *((tok,) for tok in lm.event_vocab)])[1]
     cols = np.asarray(columns, dtype=np.intp)
     event_idx = cols[token_idx]            # (n, L) indices into the event space
     ctx_idx = np.empty_like(event_idx)

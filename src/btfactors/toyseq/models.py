@@ -40,9 +40,11 @@ scorers and trainers take coded corpora, or plain sequences, which they
 encode once on entry; a parallel corpus may be given coded as its
 (sources, targets) pair of coded corpora (``coded_pairs``).
 
-Rows are filled on lookup, those of a batch of keys in one numpy pass
-(``_fill_rows``), and kept, as are stacked row matrices: models are immutable
-once built, and the trainers fill ``counts`` before the first lookup.
+``_CountTable.rows(keys)`` is the one row lookup: the prob and log matrices
+whose row i belongs to ``keys[i]``.  Each consumer asks once for every key it
+reads; the rows of keys not looked up before are filled in one numpy pass
+(``_fill_rows``) and kept: models are immutable once built, and the trainers
+fill ``counts`` before the first lookup.
 Both serialize to a versioned text format with sorted keys, so training is
 diffable and bit-reproducible: a magic line, header fields, the ``vocab``
 line, then one ``<tag> <key tokens> | <token> <count> ...`` line per row.
@@ -158,8 +160,7 @@ class _CountTable:
     """Add-alpha rows of event counts keyed by token tuples of one length.
 
     A subclass names its text format (``_MAGIC``) and row tag (``_TAG``),
-    sorts its events, wraps ``_row``, ``_log_row`` and ``_stack`` in its
-    own key shape, and gives ``_keys`` its per-position keys and
+    sorts its events, and gives ``_keys`` its per-position keys and
     ``_sum_terms`` its own log arithmetic (``_term_rows``, ``_oov_term``).
     """
 
@@ -188,7 +189,6 @@ class _CountTable:
             self.counts[key] = dict(row)
         self._prob_rows: dict[tuple, np.ndarray] = {}
         self._log_rows: dict[tuple, np.ndarray] = {}
-        self._stacks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def _fill_rows(self, keys) -> None:
         """Fill the read-only prob and log rows of those of ``keys`` not
@@ -218,39 +218,23 @@ class _CountTable:
         self._prob_rows.update(zip(new, probs))
         self._log_rows.update(zip(new, logs))
 
-    def _gather(self, rows: dict, keys) -> np.ndarray:
-        """The (len(keys), events) matrix of ``keys``' rows in ``rows``
-        (``_prob_rows`` or ``_log_rows``), filled first where missing."""
+    def rows(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (len(keys), events) matrices of p(. | key) and its log:
+        row i belongs to ``keys[i]``, and every prob row sums to 1.  The
+        rows of keys not looked up before are filled in one pass."""
         self._fill_rows(keys)
-        return np.array([rows[key] for key in keys]).reshape(len(keys), len(self._events))
-
-    def _row(self, key: tuple) -> np.ndarray:
-        """p(. | key) over the events; always sums to 1."""
-        if key not in self._prob_rows:
-            self._fill_rows((key,))
-        return self._prob_rows[key]
-
-    def _log_row(self, key: tuple) -> np.ndarray:
-        if key not in self._log_rows:
-            self._fill_rows((key,))
-        return self._log_rows[key]
+        size = len(self._events)
+        probs = np.array([self._prob_rows[key] for key in keys]).reshape(len(keys), size)
+        logs = np.array([self._log_rows[key] for key in keys]).reshape(len(keys), size)
+        probs.setflags(write=False)
+        logs.setflags(write=False)
+        return probs, logs
 
     def _oov_denom(self, key: tuple) -> float:
         """Denominator of the alpha floor an out-of-vocabulary token gets."""
         row = self.counts.get(key)
         total = sum(row.values()) if row else 0.0
         return total + self.alpha * len(self._events)
-
-    def _stack(self, keys: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """(prob, log) matrices whose row i is the row of ``keys[i]``."""
-        cached = self._stacks.get(keys)
-        if cached is not None:
-            return cached
-        probs, logs = self._gather(self._prob_rows, keys), self._gather(self._log_rows, keys)
-        probs.setflags(write=False)
-        logs.setflags(write=False)
-        self._stacks[keys] = (probs, logs)
-        return probs, logs
 
     # -- batched scoring --------------------------------------------------
     def _term_rows(self, keys) -> np.ndarray:
@@ -425,17 +409,10 @@ class NGramLM(_CountTable):
             return prefix[len(prefix) - need :]
         return (BOS,) * (need - len(prefix)) + prefix
 
-    def prob_row(self, context) -> np.ndarray:
-        """p(. | context) over the event vocabulary; always sums to 1."""
-        return self._row(tuple(context))
-
-    def log_row(self, context) -> np.ndarray:
-        return self._log_row(tuple(context))
-
     def prob(self, token, context) -> float:
         idx = self._index.get(token)
         if idx is not None:
-            return float(self._row(tuple(context))[idx])
+            return float(self.rows([tuple(context)])[0][0, idx])
         # out-of-vocabulary: alpha-floor mass of a never-seen event
         denom = self._oov_denom(tuple(context))
         return self.alpha / denom if denom > 0.0 else 0.0
@@ -465,22 +442,12 @@ class NGramLM(_CountTable):
     def _term_rows(self, keys) -> np.ndarray:
         # math.log, as log_prob takes it: np.log differs in the last bit
         # on a few entries
-        rows = self._gather(self._prob_rows, keys)
+        probs = self.rows(keys)[0]
         return np.array([math.log(p) if p > 0.0 else -math.inf
-                         for p in rows.ravel().tolist()]).reshape(rows.shape)
+                         for p in probs.ravel().tolist()]).reshape(probs.shape)
 
     def _oov_term(self, key: tuple, token) -> float:
         return self.log_prob(token, key)
-
-    def bigram_log_matrix(self) -> np.ndarray:
-        """(contexts x events) log matrix for order-2 models.
-
-        Row 0 is the BOS context, row 1 + i the context (event_vocab[i],).
-        Backs the vectorized scorer in ``decode``; only defined for order 2.
-        """
-        if self.order != 2:
-            raise InvalidInputError("bigram matrix is only defined for order-2 models")
-        return self._stack(((BOS,), *((tok,) for tok in self.event_vocab)))[1]
 
     # -- serialization ----------------------------------------------------
     def to_text(self) -> str:
@@ -526,17 +493,10 @@ class ChannelModel(_CountTable):
     def out_index(self, token) -> int | None:
         return self._index.get(token)
 
-    def prob_row(self, prev, cond) -> np.ndarray:
-        """p(. | prev output, conditioning token) over the output vocabulary."""
-        return self._row((prev, cond))
-
-    def log_row(self, prev, cond) -> np.ndarray:
-        return self._log_row((prev, cond))
-
     def log_prob(self, token, prev, cond) -> float:
         idx = self._index.get(token)
         if idx is not None:
-            return float(self._log_row((prev, cond))[idx])
+            return float(self.rows([(prev, cond)])[1][0, idx])
         denom = self._oov_denom((prev, cond))
         if self.alpha > 0.0 and denom > 0.0:
             return math.log(self.alpha) - math.log(denom)
@@ -574,18 +534,10 @@ class ChannelModel(_CountTable):
         return self._sum_terms(outputs, 1, inputs)
 
     def _term_rows(self, keys) -> np.ndarray:
-        return self._gather(self._log_rows, keys)
+        return self.rows(keys)[1]
 
     def _oov_term(self, key: tuple, token) -> float:
         return self.log_prob(token, *key)
-
-    def matrices_for_cond(self, cond) -> tuple[np.ndarray, np.ndarray]:
-        """(prob, log) matrices over prev states for one conditioning token.
-
-        Row 0 is prev == BOS; row 1 + i is prev == out_vocab[i].  Backs the
-        vectorized sampler and scorer in ``decode``.
-        """
-        return self._stack(((BOS, cond), *((prev, cond) for prev in self.out_vocab)))
 
     # -- serialization ----------------------------------------------------
     def to_text(self) -> str:

@@ -156,15 +156,14 @@ def _truth_channel(spec: ToyTaskSpec) -> ChannelModel:
 def _walk_cdf(truth_lm: NGramLM) -> np.ndarray:
     """The ``cdf_table`` of the (|V|+1, |V|) source-walk rows with the end
     marker masked out: row 0 follows BOS, row 1 + i follows
-    content_vocab[i]."""
+    content_vocab[i].  All contexts are read in one ``rows`` lookup; each
+    row's ``sum(axis=1)`` has the bits of summing that row alone."""
     eos_idx = len(truth_lm.event_vocab) - 1
-    rows = []
-    for context in [(BOS,)] + [(tok,) for tok in truth_lm.content_vocab]:
-        row = truth_lm.prob_row(context).copy()
-        row[eos_idx] = 0.0  # walk stays inside the length budget
-        row /= row.sum()    # at full width: a sum over fewer terms can round differently
-        rows.append(row[:eos_idx])
-    return cdf_table(np.array(rows))
+    rows = np.array(truth_lm.rows([(BOS,), *((tok,) for tok in truth_lm.content_vocab)])[0])
+    rows[:, eos_idx] = 0.0  # walk stays inside the length budget
+    # at full width: a sum over fewer terms can round differently
+    rows /= rows.sum(axis=1, keepdims=True)
+    return cdf_table(rows[:, :eos_idx])
 
 
 def _sample_sentence_pairs(truth_lm: NGramLM, truth_channel: ChannelModel,

@@ -473,6 +473,13 @@ def test_spectrum_of_a_large_matrix_with_a_finite_gram_norm():
     assert report.normalized_spectral_entropy == 0.0
 
 
+@pytest.mark.parametrize("matrix", [np.ones((3, 2)), np.full((2, 2), 1e76)], ids=["ones", "1e76"])
+def test_rank_one_spectral_entropy_is_positive_zero(matrix):
+    # the negated zero sum read -0.0, which a JSON report writes as "-0.0"
+    entropy = singular_spectrum(matrix).normalized_spectral_entropy
+    assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
+
 # -- Jacobi rotations against the numpy-slice reference ------------------------------
 
 def reference_jacobi_eigenvalues(sym, tol=1e-10, max_sweeps=100, hits=None):

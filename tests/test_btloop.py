@@ -527,6 +527,48 @@ def test_oracle_bundle_scores_one_enumeration_and_no_sample_rows(monkeypatch, ti
     assert lm_rows == [4 ** len(y)] and channel_rows == [4 ** len(y)]
 
 
+def reference_scores_given_sources(channel, out_seq, cond_idx, cond_vocab):
+    """One scalar ``log_prob`` per position and conditioning token, added
+    into every source's score position by position."""
+    scores = np.zeros(cond_idx.shape[0])
+    prev = BOS
+    for position, out_tok in enumerate(out_seq):
+        per_cond = np.array([channel.log_prob(out_tok, prev, c) for c in cond_vocab])
+        scores += per_cond[cond_idx[:, position]]
+        prev = out_tok
+    return scores
+
+
+@st.composite
+def enumerated_channels(draw):
+    """A channel with sparse counts (so unseen keys), alpha 0 included, its
+    conditioning vocabulary, and an output of length 1..4 that may hold
+    out-of-vocabulary tokens at any position."""
+    out_vocab = list(range(draw(st.integers(1, 4))))
+    cond_vocab = tuple(range(draw(st.integers(1, 4))))
+    keys = st.tuples(st.sampled_from([BOS, *out_vocab]), st.sampled_from(cond_vocab))
+    row = st.dictionaries(st.sampled_from(out_vocab), st.integers(0, 5))
+    counts = draw(st.dictionaries(keys, row, max_size=8))
+    alpha = draw(st.sampled_from((0.0, 0.1, 1.0)))
+    out_seq = tuple(draw(st.lists(st.sampled_from([*out_vocab, 99, "oov"]),
+                                  min_size=1, max_size=4)))
+    return (ChannelModel("source_to_target", alpha, out_vocab, counts=counts), cond_vocab,
+            out_seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=enumerated_channels())
+def test_scores_given_sources_equal_the_per_condition_log_prob_loop(case):
+    channel, cond_vocab, out_seq = case
+    cond_idx = btloop._enumeration_indices(len(cond_vocab), len(out_seq), None)
+    got = btloop._scores_given_sources(channel, out_seq, cond_idx, cond_vocab)
+    # a second model, so that each side fills its own rows
+    scalar = ChannelModel(channel.direction, channel.alpha, channel.out_vocab,
+                          counts=channel.counts)
+    want = reference_scores_given_sources(scalar, out_seq, cond_idx, cond_vocab)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_oracle_result_validates_bound():
     with pytest.raises(NumericError):
         OracleResult(

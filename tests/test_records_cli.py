@@ -798,6 +798,21 @@ def test_analyze_outputs(toy_dir, models_dir, tmp_path):
     assert values == sorted(values, reverse=True)
 
 
+def test_analyze_writes_a_rank_one_spectrum_entropy_as_positive_zero(models_dir, tmp_path):
+    # every source has the same bag of tokens, so the representation matrix has rank one
+    synth = tmp_path / "synth.tsv"
+    write_synthetic(synth, [SyntheticPair(source=(3, 4), target=(t, 1), provenance="sampling")
+                            for t in range(3)])
+    out = tmp_path / "analysis"
+    assert dispatch(["analyze", "--synthetic", str(synth),
+                     "--backward", str(models_dir / "backward.txt"),
+                     "--lm", str(models_dir / "lm.txt"), "--out", str(out)]) == 0
+    text = (out / "records.jsonl").read_text()
+    assert '"spectral_entropy": 0.0' in text
+    assert math.copysign(1.0, json.loads(text)["spectral_entropy"]) == 1.0
+    assert "spectral_entropy  0.000000\n" in (out / "report.txt").read_text()
+
+
 def test_analyze_scores_the_backward_channel_once(toy_dir, models_dir, tmp_path,
                                                    monkeypatch):
     synth = tmp_path / "synth.tsv"

@@ -9,6 +9,7 @@ from btfactors.errors import InvalidInputError
 from btfactors.scoring import (
     Candidate,
     CandidateSet,
+    SIGMA_FLOOR,
     GammaParams,
     cdf_table,
     gamma_distribution,
@@ -48,8 +49,6 @@ def test_candidate_set_needs_two_candidates():
 def test_gamma_params_range():
     with pytest.raises(InvalidInputError):
         GammaParams(gamma=1.5)
-    with pytest.raises(InvalidInputError):
-        GammaParams(gamma=0.2, sigma_floor=0.0)
 
 
 # -- log importance -------------------------------------------------------------
@@ -306,21 +305,20 @@ def test_gamma_sample_total_variation_on_larger_set(rng):
 
 # -- the row-wise kernel against the per-set reference -----------------------------------
 
-def reference_standardize(values, lengths, sigma_floor):
+def reference_standardize(values, lengths):
     """Per-set z-scores of length-normalized values (sample std, floored)."""
     normalized = np.asarray(values, dtype=float) / np.asarray(lengths, dtype=float)
     mu = float(np.mean(normalized))
     sigma = float(np.std(normalized, ddof=1))
-    if sigma <= sigma_floor:
+    if sigma <= SIGMA_FLOOR:
         return np.zeros_like(normalized)
     return (normalized - mu) / sigma
 
 
 def reference_gamma_distribution(cset, params):
     lengths = [c.length for c in cset.candidates]
-    imp = reference_standardize([c.log_lm - c.log_q for c in cset.candidates], lengths,
-                                params.sigma_floor)
-    qual = reference_standardize([c.log_q for c in cset.candidates], lengths, params.sigma_floor)
+    imp = reference_standardize([c.log_lm - c.log_q for c in cset.candidates], lengths)
+    qual = reference_standardize([c.log_q for c in cset.candidates], lengths)
     scores = params.gamma * imp + (1.0 - params.gamma) * qual
     weights = np.exp(scores - scores.max())
     return weights / weights.sum()

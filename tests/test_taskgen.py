@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from btfactors.errors import InvalidInputError
 from btfactors.streams import TAG_CORPUS, task_stream
-from btfactors.toyseq import ToyTaskSpec, generate_toy_task
-from btfactors.toyseq.models import BOS
+from btfactors.toyseq import ToyTaskSpec, generate_toy_task, taskgen
+from btfactors.toyseq.models import BOS, _CountTable
 
 
 # -- reference oracle: the per-sentence specification of the corpus sampler --
@@ -18,7 +18,7 @@ def reference_sentence_pair(truth_lm, truth_channel, length, rng):
     source = []
     prev: tuple = (BOS,)
     for _ in range(length):
-        row = truth_lm.prob_row(prev).copy()
+        row = truth_lm.rows([prev])[0][0].copy()
         row[eos_idx] = 0.0
         row /= row.sum()
         idx = min(int(np.searchsorted(np.cumsum(row), float(rng.random()), side="right")),
@@ -30,7 +30,7 @@ def reference_sentence_pair(truth_lm, truth_channel, length, rng):
     prev_out = BOS
     last = len(truth_channel.out_vocab) - 1
     for tok in source:
-        cumulative = np.cumsum(truth_channel.prob_row(prev_out, tok))
+        cumulative = np.cumsum(truth_channel.rows([(prev_out, tok)])[0][0])
         idx = min(int(np.searchsorted(cumulative, float(rng.random()), side="right")), last)
         prev_out = truth_channel.out_vocab[idx]
         target.append(prev_out)
@@ -107,10 +107,9 @@ def test_noiseless_limit_emits_the_deterministic_image():
     spec = ToyTaskSpec(channel_noise=1e-12, bitext_size=120, mono_size=30, test_size=20, seed=6)
     task = generate_toy_task(spec)
     channel = task.truth_channel
-    mapping = {
-        s: channel.out_vocab[int(np.argmax(channel.prob_row(BOS, s)))]
-        for s in range(spec.source_vocab_size)
-    }
+    sources = range(spec.source_vocab_size)
+    rows = channel.rows([(BOS, s) for s in sources])[0]
+    mapping = {s: channel.out_vocab[int(np.argmax(row))] for s, row in zip(sources, rows)}
     for src, tgt in task.bitext.pairs:
         assert tuple(mapping[s] for s in src) == tgt
 
@@ -128,20 +127,34 @@ def test_bitext_substitution_frequencies_match_truth():
         total = sum(row.values())
         if total < 500:
             continue  # rare source tokens have too little evidence for a tight check
-        truth_row = channel.prob_row(BOS, s)
+        truth_row = channel.rows([(BOS, s)])[0][0]
         for j, t in enumerate(channel.out_vocab):
             assert abs(row.get(t, 0) / total - float(truth_row[j])) <= 0.02
 
 
+def test_walk_cdf_fills_every_context_in_one_pass(monkeypatch):
+    spec = ToyTaskSpec(bitext_size=10, mono_size=5, test_size=5, seed=2)
+    lm = taskgen._truth_lm(spec)
+    calls = []
+    fill = _CountTable._fill_rows
+
+    def counted(self, keys):
+        calls.append(len(keys))
+        return fill(self, keys)
+
+    monkeypatch.setattr(_CountTable, "_fill_rows", counted)
+    taskgen._walk_cdf(lm)
+    assert calls == [spec.source_vocab_size + 1]
+    assert len(lm._prob_rows) == spec.source_vocab_size + 1
+
+
 def test_truth_models_are_normalized():
     task = generate_toy_task(ToyTaskSpec(bitext_size=10, mono_size=5, test_size=5, seed=2))
-    for ctx in [(BOS,)] + [(t,) for t in range(20)]:
-        assert float(task.truth_lm.prob_row(ctx).sum()) == pytest.approx(1.0, abs=1e-9)
+    for row in task.truth_lm.rows([(BOS,)] + [(t,) for t in range(20)])[0]:
+        assert float(row.sum()) == pytest.approx(1.0, abs=1e-9)
     for prev in (BOS, 0, 7):
-        for cond in range(20):
-            assert float(task.truth_channel.prob_row(prev, cond).sum()) == pytest.approx(
-                1.0, abs=1e-9
-            )
+        for row in task.truth_channel.rows([(prev, cond) for cond in range(20)])[0]:
+            assert float(row.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(

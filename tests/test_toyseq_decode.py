@@ -27,6 +27,7 @@ from btfactors.toyseq.models import (
     EOS,
     ChannelModel,
     ParallelCorpus,
+    _CountTable,
     channel_score,
     lm_score,
     train_channel,
@@ -41,6 +42,12 @@ def deterministic_channel():
         counts[(prev, 0)] = {10: 1}
         counts[(prev, 1)] = {11: 1}
     return ChannelModel("source_to_target", alpha=0.0, out_vocab=[10, 11], counts=counts)
+
+
+def cond_matrices(model, cond):
+    """(prob, log) rows of every previous output given ``cond``: row 0 is
+    prev == BOS, row 1 + i is prev == out_vocab[i]."""
+    return model.rows([(prev, cond) for prev in (BOS, *model.out_vocab)])
 
 
 def random_channel(rng, vocab_size=4, alpha=0.2, n_pairs=40, length=5):
@@ -71,7 +78,7 @@ def reference_beam_decode(model, input_seq, beam_size):
         expansions = []
         for tokens, score in beams:
             prev = tokens[-1] if tokens else BOS
-            row = model.log_row(prev, cond)
+            row = model.rows([(prev, cond)])[1][0]
             for tok, tok_lp in zip(model.out_vocab, row):
                 expansions.append((tokens + (tok,), score + float(tok_lp)))
         if tie_key is None:
@@ -88,7 +95,7 @@ def reference_sample_decode(model, input_seq, rng):
     prev = BOS
     last = len(model.out_vocab) - 1
     for cond in input_seq:
-        cumulative = np.cumsum(model.prob_row(prev, cond))
+        cumulative = np.cumsum(model.rows([(prev, cond)])[0][0])
         idx = min(int(np.searchsorted(cumulative, float(rng.random()), side="right")), last)
         prev = model.out_vocab[idx]
         out.append(prev)
@@ -108,7 +115,7 @@ def reference_channel_scores(model, token_idx, cond_seq):
     scores = np.zeros(n)
     prev_idx = np.zeros(n, dtype=np.intp)
     for t, cond in enumerate(cond_seq):
-        _, logs = model.matrices_for_cond(cond)
+        _, logs = cond_matrices(model, cond)
         idx = token_idx[:, t]
         scores += logs[prev_idx, idx]
         prev_idx = idx + 1
@@ -149,7 +156,7 @@ def test_beam_one_equals_greedy(rng):
         greedy = []
         prev = BOS
         for cond in src:
-            row = model.log_row(prev, cond)
+            row = model.rows([(prev, cond)])[1][0]
             prev = model.out_vocab[int(np.argmax(row))]
             greedy.append(prev)
         assert beam_decode(model, [src], beam_size=1) == [tuple(greedy)]
@@ -253,7 +260,7 @@ def sweep_task():
 def test_corpus_beam_matches_reference_at_sweep_scale(sweep_task, alpha):
     backward = train_channel(sweep_task.bitext, "target_to_source", alpha,
                              out_vocab=sweep_task.source_vocab)
-    logs = np.stack([backward.matrices_for_cond(c)[1] for c in range(20)])
+    logs = np.stack([cond_matrices(backward, c)[1] for c in range(20)])
     # unseen (prev, cond) keys give uniform rows, so whole rows tie exactly;
     # without smoothing most entries are -inf
     assert np.mean([np.all(row == row[0]) for row in logs.reshape(-1, 20)]) > 0.05
@@ -460,6 +467,22 @@ def test_invert_cdf_refuses_a_table_whose_width_is_not_a_power_of_two():
         invert_cdf(np.cumsum(np.full((1, 3), 1 / 3), axis=1), np.array([0.5]))
 
 
+def test_stacked_conditionals_fill_every_key_in_one_pass(monkeypatch, rng):
+    model = random_channel(rng, vocab_size=4)
+    inputs = encode([(0, 1, 1), (2, 3), (3, 0, 7)])     # 7 is never seen
+    calls = []
+    fill = _CountTable._fill_rows
+
+    def counted(self, keys):
+        calls.append(len(keys))
+        return fill(self, keys)
+
+    monkeypatch.setattr(_CountTable, "_fill_rows", counted)
+    table, logs, _ = _stacked_conditionals(model, inputs)
+    assert calls == [5 * 5]     # |V|+1 previous outputs for each of 5 distinct tokens
+    assert table.shape[0] == 5 * 5 and logs.shape == (5, 5, 4)
+
+
 @st.composite
 def sampling_channels(draw):
     """A trained channel over |V| in 1..6 int tokens, alpha 0 (rows with
@@ -494,13 +517,13 @@ def test_ancestral_equals_the_row_gather_reference(case, n, seed, data):
     # batch_sample: one table per position, rng draws in order
     reference_rng = np.random.default_rng(seed)
     reference_steps = ((np.cumsum(p, axis=1), lg, 0, reference_rng.random(n))
-                       for p, lg in map(model.matrices_for_cond, cond_seq))
+                       for p, lg in (cond_matrices(model, cond) for cond in cond_seq))
     assert_same_samples(batch_sample(model, cond_seq, n, np.random.default_rng(seed)),
                         reference_ancestral(reference_steps, n, length))
     # stacked tables with a per-row base, uniforms on the tables' edges; the
     # reference reads the unpadded cumulative rows
     table, logs, cond_rows = _stacked_conditionals(model, encode([cond_seq]))
-    probs = np.stack([model.matrices_for_cond(cond)[0] for cond in encode([cond_seq]).tokens])
+    probs = np.stack([cond_matrices(model, cond)[0] for cond in encode([cond_seq]).tokens])
     cdfs = np.cumsum(probs, axis=-1)
     flat_cdfs = cdfs.reshape(-1, cdfs.shape[-1])
     np.testing.assert_array_equal(table, cdf_table(probs.reshape(flat_cdfs.shape)))

@@ -38,8 +38,8 @@ def test_every_context_row_sums_to_one():
     for alpha in (0.0, 0.1, 1.0):
         lm = train_ngram_lm(corpus, order=2, alpha=alpha, vocab=[0, 1, 2])
         contexts = [(BOS,)] + [(t,) for t in lm.event_vocab]
-        for ctx in contexts:
-            assert float(lm.prob_row(ctx).sum()) == pytest.approx(1.0, abs=1e-9)
+        for row in lm.rows(contexts)[0]:
+            assert float(row.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_deterministic_lm_scores_zero():
@@ -118,15 +118,15 @@ def test_channel_mle_matches_empirical_frequencies():
         total = sum(row.values())
         for out_tok, cnt in row.items():
             idx = model.out_index(out_tok)
-            assert model.prob_row(*state)[idx] == pytest.approx(cnt / total)
+            assert model.rows([state])[0][0, idx] == pytest.approx(cnt / total)
 
 
 def test_channel_rows_sum_to_one():
     for alpha in (0.0, 0.1, 2.0):
         model = train_channel(FIVE_PAIRS, "source_to_target", alpha=alpha)
         for prev in (BOS,) + model.out_vocab:
-            for cond in (0, 1, 5):
-                assert float(model.prob_row(prev, cond).sum()) == pytest.approx(1.0, abs=1e-9)
+            for row in model.rows([(prev, cond) for cond in (0, 1, 5)])[0]:
+                assert float(row.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_channel_smoothing_moves_monotonically_toward_uniform():
@@ -134,7 +134,7 @@ def test_channel_smoothing_moves_monotonically_toward_uniform():
     previous_gap = None
     for alpha in (0.0, 0.1, 1.0, 10.0, 1000.0):
         model = train_channel(FIVE_PAIRS, "source_to_target", alpha=alpha)
-        row = model.prob_row(BOS, 0)
+        row = model.rows([(BOS, 0)])[0][0]
         gap = float(np.abs(row - 1.0 / size).max())
         if previous_gap is not None:
             assert gap <= previous_gap + 1e-12
@@ -143,7 +143,7 @@ def test_channel_smoothing_moves_monotonically_toward_uniform():
 
 def test_channel_score_single_token_base_case():
     model = train_channel(FIVE_PAIRS, "source_to_target", alpha=0.1)
-    expected = math.log(model.prob_row(BOS, 0)[model.out_index(10)])
+    expected = math.log(model.rows([(BOS, 0)])[0][0, model.out_index(10)])
     assert channel_score(model, (10,), (0,)) == pytest.approx(expected, abs=1e-12)
 
 
@@ -161,9 +161,10 @@ def test_channel_score_decomposes_across_boundary():
 def test_channel_score_matches_product_oracle_length_four():
     model = train_channel(FIVE_PAIRS, "source_to_target", alpha=0.2)
     out, inp = (10, 10, 11, 11), (1, 0, 1, 0)
-    expected = math.log(model.prob_row(BOS, inp[0])[model.out_index(out[0])])
+    probs = model.rows(list(zip((BOS,) + out[:-1], inp)))[0]
+    expected = math.log(probs[0, model.out_index(out[0])])
     for t in range(1, 4):
-        expected += math.log(model.prob_row(out[t - 1], inp[t])[model.out_index(out[t])])
+        expected += math.log(probs[t, model.out_index(out[t])])
     assert channel_score(model, out, inp) == pytest.approx(expected, abs=1e-12)
 
 
@@ -337,8 +338,8 @@ def test_lm_text_round_trip_is_byte_stable(lm):
     assert restored.to_text() == text
     assert restored.counts == lm.counts
     unseen = (BOS,) * (lm.order - 1)
-    for ctx in [*lm.counts, unseen]:
-        assert same_bits(restored.prob_row(ctx), lm.prob_row(ctx))
+    contexts = [*lm.counts, unseen]
+    assert same_bits(restored.rows(contexts)[0], lm.rows(contexts)[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -348,29 +349,31 @@ def test_channel_text_round_trip_is_byte_stable(model):
     restored = ChannelModel.from_text(text)
     assert restored.to_text() == text
     assert restored.counts == model.counts
-    for state in [*model.counts, (BOS, "unseen")]:
-        assert same_bits(restored.prob_row(*state), model.prob_row(*state))
+    states = [*model.counts, (BOS, "unseen")]
+    assert same_bits(restored.rows(states)[0], model.rows(states)[0])
 
 
 @settings(max_examples=100, deadline=None)
 @given(vocab=vocabularies(), alpha=ALPHAS, use_eos=st.booleans(), data=st.data())
-def test_bigram_log_matrix_stacks_the_log_rows(vocab, alpha, use_eos, data):
+def test_lm_rows_of_a_batch_stack_the_rows_of_each_key(vocab, alpha, use_eos, data):
     events = vocab + ([EOS] if use_eos else [])
     counts = data.draw(count_rows(st.tuples(st.sampled_from(vocab + [BOS])), events))
     lm = NGramLM(2, alpha, vocab, counts=counts, use_eos=use_eos)
+    one_by_one = NGramLM(2, alpha, vocab, counts=counts, use_eos=use_eos)
     contexts = [(BOS,)] + [(tok,) for tok in lm.event_vocab]
-    expected = np.stack([lm.log_row(ctx) for ctx in contexts])
-    assert same_bits(lm.bigram_log_matrix(), expected)
+    expected = np.stack([one_by_one.rows([ctx])[1][0] for ctx in contexts])
+    assert same_bits(lm.rows(contexts)[1], expected)
 
 
 @settings(max_examples=100, deadline=None)
 @given(model=channel_models())
-def test_matrices_for_cond_stack_the_rows(model):
+def test_channel_rows_of_a_batch_stack_the_rows_of_each_key(model):
+    one_by_one = ChannelModel(model.direction, model.alpha, model.out_vocab, counts=model.counts)
     prevs = (BOS,) + model.out_vocab
     for cond in {c for _, c in model.counts} | {"unseen"}:
-        probs, logs = model.matrices_for_cond(cond)
-        assert same_bits(probs, np.stack([model.prob_row(p, cond) for p in prevs]))
-        assert same_bits(logs, np.stack([model.log_row(p, cond) for p in prevs]))
+        probs, logs = model.rows([(p, cond) for p in prevs])
+        assert same_bits(probs, np.stack([one_by_one.rows([(p, cond)])[0][0] for p in prevs]))
+        assert same_bits(logs, np.stack([one_by_one.rows([(p, cond)])[1][0] for p in prevs]))
 
 
 # -- batched scoring equals the scalar score bit for bit --------------------------------
@@ -639,11 +642,12 @@ def filled_channels(draw):
 def test_lm_rows_filled_in_one_pass_equal_the_per_key_loop(lm, data):
     for context in [*lm.counts, ("unseen",) * (lm.order - 1)]:
         probs, logs = reference_stack(lm, [context])
-        assert same_bits(lm.prob_row(context), probs[0])
-        assert same_bits(lm.log_row(context), logs[0])
+        got = lm.rows([context])
+        assert same_bits(got[0][0], probs[0])
+        assert same_bits(got[1][0], logs[0])
     if lm.order == 2:
         contexts = [(BOS,)] + [(tok,) for tok in lm.event_vocab]
-        assert same_bits(lm.bigram_log_matrix(), reference_stack(lm, contexts)[1])
+        assert same_bits(lm.rows(contexts)[1], reference_stack(lm, contexts)[1])
     pool = list(lm.content_vocab) + list(OOV_TOKENS[: data.draw(st.integers(0, 3))])
     sentences = data.draw(st.lists(sentences_over(pool, min_size=0), min_size=1, max_size=8))
     expected = np.array([reference_lm_score(lm, s) for s in sentences])
@@ -657,11 +661,12 @@ def test_channel_rows_filled_in_one_pass_equal_the_per_key_loop(model, data):
     conds = sorted({c for _, c in model.counts}, key=token_sort_key) + ["unseen"]
     for state in [*model.counts, (BOS, "unseen")]:
         probs, logs = reference_stack(model, [state])
-        assert same_bits(model.prob_row(*state), probs[0])
-        assert same_bits(model.log_row(*state), logs[0])
+        got = model.rows([state])
+        assert same_bits(got[0][0], probs[0])
+        assert same_bits(got[1][0], logs[0])
     for cond in conds:
         probs, logs = reference_stack(model, [(prev, cond) for prev in prevs])
-        got = model.matrices_for_cond(cond)
+        got = model.rows([(prev, cond) for prev in prevs])
         assert same_bits(got[0], probs) and same_bits(got[1], logs)
     outs = list(model.out_vocab) + list(OOV_TOKENS[: data.draw(st.integers(0, 3))])
     pairs = data.draw(st.lists(
@@ -677,14 +682,14 @@ def test_rows_of_zero_counts_and_alpha_zero_are_uniform():
     model = ChannelModel("target_to_source", 0, ["a", 1, "b"],
                          counts={(BOS, 1): {"a": 0, 1: 0}, ("a", 1): {}, (1, "x"): {"b": 2**60}})
     for state in [(BOS, 1), ("a", 1), (BOS, "unseen")]:
-        assert model.prob_row(*state).tolist() == [1.0 / 3] * 3
-    assert model.prob_row(1, "x").tolist() == [0.0, 0.0, 1.0]
-    assert not model.prob_row(BOS, 1).flags.writeable
+        assert model.rows([state])[0][0].tolist() == [1.0 / 3] * 3
+    assert model.rows([(1, "x")])[0][0].tolist() == [0.0, 0.0, 1.0]
+    assert not any(matrix.flags.writeable for matrix in model.rows([(BOS, 1)]))
 
 
 def test_a_lookup_fills_only_the_rows_it_asks_for():
     lm = NGramLM(2, 0.1, list(range(50)), counts={(tok,): {tok: 1} for tok in range(50)})
-    lm.prob_row((3,))
+    lm.rows([(3,)])
     assert list(lm._prob_rows) == [(3,)]
     lm.batch_score([(4, 5)])
     assert list(lm._prob_rows) == [(3,), (BOS,), (4,), (5,)]   # (5,) ends the run
@@ -720,9 +725,10 @@ def test_a_sweep_fills_each_trained_tables_rows_in_batches(monkeypatch):
     run_bt_experiment(ExperimentConfig(task=task, strategies=strategies, seeds=(1,),
                                        beam_size=5, alpha=0.1, lm_order=2))
     assert len(trained) == len({id(t) for t in trained}) >= 10
-    # a channel fills the 21 rows of one conditioning token's stack per pass
-    # (20 tokens), the LM the rows of a stack or of a scored batch: never a
-    # pass per key
+    # one pass per lookup: a channel's stack of every (prev, cond) key of a
+    # corpus or a scored batch's keys, the LM's bigram contexts or a scored
+    # batch's keys; measured at most 2 per table (13 passes over all 12
+    # tables, truth models included), never a pass per key or per token
     for table in trained:
-        assert 1 <= passes[id(table)] <= 20
+        assert 1 <= passes[id(table)] <= 2
         assert filled[id(table)] >= 10 * passes[id(table)]
