@@ -9,8 +9,9 @@ counts one compacted id per (sentence pair, n-gram) with
 ``np.unique``/``bincount``.
 ``corpus_diagnostics`` gives the quality, importance and spectrum reports
 of one corpus from one backward ``batch_score`` pass, which adds the
-per-position terms one column at a time and so reproduces the scalar
-``score`` bits.  Every reported number is the one the per-sentence loops gave.
+per-position terms one column at a time, so a sentence scores the same bits
+alone or in the corpus.  Every reported number is the one the per-sentence
+loops gave.
 """
 
 from __future__ import annotations

@@ -533,11 +533,12 @@ def _enumeration_indices(vocab_size: int, length: int, max_len: int | None) -> n
 def _scores_given_sources(channel: ChannelModel, out_seq, cond_idx: np.ndarray,
                           cond_vocab) -> np.ndarray:
     """log p(out_seq | source) for every source row of indices into
-    ``cond_vocab``, bit for bit as ``channel.score``: position t gathers
-    column out_seq[t] of the log rows of the (out_seq[t-1] or BOS, c) keys,
-    all read in one ``rows`` lookup, and an out-of-vocabulary output takes
-    ``log_prob`` per condition.  Not ``batch_score``: its (rows x positions)
-    keys would take hundreds of MB at ``ENUMERATION_GUARD``."""
+    ``cond_vocab``, bit for bit as ``channel.batch_score``: position t
+    gathers column out_seq[t] of the log rows of the (out_seq[t-1] or BOS,
+    c) keys, all read in one ``rows`` lookup, and an out-of-vocabulary
+    output takes each condition's ``_oov_term``.  Not ``batch_score``
+    itself: its (rows x positions) keys would take hundreds of MB at
+    ``ENUMERATION_GUARD``."""
     out_seq = tuple(out_seq)
     prevs = (BOS, *out_seq)[: len(out_seq)]
     logs = channel.rows([(prev, c) for prev in prevs for c in cond_vocab])[1]
@@ -546,7 +547,7 @@ def _scores_given_sources(channel: ChannelModel, out_seq, cond_idx: np.ndarray,
     for position, (prev, out_tok) in enumerate(zip(prevs, out_seq)):
         col = channel.out_index(out_tok)
         if col is None:
-            per_cond = np.array([channel.log_prob(out_tok, prev, c) for c in cond_vocab])
+            per_cond = np.array([channel._oov_term((prev, c)) for c in cond_vocab])
         else:
             per_cond = logs[position, :, col]
         scores += per_cond[cond_idx[:, position]]

@@ -33,10 +33,6 @@ class MonoCorpus:
     def __len__(self) -> int:
         return len(self.sentences)
 
-    @classmethod
-    def from_sequences(cls, sequences) -> "MonoCorpus":
-        return cls(sentences=tuple(tuple(s) for s in sequences))
-
 
 @dataclass(frozen=True)
 class SplitPlan:

@@ -64,11 +64,6 @@ class Candidate:
     def __post_init__(self):
         check_candidate(self.length, len(self.tokens), self.log_q, self.log_lm)
 
-    @classmethod
-    def from_scores(cls, tokens, log_q: float, log_lm: float) -> "Candidate":
-        tokens = tuple(tokens)
-        return cls(tokens=tokens, length=len(tokens), log_q=float(log_q), log_lm=float(log_lm))
-
 
 @dataclass(frozen=True)
 class CandidateSet:
@@ -122,13 +117,6 @@ class GammaDistribution:
 
     def __post_init__(self):
         _check_gamma_rows(np.asarray(self.probs, dtype=float))
-
-
-def log_importance(candidate: Candidate) -> float:
-    """Log importance weight: source-LM log-prob minus backward-model log-prob."""
-    if not (math.isfinite(candidate.log_lm) and math.isfinite(candidate.log_q)):
-        raise InvalidInputError("candidate log-probabilities must be finite")
-    return candidate.log_lm - candidate.log_q
 
 
 def _zscore_rows(values, lengths):

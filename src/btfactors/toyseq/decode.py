@@ -270,12 +270,12 @@ def batch_lm_scores(lm: NGramLM, token_idx: np.ndarray, out_vocab) -> np.ndarray
     For an order-2 model whose events cover ``out_vocab`` the terms come
     from one ``rows`` lookup of the contexts (row 0 is BOS, row 1 + i is
     (event_vocab[i],)) and are summed with ``.sum(axis=1)``, which is
-    pairwise summation, so a score can differ from ``NGramLM.score`` in the
-    last bits: on the 3000 reference sources of the sweep benchmark's seed-1
-    task, 489 differ, by at most 1.4e-14 (x86-64, numpy 2.4).  The candidate
-    pools' log_lm, and with them the records and Gamma choices, are defined
-    by this sum.  Other models go through ``NGramLM.batch_score``, which
-    equals ``score`` bit for bit.
+    pairwise summation, so a score can differ from ``NGramLM.batch_score``,
+    which adds the terms one position at a time, in the last bits: on the
+    3000 reference sources of the sweep benchmark's seed-1 task, 489 differ,
+    by at most 1.4e-14 (x86-64, numpy 2.4).  The candidate pools' log_lm,
+    and with them the records and Gamma choices, are defined by this sum.
+    Other models go through ``NGramLM.batch_score``.
     """
     columns = [lm.event_index(tok) for tok in out_vocab]
     if lm.order != 2 or any(c is None for c in columns):

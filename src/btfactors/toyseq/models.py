@@ -22,23 +22,24 @@ Conventions of the table:
   uniform as well, so conditionals always sum to 1.
 * An out-of-vocabulary token at score time is treated like the reserved UNK
   event: a never-seen symbol scored at the alpha floor against its key's
-  denominator.  It never joins the event space, so in-vocabulary
-  probabilities stay an exact distribution.  The LM takes the log of that
-  floor and the channel subtracts logs; the two round differently in the
-  last bit, so each class keeps its own arithmetic.
+  denominator (``_oov_term``).  It never joins the event space, so
+  in-vocabulary probabilities stay an exact distribution.  The LM takes the
+  log of that floor and the channel subtracts logs; the two round
+  differently in the last bit, so each class keeps its own arithmetic.
 * Counts may be fractional (the toy task's ground-truth models are stored
   as probability rows with alpha == 0), but alpha and every count must be
   finite and non-negative.
 
 One key builder, ``_keys``, reads a coded corpus (``tokenio.CodedCorpus``)
-and gives every position a compacted key id.  ``batch_score`` gathers each
-position's term from a matrix of the distinct keys' rows and adds each
-sequence's terms one position at a time from 0.0, as ``score`` does, so the
-two agree bit for bit.  The trainers count (key id, event) pairs with
-``np.unique``; the scalar ``score`` methods stay the reference.  The
-scorers and trainers take coded corpora, or plain sequences, which they
-encode once on entry; a parallel corpus may be given coded as its
-(sources, targets) pair of coded corpora (``coded_pairs``).
+and gives every position a compacted key id.  ``batch_score``, each
+model's one scorer, gathers each position's term from a matrix of the
+distinct keys' rows and adds each sequence's terms one position at a time
+from 0.0, so a sequence scores the same bits alone or in any batch
+(``lm_score`` and ``channel_score`` score one).  The trainers count (key
+id, event) pairs with ``np.unique``.  The scorers and trainers take coded
+corpora, or plain sequences, which they encode once on entry; a parallel
+corpus may be given coded as its (sources, targets) pair of coded corpora
+(``coded_pairs``).
 
 ``_CountTable.rows(keys)`` is the one row lookup: the prob and log matrices
 whose row i belongs to ``keys[i]``.  Each consumer asks once for every key it
@@ -238,12 +239,13 @@ class _CountTable:
 
     # -- batched scoring --------------------------------------------------
     def _term_rows(self, keys) -> np.ndarray:
-        """log p(. | key) over the events for each of ``keys``, rounded as
-        ``log_prob`` rounds it."""
+        """log p(. | key) over the events for each of ``keys``, in the
+        subclass's log arithmetic."""
         raise NotImplementedError
 
-    def _oov_term(self, key: tuple, token) -> float:
-        """``log_prob`` of an out-of-vocabulary token."""
+    def _oov_term(self, key: tuple) -> float:
+        """log of the alpha floor an out-of-vocabulary token gets under
+        ``key``, from ``_oov_denom``; -inf where that floor is 0."""
         raise NotImplementedError
 
     def _keys(self, runs: CodedCorpus, back: int, conds: CodedCorpus | None = None):
@@ -278,16 +280,16 @@ class _CountTable:
 
     def _sum_terms(self, runs: CodedCorpus, back: int,
                    conds: CodedCorpus | None = None) -> np.ndarray:
-        """Log-probability of every run under its ``_keys``, bit for bit as
-        ``score``: in-vocabulary terms are gathered from one (distinct keys x
-        events) matrix of ``_term_rows``, out-of-vocabulary ones come
-        from ``_oov_term``, and each run adds its terms one position at a
-        time from 0.0, the order of the scalar loop (a pairwise
-        ``.sum(axis=1)`` would round differently)."""
-        lengths, tokens, flat, key_ids, events, keys = self._keys(runs, back, conds)
+        """Log-probability of every run under its ``_keys``: in-vocabulary
+        terms are gathered from one (distinct keys x events) matrix of
+        ``_term_rows``, out-of-vocabulary ones come from ``_oov_term``, and
+        each run adds its terms one position at a time from 0.0, the order
+        of a per-token loop (a pairwise ``.sum(axis=1)`` would round
+        differently)."""
+        lengths, _, _, key_ids, events, keys = self._keys(runs, back, conds)
         terms = self._term_rows(keys)[key_ids, events]
         for j in np.flatnonzero(events < 0).tolist():
-            terms[j] = self._oov_term(keys[key_ids[j]], tokens[flat[j]])
+            terms[j] = self._oov_term(keys[key_ids[j]])
         starts = np.cumsum(lengths) - lengths
         totals = np.zeros(len(runs))
         for t in range(int(lengths.max(initial=0))):
@@ -401,53 +403,25 @@ class NGramLM(_CountTable):
         return self._index.get(token)
 
     # -- probabilities ---------------------------------------------------
-    def context_of(self, prefix) -> tuple:
-        """Last order-1 tokens of ``prefix``, BOS-padded on the left."""
-        need = self.order - 1
-        prefix = tuple(prefix)
-        if len(prefix) >= need:
-            return prefix[len(prefix) - need :]
-        return (BOS,) * (need - len(prefix)) + prefix
-
-    def prob(self, token, context) -> float:
-        idx = self._index.get(token)
-        if idx is not None:
-            return float(self.rows([tuple(context)])[0][0, idx])
-        # out-of-vocabulary: alpha-floor mass of a never-seen event
-        denom = self._oov_denom(tuple(context))
-        return self.alpha / denom if denom > 0.0 else 0.0
-
-    def log_prob(self, token, context) -> float:
-        p = self.prob(token, context)
-        return math.log(p) if p > 0.0 else -math.inf
-
-    def score(self, sequence) -> float:
-        """Natural-log probability of ``sequence``, including the
-        end-of-sequence transition when the model has one."""
-        total = 0.0
-        prefix: tuple = ()
-        for tok in sequence:
-            total += self.log_prob(tok, self.context_of(prefix))
-            prefix = prefix + (tok,)
-        if self.use_eos:
-            total += self.log_prob(EOS, self.context_of(prefix))
-        return total
-
     def batch_score(self, sequences) -> np.ndarray:
-        """``score`` of every sequence, bit for bit, from one batched pass."""
+        """Natural-log probability of every sequence, including the
+        end-of-sequence transition when the model has one, from one batched
+        pass."""
         runs = coded(sequences)
-        # the key of position t is context_of(run[:t])
+        # the key of position t is the order-1 tokens before it, BOS-padded
         return self._sum_terms(runs.with_end(EOS) if self.use_eos else runs, self.order - 1)
 
     def _term_rows(self, keys) -> np.ndarray:
-        # math.log, as log_prob takes it: np.log differs in the last bit
-        # on a few entries
+        # math.log of each prob, not np.log, which differs from it in the
+        # last bit on a few entries
         probs = self.rows(keys)[0]
         return np.array([math.log(p) if p > 0.0 else -math.inf
                          for p in probs.ravel().tolist()]).reshape(probs.shape)
 
-    def _oov_term(self, key: tuple, token) -> float:
-        return self.log_prob(token, key)
+    def _oov_term(self, key: tuple) -> float:
+        denom = self._oov_denom(key)
+        p = self.alpha / denom if denom > 0.0 else 0.0
+        return math.log(p) if p > 0.0 else -math.inf
 
     # -- serialization ----------------------------------------------------
     def to_text(self) -> str:
@@ -493,32 +467,9 @@ class ChannelModel(_CountTable):
     def out_index(self, token) -> int | None:
         return self._index.get(token)
 
-    def log_prob(self, token, prev, cond) -> float:
-        idx = self._index.get(token)
-        if idx is not None:
-            return float(self.rows([(prev, cond)])[1][0, idx])
-        denom = self._oov_denom((prev, cond))
-        if self.alpha > 0.0 and denom > 0.0:
-            return math.log(self.alpha) - math.log(denom)
-        return -math.inf
-
-    def score(self, output, input_seq) -> float:
-        """Natural-log probability of ``output`` given ``input_seq``."""
-        output, input_seq = tuple(output), tuple(input_seq)
-        if len(output) != len(input_seq):
-            raise InvalidInputError(
-                f"output length {len(output)} != input length {len(input_seq)}"
-            )
-        total = 0.0
-        prev = BOS
-        for out_tok, cond_tok in zip(output, input_seq):
-            total += self.log_prob(out_tok, prev, cond_tok)
-            prev = out_tok
-        return total
-
     def batch_score(self, outputs, inputs) -> np.ndarray:
-        """``score`` of every (output, input) pair, bit for bit, from one
-        batched pass."""
+        """Natural-log probability of every output given its equal-length
+        input, from one batched pass."""
         outputs, inputs = coded(outputs), coded(inputs)
         if len(outputs) != len(inputs):
             raise InvalidInputError(
@@ -536,8 +487,11 @@ class ChannelModel(_CountTable):
     def _term_rows(self, keys) -> np.ndarray:
         return self.rows(keys)[1]
 
-    def _oov_term(self, key: tuple, token) -> float:
-        return self.log_prob(token, *key)
+    def _oov_term(self, key: tuple) -> float:
+        denom = self._oov_denom(key)
+        if self.alpha > 0.0 and denom > 0.0:
+            return math.log(self.alpha) - math.log(denom)
+        return -math.inf
 
     # -- serialization ----------------------------------------------------
     def to_text(self) -> str:
@@ -603,8 +557,8 @@ def train_channel(pairs, direction: str, alpha: float = DEFAULT_ALPHA,
 # -- module-level scoring wrappers -----------------------------------------
 
 def lm_score(lm: NGramLM, sequence) -> float:
-    return lm.score(sequence)
+    return float(lm.batch_score([sequence])[0])
 
 
 def channel_score(model: ChannelModel, output, input_seq) -> float:
-    return model.score(output, input_seq)
+    return float(model.batch_score([output], [input_seq])[0])

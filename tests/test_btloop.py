@@ -54,6 +54,7 @@ from btfactors.toyseq.models import (
     train_channel,
     train_ngram_lm,
 )
+from conftest import reference_channel_log_prob
 
 TINY = ToyTaskSpec(
     source_vocab_size=4,
@@ -158,7 +159,7 @@ def test_equal_length_tuple_tokens_decode_as_tokens():
                                         (((3, 4), (1, 2)), (1, 0))])
     backward = train_channel(bitext, "target_to_source", 0.1, out_vocab=vocab)
     lm = train_ngram_lm(bitext.sources(), 2, 0.1, vocab=vocab)
-    mono = MonoCorpus.from_sequences([(0, 1), (1, 1, 0)])
+    mono = MonoCorpus(sentences=((0, 1), (1, 1, 0)))
     for strategy in (BTStrategy("beam"), BTStrategy("sampling"),
                      BTStrategy("gamma-select", 0.2, 4)):
         pairs = synthesize_corpus(mono, backward, lm, strategy, seed=0)
@@ -528,12 +529,13 @@ def test_oracle_bundle_scores_one_enumeration_and_no_sample_rows(monkeypatch, ti
 
 
 def reference_scores_given_sources(channel, out_seq, cond_idx, cond_vocab):
-    """One scalar ``log_prob`` per position and conditioning token, added
-    into every source's score position by position."""
+    """One scalar reference log-prob per position and conditioning token,
+    added into every source's score position by position."""
     scores = np.zeros(cond_idx.shape[0])
     prev = BOS
     for position, out_tok in enumerate(out_seq):
-        per_cond = np.array([channel.log_prob(out_tok, prev, c) for c in cond_vocab])
+        per_cond = np.array([reference_channel_log_prob(channel, out_tok, prev, c)
+                             for c in cond_vocab])
         scores += per_cond[cond_idx[:, position]]
         prev = out_tok
     return scores
@@ -562,10 +564,7 @@ def test_scores_given_sources_equal_the_per_condition_log_prob_loop(case):
     channel, cond_vocab, out_seq = case
     cond_idx = btloop._enumeration_indices(len(cond_vocab), len(out_seq), None)
     got = btloop._scores_given_sources(channel, out_seq, cond_idx, cond_vocab)
-    # a second model, so that each side fills its own rows
-    scalar = ChannelModel(channel.direction, channel.alpha, channel.out_vocab,
-                          counts=channel.counts)
-    want = reference_scores_given_sources(scalar, out_seq, cond_idx, cond_vocab)
+    want = reference_scores_given_sources(channel, out_seq, cond_idx, cond_vocab)
     assert got.tobytes() == want.tobytes()
 
 
@@ -743,30 +742,6 @@ def test_shared_gamma_pass_equals_each_strategy_alone(tiny_setup):
                                BTStrategy("gamma-sample", 0.2, 5)), 0)
 
 
-@pytest.mark.parametrize("lm_order", [2, 3])
-def test_diagnostics_never_call_the_scalar_scorers(monkeypatch, tiny_setup, lm_order):
-    # the corpus diagnostics score whole corpora in one batched pass
-    def scalar(*args, **kwargs):
-        raise AssertionError("per-sentence score called")
-
-    task, backward, _, lm = tiny_setup
-    synthetic = [SyntheticPair(source=s, target=t, provenance="sampling")
-                 for s, t in task.bitext.pairs[:20]]
-    monkeypatch.setattr(NGramLM, "score", scalar)
-    monkeypatch.setattr(ChannelModel, "score", scalar)
-    corpus_quality_report(synthetic, backward, [p.source for p in synthetic])
-    corpus_importance_report(synthetic, lm, backward)
-    config = ExperimentConfig(
-        task=TINY.with_seed(3),
-        strategies=(BTStrategy("beam"), BTStrategy("sampling"),
-                    BTStrategy("gamma-select", 0.2, 4)),
-        seeds=(3,),
-        lm_order=lm_order,
-    )
-    report = run_bt_experiment(config)
-    assert all(c.mean_log_importance is not None for c in report.cells if c.synthetic_size)
-
-
 def test_each_cell_scores_its_pairs_with_one_channel_once(monkeypatch):
     # the quality and importance reports share one backward pass per cell
     calls = []
@@ -777,15 +752,19 @@ def test_each_cell_scores_its_pairs_with_one_channel_once(monkeypatch):
         return batch_score(self, outputs, inputs)
 
     monkeypatch.setattr(ChannelModel, "batch_score", counted)
+    # an order-3 LM: the candidate pools' log_lm and the importance report
+    # both come from NGramLM.batch_score
     config = ExperimentConfig(
         task=TINY.with_seed(5),
         strategies=(BTStrategy("beam"), BTStrategy("sampling"),
                     BTStrategy("gamma-select", 0.2, 4)),
         seeds=(5,),
+        lm_order=3,
     )
-    run_bt_experiment(config)
+    report = run_bt_experiment(config)
     # 3 cells with synthetic data: one backward and one truth-channel pass each
     assert len(calls) == 6 and len(set(calls)) == 6
+    assert all(c.mean_log_importance is not None for c in report.cells if c.synthetic_size)
 
 
 def test_corpus_diagnostics_equal_the_separate_reports(tiny_setup):

@@ -12,7 +12,7 @@ from btfactors.manipulate import (
 
 
 def mono(n):
-    return MonoCorpus.from_sequences([[i, i + 1] for i in range(n)])
+    return MonoCorpus(sentences=tuple((i, i + 1) for i in range(n)))
 
 
 def stub_pair(i, provenance):

@@ -49,8 +49,9 @@ from btfactors.scoring import (
 from btfactors.streams import sentence_stream
 from btfactors.tokenio import sequence_from_str, sequence_to_str, token_to_str
 from btfactors.toyseq.decode import candidate_set
-from btfactors.toyseq.models import ChannelModel, ParallelCorpus
+from btfactors.toyseq.models import ChannelModel, NGramLM, ParallelCorpus
 from btfactors.toyseq.taskgen import ToyTaskSpec
+from conftest import reference_channel_score, reference_lm_score
 
 
 # -- reference oracle: the per-set candidate-record writer and reader ----------------
@@ -98,7 +99,8 @@ def parse_candidate_records(lines) -> list[CandidateSet]:
             except ValueError as exc:
                 raise ParseError(f"bad candidate scores in {field!r}", lineno) from exc
             try:
-                candidates.append(Candidate.from_scores(sequence_from_str(parts[0]), log_q, log_lm))
+                tokens = sequence_from_str(parts[0])
+                candidates.append(Candidate(tokens, len(tokens), log_q, log_lm))
             except InvalidInputError as exc:
                 raise ValidationError(str(exc), lineno) from exc
         try:
@@ -122,8 +124,9 @@ def as_sets(records: CandidateRecords) -> list[CandidateSet]:
     """The columnar records as ``CandidateSet``s, every candidate decoded."""
     return [
         CandidateSet(target_id, target, tuple(
-            Candidate.from_scores(sequence_from_str(text), q, lm)
-            for text, q, lm in zip(texts, log_q.tolist(), log_lm.tolist())))
+            Candidate(tokens, len(tokens), q, lm)
+            for tokens, q, lm in zip(map(sequence_from_str, texts), log_q.tolist(),
+                                     log_lm.tolist())))
         for target_id, target, texts, log_q, log_lm in zip(
             records.target_ids, records.targets, records.texts, records.log_q, records.log_lm)
     ]
@@ -151,7 +154,7 @@ def outcome(call):
 # -- record round trips ------------------------------------------------------------
 
 def test_mono_round_trip(tmp_path):
-    corpus = MonoCorpus.from_sequences([[1, 2, 3], [4, 5]])
+    corpus = MonoCorpus(sentences=((1, 2, 3), (4, 5)))
     path = tmp_path / "mono.txt"
     write_mono(path, corpus)
     assert read_mono(path) == corpus
@@ -371,13 +374,13 @@ def candidate_sets(draw, tokens=TOKENS, max_sets=4):
     sets = []
     for _ in range(draw(st.integers(0, max_sets))):
         n = draw(st.integers(2, 5))
-        cands = tuple(
-            Candidate.from_scores(draw(st.lists(tokens, min_size=1, max_size=4)),
-                                  draw(FINITE), draw(FINITE))
-            for _ in range(n)
-        )
+        cands = []
+        for _ in range(n):
+            cand_tokens = tuple(draw(st.lists(tokens, min_size=1, max_size=4)))
+            cands.append(Candidate(cand_tokens, len(cand_tokens), draw(FINITE), draw(FINITE)))
         sets.append(CandidateSet(draw(st.integers(0, 10**6)),
-                                 tuple(draw(st.lists(tokens, min_size=1, max_size=4))), cands))
+                                 tuple(draw(st.lists(tokens, min_size=1, max_size=4))),
+                                 tuple(cands)))
     return sets
 
 
@@ -811,6 +814,29 @@ def test_analyze_writes_a_rank_one_spectrum_entropy_as_positive_zero(models_dir,
     assert '"spectral_entropy": 0.0' in text
     assert math.copysign(1.0, json.loads(text)["spectral_entropy"]) == 1.0
     assert "spectral_entropy  0.000000\n" in (out / "report.txt").read_text()
+
+
+def test_analyze_scores_out_of_vocabulary_sources_at_the_alpha_floor(models_dir, tmp_path):
+    # "zz" and "w" are outside the backward and LM vocabularies, 99 outside
+    # the targets the backward channel was trained on
+    backward = ChannelModel.from_text((models_dir / "backward.txt").read_text())
+    lm = NGramLM.from_text((models_dir / "lm.txt").read_text())
+    assert not {"zz", "w"} & (set(backward.out_vocab) | set(lm.content_vocab))
+    pairs = [SyntheticPair(source=(0, "zz", 1), target=(2, 3, 99), provenance="sampling"),
+             SyntheticPair(source=("w",), target=(1,), provenance="beam"),
+             SyntheticPair(source=(3, "w", "zz", 2), target=(0, 1, 4, 5), provenance="sampling")]
+    synth = tmp_path / "synth.tsv"
+    write_synthetic(synth, pairs)
+    out = tmp_path / "analysis"
+    assert dispatch(["analyze", "--synthetic", str(synth),
+                     "--backward", str(models_dir / "backward.txt"),
+                     "--lm", str(models_dir / "lm.txt"), "--out", str(out)]) == 0
+    log_q = np.array([reference_channel_score(backward, p.source, p.target) for p in pairs])
+    log_lm = np.array([reference_lm_score(lm, p.source) for p in pairs])
+    record = json.loads((out / "records.jsonl").read_text())
+    assert record["mean_log_q"] == float(np.mean(log_q))
+    assert record["mean_log_importance"] == float(np.mean(log_lm - log_q))
+    assert math.isfinite(record["mean_log_importance"])
 
 
 def test_analyze_scores_the_backward_channel_once(toy_dir, models_dir, tmp_path,

@@ -18,7 +18,6 @@ from btfactors.scoring import (
     gamma_sample,
     gamma_select,
     invert_cdf,
-    log_importance,
     standardize,
 )
 
@@ -49,18 +48,6 @@ def test_candidate_set_needs_two_candidates():
 def test_gamma_params_range():
     with pytest.raises(InvalidInputError):
         GammaParams(gamma=1.5)
-
-
-# -- log importance -------------------------------------------------------------
-
-def test_log_importance_difference():
-    cand = Candidate(tokens=(1,), length=1, log_q=-4.0, log_lm=-10.0)
-    assert log_importance(cand) == -6.0
-
-
-def test_log_importance_identity_case():
-    cand = Candidate(tokens=(1,), length=1, log_q=-7.0, log_lm=-7.0)
-    assert log_importance(cand) == 0.0
 
 
 # -- standardize -----------------------------------------------------------------

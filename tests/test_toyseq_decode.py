@@ -33,6 +33,7 @@ from btfactors.toyseq.models import (
     train_channel,
     train_ngram_lm,
 )
+from conftest import context_of, reference_lm_log_prob, reference_lm_score
 
 
 def deterministic_channel():
@@ -364,7 +365,7 @@ def test_batch_lm_scores_sums_the_scalar_terms_pairwise():
     task = generate_toy_task(spec)
     lm = train_ngram_lm(task.bitext.sources(), 2, 0.1, vocab=task.source_vocab)
     sources = task.mono_refs.sources()
-    scalar = np.array([lm.score(s) for s in sources])
+    scalar = np.array([reference_lm_score(lm, s) for s in sources])
     assert lm.batch_score(sources).tobytes() == scalar.tobytes()
     index = {tok: i for i, tok in enumerate(lm.content_vocab)}
     groups: dict = {}
@@ -372,9 +373,9 @@ def test_batch_lm_scores_sums_the_scalar_terms_pairwise():
         groups.setdefault(len(s), []).append(i)
     pooled = np.empty(len(sources))
     for ids in groups.values():
-        # scalar log_prob terms, end marker last
+        # scalar reference terms, end marker last
         terms = np.array([
-            [lm.log_prob(tok, lm.context_of(sources[i][:t]))
+            [reference_lm_log_prob(lm, tok, context_of(lm, sources[i][:t]))
              for t, tok in enumerate(sources[i] + (EOS,))]
             for i in ids
         ])

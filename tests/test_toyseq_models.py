@@ -19,18 +19,25 @@ from btfactors.toyseq.models import (
     train_ngram_lm,
 )
 from btfactors.tokenio import token_sort_key
+from conftest import (
+    context_of,
+    reference_channel_log_prob,
+    reference_channel_score,
+    reference_lm_score,
+    reference_row,
+)
 
 
 # -- n-gram LM ------------------------------------------------------------------
 
 def test_unigram_counting_without_smoothing():
     lm = train_ngram_lm([["a", "a", "b"]], order=1, alpha=0.0, vocab=["a", "b"], use_eos=False)
-    assert lm.prob("a", ()) == pytest.approx(2.0 / 3.0)
+    assert lm.rows([()])[0][0, lm.event_index("a")] == pytest.approx(2.0 / 3.0)
 
 
 def test_unigram_add_one_smoothing():
     lm = train_ngram_lm([["a", "a", "b"]], order=1, alpha=1.0, vocab=["a", "b"], use_eos=False)
-    assert lm.prob("a", ()) == pytest.approx(3.0 / 5.0)
+    assert lm.rows([()])[0][0, lm.event_index("a")] == pytest.approx(3.0 / 5.0)
 
 
 def test_every_context_row_sums_to_one():
@@ -58,11 +65,15 @@ def test_lm_scores_are_nonpositive(rng):
 def test_lm_score_matches_product_of_conditionals():
     corpus = [[0, 1, 2], [2, 1, 0], [0, 1, 0], [1, 2, 2]]
     lm = train_ngram_lm(corpus, order=2, alpha=0.3, vocab=[0, 1, 2])
+
+    def prob(tok, context):
+        return lm.rows([context])[0][0, lm.event_index(tok)]
+
     for seq in ([0, 1, 2], [2, 2, 2], [1, 0, 1]):
-        expected = math.log(lm.prob(seq[0], (BOS,)))
+        expected = math.log(prob(seq[0], (BOS,)))
         for prev, tok in zip(seq, seq[1:]):
-            expected += math.log(lm.prob(tok, (prev,)))
-        expected += math.log(lm.prob(EOS, (seq[-1],)))
+            expected += math.log(prob(tok, (prev,)))
+        expected += math.log(prob(EOS, (seq[-1],)))
         assert lm_score(lm, seq) == pytest.approx(expected, abs=1e-12)
 
 
@@ -152,7 +163,7 @@ def test_channel_score_decomposes_across_boundary():
     out, inp = (10, 11, 10, 11), (0, 1, 1, 0)
     head = channel_score(model, out[:2], inp[:2])
     tail = sum(
-        model.log_prob(out_tok, prev, cond)
+        reference_channel_log_prob(model, out_tok, prev, cond)
         for out_tok, prev, cond in zip(out[2:], out[1:], inp[2:])
     )
     assert channel_score(model, out, inp) == pytest.approx(head + tail, abs=1e-12)
@@ -376,7 +387,7 @@ def test_channel_rows_of_a_batch_stack_the_rows_of_each_key(model):
         assert same_bits(logs, np.stack([one_by_one.rows([(p, cond)])[1][0] for p in prevs]))
 
 
-# -- batched scoring equals the scalar score bit for bit --------------------------------
+# -- batched scoring equals the count-reading reference bit for bit -----------------------
 
 OOV_TOKENS = (99, "oov", BOS)
 
@@ -388,10 +399,15 @@ def sentences_over(pool, min_size=1):
 @settings(max_examples=200, deadline=None)
 @given(lm=ngram_lms(), data=st.data())
 def test_lm_batch_score_equals_score_bit_for_bit(lm, data):
+    # the batch, and each sentence alone through lm_score, score the
+    # reference's bits
     pool = list(lm.content_vocab) + list(OOV_TOKENS[: data.draw(st.integers(0, 3))])
     sentences = data.draw(st.lists(sentences_over(pool), min_size=1, max_size=8))
-    expected = np.array([lm.score(s) for s in sentences])
+    expected = np.array([reference_lm_score(lm, s) for s in sentences])
     assert same_bits(lm.batch_score(sentences), expected)
+    alone = [lm_score(lm, s) for s in sentences]
+    assert all(type(score) is float for score in alone)
+    assert same_bits(np.array(alone), expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -404,18 +420,29 @@ def test_channel_batch_score_equals_score_bit_for_bit(model, data):
             st.lists(st.sampled_from(outs), min_size=n, max_size=n).map(tuple),
             st.lists(st.sampled_from(conds), min_size=n, max_size=n).map(tuple))),
         min_size=1, max_size=8))
-    expected = np.array([model.score(o, i) for o, i in pairs])
+    expected = np.array([reference_channel_score(model, o, i) for o, i in pairs])
     got = model.batch_score([o for o, _ in pairs], [i for _, i in pairs])
     assert same_bits(got, expected)
+    # each pair alone through channel_score scores the same bits
+    alone = [channel_score(model, o, i) for o, i in pairs]
+    assert all(type(score) is float for score in alone)
+    assert same_bits(np.array(alone), expected)
+    output, input_seq = pairs[0]
+    longer = (*input_seq, data.draw(st.sampled_from(conds)))
+    with pytest.raises(InvalidInputError,
+                       match=f"output length {len(output)} != input length {len(longer)}"):
+        channel_score(model, output, longer)
 
 
 def test_lm_batch_score_takes_logs_as_score_does():
     # np.log and math.log round log(14/37) differently on x86-64 with numpy
-    # 2.4; score takes math.log, so batch_score must too
+    # 2.4; the LM's terms are math.log of its probs, so batch_score must
+    # take math.log
     lm = NGramLM(order=1, alpha=0, vocab=["x", "y"], counts={(): {"x": 14, "y": 23}},
                  use_eos=False)
     sentences = [("x",), ("x", "y", "x")]
-    assert same_bits(lm.batch_score(sentences), np.array([lm.score(s) for s in sentences]))
+    expected = np.array([reference_lm_score(lm, s) for s in sentences])
+    assert same_bits(lm.batch_score(sentences), expected)
 
 
 def test_batch_score_of_no_sequences_is_empty():
@@ -423,7 +450,7 @@ def test_batch_score_of_no_sequences_is_empty():
     model = ChannelModel("target_to_source", alpha=0.1, out_vocab=[0, 1])
     assert lm.batch_score([]).shape == (0,)
     assert model.batch_score([], []).shape == (0,)
-    assert same_bits(lm.batch_score([()]), np.array([lm.score(())]))
+    assert same_bits(lm.batch_score([()]), np.array([reference_lm_score(lm, ())]))
 
 
 def test_channel_batch_score_rejects_misaligned_pairs():
@@ -448,11 +475,11 @@ def reference_train_ngram_lm(corpus, order=2, alpha=0.1, vocab=None, use_eos=Tru
         for tok in sentence:
             if model.event_index(tok) is None or tok == EOS:
                 raise InvalidInputError(f"training token {tok!r} is outside the vocabulary")
-            row = counts.setdefault(model.context_of(prefix), {})
+            row = counts.setdefault(context_of(model, prefix), {})
             row[tok] = row.get(tok, 0) + 1
             prefix = prefix + (tok,)
         if use_eos:
-            row = counts.setdefault(model.context_of(prefix), {})
+            row = counts.setdefault(context_of(model, prefix), {})
             row[EOS] = row.get(EOS, 0) + 1
     return model
 
@@ -550,45 +577,10 @@ def test_counted_channel_training_refuses_the_first_stray_output_token():
 
 # -- one-pass row fill against the per-key loop --------------------------------------
 
-def reference_row(model, key):
-    """p(. | key) built from the key's count dict alone, one entry at a time."""
-    size = len(model._events)
-    counts = np.zeros(size)
-    for tok, cnt in model.counts.get(key, {}).items():
-        counts[model._index[tok]] = cnt
-    denom = counts.sum() + model.alpha * size
-    if denom <= 0.0:
-        return np.full(size, 1.0 / size)
-    return (counts + model.alpha) / denom
-
-
 def reference_stack(model, keys):
     probs = np.stack([reference_row(model, key) for key in keys])
     with np.errstate(divide="ignore"):
         return probs, np.log(probs)
-
-
-def reference_lm_score(lm, sequence):
-    total, prefix = 0.0, ()
-    for tok in (*sequence, EOS) if lm.use_eos else sequence:
-        context = lm.context_of(prefix)
-        idx = lm.event_index(tok)
-        p = float(reference_row(lm, context)[idx]) if idx is not None else lm.prob(tok, context)
-        total += math.log(p) if p > 0.0 else -math.inf
-        prefix = prefix + (tok,)
-    return total
-
-
-def reference_channel_score(model, output, input_seq):
-    total, prev = 0.0, BOS
-    for out_tok, cond_tok in zip(output, input_seq):
-        idx = model.out_index(out_tok)
-        if idx is None:
-            total += model.log_prob(out_tok, prev, cond_tok)   # reads the counts only
-        else:
-            total += float(reference_stack(model, [(prev, cond_tok)])[1][0, idx])
-        prev = out_tok
-    return total
 
 
 # every kind of count a table holds: training's ints, ints past 2**53 that
