@@ -6,8 +6,10 @@ config key that sets it, and its ``stochastic`` and ``needs_lm`` flags.  A
 Gamma kind is one that takes ``num_candidates``.  ``DOMAINS`` bounds them,
 and the ``ExperimentConfig`` seeds and ``EXPERIMENT_KEYS`` fields.
 
-``synthesize_corpus`` turns a monolingual corpus into synthetic pairs under
-one of the generation strategies; ``train_forward`` retrains the forward
+``synthesize_corpus`` is the one strategy dispatch: it turns a monolingual
+corpus into synthetic pairs under one of the generation strategies, for the
+sweep, ``backtranslate`` and ``manipulate`` alike (the sweep's Gamma cells
+share its candidate pass, below).  ``train_forward`` retrains the forward
 channel on authentic plus synthetic data; ``run_bt_experiment`` sweeps
 (strategy, seed) cells over freshly generated toy tasks and reports test
 BLEU together with each synthetic corpus's ``corpus_diagnostics`` (quality,
@@ -55,12 +57,7 @@ from .errors import (
     NumericError,
     check_integer,
 )
-from .manipulate import (
-    MonoCorpus,
-    SplitPlan,
-    SyntheticPair,
-    split_monolingual,
-)
+from .manipulate import SyntheticPair, split_monolingual
 from .scoring import GammaParams, gamma_picks, gamma_rows
 from .streams import sentence_uniforms
 from .tokenio import CodedCorpus, encode
@@ -190,30 +187,6 @@ class BTStrategy:
 
 # -- synthesis ----------------------------------------------------------------
 
-def _split_sources(mono: CodedCorpus, backward: ChannelModel, plan: SplitPlan, seed: int,
-                   beam_size: int) -> CodedCorpus:
-    """Data manipulation on the coded ``mono``: beam sources for
-    ``plan.beam_ids``, sampled sources (one stream per sentence from
-    ``seed``) for the rest, coded, in corpus order."""
-    beam = beam_decode(backward, mono.take(plan.beam_ids), beam_size)
-    ids = plan.sampling_ids
-    uniforms = sentence_uniforms(seed, ids, mono.lengths[list(ids)].tolist())
-    sampled = sample_decode(backward, mono.take(ids), uniforms)
-    # the beam half, then the sampling half, back in corpus order
-    return CodedCorpus.concat([beam, sampled]).take(np.argsort(plan.beam_ids + ids))
-
-
-def synthesize_split(mono: MonoCorpus, backward: ChannelModel, plan: SplitPlan, seed: int,
-                     beam_size: int = DEFAULT_BEAM_SIZE) -> list[SyntheticPair]:
-    """Data manipulation: beam sources for ``plan.beam_ids``, sampled sources
-    (one stream per sentence from ``seed``) for the rest, in corpus order,
-    tagged ``beam`` or ``sampling``."""
-    sources = _split_sources(encode(mono.sentences), backward, plan, seed, beam_size)
-    beam = set(plan.beam_ids)
-    return [SyntheticPair(x, y, "beam" if i in beam else "sampling")
-            for i, (x, y) in enumerate(zip(sources, mono.sentences))]
-
-
 def _gamma_sources(mono: CodedCorpus, backward: ChannelModel, lm: NGramLM,
                    strategies: Sequence[BTStrategy], seed: int) -> list[CodedCorpus]:
     """The Gamma-chosen candidate of each sentence's n-candidate pool, one
@@ -251,53 +224,51 @@ def _gamma_sources(mono: CodedCorpus, backward: ChannelModel, lm: NGramLM,
             for chosen in picked]
 
 
-def _coded_sources(mono: CodedCorpus, backward: ChannelModel, lm: NGramLM | None,
-                   strategy: BTStrategy, seed: int, beam_size: int) -> CodedCorpus:
-    """The coded synthetic sources of the coded ``mono`` under ``strategy``;
-    empty for ``none``."""
-    kind = strategy.kind
-    if kind == "none":
-        return mono.take(())
-    if kind in ("beam", "beam-weak"):
-        return beam_decode(backward, mono, beam_size)
-    if kind == "sampling":
-        ids = range(len(mono))
-        return sample_decode(backward, mono,
-                             sentence_uniforms(seed, ids, mono.lengths.tolist()))
-    if kind == "data-manipulation":
-        plan = split_monolingual(mono, strategy.gamma, seed)
-        return _split_sources(mono, backward, plan, seed, beam_size)
-    [sources] = _gamma_sources(mono, backward, lm, [strategy], seed)
-    return sources
-
-
-# each strategy kind's provenance tag, where it is not the kind itself
-_PROVENANCE = {"beam-weak": "beam"}
+# each strategy kind's provenance tag, where it is not the kind itself; a
+# data-manipulation sentence in the plan's beam half is tagged beam
+_PROVENANCE = {"beam-weak": "beam", "data-manipulation": "sampling"}
 
 
 def synthesize_corpus(mono, backward: ChannelModel, lm: NGramLM | None,
                       strategy: BTStrategy, seed: int, beam_size: int = DEFAULT_BEAM_SIZE):
-    """One synthetic source per target sentence.
+    """One synthetic source per target sentence under ``strategy``.
 
     ``mono`` is a ``MonoCorpus``, which gives a list of ``SyntheticPair``
     tagged with their provenance, or its sentences coded
     (``tokenio.CodedCorpus``), which gives the coded (sources, targets) pair,
     both empty for ``none``.  Stochastic strategies derive one stream per
     sentence from (seed, index), so output is independent of evaluation
-    order.
+    order.  Data manipulation draws its ``split_monolingual`` plan once,
+    beam-decodes ``plan.beam_ids``, samples the rest and tags each sentence
+    ``beam`` or ``sampling`` by the half it fell in.
     """
     kind = strategy.kind
     if STRATEGIES[kind].needs_lm and lm is None:
         raise ConfigError(f"strategy {kind!r} needs a source language model")
+    coded = mono if isinstance(mono, CodedCorpus) else encode(mono.sentences)
+    beam_ids: tuple[int, ...] = ()
+    if kind == "none":
+        sources = coded.take(())
+    elif kind in ("beam", "beam-weak"):
+        sources = beam_decode(backward, coded, beam_size)
+    elif kind == "sampling":
+        sources = sample_decode(backward, coded, sentence_uniforms(
+            seed, range(len(coded)), coded.lengths.tolist()))
+    elif kind == "data-manipulation":
+        plan = split_monolingual(coded, strategy.gamma, seed)
+        beam_ids, ids = plan.beam_ids, plan.sampling_ids
+        beam = beam_decode(backward, coded.take(beam_ids), beam_size)
+        sampled = sample_decode(backward, coded.take(ids), sentence_uniforms(
+            seed, ids, coded.lengths[list(ids)].tolist()))
+        # the beam half, then the sampling half, back in corpus order
+        sources = CodedCorpus.concat([beam, sampled]).take(np.argsort(beam_ids + ids))
+    else:
+        [sources] = _gamma_sources(coded, backward, lm, [strategy], seed)
     if isinstance(mono, CodedCorpus):
-        sources = _coded_sources(mono, backward, lm, strategy, seed, beam_size)
         return sources, (mono if len(sources) else sources)
-    if kind == "data-manipulation":
-        plan = split_monolingual(mono, strategy.gamma, seed)
-        return synthesize_split(mono, backward, plan, seed, beam_size)
-    sources = _coded_sources(encode(mono.sentences), backward, lm, strategy, seed, beam_size)
-    return [SyntheticPair(x, y, _PROVENANCE.get(kind, kind))
-            for x, y in zip(sources, mono.sentences)]
+    beam, tag = set(beam_ids), _PROVENANCE.get(kind, kind)
+    return [SyntheticPair(x, y, "beam" if i in beam else tag)
+            for i, (x, y) in enumerate(zip(sources, mono.sentences))]
 
 
 def train_forward(bitext: ParallelCorpus | None, synthetic: Sequence[SyntheticPair],
@@ -512,11 +483,9 @@ def _logsumexp(values: np.ndarray) -> float:
     return peak + math.log(float(np.exp(values - peak).sum()))
 
 
-def _enumeration_indices(vocab_size: int, length: int, max_len: int | None) -> np.ndarray:
+def _enumeration_indices(vocab_size: int, length: int) -> np.ndarray:
     if length < 1:
         raise InvalidInputError("sequences must be non-empty")
-    if max_len is not None and length > max_len:
-        raise EnumerationTooLargeError(f"length {length} exceeds the configured cap {max_len}")
     terms = vocab_size**length
     if terms > ENUMERATION_GUARD:
         raise EnumerationTooLargeError(
@@ -554,13 +523,13 @@ def _scores_given_sources(channel: ChannelModel, out_seq, cond_idx: np.ndarray,
     return scores
 
 
-def _enumerate_lm_and_channel(lm: NGramLM, channel: ChannelModel, y,
-                              max_len: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _enumerate_lm_and_channel(lm: NGramLM, channel: ChannelModel,
+                              y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (|V|^L, L) index matrix of every source of length L = len(y), with
     the LM and channel log-probs of each of its rows."""
     y = tuple(y)
     vocab = lm.content_vocab
-    idx = _enumeration_indices(len(vocab), len(y), max_len)
+    idx = _enumeration_indices(len(vocab), len(y))
     lm_scores = batch_lm_scores(lm, idx, vocab)
     channel_scores = _scores_given_sources(channel, y, idx, vocab)
     return idx, lm_scores, channel_scores
@@ -575,20 +544,19 @@ def _jensen(lm_scores: np.ndarray, channel_scores: np.ndarray) -> float:
     return float((weights * channel_scores).sum())
 
 
-def exact_marginal(lm: NGramLM, channel: ChannelModel, y, max_len: int | None = None) -> float:
+def exact_marginal(lm: NGramLM, channel: ChannelModel, y) -> float:
     """log sum_x p(x) p(y | x) over every source of length len(y).
 
     p(x) is the LM conditioned on that length (the enumerated weights are
     normalized), so the Jensen bound below is a true lower bound.
     """
-    _, lm_scores, channel_scores = _enumerate_lm_and_channel(lm, channel, y, max_len)
+    _, lm_scores, channel_scores = _enumerate_lm_and_channel(lm, channel, y)
     return _log_marginal(lm_scores, channel_scores)
 
 
-def jensen_lower_bound(lm: NGramLM, forward_channel: ChannelModel, y,
-                       max_len: int | None = None) -> float:
+def jensen_lower_bound(lm: NGramLM, forward_channel: ChannelModel, y) -> float:
     """sum_x p(x) log p(y | x) over the same length-conditioned enumeration."""
-    _, lm_scores, channel_scores = _enumerate_lm_and_channel(lm, forward_channel, y, max_len)
+    _, lm_scores, channel_scores = _enumerate_lm_and_channel(lm, forward_channel, y)
     return _jensen(lm_scores, channel_scores)
 
 
@@ -641,8 +609,8 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
 
 
 def importance_mc_estimate(lm: NGramLM, backward: ChannelModel, forward: ChannelModel,
-                           y, num_samples: int, rng: np.random.Generator,
-                           max_len: int | None = None) -> tuple[float, float]:
+                           y, num_samples: int,
+                           rng: np.random.Generator) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of Imp(x) * log p(y | x) with
     x drawn from the backward channel.
 
@@ -655,18 +623,17 @@ def importance_mc_estimate(lm: NGramLM, backward: ChannelModel, forward: Channel
     ``batch_sample`` would draw.
     """
     num_samples = _check_mc_inputs(lm, backward, num_samples)
-    idx, lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y, max_len)
+    idx, lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y)
     return _mc_moments(idx, lm_scores, forward_scores, backward, y, num_samples, rng)
 
 
 def evaluate_marginal_oracles(lm: NGramLM, backward: ChannelModel, forward: ChannelModel,
-                              y, num_samples: int, rng: np.random.Generator,
-                              max_len: int | None = None) -> OracleResult:
+                              y, num_samples: int, rng: np.random.Generator) -> OracleResult:
     """All three oracle quantities for one target sentence, from one
     enumeration of its sources; the Monte-Carlo draws are rows of that
     enumeration, as in ``importance_mc_estimate``."""
     num_samples = _check_mc_inputs(lm, backward, num_samples)
-    idx, lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y, max_len)
+    idx, lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y)
     mc_mean, mc_se = _mc_moments(idx, lm_scores, forward_scores, backward, y, num_samples, rng)
     return OracleResult(
         y=tuple(y),

@@ -20,6 +20,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .. import __version__
 from ..btloop import (
     DEFAULT_BEAM_SIZE,
@@ -34,12 +36,11 @@ from ..btloop import (
     evaluate_marginal_oracles,
     run_bt_experiment,
     synthesize_corpus,
-    synthesize_split,
     train_forward,
 )
 from ..analysis import corpus_diagnostics, corpus_profile
 from ..errors import BtfactorsError, ConfigError, InvalidInputError
-from ..manipulate import SyntheticPair, split_monolingual
+from ..manipulate import SyntheticPair
 from ..scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
 from ..streams import sentence_stream, sentence_uniforms
 from ..tokenio import record_lines, sequence_from_str
@@ -167,18 +168,20 @@ def _cmd_backtranslate(args, argv) -> int:
 def _cmd_manipulate(args, argv) -> int:
     mono = read_mono(args.mono)
     backward = _load_channel(args.backward)
-    plan = split_monolingual(mono, args.gamma, args.seed)
-    pairs = synthesize_split(mono, backward, plan, args.seed, args.beam_size)
+    # built after the files are read, so an unreadable file is reported first
+    strategy = BTStrategy("data-manipulation", gamma=args.gamma)
+    pairs = synthesize_corpus(mono, backward, None, strategy, args.seed, args.beam_size)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_synthetic(out / "synthetic.tsv", pairs)
+    beam_count = sum(p.provenance == "beam" for p in pairs)
     plan_record = {
-        "gamma": plan.gamma,
-        "seed": plan.seed,
-        "k": len(plan.beam_ids),
-        "beam_count": len(plan.beam_ids),
-        "sampling_count": len(plan.sampling_ids),
-        "size": plan.size,
+        "gamma": args.gamma,
+        "seed": args.seed,
+        "k": beam_count,
+        "beam_count": beam_count,
+        "sampling_count": len(pairs) - beam_count,
+        "size": len(pairs),
     }
     _write_text(out / "plan.json", json.dumps(plan_record, sort_keys=True, indent=2) + "\n")
     params = {"gamma": args.gamma, "beam_size": args.beam_size}
@@ -259,8 +262,12 @@ def _cmd_select(args, argv) -> int:
     params_obj = GammaParams(gamma=args.gamma)
     if args.mode == "sample":
         _require_seed(args)
-        # one uniform per record, each from its target's stream
-        uniforms = sentence_uniforms(args.seed, records.target_ids, 1)[:, 0]
+        # each target stream's draw after the L * n that made its n candidates
+        # of length L, as backtranslate --strategy gamma-sample picks
+        counts = [len(target) * len(texts) + 1
+                  for target, texts in zip(records.targets, records.texts)]
+        uniforms = np.array([draws[-1] for draws in
+                             sentence_uniforms(args.seed, records.target_ids, counts)])
     chosen = [0] * len(records)
     for rows, probs in _record_gammas(records, params_obj):
         picks = gamma_picks(probs, None if args.mode == "select" else uniforms[rows])

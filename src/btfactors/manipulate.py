@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sized
 
 from .errors import InconsistencyError, InvalidInputError
 from .streams import split_stream
@@ -82,8 +82,11 @@ class MixedSyntheticCorpus:
             raise InvalidInputError("pair count must equal the plan size")
 
 
-def split_monolingual(corpus: MonoCorpus, gamma: float, seed: int) -> SplitPlan:
-    """Seeded uniform split: floor(gamma * n) shuffled indices go to beam."""
+def split_monolingual(corpus: Sized, gamma: float, seed: int) -> SplitPlan:
+    """Seeded uniform split: floor(gamma * n) shuffled indices go to beam.
+
+    Reads only ``len(corpus)``, so a ``MonoCorpus`` and its coded sentences
+    (``tokenio.CodedCorpus``) split alike."""
     if not 0.0 <= gamma <= 1.0:
         raise InvalidInputError(f"gamma must be in [0, 1], got {gamma}")
     if seed < 0:

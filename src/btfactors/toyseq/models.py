@@ -392,13 +392,6 @@ class NGramLM(_CountTable):
         super().__init__(alpha, self.event_vocab, counts, self.order - 1)
 
     # -- vocabulary -----------------------------------------------------
-    @property
-    def vocab(self) -> set:
-        full = set(self.event_vocab)
-        if self.order > 1:
-            full.add(BOS)
-        return full
-
     def event_index(self, token) -> int | None:
         return self._index.get(token)
 

@@ -297,8 +297,6 @@ def test_enumeration_guard():
     )
     with pytest.raises(EnumerationTooLargeError):
         exact_marginal(lm, forward, tuple(range(6)))  # 20**6 terms
-    with pytest.raises(EnumerationTooLargeError):
-        jensen_lower_bound(lm, forward, (0, 1, 2), max_len=2)
 
 
 # -- Monte-Carlo estimator -----------------------------------------------------------
@@ -377,7 +375,7 @@ def test_mc_sample_count_accepts_numpy_integers(tiny_setup, num_samples):
 
 # -- Monte-Carlo estimator against the per-sample reference ----------------------------
 
-def reference_importance_mc_estimate(lm, backward, forward, y, num_samples, rng, max_len=None):
+def reference_importance_mc_estimate(lm, backward, forward, y, num_samples, rng):
     """The estimator with every sample scored on its own row: LM log-probs
     by ``batch_lm_scores`` and forward log-probs by ``_scores_given_sources``
     over the (num_samples, L) sample matrix."""
@@ -389,7 +387,7 @@ def reference_importance_mc_estimate(lm, backward, forward, y, num_samples, rng,
     vocab = lm.content_vocab
     if tuple(backward.out_vocab) != tuple(vocab):
         raise InvalidInputError("backward output vocabulary must match the LM vocabulary")
-    enum_idx = btloop._enumeration_indices(len(vocab), len(y), max_len)
+    enum_idx = btloop._enumeration_indices(len(vocab), len(y))
     log_z = btloop._logsumexp(batch_lm_scores(lm, enum_idx, vocab))
     sample_idx, log_proposal = batch_sample(backward, y, num_samples, rng)
     log_lm = batch_lm_scores(lm, sample_idx, vocab)
@@ -471,7 +469,7 @@ def test_blocked_estimator_equals_full_array_reference_bit_for_bit(seed, use_eos
     block = btloop._MC_BLOCK
     for length in (1, 2, 3, 4):
         y = tuple(itertools.islice(tokens, length))
-        _, lm_scores, forward_scores = btloop._enumerate_lm_and_channel(lm, forward, y, None)
+        _, lm_scores, forward_scores = btloop._enumerate_lm_and_channel(lm, forward, y)
         for num_samples in (2, block - 1, block, block + 1, 3 * block + 7):
             got_rng = np.random.default_rng([seed, length, num_samples])
             want_rng = np.random.default_rng([seed, length, num_samples])
@@ -562,7 +560,7 @@ def enumerated_channels(draw):
 @given(case=enumerated_channels())
 def test_scores_given_sources_equal_the_per_condition_log_prob_loop(case):
     channel, cond_vocab, out_seq = case
-    cond_idx = btloop._enumeration_indices(len(cond_vocab), len(out_seq), None)
+    cond_idx = btloop._enumeration_indices(len(cond_vocab), len(out_seq))
     got = btloop._scores_given_sources(channel, out_seq, cond_idx, cond_vocab)
     want = reference_scores_given_sources(channel, out_seq, cond_idx, cond_vocab)
     assert got.tobytes() == want.tobytes()

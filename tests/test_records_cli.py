@@ -689,14 +689,17 @@ MIXED_RECORDS = (
 
 def per_set_selection(path, mode, seed, gamma, out) -> None:
     """Write what ``select`` chooses from the records at ``path``, one set at
-    a time, each sampled pick from its target's own stream."""
+    a time, each sampled pick from its target's own stream at the draw after
+    the L * n that generating its n candidates of length L took."""
     params = GammaParams(gamma=gamma)
     pairs = []
     for cset in read_candidate_sets(path):
         if mode == "select":
             idx = gamma_select(cset, params)
         else:
-            idx = gamma_sample(cset, params, sentence_stream(seed, cset.target_id))
+            rng = sentence_stream(seed, cset.target_id)
+            rng.random(len(cset.target_tokens) * len(cset))
+            idx = gamma_sample(cset, params, rng)
         pairs.append(SyntheticPair(cset.candidates[idx].tokens, cset.target_tokens,
                                    f"gamma-{mode}"))
     write_synthetic(out, pairs)
@@ -1196,6 +1199,10 @@ def stochastic_walkthrough(seed, vocab, lengths, sizes, gamma, n):
          "--seed", s, "--out", "scores.txt", "--dump-candidates", "candidates.txt"],
         ["select", "--candidates", "candidates.txt", "--gamma", str(gamma), "--mode", "sample",
          "--seed", s, "--out", "chosen.tsv"],
+        ["backtranslate", *models, "--strategy", "gamma-select", "--lm", "lm.txt",
+         "--gamma", str(gamma), "--num-candidates", str(n), "--seed", s, "--out", "gsel.tsv"],
+        ["select", "--candidates", "candidates.txt", "--gamma", str(gamma), "--mode", "select",
+         "--out", "chosen-select.tsv"],
     ]
 
 
@@ -1221,3 +1228,6 @@ def test_stochastic_commands_rerun_byte_identically(seed, vocab, lengths, sizes,
         assert run_in(second, commands) == files
     assert {"sampling.tsv", "gs.tsv", "dm/synthetic.tsv", "dm/plan.json", "scores.txt",
             "candidates.txt", "chosen.tsv", "chosen.tsv.manifest.json"} <= set(files)
+    # score + select writes what backtranslate writes, in both Gamma modes
+    assert files["chosen.tsv"] == files["gs.tsv"]
+    assert files["chosen-select.tsv"] == files["gsel.tsv"]

@@ -1,4 +1,5 @@
-"""Every module under src/ and tests/ references each name it imports.
+"""Every module under src/ and tests/ references each name it imports, and
+every private definition in src/ is referenced from src/.
 
 The project ships no linter, so this stdlib ``ast`` scan stands in for
 one.  ``from __future__`` imports are exempt because they change how the
@@ -48,3 +49,60 @@ def test_scan_flags_only_unreferenced_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.relative_to(ROOT).as_posix())
 def test_module_references_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# -- dead private definitions ---------------------------------------------------------
+
+SRC_MODULES = [path for path in MODULES if path.is_relative_to(ROOT / "src")]
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The ``_name`` functions and classes at the top of ``tree`` and the
+    ``_name`` methods of its classes; dunders are not private."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    nodes = [node for node in tree.body if isinstance(node, defs)]
+    nodes += [item for node in tree.body if isinstance(node, ast.ClassDef)
+              for item in node.body if isinstance(item, defs[:2])]
+    return [node.name for node in nodes
+            if node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of every private definition in ``sources`` (module
+    name -> text) that no module names, as a name, an attribute or an
+    import, sorted."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    referenced: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return sorted(f"{module}:{name}" for module, tree in trees.items()
+                  for name in private_definitions(tree) if name not in referenced)
+
+
+def test_dead_code_scan_flags_only_unreferenced_private_definitions():
+    sources = {
+        "a": ("def _called(): pass\n"
+              "def _orphan(): pass\n"
+              "def public(): return _called()\n"
+              "class _Imported:\n"
+              "    def __init__(self): pass\n"
+              "    def _method(self): pass\n"
+              "    def _read(self): return self._field\n"
+              "    def _field(self): pass\n"
+              "    def _dead(self): pass\n"),
+        "b": "from a import _Imported\n_Imported()._method()\n",
+    }
+    assert unreferenced_definitions(sources) == ["a:_dead", "a:_orphan", "a:_read"]
+
+
+def test_every_private_definition_in_src_is_referenced():
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in SRC_MODULES}
+    assert sum(len(private_definitions(ast.parse(text))) for text in sources.values()) > 0
+    assert unreferenced_definitions(sources) == []
