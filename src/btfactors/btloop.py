@@ -19,10 +19,10 @@ each sentence's uniforms from its own stream through ``sentence_uniforms``.
 (``tokenio.encode``); ``synthesize_corpus`` then hands out each synthetic
 corpus coded by its decoder, and training, scoring, BLEU and the
 diagnostics read those codes, so no decoder output is coded token by token.
-Gamma strategies pick with ``scoring.gamma_picks``.  In a sweep, the Gamma
-cells of one candidate count make one candidate-pool pass per seed between
-them: each chunk of pools is sampled once, every cell takes its picks from
-it, and no pool outlives its chunk.
+Gamma strategies pick with ``scoring.gamma_picks`` from ``gamma_chunks``,
+the one candidate-pool pass of the sweep, ``backtranslate`` and ``score``.
+In a sweep, the Gamma cells of one candidate count share one such pass per
+seed: every cell picks from each chunk of pools before the next is drawn.
 
 The oracle functions enumerate every equal-length source exactly:
 ``exact_marginal`` is the log marginal likelihood of a target under the
@@ -187,11 +187,22 @@ class BTStrategy:
 
 # -- synthesis ----------------------------------------------------------------
 
+def gamma_chunks(mono, backward: ChannelModel, lm: NGramLM, n: int, seed: int, gammas):
+    """The one candidate-pool pass: each chunk of ``candidate_chunks`` over
+    ``mono``, sentence i drawing from stream (seed, i), and after it a dict
+    of its ``gamma_rows`` for every distinct value of ``gammas``."""
+    for chunk in candidate_chunks(backward, lm, mono, n,
+                                  lambda ids, count: sentence_uniforms(seed, ids, count)):
+        token_idx, log_q, log_lm = chunk[2:]
+        yield (*chunk, {gamma: gamma_rows(log_q, log_lm, token_idx.shape[2], GammaParams(gamma))
+                        for gamma in dict.fromkeys(gammas)})
+
+
 def _gamma_sources(mono: CodedCorpus, backward: ChannelModel, lm: NGramLM,
                    strategies: Sequence[BTStrategy], seed: int) -> list[CodedCorpus]:
     """The Gamma-chosen candidate of each sentence's n-candidate pool, one
-    coded source corpus per strategy, from one pass over the pools of the
-    coded ``mono``.
+    coded source corpus per strategy, from one ``gamma_chunks`` pass over
+    the coded ``mono``.
 
     Every strategy must share one ``num_candidates``.  Each chunk of pools
     is sampled once and every strategy takes its picks from it before the
@@ -206,19 +217,13 @@ def _gamma_sources(mono: CodedCorpus, backward: ChannelModel, lm: NGramLM,
             f"one candidate pass needs one num_candidates, got {sorted(sizes)}")
     picked = [np.empty(len(mono.codes), dtype=np.int64) for _ in strategies]
     starts = mono.starts
-    chunks = candidate_chunks(backward, lm, mono, sizes.pop(),
-                              lambda ids, count: sentence_uniforms(seed, ids, count))
-    for ids, next_uniforms, token_idx, log_q, log_lm in chunks:
+    chunks = gamma_chunks(mono, backward, lm, sizes.pop(), seed, [s.gamma for s in strategies])
+    for ids, next_uniforms, token_idx, _, _, probs in chunks:
         rows = np.arange(len(ids))
         at = np.add.outer(starts[ids], np.arange(token_idx.shape[2]))
-        probs_by_gamma: dict = {}
         for strategy, chosen in zip(strategies, picked):
-            probs = probs_by_gamma.get(strategy.gamma)
-            if probs is None:
-                probs = gamma_rows(log_q, log_lm, token_idx.shape[2],
-                                   GammaParams(gamma=strategy.gamma))
-                probs_by_gamma[strategy.gamma] = probs
-            picks = gamma_picks(probs, None if strategy.kind == "gamma-select" else next_uniforms)
+            picks = gamma_picks(probs[strategy.gamma],
+                                None if strategy.kind == "gamma-select" else next_uniforms)
             chosen[at] = token_idx[rows, picks]
     return [CodedCorpus.from_indices(backward.out_vocab, chosen, mono.lengths)
             for chosen in picked]

@@ -34,6 +34,7 @@ from ..btloop import (
     ExperimentConfig,
     check_parameter,
     evaluate_marginal_oracles,
+    gamma_chunks,
     run_bt_experiment,
     synthesize_corpus,
     train_forward,
@@ -44,7 +45,6 @@ from ..manipulate import SyntheticPair
 from ..scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
 from ..streams import sentence_stream, sentence_uniforms
 from ..tokenio import record_lines, sequence_from_str
-from ..toyseq.decode import candidate_chunks
 from ..toyseq.models import (DEFAULT_ALPHA, DEFAULT_LM_ORDER, ChannelModel, NGramLM,
                              train_channel, train_ngram_lm)
 from ..toyseq.taskgen import ToyTaskSpec, generate_toy_task
@@ -116,6 +116,8 @@ def _cmd_toygen(args, argv) -> int:
 
 
 def _cmd_train(args, argv) -> int:
+    if args.synthetic and args.kind != "forward":
+        raise ConfigError(f"--synthetic needs --kind forward, got --kind {args.kind}")
     bitext = read_parallel(args.bitext)
     inputs = {"bitext": args.bitext}
     if args.kind == "lm":
@@ -200,11 +202,10 @@ def _generate_candidates(args, inputs, params: GammaParams):
     inputs.update({"mono": args.mono, "backward": args.backward, "lm": args.lm})
     dists: list = [None] * len(mono)
     kept = []
-    chunks = candidate_chunks(backward, lm, mono.sentences, args.num_candidates,
-                              lambda ids, count: sentence_uniforms(args.seed, ids, count))
-    for ids, _, token_idx, log_q, log_lm in chunks:
-        probs = gamma_rows(log_q, log_lm, token_idx.shape[2], params)
-        for i, row in zip(ids, probs):
+    chunks = gamma_chunks(mono.sentences, backward, lm, args.num_candidates, args.seed,
+                          [params.gamma])
+    for ids, _, token_idx, log_q, log_lm, probs in chunks:
+        for i, row in zip(ids, probs[params.gamma]):
             dists[i] = row
         kept.append((ids, token_idx, log_q, log_lm))
     return range(len(mono)), dists, lambda: CandidateRecords.from_chunks(

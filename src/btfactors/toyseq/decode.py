@@ -3,16 +3,16 @@ annotated candidate-set generation.
 
 ``beam_decode`` and ``sample_decode`` take a whole corpus, coded
 (``tokenio.CodedCorpus``) or as plain sequences, which they encode once.
-They group its sentences by length and step through each group position by
-position over (sentences x beam x |V|) arrays gathered from a stacked
-tensor of the per-conditioning-token matrices, one matrix per distinct
-token of the coded input, all read from the model in one ``rows`` lookup
-(``_stacked_conditionals``).  The outputs are filled in as indices into the
-output vocabulary and handed out coded (``CodedCorpus.from_indices``), or as
-tuples when the input was plain sequences.  Beam ties break
-lexicographically by token sequence, in Python's token order when the
-output vocabulary is mutually comparable and in ``token_sort_key`` order
-when it mixes types.
+They group its sentences by length in one loop, which the toy-task walk
+shares, and step through each group position by position over (sentences x
+beam x |V|) arrays gathered from a stacked tensor of per-conditioning-token
+matrices, one per distinct token of the coded input, all read from the
+model in one ``rows`` lookup (``_stacked_conditionals``).  The outputs are
+filled in as indices into the output vocabulary and handed out coded
+(``CodedCorpus.from_indices``), or as tuples when the input was plain
+sequences.  Beam ties break lexicographically by token sequence, in Python's
+token order when the output vocabulary is mutually comparable and in
+``token_sort_key`` order when it mixes types.
 No row is sorted: the tensor's rows and columns are permuted into that tie
 order once per call, and each sentence's live hypotheses are kept in
 lexicographic order of their prefixes, so the first maximum of an
@@ -80,20 +80,18 @@ def _by_length(lengths: np.ndarray) -> dict[int, list[int]]:
     return groups
 
 
-def _decode_by_length(model: ChannelModel, inputs: CodedCorpus, cond_rows,
-                      decode_group) -> CodedCorpus:
-    """Output tokens for every input, in input order, coded.
+def _decode_by_length(vocab, lengths: np.ndarray, decode_group) -> CodedCorpus:
+    """One output sentence per entry of ``lengths``, in order, coded over ``vocab``.
 
-    ``decode_group(ids, cond_idx)`` decodes one group of equal-length,
-    non-empty inputs: their positions and (n, L) ``cond_rows`` indices in,
-    an (n, L) matrix of output indices out.  Empty inputs decode to ``()``.
+    ``decode_group(ids, length)`` decodes one group of equal-length,
+    non-empty sentences: their positions and length in, an (n, L) matrix of
+    indices into ``vocab`` out.  Empty sentences decode to ``()``.
     """
-    out = np.empty(len(inputs.codes), dtype=np.int64)
-    starts = inputs.starts
-    for length, ids in _by_length(inputs.lengths).items():
-        out[np.add.outer(starts[ids], np.arange(length))] = decode_group(
-            ids, cond_rows(ids, length))
-    return CodedCorpus.from_indices(model.out_vocab, out, inputs.lengths)
+    out = np.empty(int(lengths.sum()), dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    for length, ids in _by_length(lengths).items():
+        out[np.add.outer(starts[ids], np.arange(length))] = decode_group(ids, length)
+    return CodedCorpus.from_indices(vocab, out, lengths)
 
 
 def _as_given(outputs: CodedCorpus, inputs):
@@ -175,8 +173,8 @@ def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> list[tuple]:
     # rows (previous token) and columns (next token) both in tie order
     logs = logs[:, np.concatenate(([0], order + 1))][:, :, order]
     return _as_given(_decode_by_length(
-        model, corpus, cond_rows,
-        lambda ids, cond_idx: order[_beam_group(logs, cond_idx, beam_size)],
+        model.out_vocab, corpus.lengths,
+        lambda ids, length: order[_beam_group(logs, cond_rows(ids, length), beam_size)],
     ), inputs)
 
 
@@ -223,12 +221,12 @@ def _sample_outputs(model: ChannelModel, inputs: CodedCorpus, draws) -> CodedCor
     uniforms."""
     table, logs, cond_rows = _stacked_conditionals(model, inputs)
 
-    def sample_group(ids, cond_idx):
+    def sample_group(ids, length):
         uniforms = np.array([draws[i] for i in ids])
-        return _ancestral(_channel_steps(table, logs, cond_idx, uniforms),
-                          len(ids), cond_idx.shape[1])[0]
+        return _ancestral(_channel_steps(table, logs, cond_rows(ids, length), uniforms),
+                          len(ids), length)[0]
 
-    return _decode_by_length(model, inputs, cond_rows, sample_group)
+    return _decode_by_length(model.out_vocab, inputs.lengths, sample_group)
 
 
 def sample_decode(model: ChannelModel, inputs, uniforms) -> list[tuple]:

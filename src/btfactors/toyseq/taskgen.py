@@ -13,9 +13,9 @@ Bitext, monolingual, and test splits are disjoint slices of one sampled
 stream and are fully determined by the spec's seed.  Each sentence takes
 its length and then 2 * length uniforms from that stream, the first half
 for the source walk and the second for the channel outputs; sentences of
-equal length are then sampled together through the decoders' ancestral
-kernel.  The sampled source indices reach the channel sampler as a coded
-corpus (``CodedCorpus.from_indices``), never re-read token by token.  The
+equal length are then sampled together through the decoders' grouped
+decode loop and ancestral kernel, which hand the sources to the channel
+sampler coded, never re-read token by token.  The
 monolingual split's true sources are kept aside (``mono_refs``) for
 reference-based diagnostics that only a synthetic task can provide.
 
@@ -35,8 +35,7 @@ from ..errors import InvalidInputError
 from ..manipulate import MonoCorpus
 from ..scoring import cdf_table
 from ..streams import TAG_CORPUS, TAG_TRUTH_CHANNEL, TAG_TRUTH_LM, task_stream
-from ..tokenio import CodedCorpus
-from .decode import _ancestral, _by_length, _sample_outputs
+from .decode import _ancestral, _decode_by_length, _sample_outputs
 from .models import BOS, ChannelModel, EOS, NGramLM, ParallelCorpus
 
 __all__ = ["ToyTaskSpec", "ToyTask", "generate_toy_task"]
@@ -171,14 +170,13 @@ def _sample_sentence_pairs(truth_lm: NGramLM, truth_channel: ChannelModel,
     """(source, target) per sentence from its 2 * length pre-drawn uniforms."""
     walk = _walk_cdf(truth_lm)
     lengths = np.array([len(d) // 2 for d in draws], dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
-    index = np.empty(int(lengths.sum()), dtype=np.int64)
-    for length, ids in _by_length(lengths).items():
+
+    def walk_group(ids, length):
         uniforms = np.array([draws[i][:length] for i in ids])
         steps = ((walk, None, 0, uniforms[:, t]) for t in range(length))
-        index[np.add.outer(starts[ids], np.arange(length))] = _ancestral(
-            steps, len(ids), length)[0]
-    sources = CodedCorpus.from_indices(truth_lm.content_vocab, index, lengths)
+        return _ancestral(steps, len(ids), length)[0]
+
+    sources = _decode_by_length(truth_lm.content_vocab, lengths, walk_group)
     targets = _sample_outputs(truth_channel, sources, [d[len(d) // 2 :] for d in draws])
     return list(zip(sources, targets))
 

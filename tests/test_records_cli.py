@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import btfactors.btloop as btloop
 from btfactors.btloop import STRATEGIES, BTStrategy
 import btfactors.cli.main as cli_main
 from btfactors.cli.main import (
@@ -48,6 +49,7 @@ from btfactors.scoring import (
 )
 from btfactors.streams import sentence_stream
 from btfactors.tokenio import sequence_from_str, sequence_to_str, token_to_str
+import btfactors.toyseq.decode as decode
 from btfactors.toyseq.decode import candidate_set
 from btfactors.toyseq.models import ChannelModel, NGramLM, ParallelCorpus
 from btfactors.toyseq.taskgen import ToyTaskSpec
@@ -534,6 +536,16 @@ def test_toygen_outputs_and_manifest(toy_dir):
     assert len(corpus) == 80
 
 
+@pytest.mark.parametrize("kind", ["backward", "lm"])
+def test_train_refuses_synthetic_unless_forward(toy_dir, tmp_path, capsys, kind):
+    out = tmp_path / "model.txt"
+    code = dispatch(["train", "--kind", kind, "--bitext", str(toy_dir / "bitext.tsv"),
+                     "--synthetic", str(tmp_path / "absent.tsv"), "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: --synthetic needs --kind forward, got --kind {kind}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trained_models_parse_back(models_dir):
     from btfactors.toyseq.models import ChannelModel, NGramLM
 
@@ -668,6 +680,64 @@ def test_two_step_select_equals_one_step_gamma_select(toy_dir, models_dir, tmp_p
     assert dispatch(["score", "--candidates", str(cands), "--gamma", "0.3",
                      "--out", str(rescored)]) == 0
     assert rescored.read_bytes() == scores.read_bytes()
+
+
+def counted_pool_passes(monkeypatch):
+    """The candidate counts of every ``candidate_chunks`` pass made from here on."""
+    passes = []
+    chunks = decode.candidate_chunks
+
+    def counted(*args, **kwargs):
+        passes.append(args[3])
+        return chunks(*args, **kwargs)
+
+    for module in (btloop, decode):
+        monkeypatch.setattr(module, "candidate_chunks", counted)
+    return passes
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "--out", "scores.txt", "--dump-candidates", "cands.txt"],
+    ["backtranslate", "--strategy", "gamma-select", "--out", "out.tsv"],
+    ["backtranslate", "--strategy", "gamma-sample", "--out", "out.tsv"],
+], ids=["score", "gamma-select", "gamma-sample"])
+def test_gamma_commands_make_one_pool_pass(toy_dir, models_dir, tmp_path, monkeypatch, argv):
+    passes = counted_pool_passes(monkeypatch)
+    argv = [str(tmp_path / a) if a.endswith((".txt", ".tsv")) else a for a in argv]
+    assert dispatch([*argv, "--mono", str(toy_dir / "mono.txt"),
+                     "--backward", str(models_dir / "backward.txt"),
+                     "--lm", str(models_dir / "lm.txt"), "--num-candidates", "7",
+                     "--seed", "6"]) == 0
+    assert passes == [7]
+
+
+def test_select_sample_picks_at_the_pool_pass_next_uniforms(toy_dir, models_dir, tmp_path,
+                                                            monkeypatch):
+    mono, backward, lm = (str(toy_dir / "mono.txt"), str(models_dir / "backward.txt"),
+                          str(models_dir / "lm.txt"))
+    cands = tmp_path / "cands.txt"
+    assert dispatch(["score", "--mono", mono, "--backward", backward, "--lm", lm,
+                     "--num-candidates", "5", "--seed", str(2**32 + 9),
+                     "--out", str(tmp_path / "scores.txt"),
+                     "--dump-candidates", str(cands)]) == 0
+    calls = []
+    picks = cli_main.gamma_picks
+
+    def recording(probs, uniforms=None):
+        calls.append(uniforms)
+        return picks(probs, uniforms)
+
+    monkeypatch.setattr(cli_main, "gamma_picks", recording)
+    assert dispatch(["select", "--candidates", str(cands), "--mode", "sample",
+                     "--seed", str(2**32 + 9), "--out", str(tmp_path / "out.tsv")]) == 0
+    expected = np.full(40, np.nan)
+    for ids, next_uniforms, *_ in btloop.gamma_chunks(
+            read_mono(mono).sentences, ChannelModel.from_text(read_text(backward)),
+            NGramLM.from_text(read_text(lm)), 5, 2**32 + 9, []):
+        expected[ids] = next_uniforms
+    # one candidate count, so one group: every record, in corpus order
+    [uniforms] = calls
+    assert uniforms.tolist() == expected.tolist()
 
 
 # candidate counts 2, 3 and 8, lengths varying inside a set, blank lines,

@@ -256,16 +256,23 @@ def test_gamma_sample_point_mass_on_identical_candidates():
         assert cset.candidates[idx].tokens == cset.candidates[0].tokens
 
 
+def batched_gamma_samples(cset, params, seed, draws):
+    """The picks of ``draws`` successive ``gamma_sample`` calls on
+    ``default_rng(seed)``, from one ``rng.random(draws)`` call inverted at the
+    set's one Gamma row; the first 200 are checked against ``gamma_sample``."""
+    probs = np.asarray(gamma_distribution(cset, params).probs)
+    uniforms = np.random.default_rng(seed).random(draws)
+    picks = invert_cdf(cdf_table(probs[None]), uniforms, np.zeros(draws, np.intp))
+    stream = np.random.default_rng(seed)
+    assert [gamma_sample(cset, params, stream) for _ in range(200)] == picks[:200].tolist()
+    return probs, picks
+
+
 def test_gamma_sample_frequencies_match_distribution():
     cset = make_set(log_qs=[-4.0, -2.0], log_lms=[-5.0, -5.0])
-    params = GammaParams(gamma=0.0)
-    probs = np.asarray(gamma_distribution(cset, params).probs)
-    rng = np.random.default_rng(99)
     draws = 10**5
-    hits = np.zeros(2)
-    for _ in range(draws):
-        hits[gamma_sample(cset, params, rng)] += 1
-    freq = hits / draws
+    probs, picks = batched_gamma_samples(cset, GammaParams(gamma=0.0), 99, draws)
+    freq = np.bincount(picks, minlength=2) / draws
     assert np.abs(freq - probs).max() <= 0.01
 
 
@@ -279,13 +286,9 @@ def test_gamma_sample_deterministic_for_fresh_seeded_streams():
 
 def test_gamma_sample_total_variation_on_larger_set(rng):
     cset = random_set(rng, n=7)
-    params = GammaParams(gamma=0.3)
-    probs = np.asarray(gamma_distribution(cset, params).probs)
-    stream = np.random.default_rng(2718)
     draws = 10**5
-    hits = np.zeros(len(probs))
-    for _ in range(draws):
-        hits[gamma_sample(cset, params, stream)] += 1
+    probs, picks = batched_gamma_samples(cset, GammaParams(gamma=0.3), 2718, draws)
+    hits = np.bincount(picks, minlength=len(probs))
     tv = 0.5 * float(np.abs(hits / draws - probs).sum())
     assert tv < 0.01
 
