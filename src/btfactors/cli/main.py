@@ -116,6 +116,8 @@ def _cmd_toygen(args, argv) -> int:
 
 
 def _cmd_train(args, argv) -> int:
+    if args.synthetic == "":
+        raise ConfigError("--synthetic needs a path, got an empty one")
     if args.synthetic and args.kind != "forward":
         raise ConfigError(f"--synthetic needs --kind forward, got --kind {args.kind}")
     bitext = read_parallel(args.bitext)

@@ -7,8 +7,9 @@
       target_id<TAB>target tokens<TAB>cand<TAB>cand...
   where each cand is  "tokens|log_q|log_lm"  (tokens space-separated).
 
-Writers emit canonical text (floats via repr) so write-read-write is
-byte-identical; readers attach 1-based line numbers to every error.
+Writers emit canonical text (floats via repr), one ``"\n"``-ended line
+per record, so write-read-write is byte-identical and no records make an
+empty file; readers attach 1-based line numbers to every error.
 
 Candidate records are processed as batched columns (``CandidateRecords``)
 rather than one object per candidate: ``score`` writes them from the
@@ -43,11 +44,26 @@ def read_text(path) -> str:
         ) from exc
 
 
+def _write_lines(path, lines) -> None:
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def _read_pair(source_field: str, target_field: str, lineno: int) -> tuple[tuple, tuple]:
+    """The (source, target) pair of one corpus line; an empty side or
+    unequal lengths is a ValidationError at ``lineno``."""
+    source, target = sequence_from_str(source_field), sequence_from_str(target_field)
+    if not source or not target:
+        raise ValidationError("pair sequences must be non-empty", lineno)
+    if len(source) != len(target):
+        raise ValidationError(
+            f"source length {len(source)} != target length {len(target)}", lineno)
+    return source, target
+
+
 # -- mono ---------------------------------------------------------------------
 
 def write_mono(path, corpus: MonoCorpus) -> None:
-    lines = [sequence_to_str(s) for s in corpus.sentences]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, (sequence_to_str(s) for s in corpus.sentences))
 
 
 def read_mono(path) -> MonoCorpus:
@@ -64,8 +80,8 @@ def read_mono(path) -> MonoCorpus:
 # -- parallel -----------------------------------------------------------------
 
 def write_parallel(path, corpus: ParallelCorpus) -> None:
-    lines = [f"{sequence_to_str(src)}\t{sequence_to_str(tgt)}" for src, tgt in corpus.pairs]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, (f"{sequence_to_str(src)}\t{sequence_to_str(tgt)}"
+                        for src, tgt in corpus.pairs))
 
 
 def read_parallel(path) -> ParallelCorpus:
@@ -74,23 +90,17 @@ def read_parallel(path) -> ParallelCorpus:
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 2 tab-separated fields, found {len(fields)}", lineno)
-        pairs.append((sequence_from_str(fields[0]), sequence_from_str(fields[1])))
+        pairs.append(_read_pair(fields[0], fields[1], lineno))
     if not pairs:
         raise InvalidInputError(f"{path}: empty parallel corpus")
-    try:
-        return ParallelCorpus(pairs=tuple(pairs))
-    except InvalidInputError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return ParallelCorpus(pairs=tuple(pairs))
 
 
 # -- synthetic ----------------------------------------------------------------
 
 def write_synthetic(path, pairs: Sequence[SyntheticPair]) -> None:
-    lines = [
-        f"{sequence_to_str(p.source)}\t{sequence_to_str(p.target)}\t{p.provenance}"
-        for p in pairs
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, (f"{sequence_to_str(p.source)}\t{sequence_to_str(p.target)}"
+                        f"\t{p.provenance}" for p in pairs))
 
 
 def read_synthetic(path) -> list[SyntheticPair]:
@@ -101,16 +111,8 @@ def read_synthetic(path) -> list[SyntheticPair]:
             raise ParseError(f"expected 3 tab-separated fields, found {len(fields)}", lineno)
         if fields[2] not in PROVENANCES:
             raise ValidationError(f"unknown provenance {fields[2]!r}", lineno)
-        try:
-            pairs.append(
-                SyntheticPair(
-                    source=sequence_from_str(fields[0]),
-                    target=sequence_from_str(fields[1]),
-                    provenance=fields[2],
-                )
-            )
-        except InvalidInputError as exc:
-            raise ValidationError(str(exc), lineno) from exc
+        source, target = _read_pair(fields[0], fields[1], lineno)
+        pairs.append(SyntheticPair(source, target, fields[2]))
     return pairs
 
 

@@ -8,11 +8,11 @@ shares, and step through each group position by position over (sentences x
 beam x |V|) arrays gathered from a stacked tensor of per-conditioning-token
 matrices, one per distinct token of the coded input, all read from the
 model in one ``rows`` lookup (``_stacked_conditionals``).  The outputs are
-filled in as indices into the output vocabulary and handed out coded
-(``CodedCorpus.from_indices``), or as tuples when the input was plain
-sequences.  Beam ties break lexicographically by token sequence, in Python's
-token order when the output vocabulary is mutually comparable and in
-``token_sort_key`` order when it mixes types.
+filled in as indices into the output vocabulary and handed out as one
+coded corpus (``CodedCorpus.from_indices``).  Beam ties break
+lexicographically by token sequence, in Python's token order when the
+output vocabulary is mutually comparable and in ``token_sort_key`` order
+when it mixes types.
 No row is sorted: the tensor's rows and columns are permuted into that tie
 order once per call, and each sentence's live hypotheses are kept in
 lexicographic order of their prefixes, so the first maximum of an
@@ -94,11 +94,6 @@ def _decode_by_length(vocab, lengths: np.ndarray, decode_group) -> CodedCorpus:
     return CodedCorpus.from_indices(vocab, out, lengths)
 
 
-def _as_given(outputs: CodedCorpus, inputs):
-    """``outputs`` coded if ``inputs`` was, else as a list of tuples."""
-    return outputs if isinstance(inputs, CodedCorpus) else list(outputs)
-
-
 def _beam_tie_order(vocab) -> np.ndarray:
     """Output indices in tie order: Python's own token order when the
     vocabulary is comparable, else ``token_sort_key`` order, which is the
@@ -154,7 +149,7 @@ def _beam_group(logs: np.ndarray, cond_idx: np.ndarray, beam_size: int) -> np.nd
     return out
 
 
-def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> list[tuple]:
+def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> CodedCorpus:
     """Highest-scoring hypothesis for each input sequence among those
     explored at width ``beam_size``, in input order.
 
@@ -164,7 +159,7 @@ def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> list[tuple]:
     Python's own order when the output vocabulary is mutually comparable
     (all ints or all strings) and by ``token_sort_key`` when it mixes
     types.  An exhaustive width (|V| ** len) reduces to brute-force argmax.
-    Coded inputs give coded outputs; plain sequences give tuples.
+    Returns a ``CodedCorpus`` over ``model.out_vocab`` for either input form.
     """
     beam_size = check_integer("beam_size", beam_size, 1)
     corpus = coded(inputs)
@@ -172,10 +167,10 @@ def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> list[tuple]:
     order = _beam_tie_order(model.out_vocab)
     # rows (previous token) and columns (next token) both in tie order
     logs = logs[:, np.concatenate(([0], order + 1))][:, :, order]
-    return _as_given(_decode_by_length(
+    return _decode_by_length(
         model.out_vocab, corpus.lengths,
         lambda ids, length: order[_beam_group(logs, cond_rows(ids, length), beam_size)],
-    ), inputs)
+    )
 
 
 def _ancestral(steps, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,14 +224,14 @@ def _sample_outputs(model: ChannelModel, inputs: CodedCorpus, draws) -> CodedCor
     return _decode_by_length(model.out_vocab, inputs.lengths, sample_group)
 
 
-def sample_decode(model: ChannelModel, inputs, uniforms) -> list[tuple]:
+def sample_decode(model: ChannelModel, inputs, uniforms) -> CodedCorpus:
     """One ancestral sample per input sequence, in input order.
 
     ``uniforms[i]`` holds input i's pre-drawn (len(inputs[i]),) uniforms,
     one per position, for example from ``sentence_uniforms(seed, ids,
     lengths)``, so a corpus pass gives the same output as decoding the
     sentences one by one.  Sentences of equal length are sampled together.
-    Coded inputs give coded outputs; plain sequences give tuples.
+    Returns a ``CodedCorpus`` over ``model.out_vocab`` for either input form.
     """
     corpus = coded(inputs)
     uniforms = [np.asarray(row, dtype=float) for row in uniforms]
@@ -246,7 +241,7 @@ def sample_decode(model: ChannelModel, inputs, uniforms) -> list[tuple]:
         )
     if any(row.shape != (length,) for length, row in zip(corpus.lengths.tolist(), uniforms)):
         raise InvalidInputError("each input sequence needs one uniform per position")
-    return _as_given(_sample_outputs(model, corpus, uniforms), inputs)
+    return _sample_outputs(model, corpus, uniforms)
 
 
 def batch_sample(model: ChannelModel, cond_seq, n: int,
@@ -331,32 +326,18 @@ def candidate_chunks(backward: ChannelModel, lm: NGramLM, targets, n: int, draw)
                    log_q.reshape(len(ids), n), log_lm.reshape(len(ids), n))
 
 
-def sample_candidate_set(backward: ChannelModel, lm: NGramLM, target, n: int = 50,
-                         rng: np.random.Generator = None, target_id: int = 0) -> CandidateSet:
+def sample_candidate_set(backward: ChannelModel, lm: NGramLM, target, n: int,
+                         rng: np.random.Generator, target_id: int = 0) -> CandidateSet:
     """n independent ancestral samples from the backward channel given
     ``target``, each annotated with its backward log-prob (quality) and
     source-LM log-prob, in generation order.  Duplicates are kept.  Takes
     L * n + 1 uniforms from ``rng``, as ``candidate_chunks`` asks of each
     target; the last is not used."""
-    if rng is None:
-        raise InvalidInputError("sample_candidate_set requires a seeded generator")
     target = tuple(target)
     [(_, _, token_idx, log_q, log_lm)] = candidate_chunks(
         backward, lm, [target], n, lambda ids, count: rng.random((1, count)))
-    return candidate_set(backward.out_vocab, target_id, target,
-                         token_idx[0], log_q[0], log_lm[0])
-
-
-def candidate_set(vocab, target_id: int, target, token_idx, log_q, log_lm) -> CandidateSet:
-    """The ``CandidateSet`` of one target from its (n, L) candidate indices
-    into ``vocab`` and their (n,) log-probs."""
-    candidates = tuple(
-        Candidate(
-            tokens=tuple(vocab[j] for j in row),
-            length=len(row),
-            log_q=float(q),
-            log_lm=float(lm_lp),
-        )
-        for row, q, lm_lp in zip(token_idx, log_q, log_lm)
-    )
-    return CandidateSet(target_id=target_id, target_tokens=tuple(target), candidates=candidates)
+    vocab = backward.out_vocab
+    return CandidateSet(target_id=target_id, target_tokens=target, candidates=tuple(
+        Candidate(tokens=tuple(vocab[j] for j in row), length=len(row), log_q=float(q),
+                  log_lm=float(lm_lp))
+        for row, q, lm_lp in zip(token_idx[0], log_q[0], log_lm[0])))

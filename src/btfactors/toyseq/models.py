@@ -61,6 +61,7 @@ from ..errors import InvalidInputError, ParseError, check_integer
 from ..tokenio import (
     BOS,
     EOS,
+    RESERVED,
     UNK,
     CodedCorpus,
     coded,
@@ -102,10 +103,6 @@ class ParallelCorpus:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "ParallelCorpus":
-        return cls(pairs=tuple((tuple(s), tuple(t)) for s, t in pairs))
 
     def sources(self) -> list[tuple]:
         return [src for src, _ in self.pairs]
@@ -383,7 +380,7 @@ class NGramLM(_CountTable):
         content = tuple(sorted(set(vocab), key=token_sort_key))
         if not content:
             raise InvalidInputError("vocabulary must be non-empty")
-        if any(t in (BOS, EOS, UNK) for t in content):
+        if any(t in RESERVED for t in content):
             raise InvalidInputError("reserved markers cannot be content tokens")
         self.order = order
         self.use_eos = bool(use_eos)
@@ -451,7 +448,7 @@ class ChannelModel(_CountTable):
         vocab = tuple(sorted(set(out_vocab), key=token_sort_key))
         if not vocab:
             raise InvalidInputError("output vocabulary must be non-empty")
-        if any(t in (BOS, EOS, UNK) for t in vocab):
+        if any(t in RESERVED for t in vocab):
             raise InvalidInputError("reserved markers cannot be output tokens")
         self.direction = direction
         self.out_vocab = vocab

@@ -4,7 +4,23 @@ import numpy as np
 import pytest
 
 from btfactors.scoring import Candidate, CandidateSet
-from btfactors.toyseq.models import BOS, EOS
+from btfactors.toyseq.models import BOS, EOS, ParallelCorpus
+
+
+def parallel_corpus(pairs) -> ParallelCorpus:
+    """A ``ParallelCorpus`` of any iterable of (source, target) sequences."""
+    return ParallelCorpus(pairs=tuple((tuple(s), tuple(t)) for s, t in pairs))
+
+
+def candidate_set(vocab, target_id, target, token_idx, log_q, log_lm) -> CandidateSet:
+    """The ``CandidateSet`` of one target from its (n, L) candidate indices
+    into ``vocab`` and their (n,) log-probs."""
+    candidates = tuple(
+        Candidate(tokens=tuple(vocab[j] for j in row), length=len(row),
+                  log_q=float(q), log_lm=float(lm_lp))
+        for row, q, lm_lp in zip(token_idx, log_q, log_lm)
+    )
+    return CandidateSet(target_id=target_id, target_tokens=tuple(target), candidates=candidates)
 
 
 def make_set(log_qs, log_lms, lengths=None, target_id=0):

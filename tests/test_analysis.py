@@ -22,12 +22,12 @@ from btfactors.manipulate import SyntheticPair
 from btfactors.toyseq.models import (
     ChannelModel,
     NGramLM,
-    ParallelCorpus,
     channel_score,
     lm_score,
     train_channel,
     train_ngram_lm,
 )
+from conftest import parallel_corpus
 
 # pre-build oracle values for corpus_bleu (canonical BLEU arithmetic,
 # computed by hand at high precision before implementation)
@@ -224,7 +224,7 @@ def toy_models(rng):
         )
         for _ in range(40)
     ]
-    corpus = ParallelCorpus.from_pairs(pairs)
+    corpus = parallel_corpus(pairs)
     backward = train_channel(corpus, "target_to_source", 0.1, out_vocab=range(4))
     lm = train_ngram_lm([s for s, _ in pairs], order=2, alpha=0.1, vocab=range(4))
     return backward, lm

@@ -41,20 +41,18 @@ from btfactors.toyseq import ToyTaskSpec, generate_toy_task
 from btfactors.toyseq.decode import (
     batch_lm_scores,
     batch_sample,
-    candidate_set,
     sample_candidate_set,
 )
 from btfactors.toyseq.models import (
     BOS,
     ChannelModel,
     NGramLM,
-    ParallelCorpus,
     channel_score,
     lm_score,
     train_channel,
     train_ngram_lm,
 )
-from conftest import reference_channel_log_prob
+from conftest import candidate_set, parallel_corpus, reference_channel_log_prob
 
 TINY = ToyTaskSpec(
     source_vocab_size=4,
@@ -155,8 +153,8 @@ def test_synthesis_is_deterministic_and_tagged(tiny_setup):
 def test_equal_length_tuple_tokens_decode_as_tokens():
     # a vocabulary of equal-length tuples must not index as a 2-D array
     vocab = ((1, 2), (3, 4))
-    bitext = ParallelCorpus.from_pairs([(((1, 2), (3, 4)), (0, 1)),
-                                        (((3, 4), (1, 2)), (1, 0))])
+    bitext = parallel_corpus([(((1, 2), (3, 4)), (0, 1)),
+                             (((3, 4), (1, 2)), (1, 0))])
     backward = train_channel(bitext, "target_to_source", 0.1, out_vocab=vocab)
     lm = train_ngram_lm(bitext.sources(), 2, 0.1, vocab=vocab)
     mono = MonoCorpus(sentences=((0, 1), (1, 1, 0)))
@@ -415,7 +413,7 @@ def oracle_models(draw):
         token = st.integers(0, size - 1)
         pairs.append((draw(st.lists(token, min_size=length, max_size=length)),
                       draw(st.lists(token, min_size=length, max_size=length))))
-    bitext = ParallelCorpus.from_pairs(pairs)
+    bitext = parallel_corpus(pairs)
     backward = train_channel(bitext, "target_to_source", draw(st.sampled_from((0.1, 0.5))),
                              out_vocab=vocab)
     forward = train_channel(bitext, "source_to_target", draw(st.sampled_from((0.1, 1.0))),

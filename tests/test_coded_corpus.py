@@ -21,7 +21,7 @@ from btfactors.toyseq.models import (
     train_channel,
     train_ngram_lm,
 )
-from conftest import reference_channel_score, reference_lm_score
+from conftest import parallel_corpus, reference_channel_score, reference_lm_score
 
 # ints, strings that must stay strings, the reserved markers
 TOKENS = st.one_of(st.integers(-2, 9), st.sampled_from(["007", "-0", "a", "b", BOS, EOS, UNK]))
@@ -215,16 +215,18 @@ def test_iteration_and_builders_keep_tuple_tokens_whole():
 def test_channel_models_decode_a_coded_corpus_to_a_coded_corpus():
     from btfactors.toyseq.decode import beam_decode, sample_decode
 
-    model = train_channel(ParallelCorpus.from_pairs([((0, 1, 1), ("a", "b", "b")),
-                                                     ((1, 0), ("b", "a"))]),
+    model = train_channel(parallel_corpus([((0, 1, 1), ("a", "b", "b")),
+                                          ((1, 0), ("b", "a"))]),
                           "target_to_source", 0.1)
     inputs = [("a", "b"), (), ("b", "b", "a")]
     uniforms = [np.full(len(s), 0.3) for s in inputs]
     for decode, args in ((beam_decode, (3,)), (sample_decode, (uniforms,))):
         plain = decode(model, inputs, *args)
         coded = decode(model, encode(inputs), *args)
-        assert isinstance(coded, CodedCorpus) and same_corpus(coded, plain)
-        assert isinstance(plain, list) and plain[1] == ()
+        # plain input is coded on entry: both give a coded corpus of the same sentences
+        assert isinstance(plain, CodedCorpus) and isinstance(coded, CodedCorpus)
+        assert same_corpus(plain, list(coded)) and same_corpus(coded, list(plain))
+        assert list(plain)[1] == ()
     assert isinstance(NGramLM(2, 0.1, [0]).batch_score(encode([(0,)])), np.ndarray)
 
 

@@ -50,10 +50,14 @@ from btfactors.scoring import (
 from btfactors.streams import sentence_stream
 from btfactors.tokenio import sequence_from_str, sequence_to_str, token_to_str
 import btfactors.toyseq.decode as decode
-from btfactors.toyseq.decode import candidate_set
-from btfactors.toyseq.models import ChannelModel, NGramLM, ParallelCorpus
+from btfactors.toyseq.models import ChannelModel, NGramLM
 from btfactors.toyseq.taskgen import ToyTaskSpec
-from conftest import reference_channel_score, reference_lm_score
+from conftest import (
+    candidate_set,
+    parallel_corpus,
+    reference_channel_score,
+    reference_lm_score,
+)
 
 
 # -- reference oracle: the per-set candidate-record writer and reader ----------------
@@ -185,7 +189,7 @@ def test_string_tokens_spelled_as_ints_are_not_written():
 
 
 def test_parallel_round_trip(tmp_path):
-    corpus = ParallelCorpus.from_pairs([((1, 2), (3, 4)), ((5,), (6,))])
+    corpus = parallel_corpus([((1, 2), (3, 4)), ((5,), (6,))])
     path = tmp_path / "pairs.tsv"
     write_parallel(path, corpus)
     assert read_parallel(path) == corpus
@@ -207,6 +211,32 @@ def test_parallel_parse_errors_cite_lines(tmp_path):
     with pytest.raises(ParseError) as err:
         read_parallel(path)
     assert err.value.line_number == 2
+
+
+@pytest.mark.parametrize("line, fault", [
+    ("1 2\t3", "source length 2 != target length 1"),
+    ("\t3", "pair sequences must be non-empty"),
+    ("1 2\t ", "pair sequences must be non-empty"),
+])
+def test_parallel_pair_faults_cite_lines(tmp_path, line, fault):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"1 2\t3 4\n{line}\n")
+    with pytest.raises(ValidationError) as err:
+        read_parallel(path)
+    assert (err.value.line_number, str(err.value)) == (2, f"line 2: {fault}")
+
+
+@pytest.mark.parametrize("line, fault", [
+    ("1 2\t3\tbeam", "source length 2 != target length 1"),
+    ("\t3\tbeam", "pair sequences must be non-empty"),
+    ("1 2\t3\tmystery", "unknown provenance 'mystery'"),
+])
+def test_synthetic_pair_faults_cite_lines(tmp_path, line, fault):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"1 2\t3 4\tbeam\n{line}\n")
+    with pytest.raises(ValidationError) as err:
+        read_synthetic(path)
+    assert (err.value.line_number, str(err.value)) == (2, f"line 2: {fault}")
 
 
 def test_synthetic_rejects_unknown_provenance(tmp_path):
@@ -544,6 +574,31 @@ def test_train_refuses_synthetic_unless_forward(toy_dir, tmp_path, capsys, kind)
     assert (code, capsys.readouterr().err) == (
         1, f"error: --synthetic needs --kind forward, got --kind {kind}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["lm", "backward", "forward"])
+def test_train_refuses_an_empty_synthetic_path(toy_dir, tmp_path, capsys, kind):
+    out = tmp_path / "model.txt"
+    code = dispatch(["train", "--kind", kind, "--bitext", str(toy_dir / "bitext.tsv"),
+                     "--synthetic", "", "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (
+        1, "error: --synthetic needs a path, got an empty one\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_select_of_no_records_writes_an_empty_corpus_that_train_reads(toy_dir, tmp_path):
+    cands, chosen, model = tmp_path / "cands.tsv", tmp_path / "chosen.tsv", tmp_path / "fwd.txt"
+    cands.write_text("\n\n")
+    assert dispatch(["select", "--candidates", str(cands), "--mode", "select",
+                     "--out", str(chosen)]) == 0
+    assert chosen.read_bytes() == b"" and read_synthetic(chosen) == []
+    bitext = str(toy_dir / "bitext.tsv")
+    assert dispatch(["train", "--kind", "forward", "--bitext", bitext,
+                     "--synthetic", str(chosen), "--out", str(model)]) == 0
+    plain = tmp_path / "plain.txt"
+    assert dispatch(["train", "--kind", "forward", "--bitext", bitext,
+                     "--out", str(plain)]) == 0
+    assert model.read_text() == plain.read_text()
 
 
 def test_trained_models_parse_back(models_dir):

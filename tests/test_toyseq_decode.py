@@ -26,14 +26,13 @@ from btfactors.toyseq.models import (
     BOS,
     EOS,
     ChannelModel,
-    ParallelCorpus,
     _CountTable,
     channel_score,
     lm_score,
     train_channel,
     train_ngram_lm,
 )
-from conftest import context_of, reference_lm_log_prob, reference_lm_score
+from conftest import context_of, parallel_corpus, reference_lm_log_prob, reference_lm_score
 
 
 def deterministic_channel():
@@ -60,7 +59,7 @@ def random_channel(rng, vocab_size=4, alpha=0.2, n_pairs=40, length=5):
         for _ in range(n_pairs)
     ]
     return train_channel(
-        ParallelCorpus.from_pairs(pairs), "source_to_target", alpha, out_vocab=range(vocab_size)
+        parallel_corpus(pairs), "source_to_target", alpha, out_vocab=range(vocab_size)
     )
 
 
@@ -137,7 +136,7 @@ def brute_force_argmax(model, input_seq):
 
 def test_beam_on_deterministic_channel_returns_the_image():
     model = deterministic_channel()
-    assert beam_decode(model, [(0, 1, 1, 0)], 5) == [(10, 11, 11, 10)]
+    assert list(beam_decode(model, [(0, 1, 1, 0)], 5)) == [(10, 11, 11, 10)]
 
 
 def test_exhaustive_beam_equals_brute_force(rng):
@@ -160,16 +159,15 @@ def test_beam_one_equals_greedy(rng):
             row = model.rows([(prev, cond)])[1][0]
             prev = model.out_vocab[int(np.argmax(row))]
             greedy.append(prev)
-        assert beam_decode(model, [src], beam_size=1) == [tuple(greedy)]
+        assert list(beam_decode(model, [src], beam_size=1)) == [tuple(greedy)]
 
 
 def test_wider_beam_never_scores_worse(rng):
     model = random_channel(rng)
     for _ in range(10):
         src = tuple(int(t) for t in rng.integers(0, 4, size=5))
-        narrow = channel_score(model, beam_decode(model, [src], 1)[0], src)
-        wide = channel_score(model, beam_decode(model, [src], 8)[0], src)
-        assert wide >= narrow - 1e-12
+        [narrow], [wide] = beam_decode(model, [src], 1), beam_decode(model, [src], 8)
+        assert channel_score(model, wide, src) >= channel_score(model, narrow, src) - 1e-12
 
 
 def test_beam_rejects_bad_width():
@@ -183,7 +181,7 @@ def test_beam_rejects_bad_width():
 def test_beam_accepts_numpy_integer_widths():
     model = deterministic_channel()
     for width in (np.int64(2), np.int32(1), np.uint8(3)):
-        assert beam_decode(model, [(0, 1)], width) == [(10, 11)]
+        assert list(beam_decode(model, [(0, 1)], width)) == [(10, 11)]
 
 
 # -- corpus decoders against the reference oracles ------------------------------
@@ -212,7 +210,7 @@ def channels(draw):
         cond = draw(st.lists(st.sampled_from(CONDITIONING), min_size=length, max_size=length))
         out = draw(st.lists(st.sampled_from(vocab), min_size=length, max_size=length))
         pairs.append((cond, out))
-    return train_channel(ParallelCorpus.from_pairs(pairs), "source_to_target", alpha,
+    return train_channel(parallel_corpus(pairs), "source_to_target", alpha,
                          out_vocab=vocab)
 
 
@@ -228,7 +226,7 @@ def test_corpus_beam_matches_reference(model, inputs, data):
     beam_size = data.draw(st.one_of(st.integers(1, 3), st.just(exhaustive),
                                     st.integers(1, exhaustive)))
     expected = [reference_beam_decode(model, seq, beam_size) for seq in inputs]
-    assert beam_decode(model, inputs, beam_size) == expected
+    assert list(beam_decode(model, inputs, beam_size)) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -237,13 +235,13 @@ def test_corpus_sampling_matches_reference(model, inputs, seed):
     uniforms = [sentence_stream(seed, i).random(len(seq)) for i, seq in enumerate(inputs)]
     expected = [reference_sample_decode(model, seq, sentence_stream(seed, i))
                 for i, seq in enumerate(inputs)]
-    assert sample_decode(model, inputs, uniforms) == expected
+    assert list(sample_decode(model, inputs, uniforms)) == expected
 
 
 def test_empty_corpus_decodes_to_nothing():
     model = deterministic_channel()
-    assert beam_decode(model, [], 3) == []
-    assert sample_decode(model, [], []) == []
+    assert list(beam_decode(model, [], 3)) == []
+    assert list(sample_decode(model, [], [])) == []
     with pytest.raises(InvalidInputError):
         beam_decode(model, [], 0)
 
@@ -270,17 +268,17 @@ def test_corpus_beam_matches_reference_at_sweep_scale(sweep_task, alpha):
     targets = sweep_task.mono.sentences
     for beam_size in (1, 5, 25):
         expected = [reference_beam_decode(backward, y, beam_size) for y in targets]
-        assert beam_decode(backward, targets, beam_size) == expected
+        assert list(beam_decode(backward, targets, beam_size)) == expected
 
 
 def test_mixed_vocabulary_ties_follow_token_sort_key():
     # the bitext "a 1" / "2 b", decoded in the backward direction
-    pairs = ParallelCorpus.from_pairs([(("a", 1), (2, "b"))])
+    pairs = parallel_corpus([(("a", 1), (2, "b"))])
     backward = train_channel(pairs, "target_to_source", 0.1)
     # ("1", "a") and ("1", 1) tie behind the best hypothesis
-    assert beam_decode(backward, [(2, "b")], 4) == [("a", 1)]
+    assert list(beam_decode(backward, [(2, "b")], 4)) == [("a", 1)]
     # unseen conditioning tokens make every output tie; str(1) < "a"
-    assert beam_decode(backward, [(7, 7)], 4) == [(1, 1)]
+    assert list(beam_decode(backward, [(7, 7)], 4)) == [(1, 1)]
 
 
 # -- sampling -------------------------------------------------------------------
@@ -296,7 +294,8 @@ def test_sample_never_beats_exhaustive_beam(rng):
     model = random_channel(rng)
     for trial in range(20):
         src = tuple(int(t) for t in rng.integers(0, 4, size=4))
-        best = channel_score(model, beam_decode(model, [src], 4**4)[0], src)
+        [best_output] = beam_decode(model, [src], 4**4)
+        best = channel_score(model, best_output, src)
         [sampled] = sample_decode(model, [src], [np.random.default_rng(trial).random(len(src))])
         assert channel_score(model, sampled, src) <= best + 1e-12
 
@@ -497,7 +496,7 @@ def sampling_channels(draw):
         cond = draw(st.lists(st.sampled_from(CONDITIONING), min_size=length, max_size=length))
         out = draw(st.lists(st.integers(0, size - 1), min_size=length, max_size=length))
         pairs.append((cond, out))
-    model = train_channel(ParallelCorpus.from_pairs(pairs), "source_to_target", alpha,
+    model = train_channel(parallel_corpus(pairs), "source_to_target", alpha,
                           out_vocab=range(size))
     cond_seq = tuple(draw(st.lists(st.sampled_from(CONDITIONING + (3,)), min_size=1,
                                    max_size=4)))
@@ -554,7 +553,7 @@ def backward_and_lm(rng):
         )
         for _ in range(60)
     ]
-    corpus = ParallelCorpus.from_pairs(pairs)
+    corpus = parallel_corpus(pairs)
     backward = train_channel(corpus, "target_to_source", 0.1, out_vocab=range(4))
     lm = train_ngram_lm([src for src, _ in pairs], order=2, alpha=0.1, vocab=range(4))
     return backward, lm
@@ -589,6 +588,14 @@ def test_candidate_set_rejects_small_n(backward_and_lm):
     backward, lm = backward_and_lm
     with pytest.raises(InvalidInputError):
         sample_candidate_set(backward, lm, (0, 1), 1, sentence_stream(0, 0))
+
+
+def test_candidate_set_needs_n_and_a_generator(backward_and_lm):
+    backward, lm = backward_and_lm
+    for args in ((), (50,)):
+        with pytest.raises(TypeError, match="missing"):
+            sample_candidate_set(backward, lm, (0, 1), *args)
+    assert sample_candidate_set(backward, lm, (0, 1), 2, sentence_stream(0, 0)).target_id == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,6 @@ from btfactors.toyseq.models import (
     EOS,
     ChannelModel,
     NGramLM,
-    ParallelCorpus,
     channel_score,
     lm_score,
     train_channel,
@@ -21,6 +20,7 @@ from btfactors.toyseq.models import (
 from btfactors.tokenio import token_sort_key
 from conftest import (
     context_of,
+    parallel_corpus,
     reference_channel_log_prob,
     reference_channel_score,
     reference_lm_score,
@@ -105,7 +105,7 @@ def test_lm_order_must_be_an_integer():
 
 # -- channel model ------------------------------------------------------------------
 
-FIVE_PAIRS = ParallelCorpus.from_pairs(
+FIVE_PAIRS = parallel_corpus(
     [
         ((0, 1), (10, 11)),
         ((0, 1), (10, 10)),
@@ -187,7 +187,7 @@ def test_channel_score_rejects_length_mismatch():
 
 def test_parallel_corpus_rejects_unequal_lengths():
     with pytest.raises(InvalidInputError):
-        ParallelCorpus.from_pairs([((1, 2), (3,))])
+        parallel_corpus([((1, 2), (3,))])
 
 
 def test_trained_channel_beats_uniform_on_heldout(rng):
@@ -547,9 +547,9 @@ def test_counted_channel_training_equals_the_dict_loop(case, conds, alpha, direc
     inputs = [data.draw(st.lists(st.sampled_from(conds), min_size=len(o), max_size=len(o)))
               for o in outputs]
     if direction == "target_to_source":
-        pairs = ParallelCorpus.from_pairs(zip(outputs, inputs))
+        pairs = parallel_corpus(zip(outputs, inputs))
     else:
-        pairs = ParallelCorpus.from_pairs(zip(inputs, outputs))
+        pairs = parallel_corpus(zip(inputs, outputs))
     assert (training_outcome(train_channel, pairs, direction, alpha, vocab)
             == training_outcome(reference_train_channel, pairs, direction, alpha, vocab))
 
@@ -568,7 +568,7 @@ def test_counted_lm_training_refuses_the_first_stray_token(corpus, use_eos, mess
 
 
 def test_counted_channel_training_refuses_the_first_stray_output_token():
-    pairs = ParallelCorpus.from_pairs([((0, 1), (5, 6)), ((1, "x", 8), (5, 5, 5))])
+    pairs = parallel_corpus([((0, 1), (5, 6)), ((1, "x", 8), (5, 5, 5))])
     for train in (train_channel, reference_train_channel):
         with pytest.raises(InvalidInputError) as info:
             train(pairs, "target_to_source", alpha=0.1, out_vocab=[0, 1])
@@ -622,7 +622,7 @@ def filled_channels(draw):
         pairs = draw(st.lists(st.integers(1, 5).flatmap(lambda n: st.tuples(
             st.lists(st.sampled_from(vocab), min_size=n, max_size=n),
             st.lists(st.sampled_from(conds), min_size=n, max_size=n))), min_size=1, max_size=6))
-        model = train_channel(ParallelCorpus.from_pairs(pairs), "target_to_source", alpha, vocab)
+        model = train_channel(parallel_corpus(pairs), "target_to_source", alpha, vocab)
         return as_read(model, draw)
     keys = st.tuples(st.sampled_from(vocab + [BOS]), st.sampled_from(conds))
     counts = draw(filled_rows(keys, vocab))

@@ -1,5 +1,7 @@
-"""Every module under src/ and tests/ references each name it imports, and
-every private definition in src/ is referenced from src/.
+"""Every module under src/ and tests/ references each name it imports,
+every private definition in src/ is referenced from src/, and every public
+definition in src/ is named by src/, the traced benchmark or the acceptance
+tests.
 
 The project ships no linter, so this stdlib ``ast`` scan stands in for
 one.  ``from __future__`` imports are exempt because they change how the
@@ -8,6 +10,7 @@ exempt because the module imports them to re-export them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -67,22 +70,23 @@ def private_definitions(tree: ast.Module) -> list[str]:
             if node.name.startswith("_") and not node.name.endswith("__")]
 
 
-def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """``module:name`` of every private definition in ``sources`` (module
-    name -> text) that no module names, as a name, an attribute or an
-    import, sorted."""
+def unreferenced_definitions(sources: dict[str, str], definitions=private_definitions,
+                             named=frozenset()) -> list[str]:
+    """``module:name`` of every one of ``definitions(tree)`` in ``sources``
+    (module name -> text) that no module reads, as a name, an attribute or
+    an import, and that is not in ``named``, sorted."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    referenced: set[str] = set()
+    referenced: set[str] = set(named)
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
     return sorted(f"{module}:{name}" for module, tree in trees.items()
-                  for name in private_definitions(tree) if name not in referenced)
+                  for name in definitions(tree) if name not in referenced)
 
 
 def test_dead_code_scan_flags_only_unreferenced_private_definitions():
@@ -106,3 +110,61 @@ def test_every_private_definition_in_src_is_referenced():
                for path in SRC_MODULES}
     assert sum(len(private_definitions(ast.parse(text))) for text in sources.values()) > 0
     assert unreferenced_definitions(sources) == []
+
+
+# -- public definitions no one names ----------------------------------------------
+
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """The public functions, classes and UPPER_CASE constants at the top of
+    ``tree`` and the public classmethods of its classes."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names += [t.id for t in targets
+                  if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body if isinstance(item, ast.FunctionDef)
+                      and any(isinstance(d, ast.Name) and d.id == "classmethod"
+                              for d in item.decorator_list)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_public_scan_flags_only_unnamed_definitions():
+    sources = {
+        "a": ("LIMIT = 3\n"
+              "UNUSED: int = 4\n"
+              "lower = 5\n"
+              "def used(): return LIMIT\n"
+              "def orphan(): pass\n"
+              "def traced(): pass\n"
+              "class Kept:\n"
+              "    @classmethod\n"
+              "    def build(cls): return cls()\n"
+              "    @classmethod\n"
+              "    def spare(cls): pass\n"
+              "    def method(self): pass\n"),
+        "b": "from a import Kept, used\nKept.build()\n",
+    }
+    assert unreferenced_definitions(sources, public_definitions, {"traced"}) == [
+        "a:UNUSED", "a:orphan", "a:spare"]
+
+
+def test_every_public_definition_in_src_is_named(monkeypatch):
+    # traced targets and the acceptance tests' imports name what the
+    # benchmark and the user-facing checks reach from outside src/
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import layers
+
+    named = {part for target in layers.TARGETS for part in target.qualname.split(".")}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    named |= {alias.name for node in ast.walk(acceptance)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in SRC_MODULES}
+    assert unreferenced_definitions(sources, public_definitions, named) == []
