@@ -36,10 +36,12 @@ model's one scorer, gathers each position's term from a matrix of the
 distinct keys' rows and adds each sequence's terms one position at a time
 from 0.0, so a sequence scores the same bits alone or in any batch
 (``lm_score`` and ``channel_score`` score one).  The trainers count (key
-id, event) pairs with ``np.unique``.  The scorers and trainers take coded
-corpora, or plain sequences, which they encode once on entry; a parallel
-corpus may be given coded as its (sources, targets) pair of coded corpora
-(``coded_pairs``).
+id, event) pairs.  Key ids and counts come from ``_unique_ints``, which
+gives ``np.unique``'s values, inverse and counts from a presence table when
+the codes span a range of the order of their number, and sorts only wider
+ones.  The scorers and trainers take coded corpora, or plain sequences,
+which they encode once on entry; a parallel corpus may be given coded as
+its (sources, targets) pair of coded corpora (``coded_pairs``).
 
 ``_CountTable.rows(keys)`` is the one row lookup: the prob and log matrices
 whose row i belongs to ``keys[i]``.  Each consumer asks once for every key it
@@ -138,6 +140,34 @@ def _check_pairs(src_lengths, tgt_lengths) -> None:
         if not src[i] or not tgt[i]:
             raise InvalidInputError(f"pair {i}: sequences must be non-empty")
         raise InvalidInputError(f"pair {i}: source length {src[i]} != target length {tgt[i]}")
+
+
+# a key range up to this many times the key count, plus this slack, is
+# compacted through a presence table; a wider one (a vocabulary of thousands
+# of tokens) is sorted, so no table grows as positions x tokens
+_DENSE_RANGE_FACTOR = 4
+_DENSE_RANGE_SLACK = 4096
+
+
+def _unique_ints(keys: np.ndarray, counts: bool = False):
+    """``np.unique(keys, return_inverse=True)``, or with ``counts``
+    ``np.unique(keys, return_counts=True)``, for a 1-D integer array: the
+    same distinct values in ascending order, inverse or counts, dtypes and
+    shapes.  Over a narrow range the values are marked in a presence table
+    (``np.bincount`` when counting) and ranked by ``cumsum``, without a sort."""
+    lo, hi = (int(keys.min()), int(keys.max())) if len(keys) else (0, -1)
+    span = hi - lo + 1
+    if span > _DENSE_RANGE_FACTOR * len(keys) + _DENSE_RANGE_SLACK:
+        return np.unique(keys, return_inverse=not counts, return_counts=counts)
+    offsets = keys - lo
+    if counts:
+        tally = np.bincount(offsets, minlength=span)
+        present = np.flatnonzero(tally)
+        return (present + lo).astype(keys.dtype, copy=False), tally[present]
+    seen = np.zeros(span, dtype=bool)
+    seen[offsets] = True
+    rank = np.cumsum(seen, dtype=np.intp) - 1
+    return (np.flatnonzero(seen) + lo).astype(keys.dtype, copy=False), rank[offsets]
 
 
 def _num_to_str(value) -> str:
@@ -252,8 +282,10 @@ class _CountTable:
 
         Position t of ``runs[i]`` has the key made of the ``back`` tokens
         before it in the run (BOS-padded), followed by ``conds[i][t]`` when
-        ``conds`` is given.  Key ids are compacted column by column with
-        ``np.unique``, so a key code stays below positions x distinct tokens.
+        ``conds`` is given.  Key ids are compacted column by column
+        (``_unique_ints``, ids in ascending order of the codes), so a key
+        code stays below distinct keys x distinct tokens; each key tuple is
+        gathered from one list per column.
         """
         lengths = runs.lengths
         codes = {BOS: 0}    # code 0 also pads the keys before a run's start
@@ -266,12 +298,13 @@ class _CountTable:
             columns.append(conds.codes_in(codes))
         key_ids = np.zeros(len(flat), dtype=np.int64)
         for column in columns:
-            _, key_ids = np.unique(key_ids * len(codes) + column, return_inverse=True)
+            _, key_ids = _unique_ints(key_ids * len(codes) + column)
         # any position of a key spells it out
         position = np.zeros(int(key_ids.max(initial=-1)) + 1, dtype=np.intp)
         position[key_ids] = at
         tokens = list(codes)
-        keys = [tuple(tokens[column[j]] for column in columns) for j in position.tolist()]
+        gathered = [[tokens[c] for c in column[position].tolist()] for column in columns]
+        keys = list(zip(*gathered)) if gathered else [()] * len(position)
         events = np.array([self._index.get(tok, -1) for tok in tokens], dtype=np.intp)[flat]
         return lengths, tokens, flat, key_ids, events, keys
 
@@ -307,7 +340,7 @@ class _CountTable:
             token = tokens[flat[bad.argmax()]]
             raise InvalidInputError(f"{what} {token!r} is outside the vocabulary")
         size = len(self._events)
-        pairs, counts = np.unique(key_ids * size + events, return_counts=True)
+        pairs, counts = _unique_ints(key_ids * size + events, counts=True)
         for pair, count in zip(pairs.tolist(), counts.tolist()):
             key, event = divmod(pair, size)
             self.counts.setdefault(keys[key], {})[self._events[event]] = count

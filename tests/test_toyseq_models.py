@@ -1,5 +1,8 @@
 import math
+import sys
 from collections import Counter
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btfactors.errors import InvalidInputError, ParseError
+from btfactors.toyseq import models
 from btfactors.toyseq.models import (
+    _DENSE_RANGE_FACTOR,
+    _DENSE_RANGE_SLACK,
     BOS,
     EOS,
     ChannelModel,
     NGramLM,
+    _unique_ints,
     channel_score,
     lm_score,
     train_channel,
@@ -463,8 +470,23 @@ def test_channel_batch_score_rejects_misaligned_pairs():
 
 # -- counted training against the dict-loop trainers --------------------------------
 
+def in_counted_order(model, runs, conds=()):
+    """Re-insert ``model.counts`` in the order the counted trainers insert:
+    keys by their tokens' codes, first column first, where BOS is code 0 and
+    the other tokens are coded in the order first seen in ``runs``, then in
+    ``conds``; each row's events by event index."""
+    code = {tok: i for i, tok in enumerate(dict.fromkeys([BOS, *chain(*runs), *chain(*conds)]))}
+    ordered = {key: {tok: row[tok] for tok in sorted(row, key=model._index.__getitem__)}
+               for key, row in sorted(model.counts.items(),
+                                      key=lambda item: [code[tok] for tok in item[0]])}
+    model.counts.clear()
+    model.counts.update(ordered)
+    return model
+
+
 def reference_train_ngram_lm(corpus, order=2, alpha=0.1, vocab=None, use_eos=True):
-    """``train_ngram_lm`` as one counts-row update per token."""
+    """``train_ngram_lm`` as one counts-row update per token, in the counted
+    trainers' insertion order."""
     sentences = [tuple(s) for s in corpus]
     if vocab is None:
         vocab = sorted({tok for s in sentences for tok in s}, key=token_sort_key)
@@ -481,11 +503,12 @@ def reference_train_ngram_lm(corpus, order=2, alpha=0.1, vocab=None, use_eos=Tru
         if use_eos:
             row = counts.setdefault(context_of(model, prefix), {})
             row[EOS] = row.get(EOS, 0) + 1
-    return model
+    return in_counted_order(model, [(*s, EOS) if use_eos else s for s in sentences])
 
 
 def reference_train_channel(pairs, direction, alpha=0.1, out_vocab=None):
-    """``train_channel`` as one counts-row update per token."""
+    """``train_channel`` as one counts-row update per token, in the counted
+    trainers' insertion order."""
     outputs_first = direction == "target_to_source"
     rows = [(src, tgt) if outputs_first else (tgt, src) for src, tgt in pairs.pairs]
     if out_vocab is None:
@@ -500,17 +523,21 @@ def reference_train_channel(pairs, direction, alpha=0.1, out_vocab=None):
             row = counts.setdefault((prev, cond_tok), {})
             row[out_tok] = row.get(out_tok, 0) + 1
             prev = out_tok
-    return model
+    return in_counted_order(model, [out_seq for out_seq, _ in rows],
+                            [cond_seq for _, cond_seq in rows])
 
 
 def training_outcome(train, *args, **kwargs):
-    """The text and counts of the trained model, or the message it raised."""
+    """The text and counts of the trained model, with the insertion order of
+    its keys and of each row's events (dict ``==`` ignores it, and
+    ``_oov_denom`` sums a row in it), or the message it raised."""
     try:
         model = train(*args, **kwargs)
     except InvalidInputError as exc:
         return str(exc)
     assert all(type(c) is int for row in model.counts.values() for c in row.values())
-    return model.to_text(), model.counts
+    return (model.to_text(), model.counts, list(model.counts),
+            [list(row) for row in model.counts.values()])
 
 
 # tokens a training corpus may hold although no explicit vocabulary does
@@ -554,6 +581,48 @@ def test_counted_channel_training_equals_the_dict_loop(case, conds, alpha, direc
             == training_outcome(reference_train_channel, pairs, direction, alpha, vocab))
 
 
+def models_unique_calls(monkeypatch):
+    """The list that records each ``np.unique`` call made from ``models``."""
+    calls = []
+    unique = np.unique
+
+    def recorded(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == models.__name__:
+            calls.append(len(args[0]))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recorded)
+    return calls
+
+
+def test_a_large_vocabulary_trains_and_scores_like_the_references(monkeypatch):
+    # 5,000 distinct string tokens: the keys of an order-3 LM and a channel
+    # span far more codes than there are positions, so they take the sort branch
+    rng = np.random.default_rng(7)
+    words = [f"w{i}" for i in range(5000)]
+    order = rng.permutation(len(words))
+    corpus = [tuple(words[j] for j in order[i:i + 5]) for i in range(0, len(words), 5)]
+    corpus += [tuple(words[j] for j in rng.integers(0, 60, size=4)) for _ in range(100)]
+    conds = [tuple(f"c{j}" for j in rng.integers(0, 30, size=len(s))) for s in corpus]
+    pairs = parallel_corpus(zip(corpus, conds))
+    calls = models_unique_calls(monkeypatch)
+    assert (training_outcome(train_ngram_lm, corpus, 3, 0.1)
+            == training_outcome(reference_train_ngram_lm, corpus, 3, 0.1))
+    for direction in ChannelModel.DIRECTIONS:
+        assert (training_outcome(train_channel, pairs, direction, 0.1)
+                == training_outcome(reference_train_channel, pairs, direction, 0.1))
+    assert calls
+    lm = train_ngram_lm(corpus, order=3, alpha=0.1)
+    model = train_channel(pairs, "target_to_source", alpha=0.1)
+    held_out = corpus[::25] + [("w1", "unseen", "w2"), ("w3",)]
+    inputs = [tuple(f"c{j}" for j in rng.integers(0, 31, size=len(s))) for s in held_out]
+    assert same_bits(lm.batch_score(held_out),
+                     np.array([reference_lm_score(lm, s) for s in held_out]))
+    assert same_bits(model.batch_score(held_out, inputs),
+                     np.array([reference_channel_score(model, o, i)
+                               for o, i in zip(held_out, inputs)]))
+
+
 @pytest.mark.parametrize("corpus, use_eos, message", [
     ([[0, 1], [1, 5, 7]], True, "training token 5 is outside the vocabulary"),
     ([[0, EOS, 9]], True, "training token '</s>' is outside the vocabulary"),
@@ -573,6 +642,74 @@ def test_counted_channel_training_refuses_the_first_stray_output_token():
         with pytest.raises(InvalidInputError) as info:
             train(pairs, "target_to_source", alpha=0.1, out_vocab=[0, 1])
         assert str(info.value) == "output token 'x' is outside the vocabulary"
+
+
+# -- sort-free key compaction against np.unique --------------------------------------
+
+def dense_bound(n):
+    """The widest key range ``_unique_ints`` compacts without sorting."""
+    return _DENSE_RANGE_FACTOR * n + _DENSE_RANGE_SLACK
+
+
+def same_as_np_unique(keys, counts):
+    got = _unique_ints(keys, counts)
+    want = np.unique(keys, return_inverse=not counts, return_counts=counts)
+    return len(got) == len(want) == 2 and all(
+        g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+        for g, w in zip(got, want))
+
+
+@st.composite
+def key_arrays(draw):
+    """Int64 keys spanning a range inside or past the dense bound; with two
+    keys or more, the range's ends are among them."""
+    n = draw(st.integers(0, 50))
+    bound = dense_bound(n)
+    span = draw(st.one_of(st.integers(1, 8), st.integers(1, bound),
+                          st.integers(bound + 1, 2**40)))
+    lo = draw(st.integers(-2**40, 2**40))
+    inner = draw(st.lists(st.integers(0, span - 1), min_size=max(n - 2, 0),
+                          max_size=max(n - 2, 0)))
+    offsets = draw(st.permutations(([0, span - 1] if n >= 2 else [0] * n) + inner))
+    return np.array([lo + k for k in offsets], dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=key_arrays(), counts=st.booleans())
+def test_unique_ints_equals_np_unique(keys, counts):
+    assert same_as_np_unique(keys, counts)
+
+
+@pytest.mark.parametrize("n, span, sorts", [
+    (0, 0, False),
+    (1, 1, False),
+    (3, dense_bound(3), False),
+    (3, dense_bound(3) + 1, True),
+    (2000, dense_bound(2000), False),
+    (2000, dense_bound(2000) + 1, True),
+])
+def test_unique_ints_sorts_only_past_the_range_bound(monkeypatch, n, span, sorts):
+    keys = -7 + np.resize(np.array([span - 1, 0, span // 2], dtype=np.int64), n)
+    for counts in (False, True):
+        assert same_as_np_unique(keys, counts)
+        calls = models_unique_calls(monkeypatch)
+        _unique_ints(keys, counts)
+        assert calls == ([n] if sorts else [])
+        monkeypatch.undo()
+
+
+def test_the_benchmark_sweep_compacts_every_key_without_sorting(monkeypatch):
+    # the benchmark's seed-1 sweep (training, synthesis and diagnostics of
+    # every cell) keeps all its model keys on the presence-table path
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    sweep = workloads.Sweep()
+    config = sweep.build(1, None)
+    calls = models_unique_calls(monkeypatch)
+    records = sweep.run(config)
+    assert records is not None and len(records) == len(config.strategies) + 1
+    assert calls == []
 
 
 # -- one-pass row fill against the per-key loop --------------------------------------
