@@ -15,14 +15,17 @@ channel on authentic plus synthetic data; ``run_bt_experiment`` sweeps
 BLEU together with each synthetic corpus's ``corpus_diagnostics`` (quality,
 importance and spectrum from one backward pass).  Stochastic strategies draw
 each sentence's uniforms from its own stream through ``sentence_uniforms``.
-``run_bt_experiment`` codes each corpus of a seed's task once
+``run_bt_experiment`` maps ``_seed_cells``, a function of (config, seed)
+that keeps no state between seeds, over the config's seeds.
+``_seed_cells`` codes each corpus of the seed's task once
 (``tokenio.encode``); ``synthesize_corpus`` then hands out each synthetic
 corpus coded by its decoder, and training, scoring, BLEU and the
 diagnostics read those codes, so no decoder output is coded token by token.
 Gamma strategies pick with ``scoring.gamma_picks`` from ``gamma_chunks``,
 the one candidate-pool pass of the sweep, ``backtranslate`` and ``score``.
-In a sweep, the Gamma cells of one candidate count share one such pass per
-seed: every cell picks from each chunk of pools before the next is drawn.
+Within one seed, the Gamma cells of one candidate count share one such pass
+(``_gamma_sources``): every cell picks from each chunk of pools before the
+next is drawn.
 
 The oracle functions enumerate every equal-length source exactly:
 ``exact_marginal`` is the log marginal likelihood of a target under the
@@ -388,80 +391,71 @@ def _weak_backward(bitext: tuple[CodedCorpus, CodedCorpus], alpha: float,
                          out_vocab=vocab)
 
 
-def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Sweep every (strategy, seed) cell on freshly generated toy tasks.
+def _seed_cells(config: ExperimentConfig, seed: int) -> list[CellReport]:
+    """The cells of one seed, in strategy order, the ``none`` baseline first
+    unless the config lists it.
 
-    The no-synthetic baseline is always included as the common reference.
-    Each cell: train backward model and source LM on bitext, synthesize,
-    retrain the forward model on bitext + synthetic, score test BLEU, and
-    attach the synthetic corpus diagnostics.  Deterministic per seed.
-
-    Gamma cells with equal ``num_candidates`` share one candidate-pool pass
-    per seed, made when the first of them runs; each cell's sources equal
-    those of ``synthesize_corpus`` with that strategy alone.  Each corpus of
-    the task is coded once per seed, and each synthetic corpus comes coded
-    from its decoder.
+    The seed's task, its coded splits, the backward model and the source LM
+    are built once and shared by the cells; the weak backward model is built
+    in the ``beam-weak`` cell.  Each cell synthesizes, retrains the forward
+    model on bitext + synthetic, scores test BLEU and attaches the synthetic
+    corpus diagnostics.  The Gamma cells of one ``num_candidates`` share one
+    ``_gamma_sources`` pass, made when the first of them runs; each cell's
+    sources equal those of ``synthesize_corpus`` with that strategy alone.
+    A failing cell's error names its strategy and seed.
     """
     strategies = list(config.strategies)
     if not any(s.kind == "none" for s in strategies):
         strategies.insert(0, BTStrategy("none"))
-    report = ExperimentReport()
-    for seed in config.seeds:
-        task = generate_toy_task(config.task.with_seed(seed))
-        bitext, test = coded_pairs(task.bitext), coded_pairs(task.test)
-        mono = encode(task.mono.sentences)
-        references = encode(task.mono_refs.sources())
-        backward = train_channel(
-            bitext, "target_to_source", config.alpha, out_vocab=task.source_vocab
-        )
-        lm = train_ngram_lm(bitext[0], config.lm_order, config.alpha, vocab=task.source_vocab)
-        weak = None
-        if any(s.kind == "beam-weak" for s in strategies):
-            weak = _weak_backward(bitext, config.alpha, task.source_vocab)
-        gamma_synthetic: dict = {}
-        for strategy in strategies:
-            try:
-                if strategy.num_candidates is None:
-                    generator_model = weak if strategy.kind == "beam-weak" else backward
-                    synthetic = synthesize_corpus(
-                        mono, generator_model, lm, strategy, seed, config.beam_size
-                    )
-                else:
-                    if strategy not in gamma_synthetic:
-                        # the first Gamma cell of its candidate count makes
-                        # the one pool pass for every cell of that count
-                        group = [s for s in strategies
-                                 if s.num_candidates == strategy.num_candidates]
-                        passes = _gamma_sources(mono, backward, lm, group, seed)
-                        for member, sources in zip(group, passes):
-                            gamma_synthetic[member] = (sources, mono)
-                    synthetic = gamma_synthetic.pop(strategy)
-                sources, targets = synthetic
-                forward = train_forward(
-                    bitext, synthetic, config.alpha, out_vocab=task.target_vocab
-                )
-                cell = CellReport(
-                    strategy=strategy.label,
-                    seed=seed,
-                    test_bleu=_evaluate_test_bleu(forward, test, config.beam_size),
-                    synthetic_size=len(sources),
-                )
-                if len(sources):
-                    # diagnostics always use the standard backward model,
-                    # even for corpora generated by the weak variant
-                    quality, importance, spectrum = corpus_diagnostics(
-                        synthetic, backward, lm, references, task.source_vocab
-                    )
-                    truth_scores = task.truth_channel.batch_score(targets, sources)
-                    cell.mean_log_q = quality.mean_log_q
-                    cell.synthetic_bleu = quality.bleu_vs_reference
-                    cell.mean_log_importance = importance.mean_log_importance
-                    cell.mean_log_truth = float(np.mean(truth_scores))
-                    cell.spectral_entropy = spectrum.normalized_spectral_entropy
-                report.cells.append(cell)
-            except BtfactorsError as exc:
-                raise type(exc)(f"strategy {strategy.label!r} seed {seed}: {exc}") from exc
-    return report
+    task = generate_toy_task(config.task.with_seed(seed))
+    bitext, test = coded_pairs(task.bitext), coded_pairs(task.test)
+    mono = encode(task.mono.sentences)
+    references = encode(task.mono_refs.sources())
+    backward = train_channel(bitext, "target_to_source", config.alpha, out_vocab=task.source_vocab)
+    lm = train_ngram_lm(bitext[0], config.lm_order, config.alpha, vocab=task.source_vocab)
+    # num_candidates -> the sources of each Gamma cell with that count
+    gamma_passes: dict[int, dict[BTStrategy, CodedCorpus]] = {}
+    cells = []
+    for strategy in strategies:
+        try:
+            n = strategy.num_candidates
+            if strategy.kind == "beam-weak":
+                weak = _weak_backward(bitext, config.alpha, task.source_vocab)
+                synthetic = synthesize_corpus(mono, weak, lm, strategy, seed, config.beam_size)
+            elif n is None:
+                synthetic = synthesize_corpus(mono, backward, lm, strategy, seed, config.beam_size)
+            else:
+                if n not in gamma_passes:
+                    group = [s for s in strategies if s.num_candidates == n]
+                    passes = _gamma_sources(mono, backward, lm, group, seed)
+                    gamma_passes[n] = dict(zip(group, passes))
+                synthetic = gamma_passes[n][strategy], mono
+            sources, targets = synthetic
+            forward = train_forward(bitext, synthetic, config.alpha, out_vocab=task.target_vocab)
+            cell = CellReport(strategy.label, seed,
+                              _evaluate_test_bleu(forward, test, config.beam_size), len(sources))
+            if len(sources):
+                # diagnostics always use the standard backward model,
+                # even for corpora generated by the weak variant
+                quality, importance, spectrum = corpus_diagnostics(
+                    synthetic, backward, lm, references, task.source_vocab)
+                cell.mean_log_q = quality.mean_log_q
+                cell.synthetic_bleu = quality.bleu_vs_reference
+                cell.mean_log_importance = importance.mean_log_importance
+                truth_scores = task.truth_channel.batch_score(targets, sources)
+                cell.mean_log_truth = float(np.mean(truth_scores))
+                cell.spectral_entropy = spectrum.normalized_spectral_entropy
+            cells.append(cell)
+        except BtfactorsError as exc:
+            raise type(exc)(f"strategy {strategy.label!r} seed {seed}: {exc}") from exc
+    return cells
+
+
+def run_bt_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Every (strategy, seed) cell on freshly generated toy tasks: the
+    ``_seed_cells`` of each seed in turn.  Seeds share no state, so each
+    seed's cells equal those of a run on that seed alone."""
+    return ExperimentReport([cell for seed in config.seeds for cell in _seed_cells(config, seed)])
 
 
 # -- exact oracles ---------------------------------------------------------------

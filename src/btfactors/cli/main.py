@@ -40,7 +40,7 @@ from ..btloop import (
     train_forward,
 )
 from ..analysis import corpus_diagnostics, corpus_profile
-from ..errors import BtfactorsError, ConfigError, InvalidInputError
+from ..errors import BtfactorsError, ConfigError, InconsistencyError, InvalidInputError
 from ..manipulate import SyntheticPair
 from ..scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
 from ..streams import sentence_stream, sentence_uniforms
@@ -262,6 +262,12 @@ def _cmd_score(args, argv) -> int:
 
 def _cmd_select(args, argv) -> int:
     records = read_candidate_records(args.candidates)
+    # score --candidates takes any lengths, but a synthetic pair's sides are equal
+    for target_id, target, lengths in zip(records.target_ids, records.targets, records.lengths):
+        unequal = lengths[lengths != len(target)]
+        if len(unequal):
+            raise InconsistencyError(f"candidate record of target {target_id}: candidate length"
+                                     f" {unequal[0]} != target length {len(target)}")
     params_obj = GammaParams(gamma=args.gamma)
     if args.mode == "sample":
         _require_seed(args)
@@ -410,6 +416,9 @@ def _cmd_oracle(args, argv) -> int:
     if args.num_targets < 0:
         # a negative slice bound would silently drop the last |N| targets
         raise ConfigError(f"--num-targets must be >= 0, got {args.num_targets}")
+    if args.num_targets > TINY_TASK.mono_size:
+        raise ConfigError(
+            f"--num-targets must be <= {TINY_TASK.mono_size}, got {args.num_targets}")
     if args.samples < 2:
         # checked before any target, so it holds for zero targets too
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")

@@ -706,6 +706,45 @@ def test_gamma_cells_share_one_candidate_pass_per_seed(monkeypatch):
         assert [r for r in records if r["strategy"] == strategy.label] == alone[1::2]
 
 
+def test_each_seed_gives_the_cells_of_a_run_on_that_seed_alone():
+    # seeds share no state, so they can run in any order or apart
+    strategies = (BTStrategy("beam"), BTStrategy("gamma-select", 0.2, 6),
+                  BTStrategy("gamma-sample", 0.5, 6))
+    config = ExperimentConfig(task=TINY, strategies=strategies, seeds=(3, 2))
+    records = run_bt_experiment(config).to_records()
+    assert [r["seed"] for r in records] == [3] * 4 + [2] * 4
+    for seed in config.seeds:
+        alone = run_bt_experiment(ExperimentConfig(task=TINY, strategies=strategies,
+                                                   seeds=(seed,))).to_records()
+        cells = [cell.to_record() for cell in btloop._seed_cells(config, seed)]
+        assert [r for r in records if r["seed"] == seed] == alone == cells
+
+
+@pytest.mark.parametrize("callee,calls_per_seed,label", [
+    ("train_forward", 3, "none"),
+    ("_weak_backward", 1, "beam-weak"),
+    ("_gamma_sources", 1, "gamma-select(gamma=0.2,n=4)"),
+])
+def test_a_failing_cell_names_its_strategy_and_seed(monkeypatch, callee, calls_per_seed, label):
+    # the callee fails on its first call of the second seed
+    calls = []
+    original = getattr(btloop, callee)
+
+    def failing(*args, **kwargs):
+        calls.append(callee)
+        if len(calls) > calls_per_seed:
+            raise InvalidInputError("boom")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(btloop, callee, failing)
+    config = ExperimentConfig(task=TINY, seeds=(3, 2), strategies=(
+        BTStrategy("beam-weak"), BTStrategy("gamma-select", 0.2, 4)))
+    with pytest.raises(InvalidInputError) as caught:
+        run_bt_experiment(config)
+    assert type(caught.value) is InvalidInputError
+    assert str(caught.value) == f"strategy {label!r} seed 2: boom"
+
+
 def reference_gamma_sources(mono, backward, lm, strategy, seed):
     """Per-sentence Gamma synthesis: each sentence's stream draws its pool
     position by position, then gamma-sample's pick."""

@@ -601,6 +601,20 @@ def test_select_of_no_records_writes_an_empty_corpus_that_train_reads(toy_dir, t
     assert model.read_text() == plain.read_text()
 
 
+@pytest.mark.parametrize("mode", ["select", "sample"])
+def test_select_refuses_a_candidate_whose_length_is_not_its_targets(tmp_path, capsys, mode):
+    # it used to exit 0 and write "3\t1 2\tgamma-select", a pair that
+    # train --synthetic and analyze refuse
+    cands, out = tmp_path / "cands.tsv", tmp_path / "chosen.tsv"
+    cands.write_text("4\t1 2\t3 4|-1.0|-2.0\t4 3|-1.5|-2.5\n"
+                     "0\t1 2\t3|-1.0|-2.0\t4|-1.5|-2.5\n")
+    assert dispatch(["select", "--candidates", str(cands), "--mode", mode, "--seed", "1",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: candidate record of target 0: candidate length 1 != target length 2\n")
+    assert list(tmp_path.iterdir()) == [cands]
+
+
 def test_trained_models_parse_back(models_dir):
     from btfactors.toyseq.models import ChannelModel, NGramLM
 
@@ -811,6 +825,22 @@ MIXED_RECORDS = (
     "\t6|-0.75|-3.0\t5 6 5 6|-5.0|-4.0\t6 6|-1.75|-1.75\t5|-1.0|-2.5\n"
 )
 
+# the same counts, blank lines, repeated id and spellings, with every
+# candidate as long as its target: select refuses any other record
+SELECT_RECORDS = (
+    "0\t3 1\t1 2|-2.5|-3.0\t4 4|-1.25|-2.0\n"
+    "\n"
+    "7\tb a\tx y|-4.0|-6.5\t2  x|-3.5|-1e0\t007 -0|-2.0|-2.75\n"
+    "   \n"
+    "3\t5 5 5\t1 1 1|-0.5|-0.75\t1 2 3|-1.0|-1.5\t1 2  3|-1.5|-2.25\t2 1 2|-0.25|-4.0"
+    "\t3 3 3|-2.0|-0.5\t4 1 4|-3.0|-3.0\t1 1 1|-0.5|-0.75\t2 2 2|-6.0|-2.0\n"
+    "7\tc\ta|-1.0|-1.0\tb|-2.0|-1.5\t\u0661|-0.5|-3.5\n"
+    "12\t9\t0|-3.25|-1.5\t0|-2.50|-3.125\n"
+    "\n"
+    "4\t1 2 3 4\t5 6 5 6|-2.0|-2.0\t5 5 5 5|-1.0|-2.5\t6 5 6 6|-4.5|-1.0\t5 5 6 6|-2.0|-2.0"
+    "\t6 6 6 5|-0.75|-3.0\t5 6 5 6|-5.0|-4.0\t6 6 5 5|-1.75|-1.75\t5 5 5 5|-1.0|-2.5\n"
+)
+
 
 def per_set_selection(path, mode, seed, gamma, out) -> None:
     """Write what ``select`` chooses from the records at ``path``, one set at
@@ -834,7 +864,7 @@ def per_set_selection(path, mode, seed, gamma, out) -> None:
                                        ("sample", 9)])
 def test_select_on_mixed_candidate_counts_equals_the_per_set_loop(tmp_path, mode, seed):
     path = tmp_path / "mixed.txt"
-    path.write_text(MIXED_RECORDS, encoding="utf-8")
+    path.write_text(SELECT_RECORDS, encoding="utf-8")
     out = tmp_path / "out.tsv"
     argv = ["select", "--candidates", str(path), "--gamma", "0.3", "--mode", mode,
             "--out", str(out)]
@@ -849,7 +879,7 @@ def test_select_sample_on_ids_past_two_to_the_32_equals_the_per_set_loop(tmp_pat
     # a stream id of 2**32 or more takes two entropy words
     path = tmp_path / "wide.txt"
     path.write_text("".join(
-        f"{target_id}\t1 2\t5 6|-2.0|-2.0\t5|-1.0|-2.5\t6 5 6|-4.5|-1.0\t6|-0.75|-3.0\n"
+        f"{target_id}\t1 2\t5 6|-2.0|-2.0\t5 5|-1.0|-2.5\t6 5|-4.5|-1.0\t6 6|-0.75|-3.0\n"
         for target_id in (2**32 + 5, 3, 2**32 - 1, 2**32 + 5, 0, 2**40)), encoding="utf-8")
     out = tmp_path / "out.tsv"
     assert dispatch(["select", "--candidates", str(path), "--gamma", "0.3", "--mode", "sample",
@@ -1010,6 +1040,18 @@ def test_oracle_refuses_a_negative_target_count(tmp_path, capsys, count):
     assert not out.exists()
 
 
+def test_oracle_refuses_more_targets_than_the_tiny_task_has(tmp_path, capsys):
+    # --num-targets 500 used to write the 120 mono targets and record 500
+    out = tmp_path / "oracle"
+    assert dispatch(["oracle", "--task", "tiny", "--seed", "1", "--num-targets", "121",
+                     "--samples", "50", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --num-targets must be <= 120, got 121\n"
+    assert not out.exists()
+    assert dispatch(["oracle", "--task", "tiny", "--seed", "1", "--num-targets", "120",
+                     "--samples", "2", "--out", str(out)]) == 0
+    assert len((out / "oracle.tsv").read_text().splitlines()) == 1 + 120
+
+
 @pytest.mark.parametrize("count", ["0", "6"])
 @pytest.mark.parametrize("samples", ["-7", "1"])
 def test_oracle_refuses_too_few_samples_before_any_work(tmp_path, capsys, monkeypatch,
@@ -1024,6 +1066,19 @@ def test_oracle_refuses_too_few_samples_before_any_work(tmp_path, capsys, monkey
                      "--samples", samples, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: --samples must be >= 2, got {samples}\n"
     assert not out.exists()
+
+
+def test_the_toy_experiment_config_is_the_acceptance_sweep():
+    # the README, the ROADMAP and the benchmark call this file the acceptance config
+    from test_acceptance import ACCEPTANCE_TASK, SEEDS
+
+    text = (Path(__file__).parents[1] / "configs" / "toy-experiment.cfg").read_text()
+    strategies = (BTStrategy("beam"), BTStrategy("beam-weak"), BTStrategy("sampling"),
+                  BTStrategy("data-manipulation", 0.5), BTStrategy("gamma-select", 0.2, 50),
+                  BTStrategy("gamma-sample", 0.2, 50))
+    assert SEEDS == (1, 2, 3, 4, 5)
+    assert _parse_config_text(text) == btloop.ExperimentConfig(
+        task=ACCEPTANCE_TASK, strategies=strategies, seeds=SEEDS)
 
 
 def test_bt_experiment_command(tmp_path):
