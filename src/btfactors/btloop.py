@@ -37,7 +37,9 @@ backward channel as proposal.  Every sample is one of the enumerated
 sources, so the estimator computes each source's importance-weighted value
 once, from the enumeration's LM, forward and backward log-probs, and draws
 the samples as enumeration rows, ``_MC_BLOCK`` at a time through
-``_ancestral``; only the uniforms and the values span all the samples.
+``_ancestral``, each block's rows read from its token indices by Horner's
+rule in place; only the uniforms and the values span all the samples, and
+``MC_SAMPLE_LIMIT`` bounds their count per target.
 ``evaluate_marginal_oracles`` enumerates once for all three quantities.
 """
 
@@ -89,6 +91,8 @@ DEFAULT_BEAM_SIZE = 5
 DEFAULT_NUM_CANDIDATES = 50
 DEFAULT_GAMMA_SPLIT = 0.5
 ENUMERATION_GUARD = 10**6
+# Monte-Carlo samples per target: the (L, samples) uniforms are drawn at once
+MC_SAMPLE_LIMIT = 10**7
 # Monte-Carlo samples drawn at a time; bounds the oracle's per-sample working set
 _MC_BLOCK = 8192
 WEAK_BITEXT_FRACTION = 0.1
@@ -562,6 +566,8 @@ def jensen_lower_bound(lm: NGramLM, forward_channel: ChannelModel, y) -> float:
 def _check_mc_inputs(lm: NGramLM, backward: ChannelModel, num_samples: int) -> int:
     """``num_samples`` as an int, once the estimator's inputs are checked."""
     num_samples = check_integer("num_samples", num_samples, 2)
+    if num_samples > MC_SAMPLE_LIMIT:
+        raise InvalidInputError(f"num_samples must be <= {MC_SAMPLE_LIMIT}")
     if backward.alpha <= 0.0:
         raise InvalidInputError("backward model must smooth with alpha > 0 (positive mass)")
     if tuple(backward.out_vocab) != tuple(lm.content_vocab):
@@ -592,8 +598,7 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
         state = column + 1
     by_row = np.exp((lm_scores - _logsumexp(lm_scores)) - log_q) * forward_scores
     bases = [block * logs.shape[1] for block in blocks]
-    # a source's row in _enumeration_indices: its indices as base-|V| digits
-    dims = (len(backward.out_vocab),) * len(y)
+    size = len(backward.out_vocab)
     uniforms = rng.random((len(y), num_samples))
     values = np.empty(num_samples)
     for start in range(0, num_samples, _MC_BLOCK):
@@ -601,7 +606,13 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
         count = draws.shape[1]
         steps = ((table, None, base, row) for base, row in zip(bases, draws))
         token_idx, _ = _ancestral(steps, count, len(y))
-        values[start : start + count] = by_row[np.ravel_multi_index(token_idx.T, dims)]
+        # a source's row in _enumeration_indices: its indices as base-|V|
+        # digits, first position most significant (Horner's rule)
+        row = token_idx[:, 0].copy()
+        for column in token_idx.T[1:]:
+            row *= size
+            row += column
+        values[start : start + count] = by_row[row]
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(num_samples))
     return mean, std_error

@@ -29,6 +29,7 @@ from ..btloop import (
     DEFAULT_NUM_CANDIDATES,
     DOMAINS,
     EXPERIMENT_KEYS,
+    MC_SAMPLE_LIMIT,
     STRATEGIES,
     BTStrategy,
     ExperimentConfig,
@@ -422,6 +423,9 @@ def _cmd_oracle(args, argv) -> int:
     if args.samples < 2:
         # checked before any target, so it holds for zero targets too
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
+    if args.samples > MC_SAMPLE_LIMIT:
+        # numpy would fail allocating the uniforms, with a traceback
+        raise ConfigError(f"--samples must be <= {MC_SAMPLE_LIMIT}, got {args.samples}")
     spec = TINY_TASK.with_seed(args.seed)
     task = generate_toy_task(spec)
     backward = train_channel(task.bitext, "target_to_source", args.alpha,

@@ -206,17 +206,23 @@ def invert_cdf(table: np.ndarray, uniforms: np.ndarray,
     Draw i reads row ``rows[i]`` of the table (row i when ``rows`` is None)
     and is the number of that row's cumulative probabilities at or below
     ``uniforms[i]``, clamped to n-1: a branchless binary search over the
-    padded width P takes log2(P) gathers without a (draws, n) table.
+    padded width P takes log2(P) gathers without a (draws, n) table.  The
+    search runs on flat positions, starting at each row's first entry; the
+    last step adds its comparison as a bool, and the column is the flat
+    position's low log2(P) bits.  Neither ``rows`` nor ``uniforms`` is
+    written to.
     """
     width = table.shape[1]
     if width & (width - 1):
         raise InvalidInputError(f"invert_cdf takes a cdf_table, of a power-of-two width, "
                                 f"got width {width}")
-    base = (np.arange(len(uniforms)) if rows is None else np.asarray(rows)) * width
-    found, step = base.copy(), width
-    while step := step >> 1:
-        found += (table.ravel()[step - 1 :][found] <= uniforms) * step
-    return found - base
+    flat = table.ravel()
+    found, step = (np.arange(len(uniforms)) if rows is None else np.asarray(rows)) * width, width
+    while (step := step >> 1) > 1:
+        found += (flat[step - 1 :][found] <= uniforms) * step
+    if step:
+        found += flat[found] <= uniforms
+    return found & (width - 1)
 
 
 def _set_rows(cset: CandidateSet, params: GammaParams) -> np.ndarray:

@@ -27,10 +27,14 @@ reads a (states, |V|) table at each position (the channel samplers read the
 one stacked table of ``_stacked_conditionals``) and, for each output row,
 binary-searches its state's row for its uniform (``invert_cdf`` with row
 indices) in a table built once (``cdf_table``); no per-sample copy of a
-table row is made.  Each sentence's uniforms are drawn from its own stream
-before any sampling (``streams.sentence_uniforms`` draws them for a whole
-corpus), so a sentence decoded in a corpus gets the same tokens as it would
-alone.
+table row is made.  The samples' states live in one (n,) array that each
+position updates in place (the position's row base added, then the drawn
+index plus one written over it), and the search works on flat table
+positions, so a position costs log2(P) gathers and a few in-place passes
+over the samples, with no caller array written.  Each sentence's uniforms
+are drawn from its own stream before any sampling
+(``streams.sentence_uniforms`` draws them for a whole corpus), so a
+sentence decoded in a corpus gets the same tokens as it would alone.
 ``candidate_chunks`` samples the n-candidate pools of a whole corpus in
 chunks of at most ``_CHUNK`` equal-length targets, as (targets x n x L)
 index arrays with their channel and LM log-probs.  Its ``draw(ids, count)``
@@ -195,7 +199,7 @@ def _ancestral(steps, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
         if logs is not None:
             log_probs += logs.ravel()[state * logs.shape[1] + idx]
         token_idx[:, t] = idx
-        state = idx + 1
+        np.add(idx, 1, out=state)
     return token_idx, log_probs
 
 

@@ -358,6 +358,18 @@ def test_mc_sample_count_must_be_an_integer(tiny_setup, estimator, num_samples):
         estimator(lm, backward, forward, y, num_samples, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("num_samples", [btloop.MC_SAMPLE_LIMIT + 1, 10**12, 2**62])
+@pytest.mark.parametrize("estimator", [importance_mc_estimate, evaluate_marginal_oracles])
+def test_mc_sample_count_is_bounded_before_any_draw(tiny_setup, estimator, num_samples):
+    # such counts used to fail inside numpy, allocating the (L, n) uniforms
+    task, backward, forward, lm = tiny_setup
+    rng = np.random.default_rng(0)
+    message = f"num_samples must be <= {btloop.MC_SAMPLE_LIMIT}"
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        estimator(lm, backward, forward, task.mono.sentences[0], num_samples, rng)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 @pytest.mark.parametrize("num_samples", [np.int64(300), np.uint16(300), np.intp(300)])
 def test_mc_sample_count_accepts_numpy_integers(tiny_setup, num_samples):
     task, backward, forward, lm = tiny_setup
@@ -478,6 +490,29 @@ def test_blocked_estimator_equals_full_array_reference_bit_for_bit(seed, use_eos
                 length, num_samples)
             # both consumed the generator alike
             assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("seed", [1, 8])
+def test_sample_rows_equal_the_ravel_multi_index_reference_at_every_enumerable_length(seed):
+    # the estimator maps each block's samples to enumeration rows by Horner's
+    # rule; the reference maps them with np.ravel_multi_index
+    task = generate_toy_task(TINY.with_seed(seed))
+    size = len(task.source_vocab)
+    assert size == 4 and size**9 <= btloop.ENUMERATION_GUARD < size**10
+    backward = train_channel(task.bitext, "target_to_source", 0.1, out_vocab=task.source_vocab)
+    forward = train_channel(task.bitext, "source_to_target", 0.1, out_vocab=task.target_vocab)
+    lm = train_ngram_lm(task.bitext.sources(), 2, 0.1, vocab=task.source_vocab)
+    tokens = itertools.chain.from_iterable(task.mono.sentences)
+    for length in range(1, 10):
+        y = tuple(itertools.islice(tokens, length))
+        _, lm_scores, forward_scores = btloop._enumerate_lm_and_channel(lm, forward, y)
+        for num_samples in (2, 257):
+            got = importance_mc_estimate(lm, backward, forward, y, num_samples,
+                                         np.random.default_rng([seed, length]))
+            want = reference_mc_moments(lm_scores, forward_scores, backward, y, num_samples,
+                                        np.random.default_rng([seed, length]))
+            assert same_float_bits(got[0], want[0]) and same_float_bits(got[1], want[1]), (
+                length, num_samples)
 
 
 def test_oracle_samples_in_blocks_without_log_probs(monkeypatch, tiny_setup):

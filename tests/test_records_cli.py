@@ -1068,6 +1068,21 @@ def test_oracle_refuses_too_few_samples_before_any_work(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("samples", ["10000001", "1000000000000", "4611686018427387904"])
+def test_oracle_refuses_more_samples_than_it_can_draw_before_any_work(tmp_path, capsys,
+                                                                        monkeypatch, samples):
+    # such counts used to end in numpy's "array is too big" or a memory error
+    def no_task(spec):
+        raise AssertionError("task built before --samples was checked")
+
+    monkeypatch.setattr("btfactors.cli.main.generate_toy_task", no_task)
+    out = tmp_path / "oracle"
+    assert dispatch(["oracle", "--task", "tiny", "--seed", "1", "--num-targets", "6",
+                     "--samples", samples, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --samples must be <= 10000000, got {samples}\n"
+    assert not out.exists()
+
+
 def test_the_toy_experiment_config_is_the_acceptance_sweep():
     # the README, the ROADMAP and the benchmark call this file the acceptance config
     from test_acceptance import ACCEPTANCE_TASK, SEEDS

@@ -542,6 +542,33 @@ def test_ancestral_equals_the_row_gather_reference(case, n, seed, data):
                         reference_ancestral(iter(no_logs), n, length))
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=sampling_channels(), n=st.integers(1, 30), seed=st.integers(0, 2**16))
+def test_sampling_kernel_writes_nothing_it_is_given(case, n, seed):
+    # the kernel updates its own search positions and states in place, never
+    # the caller's table, rows, bases or uniforms; int32 indices pick as intp
+    model, cond_seq = case
+    length = len(cond_seq)
+    table, logs, cond_rows = _stacked_conditionals(model, encode([cond_seq]))
+    flat_logs = logs.reshape(-1, logs.shape[-1])
+    base = np.repeat(cond_rows([0], length), n, axis=0) * (logs.shape[-1] + 1)
+    uniforms = np.random.default_rng(seed).random((n, length))
+    rows = base[:, 0] + np.arange(n) % (logs.shape[-1] + 1)
+    bases, row_sets = (base, base.astype(np.int32)), (rows, rows.astype(np.int32))
+    given = (table, flat_logs, uniforms, *bases, *row_sets)
+    saved = [a.copy() for a in given]
+    for a in given:
+        a.setflags(write=False)
+    picks = [invert_cdf(table, uniforms[:, 0], r) for r in row_sets]
+    np.testing.assert_array_equal(picks[0], picks[1])
+    samples = [_ancestral(((table, flat_logs, b[:, t], uniforms[:, t]) for t in range(length)),
+                          n, length)
+               for b in bases]
+    assert_same_samples(samples[0], samples[1])
+    for a, before in zip(given, saved):
+        assert a.tobytes() == before.tobytes()
+
+
 # -- candidate sets ------------------------------------------------------------------
 
 @pytest.fixture
