@@ -65,8 +65,9 @@ from .errors import (
 from .manipulate import SyntheticPair, split_monolingual
 from .scoring import GammaParams, gamma_picks, gamma_rows
 from .streams import sentence_uniforms
-from .tokenio import CodedCorpus, encode
+from .tokenio import BOS, CodedCorpus, encode
 from .toyseq.decode import (
+    DEFAULT_BEAM_SIZE,
     _ancestral,
     _stacked_conditionals,
     batch_lm_scores,
@@ -75,7 +76,6 @@ from .toyseq.decode import (
     sample_decode,
 )
 from .toyseq.models import (
-    BOS,
     DEFAULT_ALPHA,
     DEFAULT_LM_ORDER,
     ChannelModel,
@@ -87,7 +87,6 @@ from .toyseq.models import (
 )
 from .toyseq.taskgen import ToyTaskSpec, generate_toy_task
 
-DEFAULT_BEAM_SIZE = 5
 DEFAULT_NUM_CANDIDATES = 50
 DEFAULT_GAMMA_SPLIT = 0.5
 ENUMERATION_GUARD = 10**6

@@ -24,7 +24,6 @@ import numpy as np
 
 from .. import __version__
 from ..btloop import (
-    DEFAULT_BEAM_SIZE,
     DEFAULT_GAMMA_SPLIT,
     DEFAULT_NUM_CANDIDATES,
     DOMAINS,
@@ -45,7 +44,8 @@ from ..errors import BtfactorsError, ConfigError, InconsistencyError, InvalidInp
 from ..manipulate import SyntheticPair
 from ..scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
 from ..streams import sentence_stream, sentence_uniforms
-from ..tokenio import record_lines, sequence_from_str
+from ..tokenio import record_lines, sequence_from_str, token_sort_key
+from ..toyseq.decode import DEFAULT_BEAM_SIZE
 from ..toyseq.models import (DEFAULT_ALPHA, DEFAULT_LM_ORDER, ChannelModel, NGramLM,
                              train_channel, train_ngram_lm)
 from ..toyseq.taskgen import ToyTaskSpec, generate_toy_task
@@ -73,6 +73,8 @@ STRATEGY_KEYS = {"gamma_dm": DEFAULT_GAMMA_SPLIT, "gamma_score": DEFAULT_GAMMA,
                  "num_candidates": DEFAULT_NUM_CANDIDATES}
 # every key a bt-experiment config may set
 CONFIG_KEYS = ("seeds", "strategies", *STRATEGY_KEYS, *EXPERIMENT_KEYS, *TASK_KEYS)
+# the DOMAINS entry of each flag whose name is not its parameter's
+_FLAG_DOMAINS = {"order": "lm_order"}
 
 
 def _write_text(path, text: str) -> None:
@@ -147,8 +149,6 @@ def _require_seed(args) -> None:
 def _cmd_backtranslate(args, argv) -> int:
     # the manifest records every flag, also those the strategy does not read
     flags = {name: getattr(args, name) for name in ("gamma", "num_candidates", "beam_size")}
-    for name, value in flags.items():
-        check_parameter(name, value, "--" + name.replace("_", "-"))
     spec = STRATEGIES[args.strategy]
     if spec.stochastic:
         _require_seed(args)
@@ -173,7 +173,6 @@ def _cmd_backtranslate(args, argv) -> int:
 def _cmd_manipulate(args, argv) -> int:
     mono = read_mono(args.mono)
     backward = _load_channel(args.backward)
-    # built after the files are read, so an unreadable file is reported first
     strategy = BTStrategy("data-manipulation", gamma=args.gamma)
     pairs = synthesize_corpus(mono, backward, None, strategy, args.seed, args.beam_size)
     out = Path(args.out)
@@ -374,7 +373,7 @@ def _cmd_analyze(args, argv) -> int:
         references = read_parallel(args.references).sources()
         inputs["references"] = args.references
     sources = [p.source for p in synthetic]
-    vocab = sorted({tok for s in sources for tok in s}, key=str)
+    vocab = sorted({tok for s in sources for tok in s}, key=token_sort_key)
     # before the profile, whose empty-corpus error would mask the diagnostics'
     quality, importance, spectrum = corpus_diagnostics(synthetic, backward, lm, references, vocab)
     profile = corpus_profile(sources)
@@ -553,6 +552,8 @@ def dispatch(argv) -> int:
 
     Usage errors exit 2 (argparse convention); domain errors and files that
     cannot be read or written print a single-line diagnostic and exit 1.
+    Every given flag that sets a parameter with a ``DOMAINS`` entry is
+    range-checked before the command reads any file.
     """
     argv = [str(a) for a in argv]
     parser = build_parser()
@@ -561,6 +562,10 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name, value in vars(args).items():
+            domain = _FLAG_DOMAINS.get(name, name)
+            if domain in DOMAINS and value is not None:
+                check_parameter(domain, value, "--" + name.replace("_", "-"))
         return args.func(args, argv)
     except BtfactorsError as exc:
         print(f"error: {exc}", file=sys.stderr)

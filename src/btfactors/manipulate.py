@@ -89,8 +89,6 @@ def split_monolingual(corpus: Sized, gamma: float, seed: int) -> SplitPlan:
     (``tokenio.CodedCorpus``) split alike."""
     if not 0.0 <= gamma <= 1.0:
         raise InvalidInputError(f"gamma must be in [0, 1], got {gamma}")
-    if seed < 0:
-        raise InvalidInputError("seed must be non-negative")
     n = len(corpus)
     # epsilon guards the floor against binary representation of decimal ratios
     k = int(math.floor(gamma * n + 1e-9))

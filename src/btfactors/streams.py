@@ -4,9 +4,9 @@ Every stochastic operation takes an explicit ``numpy.random.Generator``.
 Per-sentence streams are derived from (global seed, sentence index), so a
 corpus pass gives identical results regardless of scheduling or worker
 count.  Namespaces keep task-generation streams, per-sentence streams, and
-corpus-split streams disjoint under one global seed.  Seeds, keys and
-sentence ids must be non-negative integers; a float is refused rather than
-truncated.
+corpus-split streams disjoint under one global seed.  Every seed, key,
+sentence id and draw count goes through ``errors.check_integer`` with a
+floor of 0, so a float is refused rather than truncated.
 
 ``sentence_uniforms`` draws from many sentence streams at once and returns
 exactly what ``sentence_stream(seed, id).random(count)`` returns for each
@@ -30,11 +30,9 @@ loudly instead of returning other doubles.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import InconsistencyError, InvalidInputError
+from .errors import InconsistencyError, InvalidInputError, check_integer
 
 _NS_TASK = 0
 _NS_SENTENCE = 1
@@ -54,20 +52,10 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _non_negative(name: str, value) -> int:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{name} must be a non-negative integer, got {value!r}") from None
-    if value < 0:
-        raise InvalidInputError(f"{name} must be a non-negative integer")
-    return value
-
-
 def derive_stream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, *key); stable across platforms."""
-    seed = _non_negative("seed", seed)
-    spawn_key = tuple(_non_negative("stream key", k) for k in key)
+    seed = check_integer("seed", seed, 0)
+    spawn_key = tuple(check_integer("stream key", k, 0) for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
 
@@ -78,7 +66,7 @@ def task_stream(seed: int, tag: int) -> np.random.Generator:
 
 def sentence_stream(seed: int, target_id: int) -> np.random.Generator:
     """Stream for all stochastic choices tied to one target sentence."""
-    target_id = _non_negative("target_id", target_id)
+    target_id = check_integer("target_id", target_id, 0)
     return derive_stream(seed, _NS_SENTENCE, target_id)
 
 
@@ -169,12 +157,12 @@ def sentence_uniforms(seed: int, ids, counts):
     the per-sentence streams (see the module docstring); raises
     ``InconsistencyError`` if the installed numpy derives streams otherwise.
     """
-    seed = _non_negative("seed", seed)
-    ids = [_non_negative("target_id", i) for i in ids]
+    seed = check_integer("seed", seed, 0)
+    ids = [check_integer("target_id", i, 0) for i in ids]
     if np.ndim(counts) == 0:
-        out = np.empty((len(ids), _non_negative("count", counts)))
+        out = np.empty((len(ids), check_integer("count", counts, 0)))
     else:
-        out = [np.empty(_non_negative("count", c)) for c in counts]
+        out = [np.empty(check_integer("count", c, 0)) for c in counts]
         if len(out) != len(ids):
             raise InvalidInputError(f"{len(ids)} ids need as many counts, got {len(out)}")
     batched = [k for k, i in enumerate(ids) if i <= _MASK32]

@@ -50,9 +50,11 @@ import numpy as np
 
 from ..errors import InvalidInputError, check_integer
 from ..scoring import Candidate, CandidateSet, cdf_table, invert_cdf
-from ..tokenio import CodedCorpus, coded
-from .models import BOS, ChannelModel, EOS, NGramLM
+from ..tokenio import BOS, EOS, CodedCorpus, coded
+from .models import ChannelModel, NGramLM
 
+# the beam width of the library's and the CLI's beam decoding
+DEFAULT_BEAM_SIZE = 5
 # targets per candidate chunk; bounds the (targets x n x L) working set
 _CHUNK = 64
 
@@ -153,7 +155,7 @@ def _beam_group(logs: np.ndarray, cond_idx: np.ndarray, beam_size: int) -> np.nd
     return out
 
 
-def beam_decode(model: ChannelModel, inputs, beam_size: int = 5) -> CodedCorpus:
+def beam_decode(model: ChannelModel, inputs, beam_size: int = DEFAULT_BEAM_SIZE) -> CodedCorpus:
     """Highest-scoring hypothesis for each input sequence among those
     explored at width ``beam_size``, in input order.
 

@@ -17,7 +17,8 @@ Two thin subclasses fix what a key is:
 Conventions of the table:
 
 * The event space is the configured output vocabulary (plus the end marker
-  for an LM with ``use_eos``).  BOS only ever appears in keys.
+  for an LM with ``use_eos``).  BOS only ever appears in keys.  The
+  reserved markers are ``tokenio``'s; callers import them from there.
 * Unseen keys score uniformly; with alpha == 0 an unseen key falls back to
   uniform as well, so conditionals always sum to 1.
 * An out-of-vocabulary token at score time is treated like the reserved UNK
@@ -64,7 +65,6 @@ from ..tokenio import (
     BOS,
     EOS,
     RESERVED,
-    UNK,
     CodedCorpus,
     coded,
     encode,
@@ -74,20 +74,6 @@ from ..tokenio import (
     token_sort_key,
     token_to_str,
 )
-
-__all__ = [
-    "BOS",
-    "EOS",
-    "UNK",
-    "ChannelModel",
-    "NGramLM",
-    "ParallelCorpus",
-    "channel_score",
-    "coded_pairs",
-    "lm_score",
-    "train_channel",
-    "train_ngram_lm",
-]
 
 # the training defaults of the trainers, the experiment config and the CLI
 DEFAULT_ALPHA = 0.1

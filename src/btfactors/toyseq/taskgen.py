@@ -31,14 +31,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, check_integer
 from ..manipulate import MonoCorpus
 from ..scoring import cdf_table
 from ..streams import TAG_CORPUS, TAG_TRUTH_CHANNEL, TAG_TRUTH_LM, task_stream
+from ..tokenio import BOS, EOS
 from .decode import _ancestral, _decode_by_length, _sample_outputs
-from .models import BOS, ChannelModel, EOS, NGramLM, ParallelCorpus
-
-__all__ = ["ToyTaskSpec", "ToyTask", "generate_toy_task"]
+from .models import ChannelModel, NGramLM, ParallelCorpus
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,7 @@ class ToyTaskSpec:
         fault = _key_fault(self.keys())
         if fault is not None:
             raise InvalidInputError(fault[1])
-        if self.seed < 0:
-            raise InvalidInputError("seed must be non-negative")
+        check_integer("seed", self.seed, 0)
 
     def with_seed(self, seed: int) -> "ToyTaskSpec":
         return replace(self, seed=seed)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from btfactors.scoring import Candidate, CandidateSet
-from btfactors.toyseq.models import BOS, EOS, ParallelCorpus
+from btfactors.tokenio import BOS, EOS
+from btfactors.toyseq.models import ParallelCorpus
 
 
 def parallel_corpus(pairs) -> ParallelCorpus:

@@ -36,7 +36,7 @@ from btfactors.errors import (
 from btfactors.manipulate import MonoCorpus, SyntheticPair
 from btfactors.scoring import GammaParams, gamma_sample, gamma_select
 from btfactors.streams import sentence_stream
-from btfactors.tokenio import encode
+from btfactors.tokenio import BOS, encode
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task
 from btfactors.toyseq.decode import (
     batch_lm_scores,
@@ -44,7 +44,6 @@ from btfactors.toyseq.decode import (
     sample_candidate_set,
 )
 from btfactors.toyseq.models import (
-    BOS,
     ChannelModel,
     NGramLM,
     channel_score,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -688,6 +689,45 @@ def test_backtranslate_range_checks_every_flag(models_dir, tmp_path, capsys, fla
     assert not out.exists()
 
 
+# each command's required flags, every input an absent file
+COMMAND_FLAGS = {
+    "toygen": {"--seed": "1"},
+    "train": {"--kind": "lm", "--bitext": "absent.tsv"},
+    "backtranslate": {"--mono": "absent.txt", "--backward": "absent.txt", "--strategy": "beam"},
+    "manipulate": {"--mono": "absent.txt", "--backward": "absent.txt", "--seed": "1"},
+    "score": {"--mono": "absent.txt", "--backward": "absent.txt", "--lm": "absent.txt",
+              "--seed": "1"},
+    "select": {"--candidates": "absent.txt"},
+    "oracle": {"--seed": "1"},
+}
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("toygen", "--seed", "-1", ">= 0, got -1"),
+    ("train", "--order", "0", ">= 1, got 0"),
+    ("train", "--alpha", "-1", "finite and non-negative, got -1.0"),
+    ("backtranslate", "--seed", "-1", ">= 0, got -1"),
+    ("manipulate", "--beam-size", "0", ">= 1, got 0"),
+    ("manipulate", "--gamma", "1.5", "in [0, 1], got 1.5"),
+    ("manipulate", "--seed", "-1", ">= 0, got -1"),
+    ("score", "--num-candidates", "1", ">= 2, got 1"),
+    ("score", "--gamma", "nan", "in [0, 1], got nan"),
+    ("score", "--seed", "-1", ">= 0, got -1"),
+    ("select", "--gamma", "-0.5", "in [0, 1], got -0.5"),
+    ("select", "--seed", "-1", ">= 0, got -1"),
+    ("oracle", "--order", "0", ">= 1, got 0"),
+    ("oracle", "--alpha", "inf", "finite and non-negative, got inf"),
+    ("oracle", "--seed", "-1", ">= 0, got -1"),
+])
+def test_a_flag_out_of_range_is_named_before_any_file_is_read(tmp_path, monkeypatch, capsys,
+                                                              command, flag, value, message):
+    monkeypatch.chdir(tmp_path)
+    flags = {**COMMAND_FLAGS[command], flag: value, "--out": "out"}
+    code = dispatch([command, *(part for pair in flags.items() for part in pair)])
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {flag} must be {message}\n"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manipulate_is_byte_deterministic(toy_dir, models_dir, tmp_path):
     args = ["manipulate", "--mono", str(toy_dir / "mono.txt"),
             "--backward", str(models_dir / "backward.txt"),
@@ -1094,6 +1134,43 @@ def test_the_toy_experiment_config_is_the_acceptance_sweep():
     assert SEEDS == (1, 2, 3, 4, 5)
     assert _parse_config_text(text) == btloop.ExperimentConfig(
         task=ACCEPTANCE_TASK, strategies=strategies, seeds=SEEDS)
+
+
+def test_the_ambiguous_config_is_the_acceptance_sweep_with_forty_source_tokens():
+    configs = Path(__file__).parents[1] / "configs"
+    acceptance = _parse_config_text((configs / "toy-experiment.cfg").read_text())
+    ambiguous = _parse_config_text((configs / "toy-ambiguous.cfg").read_text())
+    assert ambiguous == replace(acceptance, task=replace(acceptance.task, source_vocab_size=40))
+
+
+@pytest.fixture(scope="module")
+def ambiguous_records(tmp_path_factory):
+    """The records ``bt-experiment`` writes for the many-to-one config."""
+    out = tmp_path_factory.mktemp("ambiguous")
+    config = Path(__file__).parents[1] / "configs" / "toy-ambiguous.cfg"
+    assert dispatch(["bt-experiment", "--config", str(config), "--out", str(out)]) == 0
+    return [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+
+
+def test_ambiguous_experiment_matches_frozen_golden(ambiguous_records):
+    golden = json.loads(
+        (Path(__file__).parent / "goldens" / "experiment_ambiguous.json").read_text())
+    assert len(ambiguous_records) == len(golden)
+    for record, expected in zip(ambiguous_records, golden):
+        for key, value in expected.items():
+            if isinstance(value, float):
+                assert record[key] == pytest.approx(value, rel=1e-9), (key, record)
+            else:
+                assert record[key] == value, (key, record)
+
+
+def test_gamma_select_beats_beam_on_the_ambiguous_task(ambiguous_records):
+    # the paper's claim, where picking among a target's likely sources decides BLEU
+    bleu = {(r["strategy"], r["seed"]): r["test_bleu"] for r in ambiguous_records}
+    seeds = sorted({seed for _, seed in bleu})
+    wins = [seed for seed in seeds
+            if bleu["gamma-select(gamma=0.2,n=50)", seed] > bleu["beam", seed]]
+    assert seeds == [1, 2, 3, 4, 5] and len(wins) >= 4, wins
 
 
 def test_bt_experiment_command(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,20 @@ def test_stream_inputs_must_be_non_negative_integers():
     # integral numpy scalars are integers
     assert (sentence_stream(np.int64(1), np.int32(2)).random()
             == sentence_stream(1, 2).random())
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(2.0), -1])
+def test_a_float_or_negative_id_or_count_gets_check_integers_message(bad):
+    message = "must be >= 0" if bad == -1 else f"must be an integer, got {bad!r}"
+
+    def refused(name, call):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{name} {message}')}$"):
+            call()
+
+    refused("target_id", lambda: sentence_stream(1, bad))
+    refused("target_id", lambda: sentence_uniforms(1, [0, bad], 1))
+    refused("count", lambda: sentence_uniforms(1, [0, 1], bad))
+    refused("count", lambda: sentence_uniforms(1, [0, 1], [1, bad]))
 
 
 def test_sentence_uniforms_make_one_checking_stream_per_call(monkeypatch):

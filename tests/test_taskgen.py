@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from btfactors.errors import InvalidInputError
 from btfactors.streams import TAG_CORPUS, task_stream
+from btfactors.tokenio import BOS
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task, taskgen
-from btfactors.toyseq.models import BOS, _CountTable
+from btfactors.toyseq.models import _CountTable
 
 
 # -- reference oracle: the per-sentence specification of the corpus sampler --
@@ -166,6 +167,8 @@ def test_truth_models_are_normalized():
         {"channel_noise": 0.0},
         {"channel_noise": 1.0},
         {"bitext_size": 0},
+        {"seed": -1},
+        {"seed": 1.5},
     ],
 )
 def test_degenerate_specs_are_rejected(kwargs):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from btfactors.errors import InvalidInputError
 from btfactors.scoring import cdf_table, invert_cdf
 from btfactors.streams import sentence_stream
-from btfactors.tokenio import encode, token_sort_key
+from btfactors.tokenio import BOS, EOS, encode, token_sort_key
 from btfactors.toyseq import ToyTaskSpec, generate_toy_task
 from btfactors.toyseq.decode import (
     _ancestral,
@@ -23,8 +23,6 @@ from btfactors.toyseq.decode import (
     sample_decode,
 )
 from btfactors.toyseq.models import (
-    BOS,
-    EOS,
     ChannelModel,
     _CountTable,
     channel_score,

@@ -14,8 +14,6 @@ from btfactors.toyseq import models
 from btfactors.toyseq.models import (
     _DENSE_RANGE_FACTOR,
     _DENSE_RANGE_SLACK,
-    BOS,
-    EOS,
     ChannelModel,
     NGramLM,
     _unique_ints,
@@ -24,7 +22,7 @@ from btfactors.toyseq.models import (
     train_channel,
     train_ngram_lm,
 )
-from btfactors.tokenio import token_sort_key
+from btfactors.tokenio import BOS, EOS, token_sort_key
 from conftest import (
     context_of,
     parallel_corpus,

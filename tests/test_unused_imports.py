@@ -1,7 +1,7 @@
-"""Every module under src/ and tests/ references each name it imports,
-every private definition in src/ is referenced from src/, and every public
-definition in src/ is named by src/, the traced benchmark or the acceptance
-tests.
+"""Every module under src/ and tests/ references each name it imports and
+imports each name from its home, every private definition in src/ is
+referenced from src/, and every public definition in src/ is named by src/,
+the traced benchmark or the acceptance tests.
 
 The project ships no linter, so this stdlib ``ast`` scan stands in for
 one.  ``from __future__`` imports are exempt because they change how the
@@ -168,3 +168,82 @@ def test_every_public_definition_in_src_is_named(monkeypatch):
     sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
                for path in SRC_MODULES}
     assert unreferenced_definitions(sources, public_definitions, named) == []
+
+
+# -- names imported from their home -------------------------------------------------
+
+def module_name(path: str) -> tuple[str, bool]:
+    """The dotted name of the module at ``path`` (relative to an import
+    root), and whether it is a package."""
+    parts = path.removesuffix(".py").split("/")
+    package = parts[-1] == "__init__"
+    return ".".join(parts[:-1] if package else parts), package
+
+
+def homes(tree: ast.Module, package: bool) -> set[str]:
+    """The names ``tree`` defines at its top, and for a package the entries
+    of its literal ``__all__``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            names.update(t.id for t in ast.walk(target) if isinstance(t, ast.Name))
+            if package and isinstance(target, ast.Name) and target.id == "__all__":
+                names.update(ast.literal_eval(node.value))
+    return names
+
+
+def misplaced_imports(sources: dict[str, str]) -> list[str]:
+    """``module: from X import name`` for every import in ``sources`` (path
+    relative to an import root -> text) whose ``X`` is one of them but has
+    ``name`` neither as a definition, nor as a submodule, nor as an entry
+    in a package's ``__all__``; sorted."""
+    trees, names, packages = {}, {}, set()
+    for path, text in sources.items():
+        module, package = module_name(path)
+        trees[module] = tree = ast.parse(text)
+        names[module] = homes(tree, package)
+        if package:
+            packages.add(module)
+    for module in trees:
+        parent, _, leaf = module.rpartition(".")
+        if parent in names:
+            names[parent].add(leaf)
+    faults = []
+    for module, tree in trees.items():
+        here = module if module in packages else module.rpartition(".")[0]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            target = node.module
+            if node.level:
+                parts = here.split(".")[: len(here.split(".")) - node.level + 1]
+                target = ".".join(parts + ([node.module] if node.module else []))
+            faults += [f"{module}: from {target} import {alias.name}" for alias in node.names
+                       if target in names and alias.name not in names[target]]
+    return sorted(faults)
+
+
+def test_home_scan_flags_only_names_imported_through_another_module():
+    sources = {
+        "pkg/__init__.py": "from .a import A\nfrom .b import B\n__all__ = ['A']\n",
+        "pkg/a.py": "from .b import B\nA = 1\ndef f(): pass\n",
+        "pkg/b.py": "class B: pass\n",
+        "c.py": ("from pkg import A, B, a\n"
+                 "from pkg.a import B as Bee, f\n"
+                 "from pkg.b import B\n"
+                 "from os import path\n"),
+        "pkg/sub/__init__.py": "from .. import A\nfrom ..a import A, B\nfrom . import d\n",
+        "pkg/sub/d.py": "",
+    }
+    assert misplaced_imports(sources) == [
+        "c: from pkg import B", "c: from pkg.a import B", "pkg.sub: from pkg.a import B"]
+
+
+def test_every_name_is_imported_from_its_home():
+    sources = {path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
+               for root in (ROOT / "src", ROOT / "tests") for path in root.rglob("*.py")}
+    assert misplaced_imports(sources) == []
