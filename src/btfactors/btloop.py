@@ -148,11 +148,14 @@ def check_parameter(name: str, value, label: str | None = None, shown: str | Non
     domain = DOMAINS[name]
     if domain.type is int:
         try:
-            # numpy integers pass, floats and numeric strings do not
-            value = operator.index(value)
+            # numpy integers pass; bools, floats and numeric strings do not
+            index = operator.index(value)
         except TypeError:
-            raise ConfigError(f"{label} must be an integer, got {value!r}") from None
-    elif not isinstance(value, numbers.Real):
+            index = None
+        if index is None or isinstance(value, bool):
+            raise ConfigError(f"{label} must be an integer, got {value!r}")
+        value = index
+    elif not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigError(f"{label} must be a real number, got {value!r}")
     if not domain.holds(value):
         raise ConfigError(

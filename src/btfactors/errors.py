@@ -46,11 +46,14 @@ class NumericError(BtfactorsError, RuntimeError):
 
 
 def check_integer(name: str, value, low: int) -> int:
-    """``value`` as an int; InvalidInputError unless it is an integer >= ``low``."""
+    """``value`` as an int; InvalidInputError unless it is an integer >= ``low``
+    and not a bool."""
     try:
-        value = operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
-    if value < low:
+        index = None
+    if index is None or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if index < low:
         raise InvalidInputError(f"{name} must be >= {low}")
-    return value
+    return index

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 
 DEFAULT_GAMMA = 0.2
 # a candidate set whose standard deviation is at most this scores all 0
@@ -42,10 +42,9 @@ def check_candidate(length: int, num_tokens: int, log_q: float, log_lm: float) -
 
 
 def check_candidate_set(target_id: int, target_tokens, size: int) -> None:
-    """Raise InvalidInputError unless a set of ``size`` candidates has a
-    non-negative target id, a non-empty target and at least 2 candidates."""
-    if target_id < 0:
-        raise InvalidInputError("target_id must be non-negative")
+    """Raise InvalidInputError unless a set of ``size`` candidates has an
+    integer target id >= 0, a non-empty target and at least 2 candidates."""
+    check_integer("target_id", target_id, 0)
     if not target_tokens:
         raise InvalidInputError("target_tokens must be non-empty")
     if size < 2:

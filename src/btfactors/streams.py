@@ -13,13 +13,13 @@ exactly what ``sentence_stream(seed, id).random(count)`` returns for each
 id, by numpy's own rule (``SeedSequence`` feeding ``PCG64``) without
 building a ``SeedSequence`` and a ``Generator`` per sentence:
 
-* the entropy words of (seed, namespace) are the same for every id, so
-  ``SeedSequence``'s pool mixing of them runs once per call, in Python ints;
-* the id is the last entropy word, so mixing it into the pool and
-  ``generate_state(4, uint64)`` run as vectorised uint32 operations over
-  all ids;
-* PCG64's two-step seeding runs in Python ints, and each id's state is set
-  on one reused ``PCG64`` before its draws.
+* numpy supplies the pool: the entropy words of (seed, namespace) are the
+  same for every id, and ``SeedSequence(seed, spawn_key=(1,)).pool`` is the
+  pool they leave, built once per call;
+* only the id's last entropy word, ``generate_state(4, uint64)`` and PCG64
+  seeding are hand-written.  The first two run as vectorised uint32
+  operations over all ids; PCG64's two-step seeding runs in Python ints,
+  and each id's state is set on one reused ``PCG64`` before its draws.
 
 An id of 2**32 or more is two entropy words and goes through
 ``sentence_stream`` itself.  Each call also derives the state of its first
@@ -77,18 +77,9 @@ def split_stream(seed: int) -> np.random.Generator:
 
 # -- batched sentence streams ---------------------------------------------------
 
-def _words(value: int) -> list[int]:
-    """uint32 words of a non-negative int, least significant first."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
 def _hashmix(value, const: int, mult: int):
-    """SeedSequence's hash of one word and the next hash constant; ``value``
-    is a Python int or a uint32 array."""
+    """SeedSequence's hash of a uint32 array of words and the next hash
+    constant."""
     value = value ^ const
     const = const * mult & _MASK32
     value = value * const & _MASK32
@@ -100,34 +91,15 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _sentence_pool_prefix(seed: int) -> tuple[list[int], int]:
-    """SeedSequence's pool for entropy ``seed`` and spawn key
-    ``(_NS_SENTENCE, id)`` after every entropy word but the id, and the hash
-    constant that the id's words continue from."""
-    run = _words(seed)
-    run += [0] * (_POOL_SIZE - len(run))        # padded because a spawn key follows
-    entropy = run + [_NS_SENTENCE]
-    const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        mixed, const = _hashmix(word, const, _MULT_A)
-        pool.append(mixed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], mixed)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            mixed, const = _hashmix(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], mixed)
-    return pool, const
-
-
 def _pcg64_states(seed: int, ids: np.ndarray) -> list[dict]:
     """The state of ``PCG64(SeedSequence(seed, spawn_key=(1, id)))`` for
     each of the uint32 ``ids``, as ``PCG64.state`` reads it."""
-    prefix, const = _sentence_pool_prefix(seed)
+    # numpy's pool after every entropy word but the id, and the hash constant
+    # after its four hashes per word: the seed's words, padded to the pool
+    # size because a spawn key follows, and the namespace word
+    prefix = np.random.SeedSequence(seed, spawn_key=(_NS_SENTENCE,)).pool.tolist()
+    words = max(_POOL_SIZE, -(-seed.bit_length() // 32)) + 1
+    const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
     pool = []
     for word in prefix:
         mixed, const = _hashmix(ids, const, _MULT_A)

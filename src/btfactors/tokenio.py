@@ -82,14 +82,8 @@ def token_to_str(token) -> str:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def token_from_str(text: str):
-    """The token ``text`` spells: a reserved marker, an int for a canonical
-    decimal, else the string itself."""
-    if text == BOS:
-        return BOS
-    if text == EOS:
-        return EOS
-    if text == UNK:
-        return UNK
+    """The token ``text`` spells: an int for a canonical decimal, else the
+    string itself (a reserved marker included)."""
     if _INT_RE.fullmatch(text):
         return int(text)
     return text
@@ -106,15 +100,6 @@ def sequence_to_str(tokens) -> str:
 
 def sequence_from_str(text: str) -> tuple:
     return tuple(map(token_from_str, text.split()))
-
-
-def _token_array(tokens) -> np.ndarray:
-    """``tokens`` as a 1-D object array, one element per token, so that
-    equal-length tuple tokens index as tokens rather than as array rows."""
-    array = np.empty(len(tokens), dtype=object)
-    for i, token in enumerate(tokens):
-        array[i] = token
-    return array
 
 
 class CodedCorpus:
@@ -163,7 +148,9 @@ class CodedCorpus:
         return len(self.lengths)
 
     def __iter__(self):
-        flat = iter(_token_array(self.tokens)[self.codes].tolist())
+        # one element per token, so equal-length tuple tokens stay tokens
+        tokens = np.fromiter(self.tokens, dtype=object, count=len(self.tokens))
+        flat = iter(tokens[self.codes].tolist())
         return (tuple(islice(flat, n)) for n in self.lengths.tolist())
 
     @property

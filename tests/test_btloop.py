@@ -697,6 +697,26 @@ def test_experiment_refuses_bad_seeds_alpha_and_lm_order(field, value, message):
                             field: value})
 
 
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),), seeds=(True,)),
+     ConfigError, "seed must be an integer, got True"),
+    (lambda: ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),), seeds=(1,),
+                              beam_size=True),
+     ConfigError, "beam_size must be an integer, got True"),
+    (lambda: BTStrategy("gamma-select", gamma=True, num_candidates=50),
+     ConfigError, "gamma must be a real number, got True"),
+    (lambda: BTStrategy("gamma-select", gamma=0.2, num_candidates=True),
+     ConfigError, "num_candidates must be an integer, got True"),
+    (lambda: ToyTaskSpec(seed=False), InvalidInputError, "seed must be an integer, got False"),
+    (lambda: sentence_stream(1, True), InvalidInputError,
+     "target_id must be an integer, got True"),
+], ids=["seeds", "beam_size", "gamma", "num_candidates", "task seed", "target_id"])
+def test_a_bool_is_not_a_parameter(build, error, message):
+    # bool is an int subclass, so operator.index alone would take True as 1
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_experiment_accepts_the_edges_of_seeds_alpha_and_lm_order():
     config = ExperimentConfig(task=TINY, strategies=(BTStrategy("beam"),),
                               seeds=(0, np.int64(7)), alpha=0, lm_order=np.int64(1))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -370,7 +371,7 @@ def test_candidate_target_ids_are_canonical_decimals(tmp_path, spelling):
     with pytest.raises(ParseError, match=re.escape(f"line 2: bad target id {spelling!r}")):
         read_lines(tmp_path, [f"10\t{rest}", f"{spelling}\t{rest}"])
     assert read_lines(tmp_path, [f"10\t{rest}", f"0\t{rest}"]).target_ids == [10, 0]
-    with pytest.raises(ValidationError, match="target_id must be non-negative"):
+    with pytest.raises(ValidationError, match="target_id must be >= 0"):
         read_lines(tmp_path, [f"-7\t{rest}"])
 
 
@@ -1316,6 +1317,28 @@ def test_readme_config_table_lists_every_key_the_parser_accepts_with_its_default
     assert _parse_config_text(text) == _parse_config_text("")
     with pytest.raises(ConfigError, match=r"^unknown config keys: \['seed'\]$"):
         _parse_config_text("seed = 1\n")
+
+
+def readme_walkthrough_commands():
+    """The argv after ``btfactors`` of each command in the README's
+    command-line walkthrough, backslash continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command-line walkthrough", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("btfactors ")]
+
+
+def test_every_readme_walkthrough_command_parses():
+    # parsing only: a renamed or dropped flag fails here, before any command runs
+    parser = cli_main.build_parser()
+    commands = readme_walkthrough_commands()
+    assert commands
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: btfactors {shlex.join(argv)}")
 
 
 EVERY_KIND = (BTStrategy("none"), BTStrategy("beam"), BTStrategy("beam-weak"),

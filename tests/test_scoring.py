@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ def test_candidate_set_needs_two_candidates():
     cand = Candidate(tokens=(1,), length=1, log_q=-1.0, log_lm=-1.0)
     with pytest.raises(InvalidInputError):
         CandidateSet(target_id=0, target_tokens=(5,), candidates=(cand,))
+
+
+@pytest.mark.parametrize("target_id,message", [
+    (2.5, "target_id must be an integer, got 2.5"),
+    (-1, "target_id must be >= 0"),
+])
+def test_candidate_set_target_id_is_an_integer_at_least_0(target_id, message):
+    cands = make_set([-1.0, -2.0], [-1.0, -2.0]).candidates
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        CandidateSet(target_id=target_id, target_tokens=(5,), candidates=cands)
+    assert CandidateSet(target_id=np.int64(3), target_tokens=(5,), candidates=cands).target_id == 3
 
 
 def test_gamma_params_range():

@@ -27,7 +27,9 @@ def assert_bitwise_equal(got, want):
 
 
 @settings(max_examples=120, deadline=None)
-@given(seed=st.one_of(st.integers(0, 2**64), st.sampled_from((0, 2**32 - 1, 2**32, 2**64))),
+@given(seed=st.one_of(st.integers(0, 2**64), st.integers(0, 2**300),
+                      st.sampled_from((0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128,
+                                       2**160 + 3, 2**1000))),
        ids=st.lists(IDS, max_size=12), data=st.data())
 def test_sentence_uniforms_equal_one_stream_per_id(seed, ids, data):
     counts = data.draw(st.one_of(st.integers(0, 400),
@@ -45,17 +47,26 @@ def test_sentence_uniforms_over_a_corpus_and_numpy_integers():
     assert_bitwise_equal(got, reference_uniforms(7, range(3000), 3))
 
 
-@pytest.mark.parametrize("change", ["bit generator", "seed hashing"])
+@pytest.mark.parametrize("change", ["bit generator", "seed hashing", "pool"])
 def test_a_numpy_that_derives_streams_otherwise_is_refused(monkeypatch, change):
     if change == "bit generator":
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seq: np.random.Generator(np.random.PCG64DXSM(seq)))
-    else:
+    elif change == "seed hashing":
         class Rehashed(np.random.SeedSequence):
             def generate_state(self, n_words, dtype=np.uint32):
                 return super().generate_state(n_words, dtype) ^ dtype(1)
 
         monkeypatch.setattr(np.random, "SeedSequence", Rehashed)
+    else:
+        # the pool that the batched derivation reads; numpy's own seeding
+        # keeps the true one
+        class Repooled(np.random.SeedSequence):
+            @property
+            def pool(self):
+                return super().pool ^ np.uint32(1)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Repooled)
     with pytest.raises(InconsistencyError):
         sentence_uniforms(3, [5, 6], 4)
     # ids that take the per-stream path only need no check
