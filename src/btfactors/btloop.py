@@ -38,13 +38,17 @@ sources, so the estimator computes each source's importance-weighted value
 once, from the enumeration's LM, forward and backward log-probs, and draws
 the samples as enumeration rows, ``_MC_BLOCK`` at a time through
 ``_ancestral``, each block's rows read from its token indices by Horner's
-rule in place; only the uniforms and the values span all the samples, and
-``MC_SAMPLE_LIMIT`` bounds their count per target.
+rule in place.  Each position draws its block of uniforms from its own
+copy of the caller's PCG64 (or PCG64DXSM) stream, advanced to where that
+position's ``rng.random(num_samples)`` call would start, so no array spans
+the positions and the samples; only the values do, and ``MC_SAMPLE_LIMIT``
+bounds their count per target.
 ``evaluate_marginal_oracles`` enumerates once for all three quantities.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import operator
@@ -90,9 +94,9 @@ from .toyseq.taskgen import ToyTaskSpec, generate_toy_task
 DEFAULT_NUM_CANDIDATES = 50
 DEFAULT_GAMMA_SPLIT = 0.5
 ENUMERATION_GUARD = 10**6
-# Monte-Carlo samples per target: the (L, samples) uniforms are drawn at once
+# Monte-Carlo samples per target: the values and std's temporary take 16 bytes each
 MC_SAMPLE_LIMIT = 10**7
-# Monte-Carlo samples drawn at a time; bounds the oracle's per-sample working set
+# Monte-Carlo samples drawn at a time; bounds each block's uniforms, indices and rows
 _MC_BLOCK = 8192
 WEAK_BITEXT_FRACTION = 0.1
 
@@ -565,7 +569,8 @@ def jensen_lower_bound(lm: NGramLM, forward_channel: ChannelModel, y) -> float:
     return _jensen(lm_scores, channel_scores)
 
 
-def _check_mc_inputs(lm: NGramLM, backward: ChannelModel, num_samples: int) -> int:
+def _check_mc_inputs(lm: NGramLM, backward: ChannelModel, num_samples: int,
+                     rng: np.random.Generator) -> int:
     """``num_samples`` as an int, once the estimator's inputs are checked."""
     num_samples = check_integer("num_samples", num_samples, 2)
     if num_samples > MC_SAMPLE_LIMIT:
@@ -574,7 +579,33 @@ def _check_mc_inputs(lm: NGramLM, backward: ChannelModel, num_samples: int) -> i
         raise InvalidInputError("backward model must smooth with alpha > 0 (positive mass)")
     if tuple(backward.out_vocab) != tuple(lm.content_vocab):
         raise InvalidInputError("backward output vocabulary must match the LM vocabulary")
+    bit_gen = getattr(rng, "bit_generator", rng)
+    # their advance(k) skips k 64-bit draws, so k doubles of random(); named
+    # here, not at import, so importing btloop does not import numpy.random
+    if not isinstance(bit_gen, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise InvalidInputError("rng must be a Generator over PCG64 or PCG64DXSM, "
+                                f"got {type(bit_gen).__name__}")
     return num_samples
+
+
+def _row_generators(rng: np.random.Generator, rows: int,
+                    num_samples: int) -> list[np.random.Generator]:
+    """One generator per row t, drawing the numbers of the t-th of ``rows``
+    successive ``rng.random(num_samples)`` calls; ``rng`` is left where
+    those calls leave it.  ``advance`` drops a pending 32-bit half, which
+    ``random`` keeps, so the caller's half is put back."""
+    bit_gen = rng.bit_generator
+    state = bit_gen.state
+    generators = []
+    for t in range(rows):
+        row_gen = copy.copy(bit_gen)
+        row_gen.advance(t * num_samples)
+        generators.append(np.random.Generator(row_gen))
+    bit_gen.advance(rows * num_samples)
+    moved = bit_gen.state
+    moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+    bit_gen.state = moved
+    return generators
 
 
 def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarray,
@@ -587,8 +618,9 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
     log-prob summed from 0.0 position by position as ``_ancestral`` sums a
     sample's, from the same ``_stacked_conditionals`` tables, so a sample
     drawn as that row gets the same bits.  The draws are made ``_MC_BLOCK``
-    at a time, without log-probs, from one (L, n) uniform draw, the numbers
-    of L successive ``rng.random(n)`` calls.
+    at a time, without log-probs, from the numbers of L successive
+    ``rng.random(n)`` calls: each block fills row t of one reused (L,
+    ``_MC_BLOCK``) buffer from position t's ``_row_generators`` stream.
     """
     y = tuple(y)
     table, logs, cond_rows = _stacked_conditionals(backward, encode([y]))
@@ -601,11 +633,14 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
     by_row = np.exp((lm_scores - _logsumexp(lm_scores)) - log_q) * forward_scores
     bases = [block * logs.shape[1] for block in blocks]
     size = len(backward.out_vocab)
-    uniforms = rng.random((len(y), num_samples))
+    generators = _row_generators(rng, len(y), num_samples)
+    uniforms = np.empty((len(y), min(num_samples, _MC_BLOCK)))
     values = np.empty(num_samples)
     for start in range(0, num_samples, _MC_BLOCK):
-        draws = uniforms[:, start : start + _MC_BLOCK]
-        count = draws.shape[1]
+        count = min(_MC_BLOCK, num_samples - start)
+        draws = uniforms[:, :count]
+        for generator, draw_row in zip(generators, draws):
+            generator.random(out=draw_row)
         steps = ((table, None, base, row) for base, row in zip(bases, draws))
         token_idx, _ = _ancestral(steps, count, len(y))
         # a source's row in _enumeration_indices: its indices as base-|V|
@@ -614,7 +649,7 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
         for column in token_idx.T[1:]:
             row *= size
             row += column
-        values[start : start + count] = by_row[row]
+        np.take(by_row, row, out=values[start : start + count])
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(num_samples))
     return mean, std_error
@@ -632,9 +667,11 @@ def importance_mc_estimate(lm: NGramLM, backward: ChannelModel, forward: Channel
     block at a time, and each takes its row's value, computed once per
     source; no sample is scored on its own.  The generator is consumed as by
     ``len(y)`` calls of ``rng.random(num_samples)``, the numbers
-    ``batch_sample`` would draw.
+    ``batch_sample`` would draw, and must be a PCG64 or PCG64DXSM one (any
+    other is refused before a draw): position t draws its numbers from a
+    copy of the stream advanced past the t calls before it.
     """
-    num_samples = _check_mc_inputs(lm, backward, num_samples)
+    num_samples = _check_mc_inputs(lm, backward, num_samples, rng)
     idx, lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y)
     return _mc_moments(idx, lm_scores, forward_scores, backward, y, num_samples, rng)
 
@@ -644,7 +681,7 @@ def evaluate_marginal_oracles(lm: NGramLM, backward: ChannelModel, forward: Chan
     """All three oracle quantities for one target sentence, from one
     enumeration of its sources; the Monte-Carlo draws are rows of that
     enumeration, as in ``importance_mc_estimate``."""
-    num_samples = _check_mc_inputs(lm, backward, num_samples)
+    num_samples = _check_mc_inputs(lm, backward, num_samples, rng)
     idx, lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y)
     mc_mean, mc_se = _mc_moments(idx, lm_scores, forward_scores, backward, y, num_samples, rng)
     return OracleResult(

@@ -16,6 +16,7 @@ keys from ``EXPERIMENT_KEYS``, with the library's types and defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -423,7 +424,7 @@ def _cmd_oracle(args, argv) -> int:
         # checked before any target, so it holds for zero targets too
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
     if args.samples > MC_SAMPLE_LIMIT:
-        # numpy would fail allocating the uniforms, with a traceback
+        # refused before any target, like --samples < 2, naming the flag
         raise ConfigError(f"--samples must be <= {MC_SAMPLE_LIMIT}, got {args.samples}")
     spec = TINY_TASK.with_seed(args.seed)
     task = generate_toy_task(spec)
@@ -458,18 +459,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="btfactors",
         description="Back-translation synthetic-data toolkit (toy-task scale).",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no flag prefixes: a manifest stores argv as typed, and a prefix that
+    # parses today would become ambiguous once a flag sharing it is added
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("toygen", help="generate a seeded toy translation task")
+    p = add_command("toygen", help="generate a seeded toy translation task")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     for key, default in TASK_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
     p.set_defaults(func=_cmd_toygen)
 
-    p = sub.add_parser("train", help="train a channel model or language model")
+    p = add_command("train", help="train a channel model or language model")
     p.add_argument("--kind", choices=("backward", "forward", "lm"), required=True)
     p.add_argument("--bitext", required=True)
     p.add_argument("--synthetic", help="synthetic corpus to add (kind=forward)")
@@ -478,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("backtranslate", help="synthesize one source per target sentence")
+    p = add_command("backtranslate", help="synthesize one source per target sentence")
     p.add_argument("--mono", required=True)
     p.add_argument("--backward", required=True)
     p.add_argument("--strategy", required=True,
@@ -491,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_backtranslate)
 
-    p = sub.add_parser("manipulate", help="beam/sampling split synthesis at ratio gamma")
+    p = add_command("manipulate", help="beam/sampling split synthesis at ratio gamma")
     p.add_argument("--mono", required=True)
     p.add_argument("--backward", required=True)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_SPLIT)
@@ -500,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_manipulate)
 
-    p = sub.add_parser("score", help="Gamma score distributions for candidate sets")
+    p = add_command("score", help="Gamma score distributions for candidate sets")
     p.add_argument("--candidates", help="existing candidate records")
     p.add_argument("--mono")
     p.add_argument("--backward")
@@ -512,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("select", help="pick one candidate per record by Gamma score")
+    p = add_command("select", help="pick one candidate per record by Gamma score")
     p.add_argument("--candidates", required=True)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--mode", choices=("select", "sample"), default="select")
@@ -520,12 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_select)
 
-    p = sub.add_parser("bt-experiment", help="sweep strategies x seeds on toy tasks")
+    p = add_command("bt-experiment", help="sweep strategies x seeds on toy tasks")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bt_experiment)
 
-    p = sub.add_parser("analyze", help="diagnostics for a synthetic corpus")
+    p = add_command("analyze", help="diagnostics for a synthetic corpus")
     p.add_argument("--synthetic", required=True)
     p.add_argument("--backward", required=True)
     p.add_argument("--lm", required=True)
@@ -534,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("oracle", help="exact marginal / bound / MC table on the tiny task")
+    p = add_command("oracle", help="exact marginal / bound / MC table on the tiny task")
     p.add_argument("--task", default="tiny")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--num-targets", type=int, default=20)

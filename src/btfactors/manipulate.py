@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sized
 
+import numpy as np
+
 from .errors import InconsistencyError, InvalidInputError
 from .streams import split_stream
 
@@ -94,9 +96,11 @@ def split_monolingual(corpus: Sized, gamma: float, seed: int) -> SplitPlan:
     k = int(math.floor(gamma * n + 1e-9))
     order = list(range(n))
     rng = split_stream(seed)
-    # Fisher-Yates, written out so the shuffle is pinned to this exact draw order
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    # Fisher-Yates, written out so the shuffle is pinned to this exact draw
+    # order; one array draw gives the j's (and leaves the generator) as
+    # n - 1 scalar rng.integers(0, i + 1) calls would
+    js = rng.integers(0, np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), js):
         order[i], order[j] = order[j], order[i]
     return SplitPlan(
         gamma=float(gamma),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -535,6 +536,83 @@ def test_oracle_samples_in_blocks_without_log_probs(monkeypatch, tiny_setup):
                               sentence_stream(7, 0))
     block = btloop._MC_BLOCK
     assert calls == [block] * (10**5 // block) + [10**5 % block]
+
+
+def length_four_target(task):
+    return next(y for y in task.mono.sentences if len(y) == 4)
+
+
+@pytest.mark.parametrize("estimator", [importance_mc_estimate, evaluate_marginal_oracles])
+@pytest.mark.parametrize("num_samples", [2, 3 * btloop._MC_BLOCK + 7])
+def test_oracle_leaves_the_generator_as_the_full_uniform_draw_does(tiny_setup, estimator,
+                                                                   num_samples):
+    # a pending 32-bit half survives rng.random((L, n)); PCG64.advance alone
+    # would drop it
+    task, backward, forward, lm = tiny_setup
+    y = length_four_target(task)
+    rng, twin = sentence_stream(7, 0), sentence_stream(7, 0)
+    for generator in (rng, twin):
+        generator.integers(0, 10, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    estimator(lm, backward, forward, y, num_samples, rng)
+    twin.random((len(y), num_samples))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    for _ in range(3):
+        assert (rng.integers(0, 2**32, dtype=np.uint32)
+                == twin.integers(0, 2**32, dtype=np.uint32))
+        assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64,
+                                           np.random.Philox])
+@pytest.mark.parametrize("estimator", [importance_mc_estimate, evaluate_marginal_oracles])
+def test_oracle_refuses_a_stream_it_cannot_advance_before_any_draw(tiny_setup, estimator,
+                                                                   bit_generator):
+    # MT19937 and SFC64 have no advance; Philox's counts blocks of four draws
+    task, backward, forward, lm = tiny_setup
+    rng = np.random.Generator(bit_generator(0))
+    message = ("rng must be a Generator over PCG64 or PCG64DXSM, "
+               f"got {bit_generator.__name__}")
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        estimator(lm, backward, forward, task.mono.sentences[0], 100, rng)
+    assert rng.random() == np.random.Generator(bit_generator(0)).random()
+
+
+def test_oracle_accepts_pcg64dxsm_as_the_full_uniform_draw():
+    vocab = [0, 1, 2]
+    lm = train_ngram_lm([[0, 1, 2, 1], [2, 2, 0]], 2, 0.1, vocab=vocab)
+    bitext = parallel_corpus([([0, 1, 2], [1, 1, 0]), ([2, 0], [2, 1])])
+    backward = train_channel(bitext, "target_to_source", 0.1, out_vocab=vocab)
+    forward = train_channel(bitext, "source_to_target", 0.1, out_vocab=vocab)
+    y = (1, 0, 2)
+    _, lm_scores, forward_scores = btloop._enumerate_lm_and_channel(lm, forward, y)
+    num_samples = btloop._MC_BLOCK + 3
+    got_rng = np.random.Generator(np.random.PCG64DXSM(5))
+    want_rng = np.random.Generator(np.random.PCG64DXSM(5))
+    got = importance_mc_estimate(lm, backward, forward, y, num_samples, got_rng)
+    want = reference_mc_moments(lm_scores, forward_scores, backward, y, num_samples, want_rng)
+    assert same_float_bits(got[0], want[0]) and same_float_bits(got[1], want[1])
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_oracle_memory_grows_by_the_values_alone(tiny_setup):
+    # numpy reports its buffers to tracemalloc; the values and std's temporary
+    # take 16 bytes a sample, where an (L, n) uniform draw would add 8 L more
+    task, backward, forward, lm = tiny_setup
+    y = length_four_target(task)
+
+    def traced_peak(num_samples):
+        tracemalloc.start()
+        try:
+            importance_mc_estimate(lm, backward, forward, y, num_samples,
+                                   sentence_stream(7, 0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    low, high = 10**5, 4 * 10**5
+    growth = (traced_peak(high) - traced_peak(low)) / (high - low)
+    assert growth <= 24, f"{growth:.1f} B per sample"
 
 
 def test_oracle_bundle_scores_one_enumeration_and_no_sample_rows(monkeypatch, tiny_setup):

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import btfactors.manipulate as manipulate
 from btfactors.errors import InconsistencyError, InvalidInputError
 from btfactors.manipulate import (
     MixedSyntheticCorpus,
@@ -99,6 +101,44 @@ def test_split_shuffle_regression_pin():
     plan = split_monolingual(mono(10), 0.5, 7)
     assert plan.beam_ids == (0, 1, 2, 4, 7)
     assert plan.sampling_ids == (3, 5, 6, 8, 9)
+
+
+class RecordingStream:
+    """A generator's ``integers`` that keeps every value it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, []
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.drawn.extend(np.ravel(out).tolist())
+        return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 3000])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 2**40 + 9])
+def test_split_draws_the_scalar_loops_js_and_leaves_its_generator(monkeypatch, n, seed):
+    # the reference: one rng.integers(0, i + 1) call per Fisher-Yates step
+    split_stream = manipulate.split_stream
+    want_rng = split_stream(seed)
+    want_js = [int(want_rng.integers(0, i + 1)) for i in range(n - 1, 0, -1)]
+    order = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), want_js):
+        order[i], order[j] = order[j], order[i]
+    streams = []
+
+    def recorded(seed):
+        streams.append(RecordingStream(split_stream(seed)))
+        return streams[-1]
+
+    monkeypatch.setattr(manipulate, "split_stream", recorded)
+    plan = split_monolingual(range(n), 0.5, seed)
+    (got,) = streams
+    assert got.drawn == want_js
+    # the state holds the pending 32-bit half (has_uint32, uinteger) too
+    assert got.rng.bit_generator.state == want_rng.bit_generator.state
+    assert plan.beam_ids == tuple(sorted(order[: n // 2]))
+    assert plan.sampling_ids == tuple(sorted(order[n // 2 :]))
 
 
 # -- assembly ------------------------------------------------------------------------
