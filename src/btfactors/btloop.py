@@ -1,10 +1,12 @@
 """The back-translation loop and its exact oracles.
 
 ``STRATEGIES`` is the one table of generation strategies that ``BTStrategy``,
-the config parser and the CLI read: each kind's parameters, each with the
-config key that sets it, and its ``stochastic`` and ``needs_lm`` flags.  A
-Gamma kind is one that takes ``num_candidates``.  ``DOMAINS`` bounds them,
-and the ``ExperimentConfig`` seeds and ``EXPERIMENT_KEYS`` fields.
+the config parser and the CLI read: each kind's parameters (each with its
+config key, default and name in a label), ``stochastic`` and ``needs_lm``
+flags and provenance tag.  A Gamma kind is one that takes ``num_candidates``.
+``DOMAINS`` bounds the parameters, and the ``ExperimentConfig`` seeds and
+``EXPERIMENT_KEYS`` fields.  A label shows a value by ``:g`` where that reads
+back exactly, else by its ``repr``, so distinct strategies get distinct labels.
 
 ``synthesize_corpus`` is the one strategy dispatch: it turns a monolingual
 corpus into synthetic pairs under one of the generation strategies, for the
@@ -52,7 +54,7 @@ import copy
 import math
 import numbers
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -67,7 +69,7 @@ from .errors import (
     check_integer,
 )
 from .manipulate import SyntheticPair, split_monolingual
-from .scoring import GammaParams, gamma_picks, gamma_rows
+from .scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
 from .streams import sentence_uniforms
 from .tokenio import BOS, CodedCorpus, encode
 from .toyseq.decode import (
@@ -91,8 +93,6 @@ from .toyseq.models import (
 )
 from .toyseq.taskgen import ToyTaskSpec, generate_toy_task
 
-DEFAULT_NUM_CANDIDATES = 50
-DEFAULT_GAMMA_SPLIT = 0.5
 ENUMERATION_GUARD = 10**6
 # Monte-Carlo samples per target: the values and std's temporary take 16 bytes each
 MC_SAMPLE_LIMIT = 10**7
@@ -103,23 +103,34 @@ WEAK_BITEXT_FRACTION = 0.1
 
 # -- strategies ---------------------------------------------------------------
 
+class StrategyParam(NamedTuple):
+    """How a config sets one strategy parameter and a label shows it."""
+
+    key: str        # the config key that sets it
+    default: float  # its value where the config leaves the key out
+    label: str      # its name in a label, as in gamma-select(gamma=0.2,n=50)
+
+
 class StrategySpec(NamedTuple):
     """What one strategy kind takes and needs."""
 
-    params: dict[str, str]  # each required parameter -> the config key that sets it
+    params: dict[str, StrategyParam]  # each required parameter, by its BTStrategy field
     stochastic: bool        # draws random numbers, so the CLI requires --seed
     needs_lm: bool          # picks by Gamma score, which reads the source LM
+    provenance: str | None  # its pairs' tag; data-manipulation tags its beam half beam
 
 
-_GAMMA_PARAMS = {"gamma": "gamma_score", "num_candidates": "num_candidates"}
-STRATEGIES = {
-    "none": StrategySpec({}, stochastic=False, needs_lm=False),
-    "beam": StrategySpec({}, stochastic=False, needs_lm=False),
-    "beam-weak": StrategySpec({}, stochastic=False, needs_lm=False),
-    "sampling": StrategySpec({}, stochastic=True, needs_lm=False),
-    "data-manipulation": StrategySpec({"gamma": "gamma_dm"}, stochastic=True, needs_lm=False),
-    "gamma-select": StrategySpec(_GAMMA_PARAMS, stochastic=True, needs_lm=True),
-    "gamma-sample": StrategySpec(_GAMMA_PARAMS, stochastic=True, needs_lm=True),
+_GAMMA_PARAMS = {"gamma": StrategyParam("gamma_score", DEFAULT_GAMMA, "gamma"),
+                 "num_candidates": StrategyParam("num_candidates", 50, "n")}
+STRATEGIES = {  # kind: (params, stochastic, needs_lm, provenance)
+    "none": StrategySpec({}, False, False, None),
+    "beam": StrategySpec({}, False, False, "beam"),
+    "beam-weak": StrategySpec({}, False, False, "beam"),
+    "sampling": StrategySpec({}, True, False, "sampling"),
+    "data-manipulation": StrategySpec({"gamma": StrategyParam("gamma_dm", 0.5, "gamma")},
+                                      True, False, "sampling"),
+    "gamma-select": StrategySpec(_GAMMA_PARAMS, True, True, "gamma-select"),
+    "gamma-sample": StrategySpec(_GAMMA_PARAMS, True, True, "gamma-sample"),
 }
 
 
@@ -141,8 +152,6 @@ DOMAINS = {
 }
 # the ExperimentConfig fields that a config sets by key, each bounded in DOMAINS
 EXPERIMENT_KEYS = ("beam_size", "alpha", "lm_order")
-# each strategy parameter, as a label shows it
-_LABELS = {"gamma": "gamma={:g}", "num_candidates": "n={}"}
 
 
 def check_parameter(name: str, value, label: str | None = None, shown: str | None = None):
@@ -166,6 +175,14 @@ def check_parameter(name: str, value, label: str | None = None, shown: str | Non
             f"{label} must be {domain.text}, got {value if shown is None else shown}")
 
 
+def _shown(value) -> str:
+    """``value`` as a label shows it: ``:g`` where that reads back exactly, else its repr."""
+    if isinstance(value, numbers.Integral):
+        return str(value)
+    short = f"{value:g}"
+    return short if float(short) == float(value) else repr(float(value))  # not np.float64(...)
+
+
 @dataclass(frozen=True)
 class BTStrategy:
     """A synthetic-generation strategy with exactly the parameters that
@@ -179,7 +196,7 @@ class BTStrategy:
         spec = STRATEGIES.get(self.kind)
         if spec is None:
             raise ConfigError(f"unknown strategy kind {self.kind!r}")
-        for name in _LABELS:
+        for name in (f.name for f in fields(self)[1:]):  # the fields after kind
             value = getattr(self, name)
             if name not in spec.params:
                 if value is not None:
@@ -194,7 +211,7 @@ class BTStrategy:
         params = STRATEGIES[self.kind].params
         if not params:
             return self.kind
-        shown = ",".join(_LABELS[name].format(getattr(self, name)) for name in params)
+        shown = ",".join(f"{p.label}={_shown(getattr(self, name))}" for name, p in params.items())
         return f"{self.kind}({shown})"
 
 
@@ -242,11 +259,6 @@ def _gamma_sources(mono: CodedCorpus, backward: ChannelModel, lm: NGramLM,
             for chosen in picked]
 
 
-# each strategy kind's provenance tag, where it is not the kind itself; a
-# data-manipulation sentence in the plan's beam half is tagged beam
-_PROVENANCE = {"beam-weak": "beam", "data-manipulation": "sampling"}
-
-
 def synthesize_corpus(mono, backward: ChannelModel, lm: NGramLM | None,
                       strategy: BTStrategy, seed: int, beam_size: int = DEFAULT_BEAM_SIZE):
     """One synthetic source per target sentence under ``strategy``.
@@ -284,7 +296,7 @@ def synthesize_corpus(mono, backward: ChannelModel, lm: NGramLM | None,
         [sources] = _gamma_sources(coded, backward, lm, [strategy], seed)
     if isinstance(mono, CodedCorpus):
         return sources, (mono if len(sources) else sources)
-    beam, tag = set(beam_ids), _PROVENANCE.get(kind, kind)
+    beam, tag = set(beam_ids), STRATEGIES[kind].provenance
     return [SyntheticPair(x, y, "beam" if i in beam else tag)
             for i, (x, y) in enumerate(zip(sources, mono.sentences))]
 

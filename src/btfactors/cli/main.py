@@ -9,8 +9,9 @@ writes a run manifest beside its outputs; stochastic commands require an
 explicit ``--seed`` (there is no wall-clock fallback).
 
 Task keys (the ``toygen`` flags and the config's task keys) come from
-``ToyTaskSpec().keys()``, strategy keys from ``STRATEGIES`` and experiment
-keys from ``EXPERIMENT_KEYS``, with the library's types and defaults.
+``ToyTaskSpec().keys()``, experiment keys from ``EXPERIMENT_KEYS``, and
+strategy keys, the ``--gamma``/``--num-candidates`` defaults and ``select``'s
+provenance tags from ``STRATEGIES``, with the library's types and defaults.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import numpy as np
 
 from .. import __version__
 from ..btloop import (
-    DEFAULT_GAMMA_SPLIT,
-    DEFAULT_NUM_CANDIDATES,
     DOMAINS,
     EXPERIMENT_KEYS,
     MC_SAMPLE_LIMIT,
@@ -43,7 +42,7 @@ from ..btloop import (
 from ..analysis import corpus_diagnostics, corpus_profile
 from ..errors import BtfactorsError, ConfigError, InconsistencyError, InvalidInputError
 from ..manipulate import SyntheticPair
-from ..scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
+from ..scoring import GammaParams, gamma_picks, gamma_rows
 from ..streams import sentence_stream, sentence_uniforms
 from ..tokenio import record_lines, sequence_from_str, token_sort_key
 from ..toyseq.decode import DEFAULT_BEAM_SIZE
@@ -69,11 +68,11 @@ TINY_TASK = ToyTaskSpec.from_keys({"source_vocab": 4, "target_vocab": 4, "min_le
                                   "test": 60})
 # each task key with its default: the toygen flags and the config's task keys
 TASK_KEYS = ToyTaskSpec().keys()
-# the config keys that set strategy parameters, with their defaults
-STRATEGY_KEYS = {"gamma_dm": DEFAULT_GAMMA_SPLIT, "gamma_score": DEFAULT_GAMMA,
-                 "num_candidates": DEFAULT_NUM_CANDIDATES}
+# each strategy key and experiment key with the DOMAINS entry of what it sets
+_SETTINGS = {**{p.key: name for spec in STRATEGIES.values() for name, p in spec.params.items()},
+             **dict(zip(EXPERIMENT_KEYS, EXPERIMENT_KEYS))}
 # every key a bt-experiment config may set
-CONFIG_KEYS = ("seeds", "strategies", *STRATEGY_KEYS, *EXPERIMENT_KEYS, *TASK_KEYS)
+CONFIG_KEYS = ("seeds", "strategies", *_SETTINGS, *TASK_KEYS)
 # the DOMAINS entry of each flag whose name is not its parameter's
 _FLAG_DOMAINS = {"order": "lm_order"}
 
@@ -283,7 +282,7 @@ def _cmd_select(args, argv) -> int:
         picks = gamma_picks(probs, None if args.mode == "select" else uniforms[rows])
         for r, c in zip(rows, picks.tolist()):
             chosen[r] = c
-    provenance = "gamma-select" if args.mode == "select" else "gamma-sample"
+    provenance = STRATEGIES[f"gamma-{args.mode}"].provenance
     pairs = [SyntheticPair(sequence_from_str(texts[c]), target, provenance)
              for texts, target, c in zip(records.texts, records.targets, chosen)]
     write_synthetic(args.out, pairs)
@@ -333,21 +332,17 @@ def _parse_config_text(text: str) -> ExperimentConfig:
     seeds = (1, 2, 3, 4, 5)
     if "seeds" in values:
         seeds = tuple(checked("seeds", s, "seed") for s in values["seeds"].split())
-    # the parameter each strategy key sets
-    key_params = {key: name for spec in STRATEGIES.values() for name, key in spec.params.items()}
-    settings = dict(STRATEGY_KEYS)
-    for key, name in key_params.items():
-        if key in values:
-            # checked whenever present, even when no listed strategy reads the key
-            settings[key] = checked(key, values[key], name)
+    # checked whenever present, even when no listed strategy reads the key
+    settings = {key: checked(key, values[key], name)
+                for key, name in _SETTINGS.items() if key in values}
     strategies = []
     for kind in values.get("strategies", "beam sampling").split():
         if kind not in STRATEGIES:
             raise ConfigError(f"unknown strategy {kind!r}")
-        params = STRATEGIES[kind].params
-        strategies.append(BTStrategy(kind, **{name: settings[key] for name, key in params.items()}))
+        strategies.append(BTStrategy(kind, **{name: settings.get(p.key, p.default)
+                                              for name, p in STRATEGIES[kind].params.items()}))
     # only the keys the config sets, so ExperimentConfig's defaults apply
-    experiment = {key: checked(key, values[key], key) for key in EXPERIMENT_KEYS if key in values}
+    experiment = {key: settings[key] for key in EXPERIMENT_KEYS if key in settings}
     return ExperimentConfig(task=task, strategies=tuple(strategies), seeds=seeds, **experiment)
 
 
@@ -463,6 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the --gamma and --num-candidates defaults of the kinds each command makes
+    gamma, num_candidates = (p.default for p in STRATEGIES["gamma-select"].params.values())
+    split = STRATEGIES["data-manipulation"].params["gamma"].default
     # no flag prefixes: a manifest stores argv as typed, and a prefix that
     # parses today would become ambiguous once a flag sharing it is added
     add_command = functools.partial(sub.add_parser, allow_abbrev=False)
@@ -489,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", required=True,
                    choices=("beam", "sampling", "gamma-select", "gamma-sample"))
     p.add_argument("--lm", help="source LM (gamma strategies)")
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p.add_argument("--num-candidates", type=int, default=DEFAULT_NUM_CANDIDATES)
+    p.add_argument("--gamma", type=float, default=gamma)
+    p.add_argument("--num-candidates", type=int, default=num_candidates)
     p.add_argument("--beam-size", type=int, default=DEFAULT_BEAM_SIZE)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
@@ -499,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("manipulate", help="beam/sampling split synthesis at ratio gamma")
     p.add_argument("--mono", required=True)
     p.add_argument("--backward", required=True)
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_SPLIT)
+    p.add_argument("--gamma", type=float, default=split)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--beam-size", type=int, default=DEFAULT_BEAM_SIZE)
     p.add_argument("--out", required=True)
@@ -510,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mono")
     p.add_argument("--backward")
     p.add_argument("--lm")
-    p.add_argument("--num-candidates", type=int, default=DEFAULT_NUM_CANDIDATES)
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    p.add_argument("--num-candidates", type=int, default=num_candidates)
+    p.add_argument("--gamma", type=float, default=gamma)
     p.add_argument("--seed", type=int)
     p.add_argument("--dump-candidates", help="also write the generated candidate records")
     p.add_argument("--out", required=True)
@@ -519,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("select", help="pick one candidate per record by Gamma score")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    p.add_argument("--gamma", type=float, default=gamma)
     p.add_argument("--mode", choices=("select", "sample"), default="select")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -34,7 +35,7 @@ from btfactors.errors import (
     InvalidInputError,
     NumericError,
 )
-from btfactors.manipulate import MonoCorpus, SyntheticPair
+from btfactors.manipulate import PROVENANCES, MonoCorpus, SyntheticPair
 from btfactors.scoring import GammaParams, gamma_sample, gamma_select
 from btfactors.streams import sentence_stream
 from btfactors.tokenio import BOS, encode
@@ -110,6 +111,51 @@ def test_strategy_accepts_numpy_integers_and_reals():
     strategy = BTStrategy("gamma-select", np.float64(0.2), np.int64(4))
     assert strategy == BTStrategy("gamma-select", 0.2, 4)
     assert strategy.label == "gamma-select(gamma=0.2,n=4)"
+
+
+def label_gamma(label):
+    """The gamma a label shows, read back as a float."""
+    return float(re.fullmatch(r"[a-z-]+\(gamma=([^,)]+)(,n=\d+)?\)", label).group(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0, 1), st.sampled_from(["data-manipulation", "gamma-select", "gamma-sample"]))
+def test_a_label_shows_gamma_exactly(gamma, kind):
+    # gamma={:g} printed 0.1234567 and 0.1234568 alike, so a config refused
+    # the pair as one duplicate cell
+    n = None if kind == "data-manipulation" else 50
+    strategy = BTStrategy(kind, gamma, n)
+    assert label_gamma(strategy.label) == gamma
+    assert BTStrategy(kind, np.float64(gamma), n).label == strategy.label
+    neighbour = float(np.nextafter(gamma, 2.0 if gamma < 1 else 0.0))
+    other = BTStrategy(kind, neighbour, n)
+    assert label_gamma(other.label) == neighbour and other.label != strategy.label
+
+
+def test_labels_keep_their_short_form_where_it_is_exact():
+    labels = [BTStrategy("gamma-select", gamma, 50).label
+              for gamma in (0.2, 0.5, 0, 1, 0.1234567, 0.1234568, 0.30000000000000004)]
+    assert labels == [f"gamma-select(gamma={text},n=50)" for text in (
+        "0.2", "0.5", "0", "1", "0.1234567", "0.1234568", "0.30000000000000004")]
+    assert BTStrategy("data-manipulation", np.float32(0.1)).label == (
+        "data-manipulation(gamma=0.10000000149011612)")
+
+
+def test_the_strategy_table_is_consistent():
+    fields = [f.name for f in dataclasses.fields(BTStrategy)][1:]
+    assert {name for spec in btloop.STRATEGIES.values() for name in spec.params} == set(fields)
+    by_key = {}
+    for kind, spec in btloop.STRATEGIES.items():
+        for name, param in spec.params.items():
+            # every parameter is bounded, and its default lies in its domain
+            assert name in btloop.DOMAINS
+            btloop.check_parameter(name, param.default)
+            # a key that two kinds share sets one parameter with one default
+            assert by_key.setdefault(param.key, (name, param.default)) == (name, param.default)
+    # a synthetic file is read back exactly when its tags are the kinds' tags
+    tags = {kind: spec.provenance for kind, spec in btloop.STRATEGIES.items()}
+    assert tags.pop("none") is None
+    assert set(tags.values()) == set(PROVENANCES)
 
 
 def test_gamma_strategy_requires_lm(tiny_setup):
@@ -806,11 +852,17 @@ def test_experiment_rejects_duplicate_strategies():
     for strategies in ((BTStrategy("beam"), BTStrategy("beam")),
                        (BTStrategy("none"), BTStrategy("sampling"), BTStrategy("none")),
                        (BTStrategy("gamma-sample", 0.2, 5),
-                        BTStrategy("gamma-sample", 0.2 + 1e-9, 5))):
+                        BTStrategy("gamma-sample", np.float64(0.2), np.int64(5)))):
         with pytest.raises(ConfigError, match="duplicate strategy"):
             ExperimentConfig(task=TINY, strategies=strategies, seeds=(1,))
-    ExperimentConfig(task=TINY, strategies=(BTStrategy("gamma-sample", 0.2, 5),
-                                            BTStrategy("gamma-sample", 0.2, 6)), seeds=(1,))
+    # a label shows gamma exactly, so a gamma 1e-9 away names another cell
+    config = ExperimentConfig(task=TINY, strategies=(BTStrategy("gamma-sample", 0.2, 5),
+                                                     BTStrategy("gamma-sample", 0.2 + 1e-9, 5),
+                                                     BTStrategy("gamma-sample", 0.2, 6)),
+                              seeds=(1,))
+    assert [s.label for s in config.strategies] == [
+        "gamma-sample(gamma=0.2,n=5)", "gamma-sample(gamma=0.200000001,n=5)",
+        "gamma-sample(gamma=0.2,n=6)"]
 
 
 GAMMA_GRID = tuple(BTStrategy(kind, gamma, 6) for kind in ("gamma-select", "gamma-sample")

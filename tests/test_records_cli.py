@@ -1380,6 +1380,26 @@ def test_every_strategy_kind_builds_from_config_text_as_directly():
         "gamma-select(gamma=0.75,n=9)", "gamma-sample(gamma=0.75,n=9)"]
 
 
+GAMMA_KINDS = ("gamma-select", "gamma-sample")
+
+
+@pytest.mark.parametrize("argv,kinds,flags", [
+    (["backtranslate", "--mono", "m", "--backward", "b", "--strategy", "beam", "--out", "o"],
+     GAMMA_KINDS, ("gamma", "num_candidates")),
+    (["score", "--out", "o"], GAMMA_KINDS, ("gamma", "num_candidates")),
+    # a candidate record carries its own count
+    (["select", "--candidates", "c", "--out", "o"], GAMMA_KINDS, ("gamma",)),
+    (["manipulate", "--mono", "m", "--backward", "b", "--seed", "1", "--out", "o"],
+     ("data-manipulation",), ("gamma",)),
+])
+def test_flag_defaults_are_the_strategy_tables(argv, kinds, flags):
+    args = vars(cli_main.build_parser().parse_args(argv))
+    assert {"gamma", "num_candidates"} & set(args) == set(flags)
+    for kind in kinds:
+        for name in flags:
+            assert args[name] == STRATEGIES[kind].params[name].default, (kind, name)
+
+
 def test_beam_backtranslation_over_a_mixed_vocabulary(tmp_path):
     (tmp_path / "bitext.tsv").write_text("a 1\t2 b\n")
     (tmp_path / "mono.txt").write_text("2 b\nb 2\n")
