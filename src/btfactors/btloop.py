@@ -179,7 +179,7 @@ def _shown(value) -> str:
     """``value`` as a label shows it: ``:g`` where that reads back exactly, else its repr."""
     if isinstance(value, numbers.Integral):
         return str(value)
-    short = f"{value:g}"
+    short = f"{float(value):g}"
     return short if float(short) == float(value) else repr(float(value))  # not np.float64(...)
 
 
@@ -205,6 +205,9 @@ class BTStrategy:
                 raise ConfigError(f"strategy {self.kind!r} requires {name}")
             else:
                 check_parameter(name, value)
+                if DOMAINS[name].type is float:
+                    # held as the float its label shows, which numpy computes with
+                    object.__setattr__(self, name, float(value))
 
     @property
     def label(self) -> str:

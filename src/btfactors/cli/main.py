@@ -52,6 +52,7 @@ from ..toyseq.taskgen import ToyTaskSpec, generate_toy_task
 from .manifest import build_manifest, read_manifest, write_manifest
 from .records import (
     CandidateRecords,
+    candidate_record_blocks,
     read_candidate_records,
     read_mono,
     read_parallel,
@@ -206,17 +207,20 @@ def _generate_candidates(args, inputs, params: GammaParams):
     kept = []
     chunks = gamma_chunks(mono.sentences, backward, lm, args.num_candidates, args.seed,
                           [params.gamma])
+    # the pools' token indices, kept in the smallest type that holds them
+    index_type = np.min_scalar_type(len(backward.out_vocab) - 1)
     for ids, _, token_idx, log_q, log_lm, probs in chunks:
         for i, row in zip(ids, probs[params.gamma]):
             dists[i] = row
-        kept.append((ids, token_idx, log_q, log_lm))
+        kept.append((ids, token_idx.astype(index_type), log_q, log_lm))
     return range(len(mono)), dists, lambda: CandidateRecords.from_chunks(
         backward.out_vocab, mono.sentences, kept)
 
 
 def _record_gammas(records: CandidateRecords, params: GammaParams):
-    """``(rows, probs)`` per candidate count: the Gamma distributions of the
-    records at ``rows``, one ``gamma_rows`` call per count."""
+    """``(rows, probs)`` per block and candidate count: the Gamma
+    distributions of the records at ``rows``, one ``gamma_rows`` call per
+    ``records.groups()`` batch."""
     try:
         return [(rows, gamma_rows(log_q, log_lm, lengths, params))
                 for rows, lengths, log_q, log_lm in records.groups()]
@@ -228,8 +232,9 @@ def _record_gammas(records: CandidateRecords, params: GammaParams):
 
 
 def _write_scores(path, ids, dists) -> None:
-    _write_text(path, "".join(f"{target_id}\t" + " ".join(map(repr, probs.tolist())) + "\n"
-                              for target_id, probs in zip(ids, dists)))
+    with open(path, "w", encoding="utf-8") as out:
+        for target_id, probs in zip(ids, dists):
+            out.write(f"{target_id}\t" + " ".join(map(repr, probs.tolist())) + "\n")
 
 
 def _cmd_score(args, argv) -> int:
@@ -260,31 +265,56 @@ def _cmd_score(args, argv) -> int:
     return 0
 
 
-def _cmd_select(args, argv) -> int:
-    records = read_candidate_records(args.candidates)
-    # score --candidates takes any lengths, but a synthetic pair's sides are equal
+def _length_fault(records: CandidateRecords):
+    """The InconsistencyError of the first record with a candidate whose
+    length is not its target's, or None."""
     for target_id, target, lengths in zip(records.target_ids, records.targets, records.lengths):
         unequal = lengths[lengths != len(target)]
         if len(unequal):
-            raise InconsistencyError(f"candidate record of target {target_id}: candidate length"
-                                     f" {unequal[0]} != target length {len(target)}")
+            return InconsistencyError(f"candidate record of target {target_id}: candidate length"
+                                      f" {unequal[0]} != target length {len(target)}")
+    return None
+
+
+def _cmd_select(args, argv) -> int:
     params_obj = GammaParams(gamma=args.gamma)
-    if args.mode == "sample":
-        _require_seed(args)
-        # each target stream's draw after the L * n that made its n candidates
-        # of length L, as backtranslate --strategy gamma-sample picks
-        counts = [len(target) * len(texts) + 1
-                  for target, texts in zip(records.targets, records.texts)]
-        uniforms = np.array([draws[-1] for draws in
-                             sentence_uniforms(args.seed, records.target_ids, counts)])
-    chosen = [0] * len(records)
-    for rows, probs in _record_gammas(records, params_obj):
-        picks = gamma_picks(probs, None if args.mode == "select" else uniforms[rows])
-        for r, c in zip(rows, picks.tolist()):
-            chosen[r] = c
     provenance = STRATEGIES[f"gamma-{args.mode}"].provenance
-    pairs = [SyntheticPair(sequence_from_str(texts[c]), target, provenance)
-             for texts, target, c in zip(records.texts, records.targets, chosen)]
+    sample = args.mode == "sample"
+    # Records are read one block at a time.  A parse fault raises at once;
+    # the first length fault, a missing seed and the first Gamma fault raise
+    # in that order after the last record, and no block is scored once one
+    # of them is pending.
+    pairs, length_fault, gamma_fault = [], None, None
+    for block in candidate_record_blocks(args.candidates):
+        # score --candidates takes any lengths, but a synthetic pair's sides are equal
+        length_fault = length_fault or _length_fault(block)
+        if length_fault or gamma_fault or (sample and args.seed is None):
+            continue
+        uniforms = None
+        if sample:
+            # each target stream's draw after the L * n that made its n candidates
+            # of length L, as backtranslate --strategy gamma-sample picks
+            counts = [len(target) * len(texts) + 1
+                      for target, texts in zip(block.targets, block.texts)]
+            uniforms = np.array([draws[-1] for draws in
+                                 sentence_uniforms(args.seed, block.target_ids, counts)])
+        chosen = [0] * len(block)
+        try:
+            for rows, probs in _record_gammas(block, params_obj):
+                picks = gamma_picks(probs, None if uniforms is None else uniforms[rows])
+                for r, c in zip(rows, picks.tolist()):
+                    chosen[r] = c
+        except InvalidInputError as exc:
+            gamma_fault = exc
+            continue
+        pairs.extend(SyntheticPair(sequence_from_str(texts[c]), target, provenance)
+                     for texts, target, c in zip(block.texts, block.targets, chosen))
+    if length_fault:
+        raise length_fault
+    if sample:
+        _require_seed(args)
+    if gamma_fault:
+        raise gamma_fault
     write_synthetic(args.out, pairs)
     params = {"gamma": args.gamma, "mode": args.mode}
     _emit_manifest(args.out, "select", params, args.seed,

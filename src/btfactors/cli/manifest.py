@@ -34,9 +34,16 @@ class RunManifest:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
+# bytes per read when hashing a file
+_HASH_BLOCK = 1 << 16
+
+
 def sha256_file(path) -> str:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return f"sha256:{digest}"
+    digest = hashlib.sha256()
+    with open(path, "rb") as data:
+        while block := data.read(_HASH_BLOCK):
+            digest.update(block)
+    return f"sha256:{digest.hexdigest()}"
 
 
 def build_manifest(command: str, params: dict, seed, input_paths: dict,

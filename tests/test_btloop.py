@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,6 +140,18 @@ def test_labels_keep_their_short_form_where_it_is_exact():
         "0.2", "0.5", "0", "1", "0.1234567", "0.1234568", "0.30000000000000004")]
     assert BTStrategy("data-manipulation", np.float32(0.1)).label == (
         "data-manipulation(gamma=0.10000000149011612)")
+
+
+@pytest.mark.parametrize("kind,n", [("data-manipulation", None), ("gamma-select", 6),
+                                    ("gamma-sample", 6)])
+def test_a_fraction_gamma_labels_and_runs_like_its_float(kind, n):
+    # check_parameter takes any real; a Fraction's label used to raise TypeError
+    third = BTStrategy(kind, Fraction(1, 3), n)
+    assert third.label == BTStrategy(kind, 1 / 3, n).label
+    assert label_gamma(third.label) == 1 / 3
+    cells = [run_bt_experiment(ExperimentConfig(task=TINY, strategies=(strategy,), seeds=(1,)))
+             .to_records() for strategy in (third, BTStrategy(kind, 1 / 3, n))]
+    assert cells[0] == cells[1]
 
 
 def test_the_strategy_table_is_consistent():

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -970,6 +971,135 @@ def test_gamma_errors_are_the_per_set_loops(tmp_path, capsys):
                 assert dispatch(argv) == 1
             assert capsys.readouterr().err == f"error: {want.value}\n"
             assert run_cli(*argv) == (1, f"error: {want.value}\n")
+
+
+GOOD_RECORD = "{}\t1 2\t3 4|-1.0|-2.0\t4 3|-1.5|-2.5\n"
+# a record whose Gamma kernel overflows, and one whose candidates are shorter than its target
+OVERFLOWING_RECORD = "1\t2\t1|-1.0|-2.0\t2|-1e308|1e308\t3|-1.0|-1.0\n"
+UNEQUAL_RECORD = "9\t1 2\t3|-1.0|-2.0\t4|-1.5|-2.5\n"
+UNEQUAL_ERROR = "candidate record of target 9: candidate length 1 != target length 2"
+
+
+def filler(count: int) -> str:
+    """``count`` good records; 300 put what follows them in a later read block."""
+    return "".join(GOOD_RECORD.format(i) for i in range(count))
+
+
+def overflow_error(tmp_path) -> str:
+    path = tmp_path / "overflow-only.txt"
+    path.write_text(OVERFLOWING_RECORD, encoding="utf-8")
+    with pytest.raises(InvalidInputError) as err:
+        for cset in read_candidate_sets(path):
+            gamma_select(cset, GammaParams())
+    path.unlink()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("gap", [0, 300])
+@pytest.mark.parametrize("case", ["length after overflow", "seed with length",
+                                  "seed with overflow", "parse after length"])
+def test_select_raises_the_first_fault_in_a_fixed_order(tmp_path, capsys, case, gap):
+    # of an undecodable byte, the first parse fault, the first length fault,
+    # a missing seed and the first Gamma fault, the earliest in this list is
+    # raised, wherever in the file each one is
+    mode, seed, gap = "select", ["--seed", "1"], filler(gap)
+    if case == "length after overflow":
+        text, error = OVERFLOWING_RECORD + gap + UNEQUAL_RECORD, UNEQUAL_ERROR
+    elif case == "seed with length":
+        text, error = gap + UNEQUAL_RECORD, UNEQUAL_ERROR
+        mode, seed = "sample", []
+    elif case == "seed with overflow":
+        text, error = OVERFLOWING_RECORD + gap, "--seed is required for stochastic commands"
+        mode, seed = "sample", []
+    else:
+        lineno = 2 + gap.count("\n")
+        text = UNEQUAL_RECORD + gap + "zzz\tonly two\n"
+        error = f"line {lineno}: expected a target id, target tokens, and candidates, found 2 fields"
+    cands, out = tmp_path / "cands.tsv", tmp_path / "chosen.tsv"
+    cands.write_text(text, encoding="utf-8")
+    argv = ["select", "--candidates", str(cands), "--mode", mode, *seed, "--out", str(out)]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == [cands]
+
+
+def test_select_raises_a_gamma_fault_in_a_later_block(tmp_path, capsys):
+    cands, out = tmp_path / "cands.tsv", tmp_path / "chosen.tsv"
+    cands.write_text(filler(300) + OVERFLOWING_RECORD + filler(300), encoding="utf-8")
+    error = overflow_error(tmp_path)
+    assert dispatch(["select", "--candidates", str(cands), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == [cands]
+
+
+@pytest.mark.parametrize("gap", [0, 2000])
+def test_select_reports_an_undecodable_byte_after_a_malformed_line(tmp_path, capsys, gap):
+    # the byte's offset in the file, also past the first 64 KiB read
+    head = ("zzz\tonly two\n" + filler(gap) + GOOD_RECORD.format(5)).encode()
+    assert gap == 0 or len(head) > 1 << 16
+    cands, out = tmp_path / "cands.tsv", tmp_path / "chosen.tsv"
+    cands.write_bytes(head + b"1 \xff\t2\n" + GOOD_RECORD.format(6).encode())
+    assert dispatch(["select", "--candidates", str(cands), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cands}: not UTF-8 text (invalid start byte at byte {len(head) + 2})\n")
+    assert list(tmp_path.iterdir()) == [cands]
+
+
+def many_records(count: int, n: int, seed: int) -> str:
+    """``count`` records of lengths 1 to 3 with ``n`` candidates each, ids
+    shuffled, scores drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for target_id in rng.permutation(count).tolist():
+        length = 1 + target_id % 3
+        cands = rng.integers(0, 9, size=(n, length)).tolist()
+        log_q, log_lm = -rng.exponential(4.0, size=(2, n))
+        lines.append(f"{target_id}\t" + " ".join(["7"] * length) + "".join(
+            f"\t{' '.join(map(str, c))}|{q!r}|{lm!r}"
+            for c, q, lm in zip(cands, log_q.tolist(), log_lm.tolist())))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("mode,seed", [("select", None), ("sample", 3)])
+def test_select_over_many_read_blocks_equals_the_per_set_loop(tmp_path, mode, seed):
+    path = tmp_path / "many.txt"
+    path.write_text(many_records(700, 3, 1) + "\n" + many_records(200, 5, 2), encoding="utf-8")
+    out, expected = tmp_path / "out.tsv", tmp_path / "expected.tsv"
+    argv = ["select", "--candidates", str(path), "--gamma", "0.4", "--mode", mode,
+            "--out", str(out)]
+    assert dispatch(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+    per_set_selection(path, mode, seed, 0.4, expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_score_over_many_record_blocks_equals_the_per_set_loop(tmp_path):
+    path = tmp_path / "many.txt"
+    path.write_text(many_records(600, 4, 5), encoding="utf-8")
+    scores = tmp_path / "scores.txt"
+    assert dispatch(["score", "--candidates", str(path), "--gamma", "0.7",
+                     "--out", str(scores)]) == 0
+    params = GammaParams(gamma=0.7)
+    assert scores.read_text(encoding="utf-8") == "".join(
+        f"{cset.target_id}\t" + " ".join(repr(p) for p in gamma_distribution(cset, params).probs)
+        + "\n" for cset in read_candidate_sets(path))
+
+
+def test_select_memory_grows_by_a_chosen_pair_per_record(tmp_path):
+    # records are read and scored a block at a time, so only the chosen
+    # pairs grow with the file; record counts are whole 256-record blocks
+    def peak(count):
+        path = tmp_path / f"records-{count}.txt"
+        path.write_text(many_records(count, 50, count), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert dispatch(["select", "--candidates", str(path),
+                             "--out", str(tmp_path / f"chosen-{count}.tsv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(256), peak(4 * 256)
+    assert (large - small) / (3 * 256) < 2048
 
 
 def test_select_sampling_requires_seed(tmp_path, toy_dir, models_dir, capsys):
