@@ -5,8 +5,12 @@ sentence representations.
 BLEU, the reports and the sentence representations read coded corpora
 (``tokenio.CodedCorpus``) and encode plain sequences once on entry; a
 synthetic corpus may be given coded as its (sources, targets) pair.  BLEU
-counts one compacted id per (sentence pair, n-gram) with
-``np.unique``/``bincount``.
+reads its references prepared once as ``BleuReferences``: each order's
+sorted (sentence, n-gram) ids and their counts.  A hypothesis corpus finds
+its n-gram ids there with ``searchsorted`` and clips its ``bincount`` by
+the references' counts, so a caller that scores several corpora against
+the same references (the sweep scores each seed's cells against the mono
+references and the test targets) prepares them once and passes them in.
 ``corpus_diagnostics`` gives the quality, importance and spectrum reports
 of one corpus from one backward ``batch_score`` pass, which adds the
 per-position terms one column at a time, so a sentence scores the same bits
@@ -31,41 +35,83 @@ from .toyseq.models import ChannelModel, NGramLM, coded_pairs
 
 # -- BLEU -------------------------------------------------------------------
 
-# sentence pairs counted together; bounds the temporaries of ``_count_ngrams``
-_BLEU_PAIRS = 512
+_ALIGNED = "hypotheses and references must be equal-length and non-empty"
 
 
-def _count_ngrams(tokens: np.ndarray, lengths: np.ndarray, pairs: int, vocab_size: int,
-                  matched: list, total: list) -> None:
-    """Add each order's clipped matches and hypothesis n-grams of ``pairs``
-    aligned pairs to ``matched[n - 1]`` and ``total[n - 1]``.
+class BleuReferences:
+    """A reference corpus prepared for ``corpus_bleu`` up to order ``max_n``.
 
-    ``tokens`` holds the hypotheses' and then the references' token codes,
-    below ``vocab_size``, and ``lengths`` their lengths.  Tokens coded as
-    ``tokenio`` codes them compare as Python compares them.  Each order
-    gives every position an id for (sentence pair, n-gram starting there),
-    compacted with ``np.unique`` from the (n-1)-gram id and the n-th token.
-    A key stays below (pairs + tokens) x (distinct tokens), so int64 holds
-    it whatever the vocabulary.  The hypothesis and reference counts of an
-    id clip each other.
+    For each order n it holds the sorted, distinct ids of the references'
+    (sentence, n-gram) pairs and the count of each, as the smallest unsigned
+    integer types that hold them.  An n-gram's key is the id of the
+    (sentence, (n-1)-gram) it extends, times the number of distinct
+    reference tokens, plus the code of its last token; its id is the rank of
+    that key among the order's keys, and the order-0 id is the sentence.  A
+    hypothesis n-gram finds its id by ``searchsorted`` from the id of its
+    (n-1)-gram, so each hypothesis corpus scored against these references
+    counts only its own n-grams.  No per-position array is kept.
     """
-    size = int(lengths.sum())
-    hyp_size = int(lengths[:pairs].sum())
-    # tokens from each position to the end of its sentence: an n-gram starts
-    # wherever at least n are left
-    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(size)
-    # the order-0 id is the sentence pair, shared by a hypothesis and its reference
-    ids = np.repeat(np.tile(np.arange(pairs), 2), lengths)
-    for n in range(1, min(len(total), int(lengths.max())) + 1):
-        starts = size - n + 1
-        # a start without n tokens left gets an id too; it is never counted
-        distinct, ids = np.unique(ids[:starts] * vocab_size + tokens[n - 1 :],
-                                  return_inverse=True)
-        valid = left[:starts] >= n
-        hyp_counts = np.bincount(ids[:hyp_size][valid[:hyp_size]], minlength=len(distinct))
-        ref_counts = np.bincount(ids[hyp_size:][valid[hyp_size:]], minlength=len(distinct))
-        total[n - 1] += int(hyp_counts.sum())
-        matched[n - 1] += int(np.minimum(hyp_counts, ref_counts).sum())
+
+    __slots__ = ("max_n", "_table", "_size", "_length", "_keys", "_counts")
+
+    def __init__(self, references, max_n: int = 4):
+        self.max_n = check_integer("max_n", max_n, 1)
+        refs = coded(references)
+        if not len(refs):
+            raise InvalidInputError(_ALIGNED)
+        self._table: dict = {}
+        codes = refs.codes_in(self._table)
+        vocab = len(self._table)
+        lengths = refs.lengths
+        self._size, self._length = len(refs), int(lengths.sum())
+        # tokens from each position to the end of its sentence: an n-gram
+        # starts wherever at least n are left
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))
+        ids = np.repeat(np.arange(len(refs)), lengths)
+        self._keys: list[np.ndarray] = []
+        self._counts: list[np.ndarray] = []
+        # ids of the order below run from 0 to bound - 1, so a key stays
+        # below (sentences + tokens) x (distinct tokens): int64 holds it
+        bound = len(refs)
+        for n in range(1, self.max_n + 1):
+            at = np.flatnonzero(left >= n)
+            if not len(at):
+                break
+            keys, ids[at], counts = np.unique(ids[at] * vocab + codes[at + n - 1],
+                                              return_inverse=True, return_counts=True)
+            # a hypothesis key is below bound * vocab too, so it casts exactly
+            self._keys.append(keys.astype(np.min_scalar_type(bound * vocab)))
+            self._counts.append(counts.astype(np.min_scalar_type(int(counts.max()))))
+            bound = len(keys)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _matched(self, hyps) -> list[int]:
+        """Each order's clipped matches of the coded ``hyps``, aligned with
+        the references; orders above the longest reference match nothing."""
+        vocab = len(self._table)
+        lookup = np.fromiter((self._table.get(tok, vocab) for tok in hyps.tokens),
+                             dtype=np.int64, count=len(hyps.tokens))
+        codes = lookup[hyps.codes]
+        lengths = hyps.lengths
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))
+        ids = np.repeat(np.arange(len(hyps)), lengths)
+        # positions whose (n-1)-gram occurs in its reference
+        at = np.arange(len(codes))
+        matched = [0] * self.max_n
+        for n, (keys, counts) in enumerate(zip(self._keys, self._counts), 1):
+            at = at[left[at] >= n]
+            last = codes[at + n - 1]
+            present = last < vocab  # a token no reference holds ends the match
+            at = at[present]
+            query = (ids[at] * vocab + last[present]).astype(keys.dtype)
+            found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+            hit = keys[found] == query
+            at, found = at[hit], found[hit]
+            ids[at] = found
+            matched[n - 1] = int(np.minimum(np.bincount(found, minlength=len(keys)), counts).sum())
+        return matched
 
 
 def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
@@ -77,31 +123,25 @@ def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
     unigram matches give exactly 0.  The brevity penalty exp(1 - r/c)
     applies when the hypothesis corpus is shorter than the references.
 
-    N-grams are counted in numpy (``_count_ngrams``), ``_BLEU_PAIRS``
-    sentence pairs at a time, over codes shared by both corpora.  Every
-    count is an integer, so the float arithmetic is that of the textbook
-    Counter loop and the score is the same bit for bit.
+    ``references`` may be prepared as ``BleuReferences`` for this
+    ``max_n``; a plain corpus is prepared here.  The hypotheses' n-grams are
+    counted against it with ``searchsorted``, ``bincount`` and ``minimum``.
+    Every count is an integer, so the float arithmetic is that of the
+    textbook Counter loop and the score is the same bit for bit.
     """
     max_n = check_integer("max_n", max_n, 1)
-    hyps, refs = coded(hypotheses), coded(references)
-    if not len(hyps) or len(hyps) != len(refs):
-        raise InvalidInputError("hypotheses and references must be equal-length and non-empty")
-    table: dict = {}
-    hyp_codes, ref_codes = hyps.codes_in(table), refs.codes_in(table)
-    hyp_starts, ref_starts = hyps.starts.tolist(), refs.starts.tolist()
-    hyp_starts.append(len(hyp_codes))
-    ref_starts.append(len(ref_codes))
-    matched = [0] * max_n
-    total = [0] * max_n
-    for lo in range(0, len(hyps), _BLEU_PAIRS):
-        hi = min(lo + _BLEU_PAIRS, len(hyps))
-        _count_ngrams(
-            np.concatenate((hyp_codes[hyp_starts[lo] : hyp_starts[hi]],
-                            ref_codes[ref_starts[lo] : ref_starts[hi]])),
-            np.concatenate((hyps.lengths[lo:hi], refs.lengths[lo:hi])),
-            hi - lo, len(table), matched, total)
+    refs = (references if isinstance(references, BleuReferences)
+            else BleuReferences(references, max_n))
+    if refs.max_n != max_n:
+        raise InvalidInputError(
+            f"references prepared for max_n {refs.max_n} cannot score max_n {max_n}")
+    hyps = coded(hypotheses)
+    if len(hyps) != len(refs):
+        raise InvalidInputError(_ALIGNED)
+    matched = refs._matched(hyps)
+    total = [int(np.maximum(hyps.lengths - n, 0).sum()) for n in range(max_n)]
     hyp_len = int(hyps.lengths.sum())
-    ref_len = int(refs.lengths.sum())
+    ref_len = refs._length
     orders = [i for i in range(max_n) if total[i] > 0]
     if not orders or matched[0] == 0:
         return 0.0
@@ -142,7 +182,7 @@ def _quality(log_q: np.ndarray, sources, references) -> QualityReport:
         raise InvalidInputError("backward scores are not finite; check model smoothing")
     bleu = None
     if references is not None:
-        refs = coded(references)
+        refs = references if isinstance(references, BleuReferences) else coded(references)
         if len(refs) != len(sources):
             raise InconsistencyError("references must align one-to-one with synthetic pairs")
         bleu = corpus_bleu(sources, refs)
@@ -177,7 +217,8 @@ def corpus_diagnostics(synthetic: Sequence[SyntheticPair], backward: ChannelMode
     """``corpus_quality_report``, ``corpus_importance_report`` and the sources'
     spectrum over ``vocab``, with one backward pass for the two reports.
     ``synthetic`` may be given coded as its (sources, targets) pair, and
-    ``references`` coded; then nothing is encoded."""
+    ``references`` coded or prepared (``BleuReferences``); then nothing is
+    encoded."""
     sources, log_q = _backward_pass(synthetic, backward)
     return (_quality(log_q, sources, references),
             _importance(lm.batch_score(sources), log_q),

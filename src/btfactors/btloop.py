@@ -27,7 +27,13 @@ Gamma strategies pick with ``scoring.gamma_picks`` from ``gamma_chunks``,
 the one candidate-pool pass of the sweep, ``backtranslate`` and ``score``.
 Within one seed, the Gamma cells of one candidate count share one such pass
 (``_gamma_sources``): every cell picks from each chunk of pools before the
-next is drawn.
+next is drawn.  A seed shares two more things among its cells.  The
+``data-manipulation`` cell takes its beam and sampling halves from the
+sources of the ``beam`` and ``sampling`` cells where those ran first
+(``_manipulated_sources``, which ``synthesize_corpus`` calls too and which
+decodes a half itself when none is given).  Every BLEU of the seed counts
+against ``analysis.BleuReferences`` of the true mono sources or of the test
+targets, each prepared once.
 
 The oracle functions enumerate every equal-length source exactly:
 ``exact_marginal`` is the log marginal likelihood of a target under the
@@ -59,7 +65,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analysis import corpus_bleu, corpus_diagnostics
+from .analysis import BleuReferences, corpus_bleu, corpus_diagnostics
 from .errors import (
     BtfactorsError,
     ConfigError,
@@ -262,6 +268,29 @@ def _gamma_sources(mono: CodedCorpus, backward: ChannelModel, lm: NGramLM,
             for chosen in picked]
 
 
+def _manipulated_sources(coded: CodedCorpus, backward: ChannelModel, gamma: float, seed: int,
+                         beam_size: int, beam: CodedCorpus | None = None,
+                         sampled: CodedCorpus | None = None) -> tuple[CodedCorpus, tuple]:
+    """Data manipulation's sources of the coded corpus, in corpus order, and
+    the ids of its beam half.
+
+    Draws the ``split_monolingual`` plan once.  ``beam`` and ``sampled``,
+    where given, are the whole corpus beam-decoded and sampled under
+    ``backward`` as the ``beam`` and ``sampling`` strategies decode it, and
+    a half is taken from them; a half without one is decoded here.  Beam
+    search and the per-sentence streams give a sentence the same output
+    alone or in any batch, so either way gives the same sources.
+    """
+    plan = split_monolingual(coded, gamma, seed)
+    beam_ids, ids = plan.beam_ids, plan.sampling_ids
+    beam = (beam_decode(backward, coded.take(beam_ids), beam_size) if beam is None
+            else beam.take(beam_ids))
+    sampled = (sample_decode(backward, coded.take(ids), sentence_uniforms(
+        seed, ids, coded.lengths[list(ids)].tolist())) if sampled is None else sampled.take(ids))
+    # the beam half, then the sampling half, back in corpus order
+    return CodedCorpus.concat([beam, sampled]).take(np.argsort(beam_ids + ids)), beam_ids
+
+
 def synthesize_corpus(mono, backward: ChannelModel, lm: NGramLM | None,
                       strategy: BTStrategy, seed: int, beam_size: int = DEFAULT_BEAM_SIZE):
     """One synthetic source per target sentence under ``strategy``.
@@ -271,9 +300,10 @@ def synthesize_corpus(mono, backward: ChannelModel, lm: NGramLM | None,
     (``tokenio.CodedCorpus``), which gives the coded (sources, targets) pair,
     both empty for ``none``.  Stochastic strategies derive one stream per
     sentence from (seed, index), so output is independent of evaluation
-    order.  Data manipulation draws its ``split_monolingual`` plan once,
-    beam-decodes ``plan.beam_ids``, samples the rest and tags each sentence
-    ``beam`` or ``sampling`` by the half it fell in.
+    order.  Data manipulation (``_manipulated_sources``) draws its
+    ``split_monolingual`` plan once, beam-decodes ``plan.beam_ids``, samples
+    the rest and tags each sentence ``beam`` or ``sampling`` by the half it
+    fell in.
     """
     kind = strategy.kind
     if STRATEGIES[kind].needs_lm and lm is None:
@@ -288,13 +318,7 @@ def synthesize_corpus(mono, backward: ChannelModel, lm: NGramLM | None,
         sources = sample_decode(backward, coded, sentence_uniforms(
             seed, range(len(coded)), coded.lengths.tolist()))
     elif kind == "data-manipulation":
-        plan = split_monolingual(coded, strategy.gamma, seed)
-        beam_ids, ids = plan.beam_ids, plan.sampling_ids
-        beam = beam_decode(backward, coded.take(beam_ids), beam_size)
-        sampled = sample_decode(backward, coded.take(ids), sentence_uniforms(
-            seed, ids, coded.lengths[list(ids)].tolist()))
-        # the beam half, then the sampling half, back in corpus order
-        sources = CodedCorpus.concat([beam, sampled]).take(np.argsort(beam_ids + ids))
+        sources, beam_ids = _manipulated_sources(coded, backward, strategy.gamma, seed, beam_size)
     else:
         [sources] = _gamma_sources(coded, backward, lm, [strategy], seed)
     if isinstance(mono, CodedCorpus):
@@ -402,8 +426,8 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _evaluate_test_bleu(forward: ChannelModel, test, beam_size: int) -> float:
-    sources, targets = coded_pairs(test)
+def _evaluate_test_bleu(forward: ChannelModel, sources: CodedCorpus,
+                        targets: BleuReferences, beam_size: int) -> float:
     return corpus_bleu(beam_decode(forward, sources, beam_size), targets)
 
 
@@ -420,26 +444,33 @@ def _seed_cells(config: ExperimentConfig, seed: int) -> list[CellReport]:
     """The cells of one seed, in strategy order, the ``none`` baseline first
     unless the config lists it.
 
-    The seed's task, its coded splits, the backward model and the source LM
-    are built once and shared by the cells; the weak backward model is built
-    in the ``beam-weak`` cell.  Each cell synthesizes, retrains the forward
-    model on bitext + synthetic, scores test BLEU and attaches the synthetic
-    corpus diagnostics.  The Gamma cells of one ``num_candidates`` share one
-    ``_gamma_sources`` pass, made when the first of them runs; each cell's
-    sources equal those of ``synthesize_corpus`` with that strategy alone.
-    A failing cell's error names its strategy and seed.
+    The seed's task, its coded splits, the backward model, the source LM
+    and the BLEU references (``BleuReferences`` of the true mono sources and
+    of the test targets) are built once and shared by the cells; the weak
+    backward model is built in the ``beam-weak`` cell.  Each cell
+    synthesizes, retrains the forward model on bitext + synthetic, scores
+    test BLEU and attaches the synthetic corpus diagnostics.  The Gamma
+    cells of one ``num_candidates`` share one ``_gamma_sources`` pass, made
+    when the first of them runs.  The ``beam`` and ``sampling`` cells keep
+    their sources, and a later ``data-manipulation`` cell takes its halves
+    from them (``_manipulated_sources``).  Each cell's sources equal those
+    of ``synthesize_corpus`` with that strategy alone.  A failing cell's
+    error names its strategy and seed.
     """
     strategies = list(config.strategies)
     if not any(s.kind == "none" for s in strategies):
         strategies.insert(0, BTStrategy("none"))
     task = generate_toy_task(config.task.with_seed(seed))
-    bitext, test = coded_pairs(task.bitext), coded_pairs(task.test)
+    bitext, (test, test_targets) = coded_pairs(task.bitext), coded_pairs(task.test)
     mono = encode(task.mono.sentences)
-    references = encode(task.mono_refs.sources())
+    test_refs = BleuReferences(test_targets)
+    references = BleuReferences(encode(task.mono_refs.sources()))
     backward = train_channel(bitext, "target_to_source", config.alpha, out_vocab=task.source_vocab)
     lm = train_ngram_lm(bitext[0], config.lm_order, config.alpha, vocab=task.source_vocab)
     # num_candidates -> the sources of each Gamma cell with that count
     gamma_passes: dict[int, dict[BTStrategy, CodedCorpus]] = {}
+    # "beam" / "sampling" -> the mono corpus so decoded under the backward model
+    decoded: dict[str, CodedCorpus] = {}
     cells = []
     for strategy in strategies:
         try:
@@ -447,8 +478,13 @@ def _seed_cells(config: ExperimentConfig, seed: int) -> list[CellReport]:
             if strategy.kind == "beam-weak":
                 weak = _weak_backward(bitext, config.alpha, task.source_vocab)
                 synthetic = synthesize_corpus(mono, weak, lm, strategy, seed, config.beam_size)
+            elif strategy.kind == "data-manipulation":
+                synthetic = _manipulated_sources(mono, backward, strategy.gamma, seed,
+                                                 config.beam_size, decoded.get("beam"),
+                                                 decoded.get("sampling"))[0], mono
             elif n is None:
                 synthetic = synthesize_corpus(mono, backward, lm, strategy, seed, config.beam_size)
+                decoded[strategy.kind] = synthetic[0]
             else:
                 if n not in gamma_passes:
                     group = [s for s in strategies if s.num_candidates == n]
@@ -458,7 +494,8 @@ def _seed_cells(config: ExperimentConfig, seed: int) -> list[CellReport]:
             sources, targets = synthetic
             forward = train_forward(bitext, synthetic, config.alpha, out_vocab=task.target_vocab)
             cell = CellReport(strategy.label, seed,
-                              _evaluate_test_bleu(forward, test, config.beam_size), len(sources))
+                              _evaluate_test_bleu(forward, test, test_refs, config.beam_size),
+                              len(sources))
             if len(sources):
                 # diagnostics always use the standard backward model,
                 # even for corpora generated by the weak variant

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from btfactors import analysis
 from btfactors.analysis import (
+    BleuReferences,
     _jacobi_eigenvalues,
     corpus_bleu,
     corpus_importance_report,
@@ -197,6 +198,83 @@ def test_bleu_over_a_large_string_vocabulary_equals_counter_oracle():
         refs.append(tuple(ref))
     assert len({tok for s in hyps + refs for tok in s}) > 20000
     assert corpus_bleu(hyps, refs) == counter_bleu(hyps, refs)
+
+
+# tokens that no drawn pool holds: "q" is outside the pools' alphabet
+ABSENT = (100, "q")
+
+
+@st.composite
+def prepared_cases(draw):
+    """A reference corpus, several hypothesis corpora aligned with it and
+    an order that may pass the longest sentence."""
+    pool = draw(token_pools())
+    refs = draw(st.lists(st.lists(st.sampled_from(pool), max_size=6).map(tuple),
+                         min_size=1, max_size=10))
+    hyp_tokens = st.sampled_from(pool + list(ABSENT))
+    corpus = st.lists(st.lists(hyp_tokens, max_size=6).map(tuple),
+                      min_size=len(refs), max_size=len(refs))
+    return refs, draw(st.lists(corpus, min_size=1, max_size=4)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=prepared_cases(), data=st.data())
+def test_prepared_references_score_each_corpus_as_the_counter_oracle(case, data):
+    refs, corpora, max_n = case
+    prepared = BleuReferences(refs, max_n)
+    # one prepared object serves every corpus, in any order, any number of times
+    order = data.draw(st.lists(st.sampled_from(range(len(corpora))), min_size=1, max_size=6))
+    for i in order:
+        score = corpus_bleu(corpora[i], prepared, max_n)
+        assert score == counter_bleu(corpora[i], refs, max_n)
+        assert score == corpus_bleu(corpora[i], refs, max_n)
+
+
+def test_prepared_references_at_their_edges():
+    refs = [("a", "b", "c", "d", "e", "f"), ("b", "c", "d", "e", "f", "g")]
+    cases = [
+        [("a", "b"), ("c",)],                    # every reference longer than every hypothesis
+        [("a", "x", "b", "c"), ("y", "z")],      # tokens no reference holds
+        [("x",), ("y", "y")],                    # no unigram match: exactly 0
+        [("a", "b", "c", "d", "e", "f"), ("b", "c", "d", "e", "f", "g")],
+    ]
+    for max_n in (1, 4, 6, 7, 12):               # 7 and 12 pass the longest sentence
+        prepared = BleuReferences(refs, max_n)
+        for hyps in cases + cases[::-1]:
+            assert corpus_bleu(hyps, prepared, max_n) == counter_bleu(hyps, refs, max_n)
+    assert corpus_bleu(cases[-1], BleuReferences(refs)) == 100.0
+    assert corpus_bleu(cases[2], BleuReferences(refs)) == 0.0
+
+
+def test_prepared_references_refuse_what_corpus_bleu_refuses():
+    aligned = "^hypotheses and references must be equal-length and non-empty$"
+    prepared = BleuReferences([(1, 2), (3,)])
+    assert len(prepared) == 2
+    for hyps in ([(1, 2)], [(1,), (2,), (3,)], []):
+        with pytest.raises(InvalidInputError, match=aligned):
+            corpus_bleu(hyps, prepared)
+    with pytest.raises(InvalidInputError, match=aligned):
+        BleuReferences([])
+    with pytest.raises(InvalidInputError, match="max_n must be"):
+        BleuReferences([(1, 2)], max_n=0)
+    # counts prepared up to one order cannot score another
+    for prepared_n, max_n in ((4, 2), (2, 4), (1, 5)):
+        with pytest.raises(InvalidInputError,
+                           match=f"^references prepared for max_n {prepared_n} cannot "
+                                 f"score max_n {max_n}$"):
+            corpus_bleu([(1, 2)], BleuReferences([(1, 2)], prepared_n), max_n)
+
+
+def test_prepared_references_keep_the_smallest_integer_types():
+    # 3000 references of length 4-12 over 20 tokens: each order's ids fit in
+    # 32 bits and its counts in 8
+    rng = np.random.default_rng(3)
+    refs = [tuple(rng.integers(0, 20, size=int(rng.integers(4, 13))).tolist())
+            for _ in range(3000)]
+    prepared = BleuReferences(refs)
+    for keys, counts in zip(prepared._keys, prepared._counts):
+        assert keys.dtype.itemsize <= 4 and counts.dtype == np.uint8
+        assert len(keys) == len(counts) and np.all(keys[1:] > keys[:-1])
 
 
 def test_bleu_matches_fraction_oracle_on_random_corpora(rng):

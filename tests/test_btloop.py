@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import btfactors.analysis as analysis
 import btfactors.btloop as btloop
 from btfactors.analysis import (
     corpus_diagnostics,
@@ -50,6 +51,7 @@ from btfactors.toyseq.models import (
     ChannelModel,
     NGramLM,
     channel_score,
+    coded_pairs,
     lm_score,
     train_channel,
     train_ngram_lm,
@@ -972,6 +974,87 @@ def test_shared_gamma_pass_equals_each_strategy_alone(tiny_setup):
         btloop._gamma_sources(encode(task.mono.sentences), backward, lm,
                               (BTStrategy("gamma-select", 0.2, 4),
                                BTStrategy("gamma-sample", 0.2, 5)), 0)
+
+
+def cell_synthetics(config):
+    """The records of ``config`` and the coded synthetic corpus each of its
+    cells trained on, in cell order."""
+    synthetics = []
+    train = btloop.train_forward
+
+    def recorded(bitext, synthetic, *args, **kwargs):
+        synthetics.append(synthetic)
+        return train(bitext, synthetic, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(btloop, "train_forward", recorded)
+        records = run_bt_experiment(config).to_records()
+    return records, synthetics
+
+
+def same_codes(a, b) -> bool:
+    return (a.tokens == b.tokens and np.array_equal(a.codes, b.codes)
+            and np.array_equal(a.lengths, b.lengths))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from((0.0, 0.37, 0.5, 1.0)))
+def test_shared_data_manipulation_equals_its_own_decodes(seed, gamma):
+    # the sweep's data-manipulation cell takes its halves from the beam and
+    # sampling cells; synthesize_corpus decodes them itself
+    dm = BTStrategy("data-manipulation", gamma=gamma)
+    config = ExperimentConfig(task=TINY, seeds=(seed,),
+                              strategies=(BTStrategy("beam"), BTStrategy("sampling"), dm))
+    records, synthetics = cell_synthetics(config)
+    task = generate_toy_task(TINY.with_seed(seed))
+    mono = encode(task.mono.sentences)
+    backward = train_channel(coded_pairs(task.bitext), "target_to_source", config.alpha,
+                             out_vocab=task.source_vocab)
+    sources, targets = synthesize_corpus(mono, backward, None, dm, seed)
+    assert same_codes(synthetics[3][0], sources) and same_codes(synthetics[3][1], targets)
+    # listed before beam and sampling, or without them, it decodes its halves itself
+    for strategies in ((dm, BTStrategy("beam"), BTStrategy("sampling")), (dm,)):
+        alone = run_bt_experiment(dataclasses.replace(config, strategies=strategies))
+        assert alone.cell(dm.label, seed).to_record() == records[3]
+
+
+def test_a_seed_decodes_its_mono_once_per_decoder_and_calls_corpus_bleu_13_times(monkeypatch):
+    # the acceptance strategies: 7 cells with none, 6 of them with synthetic
+    # data; by-name wrappers of corpus_bleu and _evaluate_test_bleu see every call
+    task = ToyTaskSpec(source_vocab_size=4, target_vocab_size=4, length_range=(2, 4),
+                       bitext_size=200, mono_size=50, test_size=20)
+    config = ExperimentConfig(task=task, seeds=(4, 9), strategies=(
+        BTStrategy("beam"), BTStrategy("beam-weak"), BTStrategy("sampling"),
+        BTStrategy("data-manipulation", gamma=0.5), BTStrategy("gamma-select", 0.2, 4),
+        BTStrategy("gamma-sample", 0.2, 4)))
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("train_channel", "beam_decode", "sample_decode", "_evaluate_test_bleu",
+                 "corpus_bleu"):
+        counted(btloop, name)
+    counted(analysis, "corpus_bleu")
+    for seed in config.seeds:
+        calls.clear()
+        btloop._seed_cells(config, seed)
+        # the first backward model trained is the standard one, the second the weak one
+        backward = next(result for name, args, result in calls
+                        if name == "train_channel" and args[1] == "target_to_source")
+        decodes = [(name, len(args[1])) for name, args, _ in calls
+                   if name in ("beam_decode", "sample_decode") and args[0] is backward]
+        assert decodes == [("beam_decode", 50), ("sample_decode", 50)]
+        names = [name for name, _, _ in calls]
+        assert names.count("sample_decode") == 1
+        assert names.count("corpus_bleu") == 13
+        assert names.count("_evaluate_test_bleu") == 7
 
 
 def test_each_cell_scores_its_pairs_with_one_channel_once(monkeypatch):
