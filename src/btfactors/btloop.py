@@ -44,13 +44,14 @@ the importance-sampling Monte-Carlo estimator of that bound with the
 backward channel as proposal.  Every sample is one of the enumerated
 sources, so the estimator computes each source's importance-weighted value
 once, from the enumeration's LM, forward and backward log-probs, and draws
-the samples as enumeration rows, ``_MC_BLOCK`` at a time through
-``_ancestral``, each block's rows read from its token indices by Horner's
-rule in place.  Each position draws its block of uniforms from its own
-copy of the caller's PCG64 (or PCG64DXSM) stream, advanced to where that
-position's ``rng.random(num_samples)`` call would start, so no array spans
-the positions and the samples; only the values do, and ``MC_SAMPLE_LIMIT``
-bounds their count per target.
+the samples as enumeration rows, ``_MC_BLOCK`` at a time: each sample
+carries its prefix's row from position to position, and position t's
+inverse-CDF search (``invert_cdf``) reads a table with one row per prefix
+of length t, built once per target.  Each position draws its block of
+uniforms from its own copy of the caller's PCG64 (or PCG64DXSM) stream,
+advanced to where that position's ``rng.random(num_samples)`` call would
+start, so no array spans the positions and the samples; only the values
+do, and ``MC_SAMPLE_LIMIT`` bounds their count per target.
 ``evaluate_marginal_oracles`` enumerates once for all three quantities.
 """
 
@@ -75,12 +76,11 @@ from .errors import (
     check_integer,
 )
 from .manipulate import SyntheticPair, split_monolingual
-from .scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows
+from .scoring import DEFAULT_GAMMA, GammaParams, gamma_picks, gamma_rows, invert_cdf
 from .streams import sentence_uniforms
 from .tokenio import BOS, CodedCorpus, encode
 from .toyseq.decode import (
     DEFAULT_BEAM_SIZE,
-    _ancestral,
     _stacked_conditionals,
     batch_lm_scores,
     beam_decode,
@@ -102,7 +102,7 @@ from .toyseq.taskgen import ToyTaskSpec, generate_toy_task
 ENUMERATION_GUARD = 10**6
 # Monte-Carlo samples per target: the values and std's temporary take 16 bytes each
 MC_SAMPLE_LIMIT = 10**7
-# Monte-Carlo samples drawn at a time; bounds each block's uniforms, indices and rows
+# Monte-Carlo samples drawn at a time; bounds each block's uniforms and rows
 _MC_BLOCK = 8192
 WEAK_BITEXT_FRACTION = 0.1
 
@@ -671,8 +671,12 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
     sample's, from the same ``_stacked_conditionals`` tables, so a sample
     drawn as that row gets the same bits.  The draws are made ``_MC_BLOCK``
     at a time, without log-probs, from the numbers of L successive
-    ``rng.random(n)`` calls: each block fills row t of one reused (L,
-    ``_MC_BLOCK``) buffer from position t's ``_row_generators`` stream.
+    ``rng.random(n)`` calls: at position t a block refills one reused buffer
+    from position t's ``_row_generators`` stream and searches row r of
+    position t's table for each sample whose prefix is enumeration row r of
+    the length-t sources; the drawn index is the prefix's next base-|V|
+    digit (``row * |V| + index``), so the last position leaves each sample's
+    row in ``idx``, the same row ``batch_sample``'s tokens name.
     """
     y = tuple(y)
     table, logs, cond_rows = _stacked_conditionals(backward, encode([y]))
@@ -683,22 +687,20 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
         log_q += logs[block][state, column]
         state = column + 1
     by_row = np.exp((lm_scores - _logsumexp(lm_scores)) - log_q) * forward_scores
-    bases = [block * logs.shape[1] for block in blocks]
     size = len(backward.out_vocab)
+    # position t's table: row r is the stack row given prefix r's last index
+    # (r % |V|), or BOS at t = 0, so a prefix's enumeration row indexes it
+    tables = [table[block * (size + 1) + np.arange(size**t) % size + (t > 0)]
+              for t, block in enumerate(blocks)]
     generators = _row_generators(rng, len(y), num_samples)
-    uniforms = np.empty((len(y), min(num_samples, _MC_BLOCK)))
+    uniforms = np.empty(min(num_samples, _MC_BLOCK))
     values = np.empty(num_samples)
     for start in range(0, num_samples, _MC_BLOCK):
         count = min(_MC_BLOCK, num_samples - start)
-        draws = uniforms[:, :count]
-        for generator, draw_row in zip(generators, draws):
-            generator.random(out=draw_row)
-        steps = ((table, None, base, row) for base, row in zip(bases, draws))
-        token_idx, _ = _ancestral(steps, count, len(y))
-        # a source's row in _enumeration_indices: its indices as base-|V|
-        # digits, first position most significant (Horner's rule)
-        row = token_idx[:, 0].copy()
-        for column in token_idx.T[1:]:
+        draws, row = uniforms[:count], np.zeros(count, dtype=np.intp)
+        for generator, position_table in zip(generators, tables):
+            generator.random(out=draws)
+            column = invert_cdf(position_table, draws, row)
             row *= size
             row += column
         np.take(by_row, row, out=values[start : start + count])

@@ -21,8 +21,10 @@ expansion row is its tie-break.  Each step takes its k best columns by k
 the most negative float and every taken column is set to -inf.
 
 Every sampler inverts the cumulative row with ``side="right"`` semantics
-through one kernel, ``_ancestral``: corpus sampling, ``batch_sample``, the
-oracle's Monte-Carlo draws, candidate sets and the toy-task generator.  It
+through one search, ``invert_cdf``.  Corpus sampling, ``batch_sample``,
+candidate sets and the toy-task generator call it through one kernel,
+``_ancestral``; the oracle's Monte-Carlo draws call it directly, with one
+table row per source prefix (``btloop._mc_moments``).  ``_ancestral``
 reads a (states, |V|) table at each position (the channel samplers read the
 one stacked table of ``_stacked_conditionals``) and, for each output row,
 binary-searches its state's row for its uniform (``invert_cdf`` with row

@@ -555,8 +555,8 @@ def test_blocked_estimator_equals_full_array_reference_bit_for_bit(seed, use_eos
 
 @pytest.mark.parametrize("seed", [1, 8])
 def test_sample_rows_equal_the_ravel_multi_index_reference_at_every_enumerable_length(seed):
-    # the estimator maps each block's samples to enumeration rows by Horner's
-    # rule; the reference maps them with np.ravel_multi_index
+    # the estimator carries each sample's enumeration row from position to
+    # position; the reference maps its index matrix with np.ravel_multi_index
     task = generate_toy_task(TINY.with_seed(seed))
     size = len(task.source_vocab)
     assert size == 4 and size**9 <= btloop.ENUMERATION_GUARD < size**10
@@ -576,27 +576,64 @@ def test_sample_rows_equal_the_ravel_multi_index_reference_at_every_enumerable_l
                 length, num_samples)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 5], ids=["P1", "P2", "P4", "P8"])
+@pytest.mark.parametrize("use_eos", [True, False], ids=["eos", "no-eos"])
+def test_estimator_equals_the_reference_at_every_padded_table_width(size, use_eos):
+    # |V| = 1, 2, 3, 5 pad the cdf tables to widths 1, 2, 4, 8; each estimate
+    # leaves its generator where the reference's rng.random((L, n)) does
+    vocab = list(range(size))
+    draw = np.random.default_rng(size)
+    pairs = [(draw.integers(0, size, length).tolist(), draw.integers(0, size, length).tolist())
+             for length in (1, 2, 3, 4, 2, 3)]
+    bitext = parallel_corpus(pairs)
+    backward = train_channel(bitext, "target_to_source", 0.1, out_vocab=vocab)
+    forward = train_channel(bitext, "source_to_target", 0.1, out_vocab=vocab)
+    lm = train_ngram_lm([x for x, _ in pairs], 2, 0.1, vocab=vocab, use_eos=use_eos)
+    for length in (1, 2, 3, 4):
+        y = tuple(draw.integers(0, size, length).tolist())
+        _, lm_scores, forward_scores = btloop._enumerate_lm_and_channel(lm, forward, y)
+        for num_samples in (2, btloop._MC_BLOCK + 1):
+            got_rng = np.random.default_rng([size, length, num_samples])
+            want_rng = np.random.default_rng([size, length, num_samples])
+            got = importance_mc_estimate(lm, backward, forward, y, num_samples, got_rng)
+            want = reference_mc_moments(lm_scores, forward_scores, backward, y, num_samples,
+                                        want_rng)
+            assert same_float_bits(got[0], want[0]) and same_float_bits(got[1], want[1]), (
+                length, num_samples)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_oracle_samples_in_blocks_without_log_probs(monkeypatch, tiny_setup):
-    # no (n, L) token matrix and no per-sample log-prob array at n = 10^5
+    # at n = 10^5 each block of at most _MC_BLOCK draws takes one search per
+    # position, and the backward logs are read per enumerated source (at most
+    # |V|^L values), never per sample
     task, backward, forward, lm = tiny_setup
-    calls = []
-    ancestral = btloop._ancestral
+    y = length_four_target(task)
+    searches, log_reads = [], []
+    invert_cdf, stacked = btloop.invert_cdf, btloop._stacked_conditionals
 
-    def counted(steps, n, length):
-        calls.append(n)
+    class ReadLogs(np.ndarray):
+        def __getitem__(self, key):
+            got = super().__getitem__(key)
+            log_reads.append(np.size(got))
+            return got
 
-        def checked():
-            for step in steps:
-                assert step[1] is None
-                yield step
+    def counted(table, uniforms, rows=None):
+        searches.append(len(uniforms))
+        return invert_cdf(table, uniforms, rows)
 
-        return ancestral(checked(), n, length)
+    def watched(model, inputs):
+        table, logs, cond_rows = stacked(model, inputs)
+        return table, logs.view(ReadLogs), cond_rows
 
-    monkeypatch.setattr(btloop, "_ancestral", counted)
-    evaluate_marginal_oracles(lm, backward, forward, task.mono.sentences[0], 10**5,
-                              sentence_stream(7, 0))
+    monkeypatch.setattr(btloop, "invert_cdf", counted)
+    monkeypatch.setattr(btloop, "_stacked_conditionals", watched)
+    evaluate_marginal_oracles(lm, backward, forward, y, 10**5, sentence_stream(7, 0))
     block = btloop._MC_BLOCK
-    assert calls == [block] * (10**5 // block) + [10**5 % block]
+    assert block == 8192
+    sizes = [block] * 12 + [1696]
+    assert searches == [size for size in sizes for _ in y]
+    assert log_reads and max(log_reads) <= 4 ** len(y) < min(sizes)
 
 
 def length_four_target(task):

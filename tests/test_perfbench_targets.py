@@ -4,7 +4,9 @@ reports is a number.
 A traced or renamed function that no longer resolves makes its per-layer
 metrics print as ``null`` in ``perfbench/run.py --trace 1``, and a metric
 that comes out NaN makes the last printed line invalid JSON; these catch
-both before the benchmark runs.
+both before the benchmark runs.  The untraced ``oracle`` workload must also
+reproduce every row digest of ``perfbench/reference.json`` at two more of
+its seeds.
 """
 
 import importlib
@@ -66,3 +68,15 @@ def test_every_traced_metric_is_a_finite_number(monkeypatch, tmp_path, name):
            or not math.isfinite(value)}
     assert bad == {}
     json.dumps({"metrics": metrics}, allow_nan=False)
+
+
+@pytest.mark.parametrize("seed", [0, 10])
+def test_oracle_rows_match_the_reference_digests(monkeypatch, tmp_path, seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    workload = workloads.WORKLOADS["oracle"]
+    inputs = workload.build(seed, tmp_path)
+    rows = workload.run(inputs)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["oracle"][str(seed)]
+    assert len(reference) == 100 and workload.digests(inputs, rows) == reference
