@@ -44,20 +44,19 @@ the importance-sampling Monte-Carlo estimator of that bound with the
 backward channel as proposal.  Every sample is one of the enumerated
 sources, so the estimator computes each source's importance-weighted value
 once, from the enumeration's LM, forward and backward log-probs, and draws
-the samples as enumeration rows, ``_MC_BLOCK`` at a time: each sample
-carries its prefix's row from position to position, and position t's
-inverse-CDF search (``invert_cdf``) reads a table with one row per prefix
-of length t, built once per target.  Each position draws its block of
-uniforms from its own copy of the caller's PCG64 (or PCG64DXSM) stream,
-advanced to where that position's ``rng.random(num_samples)`` call would
-start, so no array spans the positions and the samples; only the values
-do, and ``MC_SAMPLE_LIMIT`` bounds their count per target.
+the samples as enumeration rows: each sample carries its prefix's row from
+position to position, and position t's inverse-CDF search (``invert_cdf``)
+reads a table with one row per prefix of length t, built once per target.
+Positions run in order and each draws its uniforms from the caller's
+generator ``_MC_BLOCK`` at a time, so the stream is read as ``len(y)``
+calls of ``rng.random(num_samples)`` read it, and no array spans the
+positions and the samples; only the rows and the values do, 16 bytes a
+sample in all, and ``MC_SAMPLE_LIMIT`` bounds their count per target.
 ``evaluate_marginal_oracles`` enumerates once for all three quantities.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 import operator
@@ -100,9 +99,10 @@ from .toyseq.models import (
 from .toyseq.taskgen import ToyTaskSpec, generate_toy_task
 
 ENUMERATION_GUARD = 10**6
-# Monte-Carlo samples per target: the values and std's temporary take 16 bytes each
+# Monte-Carlo samples per target: the rows and values, then the values and
+# std's temporary, take 16 bytes each
 MC_SAMPLE_LIMIT = 10**7
-# Monte-Carlo samples drawn at a time; bounds each block's uniforms and rows
+# Monte-Carlo samples drawn at a time; bounds the uniforms and invert_cdf's temporaries
 _MC_BLOCK = 8192
 WEAK_BITEXT_FRACTION = 0.1
 
@@ -631,33 +631,10 @@ def _check_mc_inputs(lm: NGramLM, backward: ChannelModel, num_samples: int,
         raise InvalidInputError("backward model must smooth with alpha > 0 (positive mass)")
     if tuple(backward.out_vocab) != tuple(lm.content_vocab):
         raise InvalidInputError("backward output vocabulary must match the LM vocabulary")
-    bit_gen = getattr(rng, "bit_generator", rng)
-    # their advance(k) skips k 64-bit draws, so k doubles of random(); named
-    # here, not at import, so importing btloop does not import numpy.random
-    if not isinstance(bit_gen, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise InvalidInputError("rng must be a Generator over PCG64 or PCG64DXSM, "
-                                f"got {type(bit_gen).__name__}")
+    # named here, not at import, so importing btloop does not import numpy.random
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInputError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     return num_samples
-
-
-def _row_generators(rng: np.random.Generator, rows: int,
-                    num_samples: int) -> list[np.random.Generator]:
-    """One generator per row t, drawing the numbers of the t-th of ``rows``
-    successive ``rng.random(num_samples)`` calls; ``rng`` is left where
-    those calls leave it.  ``advance`` drops a pending 32-bit half, which
-    ``random`` keeps, so the caller's half is put back."""
-    bit_gen = rng.bit_generator
-    state = bit_gen.state
-    generators = []
-    for t in range(rows):
-        row_gen = copy.copy(bit_gen)
-        row_gen.advance(t * num_samples)
-        generators.append(np.random.Generator(row_gen))
-    bit_gen.advance(rows * num_samples)
-    moved = bit_gen.state
-    moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
-    bit_gen.state = moved
-    return generators
 
 
 def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarray,
@@ -669,14 +646,14 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
     Each value is computed once per row of ``idx``, with the row's backward
     log-prob summed from 0.0 position by position as ``_ancestral`` sums a
     sample's, from the same ``_stacked_conditionals`` tables, so a sample
-    drawn as that row gets the same bits.  The draws are made ``_MC_BLOCK``
-    at a time, without log-probs, from the numbers of L successive
-    ``rng.random(n)`` calls: at position t a block refills one reused buffer
-    from position t's ``_row_generators`` stream and searches row r of
-    position t's table for each sample whose prefix is enumeration row r of
-    the length-t sources; the drawn index is the prefix's next base-|V|
-    digit (``row * |V| + index``), so the last position leaves each sample's
-    row in ``idx``, the same row ``batch_sample``'s tokens name.
+    drawn as that row gets the same bits.  The draws are made without
+    log-probs, position by position, from the numbers of L successive
+    ``rng.random(n)`` calls: each position refills one reused buffer
+    ``_MC_BLOCK`` uniforms at a time and searches row r of its table for
+    each sample whose prefix is enumeration row r of the length-t sources;
+    the drawn index is the prefix's next base-|V| digit
+    (``row * |V| + index``), so the last position leaves each sample's row
+    in ``idx``, the same row ``batch_sample``'s tokens name.
     """
     y = tuple(y)
     table, logs, cond_rows = _stacked_conditionals(backward, encode([y]))
@@ -692,18 +669,18 @@ def _mc_moments(idx: np.ndarray, lm_scores: np.ndarray, forward_scores: np.ndarr
     # (r % |V|), or BOS at t = 0, so a prefix's enumeration row indexes it
     tables = [table[block * (size + 1) + np.arange(size**t) % size + (t > 0)]
               for t, block in enumerate(blocks)]
-    generators = _row_generators(rng, len(y), num_samples)
     uniforms = np.empty(min(num_samples, _MC_BLOCK))
-    values = np.empty(num_samples)
-    for start in range(0, num_samples, _MC_BLOCK):
-        count = min(_MC_BLOCK, num_samples - start)
-        draws, row = uniforms[:count], np.zeros(count, dtype=np.intp)
-        for generator, position_table in zip(generators, tables):
-            generator.random(out=draws)
+    rows = np.zeros(num_samples, dtype=np.intp)
+    for position_table in tables:
+        for start in range(0, num_samples, _MC_BLOCK):
+            row = rows[start : start + _MC_BLOCK]
+            draws = uniforms[: len(row)]
+            rng.random(out=draws)
             column = invert_cdf(position_table, draws, row)
             row *= size
             row += column
-        np.take(by_row, row, out=values[start : start + count])
+    values = by_row.take(rows)
+    del rows, row   # so std's temporary does not sit beside them
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(num_samples))
     return mean, std_error
@@ -717,13 +694,12 @@ def importance_mc_estimate(lm: NGramLM, backward: ChannelModel, forward: Channel
 
     Unbiased for ``jensen_lower_bound`` because the importance weight uses
     the same length-conditioned LM normalization.  Every sample is one of
-    the enumerated sources, so the samples are drawn as enumeration rows, a
-    block at a time, and each takes its row's value, computed once per
-    source; no sample is scored on its own.  The generator is consumed as by
+    the enumerated sources, so the samples are drawn as enumeration rows and
+    each takes its row's value, computed once per source; no sample is
+    scored on its own.  ``rng`` must be a numpy ``Generator`` (anything else
+    is refused before a draw), over any bit generator; it is consumed as by
     ``len(y)`` calls of ``rng.random(num_samples)``, the numbers
-    ``batch_sample`` would draw, and must be a PCG64 or PCG64DXSM one (any
-    other is refused before a draw): position t draws its numbers from a
-    copy of the stream advanced past the t calls before it.
+    ``batch_sample`` would draw.
     """
     num_samples = _check_mc_inputs(lm, backward, num_samples, rng)
     idx, lm_scores, forward_scores = _enumerate_lm_and_channel(lm, forward, y)

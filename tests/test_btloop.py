@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -604,9 +605,9 @@ def test_estimator_equals_the_reference_at_every_padded_table_width(size, use_eo
 
 
 def test_oracle_samples_in_blocks_without_log_probs(monkeypatch, tiny_setup):
-    # at n = 10^5 each block of at most _MC_BLOCK draws takes one search per
-    # position, and the backward logs are read per enumerated source (at most
-    # |V|^L values), never per sample
+    # at n = 10^5 each position takes one search per block of at most
+    # _MC_BLOCK draws, positions in order, and the backward logs are read
+    # per enumerated source (at most |V|^L values), never per sample
     task, backward, forward, lm = tiny_setup
     y = length_four_target(task)
     searches, log_reads = [], []
@@ -632,7 +633,7 @@ def test_oracle_samples_in_blocks_without_log_probs(monkeypatch, tiny_setup):
     block = btloop._MC_BLOCK
     assert block == 8192
     sizes = [block] * 12 + [1696]
-    assert searches == [size for size in sizes for _ in y]
+    assert searches == [size for _ in y for size in sizes]
     assert log_reads and max(log_reads) <= 4 ** len(y) < min(sizes)
 
 
@@ -644,8 +645,8 @@ def length_four_target(task):
 @pytest.mark.parametrize("num_samples", [2, 3 * btloop._MC_BLOCK + 7])
 def test_oracle_leaves_the_generator_as_the_full_uniform_draw_does(tiny_setup, estimator,
                                                                    num_samples):
-    # a pending 32-bit half survives rng.random((L, n)); PCG64.advance alone
-    # would drop it
+    # a pending 32-bit half survives rng.random((L, n)), and the estimate's
+    # in-order draws keep it too
     task, backward, forward, lm = tiny_setup
     y = length_four_target(task)
     rng, twin = sentence_stream(7, 0), sentence_stream(7, 0)
@@ -661,36 +662,44 @@ def test_oracle_leaves_the_generator_as_the_full_uniform_draw_does(tiny_setup, e
         assert rng.random() == twin.random()
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64,
-                                           np.random.Philox])
-@pytest.mark.parametrize("estimator", [importance_mc_estimate, evaluate_marginal_oracles])
-def test_oracle_refuses_a_stream_it_cannot_advance_before_any_draw(tiny_setup, estimator,
-                                                                   bit_generator):
-    # MT19937 and SFC64 have no advance; Philox's counts blocks of four draws
+@pytest.mark.parametrize("num_samples", [2, 3 * btloop._MC_BLOCK + 7])
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox,
+                                           np.random.PCG64, np.random.PCG64DXSM],
+                         ids=lambda bit_generator: bit_generator.__name__)
+def test_oracle_accepts_every_bit_generator_as_the_full_uniform_draw(tiny_setup, bit_generator,
+                                                                      num_samples):
+    # each is read in order, so its pending 32-bit half (where it keeps one)
+    # survives as it does rng.random((L, n))
     task, backward, forward, lm = tiny_setup
-    rng = np.random.Generator(bit_generator(0))
-    message = ("rng must be a Generator over PCG64 or PCG64DXSM, "
-               f"got {bit_generator.__name__}")
-    with pytest.raises(InvalidInputError, match=f"^{message}$"):
-        estimator(lm, backward, forward, task.mono.sentences[0], 100, rng)
-    assert rng.random() == np.random.Generator(bit_generator(0)).random()
-
-
-def test_oracle_accepts_pcg64dxsm_as_the_full_uniform_draw():
-    vocab = [0, 1, 2]
-    lm = train_ngram_lm([[0, 1, 2, 1], [2, 2, 0]], 2, 0.1, vocab=vocab)
-    bitext = parallel_corpus([([0, 1, 2], [1, 1, 0]), ([2, 0], [2, 1])])
-    backward = train_channel(bitext, "target_to_source", 0.1, out_vocab=vocab)
-    forward = train_channel(bitext, "source_to_target", 0.1, out_vocab=vocab)
-    y = (1, 0, 2)
+    y = length_four_target(task)
     _, lm_scores, forward_scores = btloop._enumerate_lm_and_channel(lm, forward, y)
-    num_samples = btloop._MC_BLOCK + 3
-    got_rng = np.random.Generator(np.random.PCG64DXSM(5))
-    want_rng = np.random.Generator(np.random.PCG64DXSM(5))
+    got_rng, want_rng, twin = (np.random.Generator(bit_generator(5)) for _ in range(3))
+    for generator in (got_rng, want_rng, twin):
+        generator.integers(0, 10, dtype=np.uint32)
     got = importance_mc_estimate(lm, backward, forward, y, num_samples, got_rng)
     want = reference_mc_moments(lm_scores, forward_scores, backward, y, num_samples, want_rng)
     assert same_float_bits(got[0], want[0]) and same_float_bits(got[1], want[1])
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    twin.random((len(y), num_samples))
+    # pickled, since MT19937 and Philox states hold arrays
+    assert pickle.dumps(got_rng.bit_generator) == pickle.dumps(twin.bit_generator)
+    for _ in range(3):
+        assert (got_rng.integers(0, 2**32, dtype=np.uint32)
+                == twin.integers(0, 2**32, dtype=np.uint32))
+        assert got_rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("make_rng", [lambda: np.random.RandomState(0),
+                                      lambda: np.random.PCG64(0)], ids=["RandomState", "PCG64"])
+@pytest.mark.parametrize("estimator", [importance_mc_estimate, evaluate_marginal_oracles])
+def test_oracle_refuses_an_rng_that_is_not_a_generator_before_any_draw(tiny_setup, estimator,
+                                                                      make_rng):
+    # a bare PCG64 has no random(out=...); it is refused like any non-Generator
+    task, backward, forward, lm = tiny_setup
+    rng = make_rng()
+    message = f"rng must be a numpy Generator, got {type(rng).__name__}"
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        estimator(lm, backward, forward, task.mono.sentences[0], 100, rng)
+    assert pickle.dumps(rng) == pickle.dumps(make_rng())
 
 
 def test_oracle_memory_grows_by_the_values_alone(tiny_setup):
