@@ -28,8 +28,9 @@ Conventions of the table:
   log of that floor and the channel subtracts logs; the two round
   differently in the last bit, so each class keeps its own arithmetic.
 * Counts may be fractional (the toy task's ground-truth models are stored
-  as probability rows with alpha == 0), but alpha and every count must be
-  finite and non-negative.
+  as probability rows with alpha == 0), but alpha, every count, alpha x
+  |events| and each row's total plus that must be finite non-negative
+  floats, so no denominator overflows.
 
 One key builder, ``_keys``, reads a coded corpus (``tokenio.CodedCorpus``)
 and gives every position a compacted key id.  ``batch_score``, each
@@ -45,10 +46,9 @@ which they encode once on entry; a parallel corpus may be given coded as
 its (sources, targets) pair of coded corpora (``coded_pairs``).
 
 ``_CountTable.rows(keys)`` is the one row lookup: the prob and log matrices
-whose row i belongs to ``keys[i]``.  Each consumer asks once for every key it
-reads; the rows of keys not looked up before are filled in one numpy pass
-(``_fill_rows``) and kept: models are immutable once built, and the trainers
-fill ``counts`` before the first lookup.
+whose row i belongs to ``keys[i]``, computed from ``counts`` in one numpy
+pass per call.  Each consumer asks once for every key it reads; a table
+holds ``alpha``, its events and ``counts``, and no rows derived from them.
 Both serialize to a versioned text format with sorted keys, so training is
 diffable and bit-reproducible: a magic line, header fields, the ``vocab``
 line, then one ``<tag> <key tokens> | <token> <count> ...`` line per row.
@@ -78,6 +78,8 @@ from ..tokenio import (
 # the training defaults of the trainers, the experiment config and the CLI
 DEFAULT_ALPHA = 0.1
 DEFAULT_LM_ORDER = 2
+# a count or alpha above this (a Python int may be) has no finite float
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -182,8 +184,10 @@ class _CountTable:
     _TAG: str
 
     def __init__(self, alpha, events: tuple, counts, key_len: int):
-        if not (alpha >= 0 and math.isfinite(alpha)):
-            raise InvalidInputError(f"alpha must be finite and non-negative, got {alpha!r}")
+        size = len(events)
+        if not (0 <= alpha <= _FLOAT_MAX and float(alpha) * size <= _FLOAT_MAX):
+            raise InvalidInputError(f"alpha and alpha x {size} events must be finite "
+                                    f"and non-negative, got {alpha!r}")
         self.alpha = alpha
         self._events = events
         self._index = {tok: i for i, tok in enumerate(events)}
@@ -195,29 +199,25 @@ class _CountTable:
             for tok, cnt in row.items():
                 if tok not in self._index:
                     raise InvalidInputError(f"count row token {tok!r} is outside the event space")
-                if not (cnt >= 0 and math.isfinite(cnt)):
-                    raise InvalidInputError(
-                        f"count {cnt!r} of {tok!r} in {self._TAG} {key!r} "
-                        "must be finite and non-negative"
-                    )
+                if not 0 <= cnt <= _FLOAT_MAX:
+                    raise InvalidInputError(f"count {cnt!r} of {tok!r} in {self._TAG} {key!r} "
+                                            "must be finite and non-negative")
+            if not sum(map(float, row.values())) + float(alpha) * size <= _FLOAT_MAX:
+                raise InvalidInputError(f"counts of {self._TAG} {key!r} plus alpha x {size} "
+                                        "events overflow a float")
             self.counts[key] = dict(row)
-        self._prob_rows: dict[tuple, np.ndarray] = {}
-        self._log_rows: dict[tuple, np.ndarray] = {}
 
-    def _fill_rows(self, keys) -> None:
-        """Fill the read-only prob and log rows of those of ``keys`` not
-        filled yet, in one numpy pass: their counts scattered into one
-        (keys, events) matrix, summed per row and divided add-alpha.  A row
-        whose denominator is not positive is uniform.  Only the keys looked
-        up are filled, so the rows kept grow with the lookups, not with the
-        keys counted."""
-        new = [key for key in dict.fromkeys(keys) if key not in self._prob_rows]
-        if not new:
-            return
+    def rows(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (len(keys), events) matrices of p(. | key) and its log:
+        row i belongs to ``keys[i]``, and every prob row sums to 1.  Each
+        call computes them from ``counts`` in one numpy pass and keeps
+        nothing: the keys' counts are scattered into one (keys, events)
+        matrix, summed per row and divided add-alpha.  A row whose
+        denominator is not positive is uniform."""
         size = len(self._events)
-        rows = [self.counts.get(key, {}) for key in new]
-        counts = np.zeros((len(new), size))
-        at_key = np.repeat(np.arange(len(new)),
+        rows = [self.counts.get(key, {}) for key in keys]
+        counts = np.zeros((len(rows), size))
+        at_key = np.repeat(np.arange(len(rows)),
                            np.array([len(row) for row in rows], dtype=np.intp))
         at_event = np.array([self._index[tok] for row in rows for tok in row], dtype=np.intp)
         counts[at_key, at_event] = np.array([cnt for row in rows for cnt in row.values()],
@@ -227,19 +227,6 @@ class _CountTable:
             probs = (counts + self.alpha) / denom[:, None]
             probs[denom <= 0.0] = 1.0 / size
             logs = np.log(probs)
-        probs.setflags(write=False)
-        logs.setflags(write=False)
-        self._prob_rows.update(zip(new, probs))
-        self._log_rows.update(zip(new, logs))
-
-    def rows(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (len(keys), events) matrices of p(. | key) and its log:
-        row i belongs to ``keys[i]``, and every prob row sums to 1.  The
-        rows of keys not looked up before are filled in one pass."""
-        self._fill_rows(keys)
-        size = len(self._events)
-        probs = np.array([self._prob_rows[key] for key in keys]).reshape(len(keys), size)
-        logs = np.array([self._log_rows[key] for key in keys]).reshape(len(keys), size)
         probs.setflags(write=False)
         logs.setflags(write=False)
         return probs, logs

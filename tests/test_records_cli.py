@@ -1588,6 +1588,39 @@ def test_model_values_out_of_range_are_a_one_line_error(toy_dir, models_dir, tmp
     assert "must be finite and non-negative" in err
 
 
+@pytest.mark.parametrize("kind", ["backward", "lm"])
+@pytest.mark.parametrize("change", ["int-count", "int-alpha", "row-total", "alpha-times-events"])
+def test_model_values_beyond_the_float_range_are_a_one_line_error(toy_dir, models_dir, tmp_path,
+                                                                  capsys, kind, change):
+    out = tmp_path / "out.txt"
+    if change == "alpha-times-events":
+        code = dispatch(["train", "--kind", kind, "--bitext", str(toy_dir / "bitext.tsv"),
+                         "--alpha", "1e308", "--out", str(out)])
+    else:
+        lines = (models_dir / f"{kind}.txt").read_text(encoding="utf-8").splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(("state ", "context ")))
+        key = lines[i].partition(" | ")[0]
+        first, second = next(line for line in lines if line.startswith("vocab ")).split()[1:3]
+        if change == "int-alpha":
+            lines = [f"alpha 1{'0' * 400}" if line.startswith("alpha ") else line
+                     for line in lines]
+        elif change == "int-count":
+            lines[i] = f"{key} | {first} 1{'0' * 400}"
+        else:
+            lines[i] = f"{key} | {first} 1e+308 {second} 1e+308"
+        models = {"backward": models_dir / "backward.txt", "lm": models_dir / "lm.txt"}
+        models[kind] = tmp_path / f"{kind}.txt"
+        models[kind].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = dispatch(["backtranslate", "--mono", str(toy_dir / "mono.txt"),
+                         "--backward", str(models["backward"]), "--strategy", "gamma-select",
+                         "--lm", str(models["lm"]), "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("overflow a float" in err) == (change == "row-total")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["yes", "2"])
 def test_lm_eos_flag_other_than_0_or_1_is_a_one_line_error(toy_dir, models_dir, tmp_path,
                                                           capsys, value):

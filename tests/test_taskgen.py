@@ -137,16 +137,15 @@ def test_walk_cdf_fills_every_context_in_one_pass(monkeypatch):
     spec = ToyTaskSpec(bitext_size=10, mono_size=5, test_size=5, seed=2)
     lm = taskgen._truth_lm(spec)
     calls = []
-    fill = _CountTable._fill_rows
+    rows = _CountTable.rows
 
     def counted(self, keys):
         calls.append(len(keys))
-        return fill(self, keys)
+        return rows(self, keys)
 
-    monkeypatch.setattr(_CountTable, "_fill_rows", counted)
+    monkeypatch.setattr(_CountTable, "rows", counted)
     taskgen._walk_cdf(lm)
     assert calls == [spec.source_vocab_size + 1]
-    assert len(lm._prob_rows) == spec.source_vocab_size + 1
 
 
 def test_truth_models_are_normalized():

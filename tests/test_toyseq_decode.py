@@ -469,13 +469,13 @@ def test_stacked_conditionals_fill_every_key_in_one_pass(monkeypatch, rng):
     model = random_channel(rng, vocab_size=4)
     inputs = encode([(0, 1, 1), (2, 3), (3, 0, 7)])     # 7 is never seen
     calls = []
-    fill = _CountTable._fill_rows
+    rows = _CountTable.rows
 
     def counted(self, keys):
         calls.append(len(keys))
-        return fill(self, keys)
+        return rows(self, keys)
 
-    monkeypatch.setattr(_CountTable, "_fill_rows", counted)
+    monkeypatch.setattr(_CountTable, "rows", counted)
     table, logs, _ = _stacked_conditionals(model, inputs)
     assert calls == [5 * 5]     # |V|+1 previous outputs for each of 5 distinct tokens
     assert table.shape[0] == 5 * 5 and logs.shape == (5, 5, 4)

@@ -1,6 +1,6 @@
 import math
 import sys
-from collections import Counter
+from collections import defaultdict
 from itertools import chain
 from pathlib import Path
 
@@ -814,12 +814,28 @@ def test_rows_of_zero_counts_and_alpha_zero_are_uniform():
     assert not any(matrix.flags.writeable for matrix in model.rows([(BOS, 1)]))
 
 
-def test_a_lookup_fills_only_the_rows_it_asks_for():
-    lm = NGramLM(2, 0.1, list(range(50)), counts={(tok,): {tok: 1} for tok in range(50)})
-    lm.rows([(3,)])
-    assert list(lm._prob_rows) == [(3,)]
-    lm.batch_score([(4, 5)])
-    assert list(lm._prob_rows) == [(3,), (BOS,), (4,), (5,)]   # (5,) ends the run
+@pytest.mark.parametrize("make", [
+    lambda alpha, row: NGramLM(2, alpha, ["a", "b"], counts={("a",): row}),
+    lambda alpha, row: ChannelModel("target_to_source", alpha, ["a", "b"],
+                                    counts={(BOS, "a"): row}),
+], ids=["lm", "channel"])
+@pytest.mark.parametrize("alpha,row,message", [
+    (0.1, {"a": 10**400}, "count 10{400} of 'a' in (context|state) "),
+    (10**400, {}, "alpha and alpha x [23] events must be finite"),
+    (0.1, {"a": 1e308, "b": 1e308}, "counts of (context|state) .* plus alpha x [23] events"),
+    (1e308, {"a": 1}, "alpha and alpha x [23] events must be finite"),
+], ids=["int-count", "int-alpha", "row-total", "alpha-times-events"])
+def test_counts_and_alpha_beyond_the_float_range_are_refused(make, alpha, row, message):
+    # an int with no float, or a denominator that overflows to inf and
+    # would make every probability of its row 0
+    with pytest.raises(InvalidInputError, match=message):
+        make(alpha, row)
+
+
+def test_a_row_total_just_inside_the_float_range_is_kept():
+    model = ChannelModel("target_to_source", 0.1, ["a", "b"], counts={(BOS, "a"): {"a": 1e308}})
+    probs, logs = model.rows([(BOS, "a")])
+    assert probs[0, 0] == 1.0 and probs[0, 1] > 0.0 and np.isfinite(logs).all()
 
 
 def test_a_sweep_fills_each_trained_tables_rows_in_batches(monkeypatch):
@@ -827,22 +843,19 @@ def test_a_sweep_fills_each_trained_tables_rows_in_batches(monkeypatch):
     from btfactors.toyseq import models
     from btfactors.toyseq.taskgen import ToyTaskSpec
 
-    trained, passes, filled = [], Counter(), Counter()
-    count, fill = models._CountTable._count, models._CountTable._fill_rows
+    trained, lookups = [], defaultdict(list)
+    count, rows = models._CountTable._count, models._CountTable.rows
 
     def counting(self, *args):
         trained.append(self)
         return count(self, *args)
 
-    def filling(self, keys):
-        before = len(self._prob_rows)
-        fill(self, keys)
-        if len(self._prob_rows) > before:
-            passes[id(self)] += 1
-            filled[id(self)] += len(self._prob_rows) - before
+    def looking_up(self, keys):
+        lookups[id(self)].append(len(keys))
+        return rows(self, keys)
 
     monkeypatch.setattr(models._CountTable, "_count", counting)
-    monkeypatch.setattr(models._CountTable, "_fill_rows", filling)
+    monkeypatch.setattr(models._CountTable, "rows", looking_up)
     # the sweep benchmark's configuration, at seed 1
     task = ToyTaskSpec(source_vocab_size=20, target_vocab_size=20, length_range=(4, 12),
                        channel_noise=0.15, bitext_size=300, mono_size=3000, test_size=400)
@@ -851,11 +864,12 @@ def test_a_sweep_fills_each_trained_tables_rows_in_batches(monkeypatch):
                   BTStrategy("gamma-sample", 0.2, 50))
     run_bt_experiment(ExperimentConfig(task=task, strategies=strategies, seeds=(1,),
                                        beam_size=5, alpha=0.1, lm_order=2))
-    assert len(trained) == len({id(t) for t in trained}) >= 10
-    # one pass per lookup: a channel's stack of every (prev, cond) key of a
-    # corpus or a scored batch's keys, the LM's bigram contexts or a scored
-    # batch's keys; measured at most 2 per table (13 passes over all 12
-    # tables, truth models included), never a pass per key or per token
-    for table in trained:
-        assert 1 <= passes[id(table)] <= 2
-        assert filled[id(table)] >= 10 * passes[id(table)]
+    assert len(trained) == len({id(t) for t in trained}) == 10
+    # one rows call per lookup, over all of its keys: the backward channel's
+    # 9 and the LM's 60 (every (prev, cond) key of a decoded corpus, the
+    # bigram contexts, or a scored batch's keys), then one stack for each
+    # weak backward and forward channel
+    assert [len(lookups[id(table)]) for table in trained] == [9, 60, 1, 1, 1, 1, 1, 1, 1, 1]
+    # never a call per key or per token: every call asks for a whole
+    # vocabulary's worth of keys
+    assert min(size for calls in lookups.values() for size in calls) >= 21
